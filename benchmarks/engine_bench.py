@@ -14,8 +14,8 @@ benchmarks/engine_bench.py``).  Two measurements:
   host CPU count, and the pool spin-up time separately from simulation
   time.
 
-* **batched** — the same configuration as K lock-step configs (varied
-  estimator alphas) through :func:`repro.sim.batch.simulate_batch`,
+* **batched** — the same configuration as K configs (varied estimator
+  alphas) through one :func:`repro.sim.batch.simulate_batch` call,
   reporting amortized per-config jobs/s and the speedup over the scalar
   single run, plus a bit-identity check of lane 0 against its scalar twin.
 
@@ -120,7 +120,7 @@ def bench_batched(
     n_jobs: int, k: int, rounds: int, seed: int = 0,
     scalar_jobs_per_s: float = 0.0,
 ) -> dict:
-    """K configs lock-step through simulate_batch, amortized per-config.
+    """K configs through one simulate_batch call, amortized per-config.
 
     Matches the sweep executor's usage (``collect_attempts=False``); the
     scalar comparison point is the single-run block measured by
@@ -140,11 +140,12 @@ def bench_batched(
                     alpha=BATCHED_ALPHAS[i % len(BATCHED_ALPHAS)]
                 ),
                 seed=seed,
+                collect_attempts=False,
             )
             for i in range(k)
         ]
         t0 = time.perf_counter()
-        results = simulate_batch(workload, configs, collect_attempts=False)
+        results = simulate_batch(workload, configs)
         times.append(time.perf_counter() - t0)
     best = min(times)
     amortized = k * n / best

@@ -48,8 +48,8 @@ PRE_WALL_S = 22.59
 PRE_RUNS_PER_S = 0.885
 PRE_PEAK_WORKER_RSS_KB = 74_208
 
-#: runs/s recorded for the columnar data plane with lock-step batching
-#: (the batched engine advancing same-trace spec pairs together) on the
+#: runs/s recorded for the columnar data plane with same-trace batching
+#: (the batched engine running same-trace spec pairs in one call) on the
 #: reference container — the regression baseline this gate enforces.
 #: Typical measurements land at 5.7-6.1 runs/s with occasional ~4.6
 #: outliers (single-CPU container noise), so the baseline is pinned
@@ -82,15 +82,11 @@ def fig5_specs(cfg: ExperimentConfig, n_jobs: int, loads=None) -> list:
     ]
 
 
-def bench_sweep(
-    workers: int, n_jobs: int, loads=None, batch_size=None
-) -> dict:
+def bench_sweep(workers: int, n_jobs: int, loads=None) -> dict:
     cfg = ExperimentConfig()
     specs = fig5_specs(cfg, n_jobs, loads)
     t0 = time.perf_counter()
-    report = run_sweep(
-        specs, max_workers=workers, oversubscribe=True, batch_size=batch_size
-    )
+    report = run_sweep(specs, max_workers=workers, oversubscribe=True)
     wall = time.perf_counter() - t0
     report.points()  # raises with full tracebacks if any spec failed
     profile = report.profile()
@@ -118,13 +114,6 @@ def main(argv=None) -> int:
         help="trace size per spec (default: the Figure 5 configuration)",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=None,
-        help=(
-            "same-trace lock-step batch width for the executor "
-            "(default: $REPRO_BATCH_SIZE, else adaptive up to 16; 1 disables batching)"
-        ),
-    )
-    parser.add_argument(
         "--smoke", action="store_true",
         help="tiny grid, no regression gate (CI pipeline check)",
     )
@@ -132,10 +121,9 @@ def main(argv=None) -> int:
 
     if args.smoke:
         sweep = bench_sweep(args.workers, n_jobs=min(args.jobs, 1500),
-                            loads=(0.8, 1.0), batch_size=args.batch_size)
+                            loads=(0.8, 1.0))
     else:
-        sweep = bench_sweep(args.workers, n_jobs=args.jobs,
-                            batch_size=args.batch_size)
+        sweep = bench_sweep(args.workers, n_jobs=args.jobs)
 
     floor = BASELINE_RUNS_PER_S * REGRESSION_FLOOR
     gated = not args.smoke and args.jobs == ExperimentConfig().n_jobs
@@ -170,7 +158,7 @@ def main(argv=None) -> int:
     )
     print(
         f"batch  : {sweep['n_batched_runs']}/{sweep['n_specs']} runs in "
-        f"lock-step batches (mean width {sweep['mean_batch_width']})"
+        f"same-trace batches (mean width {sweep['mean_batch_width']})"
     )
     print(
         f"memory : peak worker RSS {sweep['peak_worker_rss_kb']:,} KB "

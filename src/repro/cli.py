@@ -54,12 +54,14 @@ from repro.core import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.sim import (
+    BatchConfig,
     EasyBackfilling,
     Fcfs,
     Policy,
     ShortestJobFirst,
     mean_slowdown,
     simulate,
+    simulate_batch,
     utilization,
 )
 from repro.workload import (
@@ -199,34 +201,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     try:
-        if args.batch:
-            from repro.sim.batch import BatchConfig, simulate_batch
-
-            result = simulate_batch(
-                workload,
-                [
-                    BatchConfig(
-                        cluster=cluster,
-                        estimator=estimator,
-                        policy=POLICIES[args.policy](),
-                        seed=args.seed,
-                        spurious_failure_prob=args.spurious,
-                        fault_config=fault_config,
-                        observer=observer,
-                    )
-                ],
-            )[0]
-        else:
-            result = simulate(
-                workload,
-                cluster,
-                estimator=estimator,
-                policy=POLICIES[args.policy](),
-                seed=args.seed,
-                spurious_failure_prob=args.spurious,
-                fault_config=fault_config,
-                observer=observer,
-            )
+        # One lane: the fast lane when the config is eligible, else the
+        # scalar engine — bit-identical either way.
+        result = simulate_batch(
+            workload,
+            [
+                BatchConfig(
+                    cluster=cluster,
+                    estimator=estimator,
+                    policy=POLICIES[args.policy](),
+                    seed=args.seed,
+                    spurious_failure_prob=args.spurious,
+                    fault_config=fault_config,
+                    observer=observer,
+                )
+            ],
+        )[0]
     finally:
         if profiler is not None:
             profiler.disable()
@@ -345,14 +335,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments.cache import resolve_cache
     from repro.experiments.parallel import (
         ResilienceConfig,
-        set_default_batch_size,
         set_default_resilience,
     )
 
     module = importlib.import_module(f"repro.experiments.{args.name}")
     config = ExperimentConfig(n_jobs=args.jobs, seed=args.seed)
-    if args.batch_size is not None:
-        set_default_batch_size(args.batch_size)
     kwargs = {}
     if "max_workers" in inspect.signature(module.run).parameters:
         # Sweep-capable experiment: wire up the pool + cache and surface the
@@ -496,14 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run under cProfile and print the top 20 cumulative-time entries",
     )
-    p.add_argument(
-        "--batch",
-        action="store_true",
-        help=(
-            "execute through the batched engine (repro.sim.batch) as a "
-            "single-lane batch — bit-identical to the scalar engine"
-        ),
-    )
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser(
@@ -565,15 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "JSONL manifest of completed runs; re-running with the same "
             "path resumes an interrupted sweep from its partial results"
-        ),
-    )
-    p.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "same-trace specs advanced lock-step per execution unit "
-            "(default: $REPRO_BATCH_SIZE, else adaptive up to 16; 1 disables batching)"
         ),
     )
     p.set_defaults(fn=cmd_experiment)

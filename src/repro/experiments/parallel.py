@@ -109,46 +109,6 @@ _BACKOFF_CAP = 30.0
 #: batch's wall clock within the sliding window's load-balancing grain.
 _MAX_BATCH = 16
 
-#: Process-wide override installed by :func:`set_default_batch_size`
-#: (``None`` means "use the environment / built-in default").
-_BATCH_SIZE_OVERRIDE: Optional[int] = None
-
-
-def default_batch_size() -> int:
-    """The sweep batch width used when ``run_sweep`` is not told otherwise.
-
-    Resolution order: :func:`set_default_batch_size` override, then the
-    ``REPRO_BATCH_SIZE`` environment variable, then the built-in ceiling
-    (``16``).  Invalid environment values are ignored with a warning rather
-    than failing the sweep.
-    """
-    if _BATCH_SIZE_OVERRIDE is not None:
-        return _BATCH_SIZE_OVERRIDE
-    env = os.environ.get("REPRO_BATCH_SIZE", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            logger.warning("ignoring non-integer REPRO_BATCH_SIZE=%r", env)
-        else:
-            if value >= 1:
-                return value
-            logger.warning("ignoring non-positive REPRO_BATCH_SIZE=%d", value)
-    return _MAX_BATCH
-
-
-def set_default_batch_size(size: Optional[int]) -> Optional[int]:
-    """Install a process-wide sweep batch width; returns the previous
-    override.  ``None`` restores the environment/built-in default.  The
-    CLI's ``--batch-size`` flag lands here."""
-    global _BATCH_SIZE_OVERRIDE
-    if size is not None and size < 1:
-        raise ValueError(f"batch size must be >= 1, got {size}")
-    previous = _BATCH_SIZE_OVERRIDE
-    _BATCH_SIZE_OVERRIDE = size
-    return previous
-
-
 @dataclass(frozen=True)
 class RunOutcome:
     """Envelope around one executed (or cached, or failed) run."""
@@ -170,9 +130,9 @@ class RunOutcome:
     #: the run finished — the sweep-level peak is the memory a worker
     #: actually needs (0 for cache hits and platforms without getrusage).
     worker_rss_kb: int = 0
-    #: Lanes of the lock-step batch this run executed in (1 = plain scalar
-    #: execution; >1 = :func:`repro.sim.batch.simulate_batch` with that many
-    #: same-trace configs advancing together).
+    #: Lanes of the batch this run executed in (1 = plain scalar execution;
+    #: >1 = one :func:`repro.sim.batch.simulate_batch` call over that many
+    #: same-trace configs).
     batch_width: int = 1
 
     @property
@@ -227,7 +187,7 @@ def _spec_batch_config(spec: RunSpec, workload=None) -> BatchConfig:
 
     ``workload`` is the per-lane workload override (``None`` inherits the
     batch's shared workload) — how load points of one base trace stack into
-    a single lock-step batch.
+    a single batch.
     """
     return BatchConfig(
         cluster=spec.cluster.materialize(),
@@ -236,9 +196,9 @@ def _spec_batch_config(spec: RunSpec, workload=None) -> BatchConfig:
         seed=spec.seed,
         spurious_failure_prob=spec.faults.spurious,
         fault_config=_spec_fault_config(spec),
-        # Per-lane override: None inherits the batch-wide flag, so only
-        # specs that ask for the per-attempt trace pay for it.
-        collect_attempts=spec.collect_attempts or None,
+        # Sweep points aggregate, so only specs that ask for the
+        # per-attempt trace pay for it.
+        collect_attempts=spec.collect_attempts,
         workload=workload,
     )
 
@@ -327,15 +287,16 @@ def execute_batch(specs: Sequence[RunSpec]) -> List[RunOutcome]:
     spec.
 
     Specs sharing the same *base* trace (identical ``WorkloadSpec`` up to
-    the load scaling — :meth:`WorkloadSpec.base_key`) additionally advance
-    in lock-step through :func:`repro.sim.batch.simulate_batch`: load
-    scaling rewrites only the arrival schedule, so lanes at different load
-    points carry per-lane workload overrides while the whole group pays a
-    single call.  The batched engine is gated bit-identical to the scalar
-    one (``tests/sim/test_engine_fingerprints``), so results are exactly
-    what per-spec execution would have produced; the group's wall clock is
-    split evenly across its members and each outcome records the
-    ``batch_width`` it ran at.  Any failure inside a lock-step group falls
+    the load scaling — :meth:`WorkloadSpec.base_key`) additionally run as
+    lanes of one :func:`repro.sim.batch.simulate_batch` call: load scaling
+    rewrites only the arrival schedule, so lanes at different load points
+    carry per-lane workload overrides while the whole group shares one
+    decoded trace per load point and one ``(K, G)`` seeding.  The batched
+    engine is gated bit-identical to the scalar one
+    (``tests/sim/test_engine_fingerprints``), so results are exactly what
+    per-spec execution would have produced; the group's wall clock is split
+    evenly across its members and each outcome records the ``batch_width``
+    it ran at.  Any failure inside a batched group falls
     back to per-spec execution, so one bad spec reports its own error
     instead of sinking its batch-mates.
     """
@@ -368,11 +329,7 @@ def execute_batch(specs: Sequence[RunSpec]) -> List[RunOutcome]:
                 )
                 for spec in members
             ]
-            # Batch-wide default: no per-attempt trace (sweep points
-            # aggregate).  Lanes whose spec sets ``collect_attempts`` carry
-            # a per-lane override in their BatchConfig, so they keep their
-            # records instead of silently dropping them.
-            results = simulate_batch(workload, configs, collect_attempts=False)
+            results = simulate_batch(workload, configs)
             wall = (time.perf_counter() - t0) / len(indices)
             rss = _peak_rss_kb()
             for idx, spec, result in zip(indices, members, results):
@@ -385,7 +342,7 @@ def execute_batch(specs: Sequence[RunSpec]) -> List[RunOutcome]:
                 )
         except Exception as exc:
             logger.warning(
-                "lock-step batch of %d specs failed (%s); re-running "
+                "batch of %d same-trace specs failed (%s); re-running "
                 "per-spec to isolate the failure",
                 len(indices),
                 exc,
@@ -567,7 +524,7 @@ class SweepProfile:
     n_pool_rebuilds: int
     n_resumed: int
     slowest: Tuple[Tuple[str, float], ...] = ()
-    #: Executed runs that advanced in a lock-step batch (``batch_width > 1``).
+    #: Executed runs that ran as lanes of a batch (``batch_width > 1``).
     n_batched: int = 0
     #: Mean ``batch_width`` across executed runs (1.0 = all scalar).
     mean_batch_width: float = 1.0
@@ -585,7 +542,7 @@ class SweepProfile:
             f"(mean {self.mean_wall_time:.2f}s, max {self.max_wall_time:.2f}s "
             f"per executed run)",
             f"batching    : {self.n_batched}/{self.n_executed} executed runs "
-            f"in lock-step batches (mean width {self.mean_batch_width:.2f})",
+            f"in same-trace batches (mean width {self.mean_batch_width:.2f})",
             f"resilience  : {self.total_retries} retries, "
             f"{self.n_timeouts} timeouts, {self.n_pool_rebuilds} pool rebuilds, "
             f"{self.n_resumed} resumed from checkpoint",
@@ -728,14 +685,12 @@ def run_sweep(
     checkpoint: Optional[Union[str, Path, SweepCheckpoint]] = None,
     oversubscribe: bool = False,
     on_outcome: Optional[Callable[[int, RunOutcome], None]] = None,
-    batch_size: Optional[int] = None,
 ) -> SweepReport:
     """Execute every spec, in parallel when ``max_workers > 1``.
 
-    ``batch_size`` caps how many same-trace specs advance lock-step through
-    :func:`repro.sim.batch.simulate_batch` per execution unit (1 disables
-    batching); it defaults to :func:`default_batch_size` (the
-    ``REPRO_BATCH_SIZE`` environment variable / ``--batch-size`` CLI flag).
+    Same-trace specs run together through
+    :func:`repro.sim.batch.simulate_batch`, up to ``_MAX_BATCH`` per
+    execution unit (see :func:`_same_workload_batches`).
 
     Cache and checkpoint lookups happen up front in the parent process;
     only misses are dispatched, and each result is written back the moment
@@ -776,10 +731,6 @@ def run_sweep(
         defaults.retry_backoff if retry_backoff is None else retry_backoff
     )
     checkpoint = defaults.checkpoint if checkpoint is None else checkpoint
-    if batch_size is None:
-        batch_size = default_batch_size()
-    elif batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if checkpoint is not None and not isinstance(checkpoint, SweepCheckpoint):
         checkpoint = SweepCheckpoint(checkpoint)
     restored = checkpoint.load() if checkpoint is not None else {}
@@ -836,7 +787,6 @@ def run_sweep(
                 retry_backoff=retry_backoff,
                 on_result=commit,
                 stats=stats,
-                batch_size=batch_size,
             )
     finally:
         if checkpoint is not None:
@@ -874,9 +824,14 @@ def _run_with_retries(
     retry_backoff: float,
     stats: _ExecutionStats,
     rng: Optional[random.Random] = None,
+    first: Optional[RunOutcome] = None,
 ) -> RunOutcome:
-    """In-process execution with the same bounded-retry policy as the pool."""
-    outcome = execute_spec(spec)
+    """In-process execution with the same bounded-retry policy as the pool.
+
+    ``first`` is an attempt already made (a batch lane's outcome); without
+    one the spec runs here first.  Retries always re-run the spec alone.
+    """
+    outcome = execute_spec(spec) if first is None else first
     attempt = 0
     while not outcome.ok and attempt < max_retries:
         attempt += 1
@@ -887,9 +842,9 @@ def _run_with_retries(
 
 
 def _same_workload_batches(
-    specs: Sequence[RunSpec], batch_size: int, workers: int = 1
+    specs: Sequence[RunSpec], workers: int = 1, cap: int = _MAX_BATCH
 ) -> List[List[int]]:
-    """Spec indices batched by base trace, at adaptive lock-step width.
+    """Spec indices batched by base trace, at adaptive width up to ``cap``.
 
     Grouping is by ``WorkloadSpec.base_key()`` — the base trace provenance
     with the load scaling factored out — regardless of submission order:
@@ -900,8 +855,8 @@ def _same_workload_batches(
     workload override.
 
     Width adapts to each group's same-trace depth: a group runs as few
-    lock-step units as the ``batch_size`` cap allows, so a deep stack of
-    configs over one trace rides one shared event frontier instead of a
+    units as ``cap`` allows, so a deep stack of configs over one trace
+    shares one decoded trace and one ``(K, G)`` seeding instead of a
     fixed-width chunking.  A pooled sweep (``workers > 1``) splits deep
     stacks further when the grid has fewer groups than workers, so enough
     units stay in flight that batching never starves the pool.  Within a
@@ -911,8 +866,6 @@ def _same_workload_batches(
     distinct arrival schedules as possible.  Batches come back ordered by
     their first member, so execution stays in near-spec order.
     """
-    if batch_size <= 1:
-        return [[j] for j in range(len(specs))]
     groups: Dict[object, List[int]] = {}
     for j, spec in enumerate(specs):
         groups.setdefault(spec.workload.base_key(), []).append(j)
@@ -920,8 +873,8 @@ def _same_workload_batches(
     spread = max(1, workers // max(1, len(groups)))
     for indices in groups.values():
         depth = len(indices)
-        n_units = max(spread, -(-depth // batch_size))
-        width = min(batch_size, -(-depth // n_units))  # balanced ceiling
+        n_units = max(spread, -(-depth // cap))
+        width = min(cap, -(-depth // n_units))  # balanced ceiling
         stacks: Dict[object, List[int]] = {}
         for j in indices:
             stacks.setdefault(specs[j].workload, []).append(j)
@@ -947,14 +900,11 @@ def _execute_all(
     retry_backoff: float = 0.25,
     on_result: Optional[Callable[[int, RunOutcome], None]] = None,
     stats: Optional[_ExecutionStats] = None,
-    batch_size: Optional[int] = None,
 ) -> List[RunOutcome]:
     """Execute ``specs``, invoking ``on_result(index, outcome)`` as each
     lands (indices are positions in ``specs``; completion order is
     arbitrary).  Returns the outcomes in ``specs`` order."""
     stats = stats if stats is not None else _ExecutionStats()
-    if batch_size is None:
-        batch_size = default_batch_size()
     results: List[Optional[RunOutcome]] = [None] * len(specs)
     emit = on_result or (lambda j, outcome: None)
 
@@ -971,33 +921,21 @@ def _execute_all(
             retry_backoff=retry_backoff,
             finish=finish,
             stats=stats,
-            batch_size=batch_size,
         ).run()
     else:
         rng = random.Random(0x0B0FF)
-        for batch in _same_workload_batches(specs, batch_size):
-            if len(batch) == 1:
-                j = batch[0]
+        for batch in _same_workload_batches(specs):
+            firsts = (
+                execute_batch([specs[j] for j in batch])
+                if len(batch) > 1
+                else [None]
+            )
+            for j, first in zip(batch, firsts):
                 finish(
                     j,
                     _run_with_retries(
-                        specs[j], max_retries, retry_backoff, stats, rng
+                        specs[j], max_retries, retry_backoff, stats, rng, first
                     ),
-                )
-                continue
-            outcomes = execute_batch([specs[j] for j in batch])
-            for j, outcome in zip(batch, outcomes):
-                # Same bounded-retry policy as the singleton path; retries
-                # re-run the spec alone (matching the pool's convention that
-                # retries always travel outside batches).
-                attempt = 0
-                while not outcome.ok and attempt < max_retries:
-                    attempt += 1
-                    stats.n_retries += 1
-                    time.sleep(_backoff_delay(retry_backoff, attempt, rng))
-                    outcome = execute_spec(specs[j])
-                finish(
-                    j, replace(outcome, retries=attempt) if attempt else outcome
                 )
     return results
 
@@ -1037,7 +975,6 @@ class _PoolExecution:
         retry_backoff: float,
         finish: Callable[[int, RunOutcome], None],
         stats: _ExecutionStats,
-        batch_size: Optional[int] = None,
     ) -> None:
         self.specs = specs
         self.workers = workers
@@ -1046,9 +983,6 @@ class _PoolExecution:
         self.retry_backoff = retry_backoff
         self.finish = finish
         self.stats = stats
-        self.batch_size = (
-            default_batch_size() if batch_size is None else batch_size
-        )
         n = len(specs)
         self.todo: deque = deque(self._initial_batches())
         self.pending: Dict[Future, List[int]] = {}
@@ -1066,18 +1000,16 @@ class _PoolExecution:
         self.shm_store = SharedBaseStore()
 
     def _initial_batches(self) -> List[List[int]]:
-        """Spec indices grouped by workload, in near-spec order.
+        """Spec indices grouped by base trace, in near-spec order.
 
-        Grouping is by the full ``WorkloadSpec`` so every batch can advance
-        lock-step through ``simulate_batch`` (same-workload members), and
-        chunks run at the configured width — a wider batch amortizes the
-        shared arrival decode better, which now beats the old
-        spread-thin-for-scheduling heuristic.  With a per-spec ``timeout``
-        every batch is a singleton (see the class docstring).
+        See :func:`_same_workload_batches`: every batch runs its members
+        through one ``simulate_batch`` call, at adaptive width up to
+        ``_MAX_BATCH``.  With a per-spec ``timeout`` every batch is a
+        singleton (see the class docstring).
         """
         if self.timeout is not None:
             return [[j] for j in range(len(self.specs))]
-        return _same_workload_batches(self.specs, self.batch_size, self.workers)
+        return _same_workload_batches(self.specs, self.workers)
 
     # Quarantine after more pool crashes than plausible for a bystander.
     @property

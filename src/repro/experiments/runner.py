@@ -24,16 +24,8 @@ import numpy as np
 
 from repro.cluster import Cluster
 from repro.core.base import Estimator
-from repro.sim import (
-    FailureModel,
-    Policy,
-    SimResult,
-    Simulation,
-    mean_slowdown,
-    utilization,
-)
-from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
-from repro.sim.policies import Fcfs
+from repro.sim import Policy, SimResult, mean_slowdown, simulate, utilization
+from repro.sim.faults import FaultConfig
 from repro.workload import Workload, scale_load
 
 EstimatorFactory = Callable[[], Estimator]
@@ -94,28 +86,23 @@ def run_point(
     spurious_failure_prob: float = 0.0,
 ) -> SimResult:
     """One simulation run with the experiment defaults (FCFS, attempt trace
-    off for speed).
+    off for speed): :func:`repro.sim.engine.simulate` with
+    ``collect_attempts=False``.
 
-    ``fault_config`` switches on node-level fault injection; its RNG stream
-    derives from ``seed`` via :func:`repro.sim.faults.fault_rng` (exactly as
-    :func:`repro.sim.engine.simulate` does), so enabling faults never
-    reshuffles the failure model's draws.  ``spurious_failure_prob`` is the
-    §2.1 per-attempt false-positive probability.
+    ``fault_config`` switches on node-level fault injection.
+    ``spurious_failure_prob`` is the §2.1 per-attempt false-positive
+    probability.
     """
-    injector = None
-    if fault_config is not None and fault_config.enabled:
-        injector = NodeFaultInjector(fault_config, rng=fault_rng(seed))
-    return Simulation(
-        workload=workload,
-        cluster=cluster,
+    return simulate(
+        workload,
+        cluster,
         estimator=estimator,
-        policy=policy or Fcfs(),
-        failure_model=FailureModel(
-            rng=seed, spurious_failure_prob=spurious_failure_prob
-        ),
-        fault_injector=injector,
+        policy=policy,
+        seed=seed,
+        spurious_failure_prob=spurious_failure_prob,
+        fault_config=fault_config,
         collect_attempts=collect_attempts,
-    ).run()
+    )
 
 
 def load_sweep(

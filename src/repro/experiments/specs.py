@@ -396,9 +396,9 @@ class RunSpec:
     seed: int = 0  # failure-model seed (fixed across load points of a sweep)
     label: str = ""
     faults: FaultSpec = field(default_factory=FaultSpec)
-    #: Keep the per-attempt trace when this spec runs through the lock-step
-    #: batch executor (scalar execution always collects).  Off by default:
-    #: sweep points aggregate, so most lanes skip the per-attempt records.
+    #: Keep the per-attempt trace when this spec runs as a lane of a
+    #: same-trace batch.  Off by default: sweep points aggregate, so most
+    #: lanes skip the per-attempt records.
     collect_attempts: bool = False
 
     @property

@@ -204,6 +204,8 @@ class SweepService:
                 length = int(headers["content-length"])
             except ValueError:
                 raise _HttpError(400, "bad Content-Length") from None
+            if length < 0:
+                raise _HttpError(400, "bad Content-Length")
         if length > MAX_BODY_BYTES:
             raise _HttpError(
                 413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"

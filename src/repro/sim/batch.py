@@ -1,4 +1,4 @@
-"""Array-native batched engine: advance K configs over one trace lock-step.
+"""Array-native batched engine: run K configs over one shared trace.
 
 A parameter sweep replays the *same* arrival stream through the scalar
 engine once per (estimator, policy, cluster, fault) configuration; at ~35k
@@ -35,16 +35,14 @@ Two lane implementations sit behind one driver:
   which replays ``run()``'s per-event sequence verbatim.  Slower, but the
   bit-identical guarantee holds for the *whole* configuration space.
 
-Lanes share no mutable state, so the cross-lane interleaving of events is
-unobservable: replaying each lane's full event sequence in turn produces
-byte-identical results to advancing all lanes behind one merged frontier,
-at a fraction of the dispatch cost.  Each lane's own run loop preserves the
-scalar event order: internal events (completions, node faults/repairs) live
-on the lane's heap keyed ``(time, kind)`` exactly as the scalar heap orders
-them, and a heap event beats an arrival at the same instant iff its kind
-sorts before ``EventKind.ARRIVAL`` — the scalar tie-break.  Fast-lane heaps
-hold only completions (kind 0), so their arrival check reduces to
-``heap[0][0] <= t_arrival``.
+Lanes run one after another and share only read-only state: one decoded
+trace per workload and one ``(K, G)`` seeding.  Each lane's own run loop
+preserves the scalar event order: internal events (completions, node
+faults/repairs) live on the lane's heap keyed ``(time, kind)`` exactly as
+the scalar heap orders them, and a heap event beats an arrival at the same
+instant iff its kind sorts before ``EventKind.ARRIVAL`` — the scalar
+tie-break.  Fast-lane heaps hold only completions (kind 0), so their
+arrival check reduces to ``heap[0][0] <= t_arrival``.
 
 Every batched config is guaranteed to produce a :class:`SimResult`
 bit-identical (see :meth:`SimResult.fingerprint`) to
@@ -55,7 +53,7 @@ suite in ``tests/sim/test_engine_fingerprints.py`` gates this.
 from __future__ import annotations
 
 from bisect import bisect_left as _bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections import deque
 from heapq import heappush as _heappush, heappop as _heappop
 from math import isfinite as _isfinite, inf as _inf
@@ -99,9 +97,8 @@ class BatchConfig:
     the (shared) workload.  ``record_timeline``/``observer`` force the lane
     onto the engine path; the defaults keep it eligible for the fast lane.
 
-    ``collect_attempts`` overrides :func:`simulate_batch`'s batch-wide flag
-    for this lane (``None`` inherits it) — sweeps mixing attempt-collecting
-    and summary-only specs batch together without over-collecting.
+    ``collect_attempts`` keeps the lane's per-attempt trace, as in
+    :func:`simulate`; sweeps that only aggregate turn it off per lane.
 
     ``workload`` overrides the batch's shared workload for this lane — the
     sweep executor uses it to stack *load points* of one base trace into a
@@ -118,7 +115,7 @@ class BatchConfig:
     fault_config: Optional[FaultConfig] = None
     record_timeline: bool = False
     observer: Optional[SimObserver] = None
-    collect_attempts: Optional[bool] = None
+    collect_attempts: bool = True
     workload: Optional[Workload] = None
 
 
@@ -330,12 +327,13 @@ class _FastLane:
     Hot state is plain lists (free counts per level, per-row counters,
     group-state rows handed down from the ``(K, G)`` seed matrices); queue
     entries are mutable ``[row, attempt, requirement, enqueue_time,
-    req_version, req_idx]`` lists; completions are raw heap tuples.  The
-    scheduling pass is policy-dispatched (``self.sched``) but all three
-    disciplines share the same refresh/allocate/outcome blocks, inlined
-    with the scalar float-op order.  Attempt records and job summaries are
-    assembled *after* the run from accumulated scalars, so the per-event
-    path allocates almost nothing.
+    req_version, req_idx]`` lists; completions are raw heap tuples.  FCFS
+    runs the inlined :meth:`_run_fcfs` driver; SJF and backfilling dispatch
+    their scheduling pass through ``self.sched``.  All three share the same
+    refresh/allocate/outcome blocks, inlined with the scalar float-op
+    order.  Attempt records and job summaries are assembled *after* the
+    run from accumulated scalars, so the per-event path allocates almost
+    nothing.
     """
 
     __slots__ = (
@@ -363,7 +361,6 @@ class _FastLane:
         config: BatchConfig,
         estimator: Estimator,
         policy: Policy,
-        collect_attempts: bool,
         group_seed: Optional[tuple] = None,
     ) -> None:
         self.trace = trace
@@ -373,7 +370,7 @@ class _FastLane:
         rng = as_generator(config.seed)
         self.uniform = rng.uniform
         self.random = rng.random
-        self.collect = collect_attempts
+        self.collect = config.collect_attempts
 
         ladder = config.cluster.ladder
         self.levels: Tuple[float, ...] = ladder.levels
@@ -426,16 +423,16 @@ class _FastLane:
         self.track_running = kind is EasyBackfilling
         self.running: Dict[int, tuple] = {}
         self.is_fcfs = kind is Fcfs
+        # FCFS lanes run the inlined _run_fcfs driver, which never
+        # dispatches through ``sched``.
         if kind is Fcfs:
-            self.sched = self._sched_fcfs
-        elif kind is ShortestJobFirst:
-            self.sched = self._sched_sjf
-        else:
-            self.sched = self._sched_bf
-        if kind is not Fcfs:
-            self.c_rte = trace.runtime_estimates()
-        else:
+            self.sched = None
             self.c_rte = None
+        else:
+            self.sched = (
+                self._sched_sjf if kind is ShortestJobFirst else self._sched_bf
+            )
+            self.c_rte = trace.runtime_estimates()
 
         self.mode_none = type(estimator) is NoEstimation
         self.refresh = not self.mode_none
@@ -793,93 +790,6 @@ class _FastLane:
             return rec
         return None
 
-    def _sched_fcfs(self, now: float) -> None:
-        queue = self.queue
-        refresh = self.refresh
-        free = self.free
-        nlev = self.nlev
-        levels = self.levels
-        c_procs = self.c_procs
-        c_run_time = self.c_run_time
-        c_used_mem = self.c_used_mem
-        heap = self.heap
-        fill = self.fill
-        spurious = self.spurious
-        while queue:
-            head = queue[0]
-            i = head[0]
-            if refresh:
-                version = self.gver[self.gid[i]]
-                if version != head[4]:
-                    head[4] = version
-                    attempt = head[1]
-                    if attempt == 0 and self.cache_on:
-                        refreshed, ridx = self._arrival_estimate(i)
-                    else:
-                        refreshed = self._estimate(i, attempt)
-                        ridx = self._idx(refreshed)
-                    if refreshed != head[2] and (
-                        self.total_suffix[ridx] >= c_procs[i]
-                    ):
-                        head[2] = refreshed
-                        head[5] = ridx
-            procs = c_procs[i]
-            idx = head[5]
-            available = 0
-            for j in range(idx, nlev):
-                available += free[j]
-            if available < procs:  # Fcfs.select returned None
-                return
-            queue.popleft()
-            # Allocation: fill order from the per-strategy table.  counts
-            # holds (level_index, take) pairs; indices resolve to levels
-            # only when a record is materialized.
-            counts = []
-            remaining = procs
-            min_j = nlev
-            for j in fill[idx]:
-                take = free[j]
-                if take > 0:
-                    if j < min_j:
-                        min_j = j
-                    if take > remaining:
-                        take = remaining
-                    counts.append((j, take))
-                    free[j] -= take
-                    remaining -= take
-                    if remaining == 0:
-                        break
-            granted = levels[min_j]
-            # Outcome, drawn up front like the scalar FailureModel.
-            run_time = c_run_time[i]
-            if granted < c_used_mem[i]:
-                succeeded = False
-                duration = float(self.uniform(0.0, run_time))
-                resource_related = True
-            elif spurious > 0.0 and self.random() < spurious:
-                succeeded = False
-                duration = float(self.uniform(0.0, run_time))
-                resource_related = False
-            else:
-                succeeded = True
-                duration = run_time
-                resource_related = False
-            end_time = now + duration
-            if not _isfinite(end_time):
-                raise ValueError(
-                    f"event time must be finite, got {end_time!r}"
-                )
-            self.n_att[i] += 1
-            self.n_attempts += 1
-            if head[2] < self.c_req_mem[i]:
-                self.n_reduced += 1
-            _heappush(
-                heap,
-                (end_time, 0, self.seq, i, head[1], head[2], head[3],
-                 now, granted, counts, succeeded, resource_related),
-            )
-            self.seq += 1
-
     def _sched_sjf(self, now: float) -> None:
         queue = self.queue
         free = self.free
@@ -1069,8 +979,7 @@ class _FastLane:
 
         The lane's heap holds completions only (kind 0), which sort before
         an arrival (kind 2) at the same instant — so the scalar tie-break
-        reduces to ``heap[0][0] <= t_arrival``.  Lanes share no state, so
-        per-lane replay is event-order-identical to lock-step interleaving.
+        reduces to ``heap[0][0] <= t_arrival``.
 
         FCFS — the paper's discipline and the bulk of every sweep — takes
         the fully inlined :meth:`_run_fcfs` driver; SJF/backfilling use the
@@ -1092,7 +1001,7 @@ class _FastLane:
     def _run_fcfs(self) -> None:
         # The megaloop: arrival ingestion, the FCFS scheduling pass,
         # completion processing, and the successive-approximation observe
-        # from feed_arrival/_sched_fcfs/step/_observe, inlined into one
+        # from feed_arrival/step/_observe, inlined into one
         # driver with every hot name bound exactly once per lane (plain
         # fast locals — no closures, so no cell indirection).  The generic
         # path pays ~4 method calls plus dozens of attribute loads per
@@ -1101,9 +1010,9 @@ class _FastLane:
         # (_refill/_estimate/_requeue_failed).  The scheduling pass appears
         # twice — the full while-loop after completions, and a single
         # start-attempt on arrivals to an empty queue (a 1-entry queue with
-        # a fresh version needs no refresh and at most one start).  Logic
-        # is line-for-line the same as the generic methods — the
-        # fingerprint suite pins both paths to the scalar engine.
+        # a fresh version needs no refresh and at most one start).  The
+        # fingerprint suite and the differential tests pin it to the scalar
+        # engine.
         trace = self.trace
         submit = trace.submit
         queue = self.queue
@@ -1283,8 +1192,8 @@ class _FastLane:
                     wasted_job[i] += node_seconds
                     wasted += node_seconds
                     requeue(now, i, attempt + 1)
-                # ---- _sched_fcfs, inlined (capacity was freed; a failed
-                # job may have re-entered at the head)
+                # ---- the FCFS pass (capacity was freed; a failed job may
+                # have re-entered at the head)
                 while queue:
                     head = queue[0]
                     i = head[0]
@@ -1558,7 +1467,6 @@ class _EngineLane:
         config: BatchConfig,
         estimator: Optional[Estimator],
         policy: Optional[Policy],
-        collect_attempts: bool,
     ) -> None:
         injector = None
         if config.fault_config is not None and config.fault_config.enabled:
@@ -1576,7 +1484,7 @@ class _EngineLane:
             ),
             fault_injector=injector,
             seed=config.seed,
-            collect_attempts=collect_attempts,
+            collect_attempts=config.collect_attempts,
             record_timeline=config.record_timeline,
             observer=config.observer,
         )
@@ -1660,19 +1568,16 @@ def _clone_cluster(cluster: Cluster) -> Cluster:
 
 
 def simulate_batch(
-    workload: Workload,
-    configs: Sequence[BatchConfig],
-    collect_attempts: bool = True,
+    workload: Workload, configs: Sequence[BatchConfig]
 ) -> List[SimResult]:
-    """Run K configurations over one shared workload in lock-step.
+    """Run K configurations over one shared workload, lane after lane.
 
     Results are returned in config order; each is bit-identical to
     :func:`repro.sim.engine.simulate` run with the same parameters.
-    ``collect_attempts`` applies to every lane unless a config carries its
-    own override (``BatchConfig.collect_attempts``).  A config may also
-    carry its own ``workload`` — lanes share no mutable state, so stacking
-    e.g. several load-scaled variants of one base trace into a single batch
-    is safe; lanes on the same workload object share one decoded trace.
+    A config may carry its own ``workload`` — lanes share no mutable
+    state, so stacking e.g. several load-scaled variants of one base trace
+    into a single batch is safe; lanes on the same workload object share
+    one decoded trace.
     Engine lanes mutate their cluster (reset + allocate); when several such
     lanes share one ``Cluster`` instance (e.g. via the memoized
     ``ClusterSpec.materialize``), clones are substituted so the lanes
@@ -1741,11 +1646,6 @@ def simulate_batch(
     lanes = []
     live_clusters: set = set()
     for k, config in enumerate(configs):
-        lane_collect = (
-            collect_attempts
-            if config.collect_attempts is None
-            else config.collect_attempts
-        )
         estimator = config.estimator
         if kinds[k]:
             lanes.append(
@@ -1754,38 +1654,24 @@ def simulate_batch(
                     config,
                     estimator if estimator is not None else NoEstimation(),
                     config.policy if config.policy is not None else Fcfs(),
-                    lane_collect,
                     group_seeds.get(k),
                 )
             )
         else:
             if id(config.cluster) in live_clusters:
-                config = BatchConfig(
-                    cluster=_clone_cluster(config.cluster),
-                    estimator=config.estimator,
-                    policy=config.policy,
-                    seed=config.seed,
-                    spurious_failure_prob=config.spurious_failure_prob,
-                    fault_config=config.fault_config,
-                    record_timeline=config.record_timeline,
-                    observer=config.observer,
-                    collect_attempts=config.collect_attempts,
-                    workload=config.workload,
+                config = replace(
+                    config, cluster=_clone_cluster(config.cluster)
                 )
             live_clusters.add(id(config.cluster))
             lanes.append(
                 _EngineLane(
-                    lane_traces[k], config, config.estimator, config.policy,
-                    lane_collect,
+                    lane_traces[k], config, config.estimator, config.policy
                 )
             )
 
-    # Lanes share no mutable state, so replaying each lane's event sequence
-    # in turn is observationally identical to advancing all lanes behind a
-    # merged frontier — and skips the per-event cross-lane dispatch that
-    # frontier paid.  Each lane's own loop enforces the scalar per-lane
-    # event order (internal events before same-instant arrivals iff their
-    # kind sorts first).
+    # Lanes share no mutable state, so they run one after another.  Each
+    # lane's own loop enforces the scalar per-lane event order (internal
+    # events before same-instant arrivals iff their kind sorts first).
     for lane in lanes:
         lane.run()
     return [lane.finish() for lane in lanes]

@@ -1,11 +1,10 @@
-"""Lock-step batching inside the sweep executor.
+"""Same-trace batching inside the sweep executor.
 
-Covers the ``run_sweep(batch_size=...)`` plumbing around
-:func:`repro.sim.batch.simulate_batch`: base-trace grouping (load points
-stack via per-lane workload overrides), point-for-point parity with
-unbatched execution, the width-resolution chain
-(``set_default_batch_size`` > ``$REPRO_BATCH_SIZE`` > built-in 16), profile
-surfacing, and the per-spec fallback when a batch member fails.
+Covers the executor's use of :func:`repro.sim.batch.simulate_batch`:
+base-trace grouping (load points stack via per-lane workload overrides) at
+adaptive width up to the built-in cap of 16, point-for-point parity with
+per-spec scalar execution (:func:`simulate_spec`), profile surfacing, and
+the per-spec fallback when a batch member fails.
 """
 
 import pytest
@@ -15,10 +14,9 @@ from repro.experiments.parallel import (
     SweepError,
     _same_workload_batches,
     _spec_batch_config,
-    default_batch_size,
     execute_batch,
     run_sweep,
-    set_default_batch_size,
+    simulate_spec,
 )
 from repro.experiments.specs import (
     ClusterSpec,
@@ -46,16 +44,10 @@ def grid_specs(estimators=("none", "successive"), loads=None):
     ]
 
 
-@pytest.fixture(autouse=True)
-def _reset_batch_override():
-    yield
-    set_default_batch_size(None)
-
-
 class TestBatchGrouping:
     def test_groups_by_base_trace_across_loads(self):
         specs = grid_specs()
-        batches = _same_workload_batches(specs, batch_size=4)
+        batches = _same_workload_batches(specs)
         # 4 specs over 2 loads of one base trace: load scaling only rewrites
         # arrival times, so the whole estimator x load grid is one batch —
         # ordered with same-load specs adjacent (one decode per load point).
@@ -81,13 +73,13 @@ class TestBatchGrouping:
             for name in ("none", "successive")
             for seed in (1, 2)
         ]
-        batches = _same_workload_batches(specs, batch_size=4)
+        batches = _same_workload_batches(specs)
         assert batches == [[0, 2], [1, 3]]
 
     def test_chunks_to_batch_size(self):
         specs = grid_specs(estimators=("none", "successive", "oracle"),
                            loads=(0.8,))
-        batches = _same_workload_batches(specs, batch_size=2)
+        batches = _same_workload_batches(specs, cap=2)
         assert sorted(len(b) for b in batches) == [1, 2]
 
     def test_deep_stack_rides_one_frontier_serially(self):
@@ -97,7 +89,7 @@ class TestBatchGrouping:
             estimators=("none", "successive", "oracle", "last-instance"),
             loads=CFG.loads,
         )
-        batches = _same_workload_batches(specs, batch_size=16)
+        batches = _same_workload_batches(specs)
         assert [len(b) for b in batches] == [8]
 
     def test_deep_stack_splits_to_keep_pool_busy(self):
@@ -107,7 +99,7 @@ class TestBatchGrouping:
             estimators=("none", "successive", "oracle", "last-instance"),
             loads=CFG.loads,
         )
-        batches = _same_workload_batches(specs, batch_size=16, workers=4)
+        batches = _same_workload_batches(specs, workers=4)
         assert [len(b) for b in batches] == [2, 2, 2, 2]
 
     def test_enough_groups_keep_full_depth_under_pool(self):
@@ -124,67 +116,36 @@ class TestBatchGrouping:
             for seed in (1, 2, 3, 4)
             for name in ("none", "successive")
         ]
-        batches = _same_workload_batches(specs, batch_size=16, workers=4)
+        batches = _same_workload_batches(specs, workers=4)
         assert [len(b) for b in batches] == [2, 2, 2, 2]
 
-    def test_batch_size_one_disables_grouping(self):
-        specs = grid_specs()
-        batches = _same_workload_batches(specs, batch_size=1)
-        assert batches == [[i] for i in range(len(specs))]
 
 
 class TestWidthResolution:
-    def test_builtin_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
-        assert default_batch_size() == 16
-
-    def test_env_variable_wins_over_builtin(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "2")
-        assert default_batch_size() == 2
-
-    def test_invalid_env_falls_back_with_warning(self, monkeypatch, caplog):
-        for bad in ("zero", "0"):
-            monkeypatch.setenv("REPRO_BATCH_SIZE", bad)
-            with caplog.at_level("WARNING", logger="repro.sweep"):
-                caplog.clear()
-                assert default_batch_size() == 16
-            assert any("REPRO_BATCH_SIZE" in r.message for r in caplog.records)
-
-    def test_override_wins_over_env_and_restores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "2")
-        previous = set_default_batch_size(8)
-        assert previous is None
-        assert default_batch_size() == 8
-        assert set_default_batch_size(None) == 8
-        assert default_batch_size() == 2
-
-    def test_override_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            set_default_batch_size(0)
+    def test_builtin_default(self):
+        # A 20-deep stack over one trace exceeds the built-in cap of 16, so
+        # it splits into two balanced units.
+        specs = grid_specs(estimators=("none",) * 10, loads=CFG.loads)
+        batches = _same_workload_batches(specs)
+        assert [len(b) for b in batches] == [10, 10]
 
 
 class TestBatchedSweepParity:
     def test_batched_serial_sweep_matches_unbatched(self):
         specs = grid_specs()
-        unbatched = run_sweep(specs, max_workers=1, batch_size=1)
-        batched = run_sweep(specs, max_workers=1, batch_size=4)
-        assert batched.points() == unbatched.points()
-        # The batched report knows it batched; the unbatched one does not.
-        # Both load points stack into one lock-step batch of four.
-        assert all(o.batch_width == 1 for o in unbatched.outcomes)
+        batched = run_sweep(specs, max_workers=1)
+        assert batched.points() == [simulate_spec(s) for s in specs]
+        # Both load points stack into one batch of four.
         assert all(o.batch_width == 4 for o in batched.outcomes)
         profile = batched.profile()
         assert profile.n_batched == len(specs)
         assert profile.mean_batch_width == pytest.approx(4.0)
-        assert "lock-step batches" in profile.format_report()
+        assert "same-trace batches" in profile.format_report()
 
     def test_batched_pool_sweep_matches_unbatched(self):
         specs = grid_specs()
-        unbatched = run_sweep(specs, max_workers=1, batch_size=1)
-        pooled = run_sweep(
-            specs, max_workers=2, oversubscribe=True, batch_size=4
-        )
-        assert pooled.points() == unbatched.points()
+        pooled = run_sweep(specs, max_workers=2, oversubscribe=True)
+        assert pooled.points() == [simulate_spec(s) for s in specs]
         assert pooled.profile().n_batched == len(specs)
 
     def test_failed_member_falls_back_to_per_spec_execution(self):
@@ -200,18 +161,15 @@ class TestBatchedSweepParity:
             seed=CFG.seed,
             label="doomed",
         )
-        report = run_sweep(
-            specs[:1] + [bad] + specs[1:], max_workers=1, batch_size=4
-        )
+        report = run_sweep(specs[:1] + [bad] + specs[1:], max_workers=1)
         assert report.n_errors == 1
         assert [o.ok for o in report.outcomes] == [True, False, True]
         assert "no-such-estimator" in report.outcomes[1].error
         with pytest.raises(SweepError, match="doomed"):
             report.points()
-        # The surviving members still match a clean unbatched run.
-        clean = run_sweep(specs, max_workers=1, batch_size=1)
+        # The surviving members still match their scalar runs.
         good = [o.point for o in report.outcomes if o.ok]
-        assert good == clean.points()
+        assert good == [simulate_spec(s) for s in specs]
 
     def test_execute_batch_singleton_uses_scalar_path(self):
         specs = grid_specs(estimators=("none",), loads=(0.8,))
@@ -238,10 +196,9 @@ class TestAttemptCollection:
         assert collecting.cache_key() != spec.cache_key()
 
     def test_lane_config_honors_per_spec_attempts(self):
-        # ``execute_batch`` runs simulate_batch with a batch-wide False;
-        # only specs that opted in carry a per-lane True override.
+        # Only specs that opted in keep the per-attempt trace.
         spec = grid_specs(estimators=("none",), loads=(0.8,))[0]
-        assert _spec_batch_config(spec).collect_attempts is None
+        assert _spec_batch_config(spec).collect_attempts is False
         collecting = RunSpec(
             workload=spec.workload,
             cluster=spec.cluster,
@@ -253,8 +210,8 @@ class TestAttemptCollection:
 
     def test_mixed_collection_batch_executes_together(self):
         # A mixed batch: one lane wants the per-attempt trace, its
-        # batch-mates do not.  The collecting spec stays in the lock-step
-        # group (per-lane override) instead of being routed to per-spec
+        # batch-mates do not.  The collecting spec stays in the batched
+        # group (per-lane flag) instead of being routed to per-spec
         # execution; attempt parity itself is gated in tests/sim/test_batch.
         specs = grid_specs(estimators=("none", "successive"), loads=(0.8,))
         collecting = RunSpec(

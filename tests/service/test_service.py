@@ -8,6 +8,7 @@ overlapping sweeps at once get results bit-identical to a direct
 
 import http.client
 import json
+import socket
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
@@ -93,6 +94,15 @@ class TestEndpoints:
             assert conn.getresponse().status == 400
         finally:
             conn.close()
+
+    def test_negative_content_length_is_400(self, server):
+        with socket.create_connection(server, timeout=60) as sock:
+            sock.sendall(
+                b"POST /runs HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: -1\r\n\r\n"
+            )
+            reply = sock.makefile("rb").readline()
+        assert reply.split()[1] == b"400"
 
     def test_run_listing_and_status(self, server):
         specs = [make_spec(0.5)]

@@ -1,19 +1,22 @@
-"""Unit tests for the batched lock-step engine (:mod:`repro.sim.batch`).
+"""Unit tests for the batched engine (:mod:`repro.sim.batch`).
 
 The fingerprint suite (``test_engine_fingerprints.py``) pins the batched
 engine to the recorded reference digests; these tests cover the rest of the
 contract: scalar parity across estimator families and K widths, lane
-routing, shared-cluster cloning, attempt-collection modes, and the
+routing, shared-cluster cloning, attempt-collection modes, the
 ``JobColumns`` edge cases (empty traces, zero-runtime jobs) flowing through
-the batched path.
+the batched path, and a randomized differential test of every
+fast-lane-eligible configuration against the scalar engine.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import paper_cluster
+from repro.cluster import Cluster, paper_cluster
 from repro.core import (
     LastInstance,
     NoEstimation,
@@ -143,15 +146,18 @@ def test_lane_widths_match_scalar(workload, k):
 def test_collect_attempts_off_matches_scalar(workload):
     configs = [
         BatchConfig(
-            cluster=paper_cluster(24.0), estimator=SuccessiveApproximation()
+            cluster=paper_cluster(24.0),
+            estimator=SuccessiveApproximation(),
+            collect_attempts=False,
         ),
         BatchConfig(
             cluster=paper_cluster(24.0),
             estimator=SuccessiveApproximation(),
             policy=ShortestJobFirst(),
+            collect_attempts=False,
         ),
     ]
-    results = simulate_batch(workload, configs, collect_attempts=False)
+    results = simulate_batch(workload, configs)
     assert results[0].attempts == []
     assert results[1].attempts == []
     assert results[0].fingerprint() == scalar_fingerprint(
@@ -216,8 +222,8 @@ def test_first_fit_lanes_match_scalar(workload, estimator_factory):
 
 
 def test_per_lane_collect_attempts_override(workload):
-    """A lane-level ``BatchConfig.collect_attempts`` wins over the
-    batch-wide flag in both directions, without perturbing results."""
+    """``BatchConfig.collect_attempts`` is per lane (default on, like
+    :func:`simulate`) and never perturbs results."""
     configs = [
         BatchConfig(
             cluster=paper_cluster(24.0),
@@ -235,13 +241,14 @@ def test_per_lane_collect_attempts_override(workload):
             estimator=SuccessiveApproximation(),
         ),
     ]
-    results = simulate_batch(workload, configs, collect_attempts=False)
+    results = simulate_batch(workload, configs)
     assert results[0].attempts != []
     assert results[1].attempts == []
-    assert results[2].attempts == []  # inherits the batch-wide False
+    assert results[2].attempts == results[0].attempts  # default: collect
     assert results[0].fingerprint() == scalar_fingerprint(
         workload, estimator=SuccessiveApproximation()
     )
+    assert results[2].fingerprint() == results[0].fingerprint()
     assert results[1].fingerprint() == scalar_fingerprint(
         workload,
         collect_attempts=False,
@@ -437,3 +444,127 @@ def test_zero_runtime_jobs_through_batched_path(estimator_factory):
     slowdowns = result.slowdowns()
     assert np.isinf(slowdowns).sum() == 1  # exactly the zero-runtime job
     assert math.isinf(slowdowns.max())
+
+
+# ------------------------------------------- differential: fast vs scalar
+#: Per-node memory tiers of the differential cluster.  Requests of 48 sit
+#: above every tier, and jobs wider than the 8 nodes can never fit: both
+#: get rejected unless an estimate brings them within reach.
+_DIFF_TIERS = ((4, 32.0), (4, 16.0))
+_DIFF_REQ_MEM = (8.0, 12.0, 16.0, 24.0, 32.0, 48.0)
+
+
+@st.composite
+def _diff_traces(draw):
+    """Small columnar traces with same-instant ties, zero run times and
+    over-tier requests."""
+    n = draw(st.integers(1, 24))
+    gaps = draw(st.lists(st.sampled_from((0.0, 0.0, 1.0, 5.0, 40.0)),
+                         min_size=n, max_size=n))
+    run_time = draw(st.lists(st.sampled_from((0.0, 1.0, 7.5, 30.0, 120.0)),
+                             min_size=n, max_size=n))
+    procs = draw(st.lists(st.integers(1, 10), min_size=n, max_size=n))
+    req_mem = draw(st.lists(st.sampled_from(_DIFF_REQ_MEM),
+                            min_size=n, max_size=n))
+    used_frac = draw(st.lists(st.sampled_from((0.1, 0.3, 0.5, 0.75, 1.0)),
+                              min_size=n, max_size=n))
+    user_id = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    req = np.array(req_mem)
+    cols = JobColumns(
+        job_id=np.arange(1, n + 1),
+        submit_time=np.cumsum(gaps),
+        run_time=np.array(run_time),
+        procs=np.array(procs),
+        req_mem=req,
+        used_mem=req * np.array(used_frac),
+        req_time=np.full(n, 100.0),
+        user_id=np.array(user_id),
+        group_id=np.zeros(n, dtype=np.int64),
+        app_id=np.zeros(n, dtype=np.int64),
+        status=np.ones(n, dtype=np.int64),
+    )
+    return Workload.from_columns(
+        cols, total_nodes=8, node_mem=32.0, name="differential"
+    )
+
+
+#: (policy, strategy, estimator kwargs or None, seed, spurious probability);
+#: ``None`` is NoEstimation, else SuccessiveApproximation(**kwargs).
+_diff_configs = st.tuples(
+    st.sampled_from((Fcfs, ShortestJobFirst, EasyBackfilling)),
+    st.sampled_from(("best_fit", "first_fit")),
+    st.one_of(
+        st.none(),
+        st.fixed_dictionaries({
+            "alpha": st.sampled_from((1.25, 1.5, 2.0, 3.0, 8.0)),
+            "beta": st.sampled_from((0.0, 0.25, 0.5, 0.9)),
+            "serial_probing": st.booleans(),
+            "explicit_guard": st.booleans(),
+            "max_reduced_attempts": st.integers(1, 3),
+            "mixed_group_threshold": st.sampled_from((0, 3)),
+        }),
+    ),
+    st.integers(0, 3),
+    st.sampled_from((0.0, 0.0, 0.2)),
+)
+
+
+def _diff_cluster(strategy):
+    return Cluster(list(_DIFF_TIERS), strategy=strategy, name="diff")
+
+
+def _diff_estimator(kwargs):
+    if kwargs is None:
+        return NoEstimation()
+    return SuccessiveApproximation(**kwargs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_diff_traces(), st.lists(_diff_configs, min_size=1, max_size=4))
+def test_fast_lanes_match_scalar_engine(workload, cases):
+    """Every fast-lane-eligible config, batched K=1..4 over a generated
+    trace, fingerprints equal to its own scalar ``Simulation`` run — and
+    both runs satisfy the §3.1 accounting invariants."""
+    configs = [
+        BatchConfig(
+            cluster=_diff_cluster(strategy),
+            estimator=_diff_estimator(est),
+            policy=policy(),
+            seed=seed,
+            spurious_failure_prob=spurious,
+        )
+        for policy, strategy, est, seed, spurious in cases
+    ]
+    assert all(fast_lane_eligible(config) for config in configs)
+    results = simulate_batch(workload, configs)
+    for (policy, strategy, est, seed, spurious), result in zip(cases, results):
+        scalar = simulate(
+            workload,
+            _diff_cluster(strategy),
+            estimator=_diff_estimator(est),
+            policy=policy(),
+            seed=seed,
+            spurious_failure_prob=spurious,
+        )
+        assert result.fingerprint() == scalar.fingerprint()
+        _assert_accounting_invariants(workload, scalar)
+
+
+def _assert_accounting_invariants(workload, result):
+    """§3.1: every job either completes or is rejected; useful node-seconds
+    are the completed jobs' run time x procs; wasted node-seconds are the
+    sum over failed attempts."""
+    completed = [s for s in result.summaries if s.completed]
+    assert len(completed) + len(result.rejected_jobs) == len(workload)
+    useful = math.fsum(s.job.run_time * s.job.procs for s in completed)
+    assert math.isclose(
+        result.useful_node_seconds, useful, rel_tol=1e-9, abs_tol=1e-9
+    )
+    wasted = math.fsum(
+        (a.end_time - a.start_time) * a.procs
+        for a in result.attempts
+        if not a.succeeded
+    )
+    assert math.isclose(
+        result.wasted_node_seconds, wasted, rel_tol=1e-9, abs_tol=1e-9
+    )
