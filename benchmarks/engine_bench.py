@@ -4,11 +4,14 @@ Run via ``make engine-bench`` (or directly: ``PYTHONPATH=src python
 benchmarks/engine_bench.py``).  Two measurements:
 
 * **single run** — the Figure 5 configuration (synthetic LANL-CM5-like
-  trace at load 0.8, paper cluster, successive approximation, FCFS) timed
-  best-of-N (``--rounds``).  Best-of, not mean-of: on shared/noisy hosts the
-  scheduler can double a round's wall time, and the *minimum* is the
-  cleanest estimate of the code's actual cost (the noise is strictly
-  additive).
+  trace at load 0.8, paper cluster, successive approximation, FCFS) on the
+  scalar :class:`~repro.sim.engine.Simulation`, timed best-of-N
+  (``--rounds``).  An explicit ``Simulation``, not ``simulate``/
+  ``run_point``, which route this configuration to the fast lane: the
+  block is the scalar baseline the batched speedup is measured against.
+  Best-of, not mean-of: on shared/noisy hosts the scheduler can double a
+  round's wall time, and the *minimum* is the cleanest estimate of the
+  code's actual cost (the noise is strictly additive).
 * **sweep** — a small Figure 8 slice through :func:`run_sweep`, serially
   and (on multi-CPU hosts) through the process pool, reporting runs/s, the
   host CPU count, and the pool spin-up time separately from simulation
@@ -42,7 +45,6 @@ from pathlib import Path
 from repro.cluster import paper_cluster
 from repro.core import SuccessiveApproximation
 from repro.experiments.parallel import run_sweep
-from repro.experiments.runner import run_point
 from repro.experiments.specs import (
     ClusterSpec,
     EstimatorSpec,
@@ -50,6 +52,7 @@ from repro.experiments.specs import (
     WorkloadSpec,
 )
 from repro.sim.batch import BatchConfig, simulate_batch
+from repro.sim.engine import Simulation
 from repro.workload import drop_full_machine_jobs, lanl_cm5_like, scale_load
 
 #: jobs/s recorded for the seed engine on the reference container, before
@@ -89,6 +92,14 @@ def load_baseline(path: Path = RESULTS_PATH) -> float:
         return SEED_BASELINE_JOBS_PER_S
 
 
+def scalar_run(workload, cluster, estimator, seed: int):
+    """``run_point``'s configuration on the scalar engine (no attempt
+    trace)."""
+    return Simulation(
+        workload, cluster, estimator, seed=seed, collect_attempts=False
+    ).run()
+
+
 def bench_single_run(n_jobs: int, rounds: int, seed: int = 0) -> dict:
     workload = scale_load(
         drop_full_machine_jobs(lanl_cm5_like(n_jobs=n_jobs, seed=seed)), 0.8
@@ -99,7 +110,7 @@ def bench_single_run(n_jobs: int, rounds: int, seed: int = 0) -> dict:
     for _ in range(rounds):
         estimator = SuccessiveApproximation()  # fresh learned state per round
         t0 = time.perf_counter()
-        result = run_point(workload, cluster, estimator, seed=seed)
+        result = scalar_run(workload, cluster, estimator, seed)
         times.append(time.perf_counter() - t0)
     best = min(times)
     # Events processed: one arrival per job plus one completion per attempt
@@ -150,9 +161,9 @@ def bench_batched(
     best = min(times)
     amortized = k * n / best
     # Lane 0 runs the estimator default (alpha=2.0): its scalar twin is the
-    # plain run_point configuration, and the fingerprints must agree.
-    scalar_twin = run_point(
-        workload, paper_cluster(24.0), SuccessiveApproximation(), seed=seed
+    # single-run configuration, and the fingerprints must agree.
+    scalar_twin = scalar_run(
+        workload, paper_cluster(24.0), SuccessiveApproximation(), seed
     )
     bit_identical = results[0].fingerprint() == scalar_twin.fingerprint()
     return {

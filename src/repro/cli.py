@@ -54,14 +54,12 @@ from repro.core import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.sim import (
-    BatchConfig,
     EasyBackfilling,
     Fcfs,
     Policy,
     ShortestJobFirst,
     mean_slowdown,
     simulate,
-    simulate_batch,
     utilization,
 )
 from repro.workload import (
@@ -201,22 +199,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     try:
-        # One lane: the fast lane when the config is eligible, else the
-        # scalar engine — bit-identical either way.
-        result = simulate_batch(
+        # simulate() picks the engine: the fast lane when the config is
+        # eligible, else the scalar engine — bit-identical either way.
+        result = simulate(
             workload,
-            [
-                BatchConfig(
-                    cluster=cluster,
-                    estimator=estimator,
-                    policy=POLICIES[args.policy](),
-                    seed=args.seed,
-                    spurious_failure_prob=args.spurious,
-                    fault_config=fault_config,
-                    observer=observer,
-                )
-            ],
-        )[0]
+            cluster,
+            estimator=estimator,
+            policy=POLICIES[args.policy](),
+            seed=args.seed,
+            spurious_failure_prob=args.spurious,
+            fault_config=fault_config,
+            observer=observer,
+        )
     finally:
         if profiler is not None:
             profiler.disable()

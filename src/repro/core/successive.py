@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.cluster.ladder import CapacityLadder
 from repro.core.base import Estimator, Feedback, clamp_to_request
 from repro.similarity.keys import GroupKey, KeyFunction, by_user_app_reqmem
 from repro.util.validation import check_in_range, check_positive
@@ -282,6 +283,12 @@ class SuccessiveApproximation(Estimator):
         # Lines 11-13: restore, decay alpha (floor 1), set the next estimate.
         group.alpha = max(group.alpha * self.beta, 1.0)
         group.estimate = group.safe_value / group.alpha
+
+    def bind(self, ladder: CapacityLadder) -> None:
+        super().bind(ladder)
+        # The job -> group memo is keyed by job id, unique only within one
+        # trace: a run over another trace must resolve its jobs afresh.
+        self._job_group.clear()
 
     def reset(self) -> None:
         self._groups.clear()

@@ -70,7 +70,7 @@ from pathlib import Path
 from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.cache import SweepCache
-from repro.experiments.runner import LoadSweep, SweepPoint, run_point
+from repro.experiments.runner import LoadSweep, SweepPoint
 from repro.experiments.shm import SharedBaseStore
 from repro.experiments.specs import (
     RunSpec,
@@ -80,6 +80,7 @@ from repro.experiments.specs import (
     trim_materialized_workloads,
 )
 from repro.sim.batch import BatchConfig, simulate_batch
+from repro.sim.engine import _simulate_scalar
 from repro.sim.faults import FaultConfig
 from repro.sim.metrics import mean_slowdown, utilization
 from repro.sim.records import SimResult
@@ -166,17 +167,21 @@ def _result_to_point(spec: RunSpec, result: SimResult) -> SweepPoint:
 def simulate_spec(spec: RunSpec) -> SweepPoint:
     """Materialize ``spec`` and run its simulation to one sweep point.
 
-    This is the single execution path shared by the serial loop and the
-    pool workers, which is what guarantees worker/in-process parity.
+    This is the executor's per-spec path, shared by the serial loop and the
+    pool workers (which is what guarantees worker/in-process parity) and
+    the fallback when a batch fails.  It always runs the scalar
+    :class:`~repro.sim.engine.Simulation` — the oracle batched sweeps are
+    checked against — with the attempt trace off, as ``run_point`` does.
     """
-    result = run_point(
+    result = _simulate_scalar(
         spec.workload.materialize(),
         spec.cluster.materialize(),
         spec.estimator.materialize(),
         policy=spec.policy.materialize(),
         seed=spec.seed,
-        fault_config=_spec_fault_config(spec),
         spurious_failure_prob=spec.faults.spurious,
+        fault_config=_spec_fault_config(spec),
+        collect_attempts=False,
     )
     return _result_to_point(spec, result)
 

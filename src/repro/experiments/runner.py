@@ -87,7 +87,8 @@ def run_point(
 ) -> SimResult:
     """One simulation run with the experiment defaults (FCFS, attempt trace
     off for speed): :func:`repro.sim.engine.simulate` with
-    ``collect_attempts=False``.
+    ``collect_attempts=False``, so it runs on the fast lane whenever the
+    configuration is eligible and on the scalar engine otherwise.
 
     ``fault_config`` switches on node-level fault injection.
     ``spurious_failure_prob`` is the §2.1 per-attempt false-positive

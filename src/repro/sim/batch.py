@@ -4,9 +4,9 @@ A parameter sweep replays the *same* arrival stream through the scalar
 engine once per (estimator, policy, cluster, fault) configuration; at ~35k
 jobs/s the event loop — not the arrival decode — dominates, and every config
 pays it in full.  :func:`simulate_batch` amortizes the shared work: arrivals
-are decoded **vectorized from** :class:`~repro.workload.columns.JobColumns`
-(``.tolist()`` column lists; no per-:class:`~repro.workload.job.Job` object
-on the hot path), per-ladder index columns and runtime-estimate columns are
+are decoded once into plain column lists that share their numbers with the
+trace's :class:`~repro.workload.job.Job` objects, per-ladder index columns
+and runtime-estimate columns are
 precomputed once per batch, the successive-approximation group state of all
 K lanes is seeded as ``(K, n_groups)`` NumPy matrices — including the
 arrival-estimate cache, computed by one masked-``np.where`` kernel
@@ -27,7 +27,8 @@ Two lane implementations sit behind one driver:
   the group's observe-version — refilled scalar-per-group on invalidation,
   seeded for all lanes at once by the vectorized ``(K, G)`` kernel.
   Estimate/observe/outcome are inlined with the exact float-op order of the
-  scalar code, so results are bit-identical.
+  scalar code, so results are bit-identical, and the learned group state is
+  written back into the caller's estimator when the lane finishes.
 * **Engine lane** — every other configuration (other estimators/policies/
   strategies, fault injection, observers, timeline recording) wraps a scalar
   :class:`~repro.sim.engine.Simulation` via its streaming API
@@ -35,8 +36,9 @@ Two lane implementations sit behind one driver:
   which replays ``run()``'s per-event sequence verbatim.  Slower, but the
   bit-identical guarantee holds for the *whole* configuration space.
 
-Lanes run one after another and share only read-only state: one decoded
-trace per workload and one ``(K, G)`` seeding.  Each lane's own run loop
+Lanes run one after another, each built just before it runs, and share
+only read-only state: one decoded trace per workload and one ``(K, G)``
+seeding.  Each lane's own run loop
 preserves the scalar event order: internal events (completions, node
 faults/repairs) live on the lane's heap keyed ``(time, kind)`` exactly as
 the scalar heap orders them, and a heap event beats an arrival at the same
@@ -45,15 +47,18 @@ tie-break.  Fast-lane heaps hold only completions (kind 0), so their
 arrival check reduces to ``heap[0][0] <= t_arrival``.
 
 Every batched config is guaranteed to produce a :class:`SimResult`
-bit-identical (see :meth:`SimResult.fingerprint`) to
-:func:`repro.sim.engine.simulate` with the same parameters; the fingerprint
-suite in ``tests/sim/test_engine_fingerprints.py`` gates this.
+bit-identical (see :meth:`SimResult.fingerprint`) to a scalar
+:class:`~repro.sim.engine.Simulation` with the same parameters; the
+fingerprint suite in ``tests/sim/test_engine_fingerprints.py`` and the
+differential tests in ``tests/sim/test_batch.py`` gate this.
+:func:`repro.sim.engine.simulate` runs its config here as a one-lane batch
+whenever :func:`fast_lane_eligible` accepts it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left as _bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from collections import deque
 from heapq import heappush as _heappush, heappop as _heappop
 from math import isfinite as _isfinite, inf as _inf
@@ -65,7 +70,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.core.base import Estimator
 from repro.core.baselines import NoEstimation
-from repro.core.successive import SuccessiveApproximation
+from repro.core.successive import GroupState, SuccessiveApproximation
 from repro.obs.base import SimObserver
 from repro.sim.engine import Simulation
 from repro.sim.failure import FailureModel
@@ -74,7 +79,7 @@ from repro.sim.policies import EasyBackfilling, Fcfs, Policy, ShortestJobFirst
 from repro.sim.records import AttemptRecord, JobSummary, SimResult
 from repro.similarity.keys import by_user_app_reqmem
 from repro.util.rng import RngStream, as_generator
-from repro.workload.job import Workload
+from repro.workload.job import LazyJobs, Workload
 
 #: Same expression as successive.py's retry-floor bump, evaluated once.
 _ONE_PLUS_EPS = 1 + 1e-12
@@ -86,6 +91,12 @@ _ARRIVAL_KIND = 2
 #: Stable running-view sort key (mirrors the scalar's
 #: ``sorted(running, key=lambda r: r.end_time)``).
 _END_TIME = _itemgetter(0)
+
+#: GroupState fields a run changes (the request is fixed at group open).
+_LEARNED_FIELDS = (
+    "estimate", "alpha", "last_safe", "successes", "failures", "probe",
+    "safe_failures", "version",
+)
 
 #: Cluster strategies the fast lane's fill-order table models.
 _FAST_STRATEGIES = ("best_fit", "first_fit")
@@ -120,12 +131,14 @@ class BatchConfig:
 
 
 class _SharedTrace:
-    """The batch's shared arrival stream, decoded once from ``JobColumns``.
+    """The batch's shared arrival stream, decoded once per workload.
 
-    ``.tolist()`` conversion is a single vectorized pass per column; the
-    resulting plain-Python lists index faster than NumPy scalars in the
-    per-event loops.  ``Job`` objects are materialized lazily and only when
-    something off the hot path needs them (engine lanes, result assembly).
+    The hot columns are plain-Python lists read off the trace's ``Job``
+    objects (one ``itemgetter`` pass per column): they index faster than
+    NumPy scalars in the per-event loops, and they share their numbers with
+    the jobs instead of holding a second copy — results keep those numbers
+    alive through their summaries and attempt records.  The jobs are needed
+    anyway, for result assembly and engine lanes.
 
     Per-ladder derived columns (the ``bisect_left`` index of every row's
     request, the per-group request indices, and the float→index memo the
@@ -135,33 +148,38 @@ class _SharedTrace:
     """
 
     __slots__ = (
-        "workload", "columns", "n", "submit", "run_time", "procs",
-        "req_mem", "used_mem", "job_id", "_jobs", "_groups", "_ladders",
-        "_rte", "_unique_ids",
+        "workload", "columns", "n", "jobs", "submit", "run_time", "procs",
+        "req_mem", "used_mem", "job_id", "float_typed", "_groups",
+        "_group_first", "_group_keys", "_ladders", "_rte",
     )
 
     def __init__(self, workload: Workload) -> None:
         self.workload = workload
-        cols = workload.as_columns()
-        self.columns = cols
-        self.n = len(cols)
-        self.submit: List[float] = cols.submit_time.tolist()
-        self.run_time: List[float] = cols.run_time.tolist()
-        self.procs: List[int] = cols.procs.tolist()
-        self.req_mem: List[float] = cols.req_mem.tolist()
-        self.used_mem: List[float] = cols.used_mem.tolist()
-        self.job_id: List[int] = cols.job_id.tolist()
-        self._jobs = None
+        self.columns = workload.as_columns()
+        #: Row-aligned ``Job`` objects, in arrival order.
+        self.jobs: list = list(workload)
+        self.n = len(self.jobs)
+        jobs = self.jobs
+        self.job_id: List[int] = list(map(_itemgetter(0), jobs))
+        self.submit: List[float] = list(map(_itemgetter(1), jobs))
+        self.run_time: List[float] = list(map(_itemgetter(2), jobs))
+        self.procs: List[int] = list(map(_itemgetter(3), jobs))
+        self.req_mem: List[float] = list(map(_itemgetter(4), jobs))
+        self.used_mem: List[float] = list(map(_itemgetter(5), jobs))
+        # Columnar traces decode to floats.  A hand-built job list may hold
+        # ints, which the scalar engine carries into its results as ints
+        # while the fast lane's NumPy-seeded estimates are floats: such a
+        # trace runs every lane on the engine lane.
+        self.float_typed = isinstance(workload.jobs, LazyJobs) or all(
+            set(map(type, column)) <= {float}
+            for column in (self.submit, self.run_time, self.req_mem,
+                           self.used_mem)
+        )
         self._groups = None
+        self._group_first = None
+        self._group_keys = None
         self._ladders: Dict[tuple, dict] = {}
         self._rte = None
-        self._unique_ids = None
-
-    def jobs(self) -> list:
-        """Row-aligned ``Job`` objects (arrival order); built on first use."""
-        if self._jobs is None:
-            self._jobs = list(self.workload)
-        return self._jobs
 
     def runtime_estimates(self) -> List[float]:
         """Per-row ``Job.runtime_estimate`` (req_time, else run_time) —
@@ -173,18 +191,6 @@ class _SharedTrace:
                 cols.req_time > 0, cols.req_time, cols.run_time
             ).tolist()
         return self._rte
-
-    def unique_job_ids(self) -> bool:
-        """Whether every row carries a distinct job id.
-
-        The arrival-estimate cache skips the per-job retry floor because a
-        first submission (attempt 0) cannot have failed before — which only
-        holds when ids are unique; duplicated ids disable the cache for the
-        whole batch (correctness over speed)."""
-        if self._unique_ids is None:
-            ids = self.columns.job_id
-            self._unique_ids = bool(np.unique(ids).shape[0] == ids.shape[0])
-        return self._unique_ids
 
     def ladder_cache(self, levels: tuple) -> dict:
         """Shared per-ladder derived state, keyed by the levels tuple."""
@@ -229,9 +235,28 @@ class _SharedTrace:
             keys["u"] = cols.user_id
             keys["a"] = cols.app_id
             keys["r"] = cols.req_mem
-            uniq, inverse = np.unique(keys, return_inverse=True)
+            uniq, first, inverse = np.unique(
+                keys, return_index=True, return_inverse=True
+            )
             self._groups = (inverse.tolist(), uniq["r"].astype(np.float64))
+            self._group_first = first
         return self._groups
+
+    def group_keys(self) -> Tuple[List[int], list]:
+        """``(group ids, similarity keys)`` of every group, in the order
+        the groups' first members arrive — the order the scalar estimator
+        opens them in.  Keys are the paper's key, which :meth:`group_info`
+        groups by."""
+        if self._group_keys is None:
+            self.group_info()
+            first = self._group_first
+            order = np.argsort(first, kind="stable")
+            jobs = self.jobs
+            keys = [
+                by_user_app_reqmem(jobs[row]) for row in first[order].tolist()
+            ]
+            self._group_keys = (order.tolist(), keys)
+        return self._group_keys
 
 
 def seed_group_arrays(
@@ -344,9 +369,10 @@ class _FastLane:
         "idx_memo", "queue", "heap", "seq",
         "policy_name", "wake", "sched", "track_running", "running", "is_fcfs",
         "mode_none", "refresh", "gid", "gest", "galpha", "greq", "greq_idx",
-        "glast_safe", "gprobe", "gsafe_fail", "gver", "failed_at",
+        "glast_safe", "gprobe", "gsafe_fail", "gver", "gsucc", "gfail",
+        "failed_at",
         "cache_on", "gc_ver", "gc_val", "gc_vidx", "gc_preq", "gc_pidx",
-        "alpha0", "beta", "serial_probing", "explicit_guard",
+        "beta", "serial_probing", "explicit_guard",
         "max_reduced", "mixed_threshold",
         "n_att", "n_resfail", "wasted_job", "final_start", "final_end",
         "final_req", "final_granted", "final_reduced", "completed", "dead",
@@ -453,8 +479,10 @@ class _FastLane:
             self.gprobe: List[Optional[Tuple[int, int]]] = [None] * n_groups
             self.gsafe_fail = [0] * n_groups
             self.gver = [0] * n_groups
-            self.failed_at: Dict[int, float] = {}
-            self.alpha0 = estimator.alpha
+            # GroupState.successes/failures, counted exactly as observe does.
+            self.gsucc = [0] * n_groups
+            self.gfail = [0] * n_groups
+            self.failed_at: Dict[int, float] = dict(estimator._failed_at)
             self.beta = estimator.beta
             self.serial_probing = estimator.serial_probing
             self.explicit_guard = estimator.explicit_guard
@@ -462,14 +490,17 @@ class _FastLane:
             self.mixed_threshold = estimator.mixed_group_threshold
             # Arrival-estimate cache, memoized on the group's observe
             # version (probe *takes* don't bump it, and first-taker-wins is
-            # stable within a version).  Valid only while attempt-0 rows
-            # can't carry a retry floor — i.e. unique job ids.
-            self.cache_on = self.max_reduced > 0 and trace.unique_job_ids()
+            # stable within a version).  Valid while an attempt-0 row cannot
+            # carry a retry floor: ``Workload`` rejects repeated job ids, so
+            # only floors an earlier run left in the estimator could apply.
+            self.cache_on = self.max_reduced > 0 and not self.failed_at
             self.gc_ver = [0] * n_groups
             self.gc_val: List[float] = cache_val.tolist()
             self.gc_vidx: List[int] = cache_vidx.tolist()
             self.gc_preq: List[float] = cache_preq.tolist()
             self.gc_pidx: List[int] = cache_pidx.tolist()
+            if estimator._groups:
+                self._resume(estimator._groups)
 
         n = trace.n
         self.n_att = [0] * n
@@ -492,6 +523,25 @@ class _FastLane:
         self.useful = 0.0
         self.wasted = 0.0
         self.t_last_end = 0.0
+
+    def _resume(self, learned: dict) -> None:
+        """Continue from an earlier run's learning, as the scalar engine
+        does: each of this trace's groups the estimator already holds
+        starts from that group's state, its arrival-estimate cache
+        invalidated (the seed assumed a fresh group)."""
+        order, keys = self.trace.group_keys()
+        for g, key in zip(order, keys):
+            state = learned.get(key)
+            if state is not None:
+                self.gest[g] = state.estimate
+                self.galpha[g] = state.alpha
+                self.glast_safe[g] = state.last_safe
+                self.gprobe[g] = state.probe
+                self.gsafe_fail[g] = state.safe_failures
+                self.gver[g] = state.version
+                self.gsucc[g] = state.successes
+                self.gfail[g] = state.failures
+                self.gc_ver[g] = -1
 
     # ----------------------------------------------------------- allocation
     def _idx(self, value: float) -> int:
@@ -629,7 +679,12 @@ class _FastLane:
             prev = failed_at.get(job_id, 0.0)
             failed_at[job_id] = prev if prev >= requirement else requirement
         if attempt >= self.max_reduced:
-            return  # per-job guard outcome; group state stays as learned
+            # Per-job guard outcome: counted, group state stays as learned.
+            if succeeded:
+                self.gsucc[g] += 1
+            else:
+                self.gfail[g] += 1
+            return
         glast_safe = self.glast_safe
         greq = self.greq
         galpha = self.galpha
@@ -640,9 +695,11 @@ class _FastLane:
                 glast_safe[g] = requirement
                 self.gsafe_fail[g] = 0
             self.gest[g] = requirement / galpha[g]
+            self.gsucc[g] += 1
             return
         if guard:
-            return
+            return  # a false positive: neither counted nor learned from
+        self.gfail[g] += 1
         last_safe = glast_safe[g]
         safe_value = greq[g] if last_safe is None else last_safe
         if self.mixed_threshold and requirement >= safe_value:
@@ -1060,7 +1117,7 @@ class _FastLane:
         memo_get = memo.get
         if mode_none:
             gid = gver = gprobe = glast_safe = greq = galpha = None
-            gest = gsafe_fail = failed_at = None
+            gest = gsafe_fail = gsucc = gfail = failed_at = None
             gc_ver = gc_val = gc_vidx = gc_preq = gc_pidx = None
             explicit_guard = False
             mixed_threshold = 0
@@ -1075,6 +1132,8 @@ class _FastLane:
             galpha = self.galpha
             gest = self.gest
             gsafe_fail = self.gsafe_fail
+            gsucc = self.gsucc
+            gfail = self.gfail
             failed_at = self.failed_at
             explicit_guard = self.explicit_guard
             mixed_threshold = self.mixed_threshold
@@ -1145,7 +1204,9 @@ class _FastLane:
                                 glast_safe[g] = requirement
                                 gsafe_fail[g] = 0
                             gest[g] = requirement / galpha[g]
+                            gsucc[g] += 1
                         elif not guard:
+                            gfail[g] += 1
                             last_safe = glast_safe[g]
                             safe_value = (
                                 greq[g] if last_safe is None else last_safe
@@ -1175,6 +1236,10 @@ class _FastLane:
                                 greq[g] if last_safe is None else last_safe
                             )
                             gest[g] = safe_value / galpha[g]
+                    elif succeeded:
+                        gsucc[g] += 1
+                    else:
+                        gfail[g] += 1
                 if succeeded:
                     completed[i] = True
                     final_start[i] = start
@@ -1398,7 +1463,14 @@ class _FastLane:
                 f"{len(self.queue)} jobs stranded in the queue at end of trace"
             )
         trace = self.trace
-        jobs = trace.jobs()  # materialized off the hot path, once per batch
+        jobs = trace.jobs
+        # Attempt records replace their raw tuples in place: one list, and
+        # each freed 12-tuple's block is reused by its same-size record.
+        attempts = self.raw_attempts
+        self.raw_attempts = None
+        make = AttemptRecord._make
+        for k, raw in enumerate(attempts):
+            attempts[k] = make(raw)
         summaries: List[JobSummary] = []
         append = summaries.append
         make = JobSummary._make  # tuple.__new__ directly, no kwargs wrapper
@@ -1431,7 +1503,12 @@ class _FastLane:
             )))
         # Rows are sorted by (submit_time, job_id) — the workload's invariant
         # — so the summary order already matches the scalar engine's sort.
-        attempts = [AttemptRecord._make(raw) for raw in self.raw_attempts]
+        # The per-row lists are spent: free them before the write-back.
+        self.n_att = self.n_resfail = self.wasted_job = None
+        self.final_start = self.final_end = self.final_req = None
+        self.final_granted = self.final_reduced = None
+        self.completed = self.dead = None
+        self._write_back()
         return SimResult(
             workload_name=trace.workload.name,
             cluster_name=self.cluster.name,
@@ -1454,6 +1531,41 @@ class _FastLane:
             wasted_node_seconds=self.wasted,
             timeline=[],
         )
+
+    def _write_back(self) -> None:
+        """Leave the caller's estimator in the state a scalar run leaves it:
+        bound to this cluster's ladder, and for successive approximation
+        every group the trace opened — in first-arrival order, keyed by
+        ``key_fn`` — plus the per-job retry floors.  Groups the estimator
+        already held are updated in place.  The estimator's job-to-group
+        memo stays empty; ``bind`` clears it before every run anyway."""
+        est = self.est
+        est.bind(self.cluster.ladder)
+        if self.mode_none:
+            return
+        order, keys = self.trace.group_keys()
+
+        def arrival_order(values: list) -> list:
+            return [values[g] for g in order]
+
+        # GroupState's positional fields: estimate, alpha, request,
+        # last_safe, successes, failures, probe, safe_failures, version.
+        states = map(
+            GroupState,
+            arrival_order(self.gest), arrival_order(self.galpha),
+            arrival_order(self.greq), arrival_order(self.glast_safe),
+            arrival_order(self.gsucc), arrival_order(self.gfail),
+            arrival_order(self.gprobe), arrival_order(self.gsafe_fail),
+            arrival_order(self.gver),
+        )
+        groups = est._groups
+        for key, state in zip(keys, states):
+            held = groups.setdefault(key, state)
+            if held is not state:
+                for name in _LEARNED_FIELDS:
+                    setattr(held, name, getattr(state, name))
+        est._failed_at.clear()
+        est._failed_at.update(self.failed_at)
 
 
 class _EngineLane:
@@ -1489,7 +1601,7 @@ class _EngineLane:
             observer=config.observer,
         )
         self.sim = sim
-        self.jobs = trace.jobs()
+        self.jobs = trace.jobs
         self.submit = trace.submit
         first_submit = trace.submit[0] if trace.n else _inf
         sim.begin_stream(trace.n, first_submit)
@@ -1532,6 +1644,9 @@ def fast_lane_eligible(config: BatchConfig) -> bool:
     without trajectory recording, optional spurious failures — no fault
     injection, observer, or timeline.  Exact-type checks, so subclasses
     with overridden behavior fall back to the (always-correct) engine lane.
+    An estimator's learned state does not matter: the lane continues from
+    it.  :func:`simulate_batch` also keeps the engine lane for a job list
+    holding ints (see ``_SharedTrace.float_typed``).
     """
     if config.record_timeline or config.observer is not None:
         return False
@@ -1554,35 +1669,23 @@ def fast_lane_eligible(config: BatchConfig) -> bool:
     )
 
 
-def _clone_cluster(cluster: Cluster) -> Cluster:
-    """A fresh Cluster with the same tiers/strategy (declared order kept,
-    so first_fit allocation order survives the clone)."""
-    return Cluster(
-        tiers=[
-            (cluster.total_at_level(lvl), lvl)
-            for lvl in cluster._declared_order
-        ],
-        strategy=cluster.strategy,
-        name=cluster.name,
-    )
-
-
 def simulate_batch(
     workload: Workload, configs: Sequence[BatchConfig]
 ) -> List[SimResult]:
     """Run K configurations over one shared workload, lane after lane.
 
-    Results are returned in config order; each is bit-identical to
-    :func:`repro.sim.engine.simulate` run with the same parameters.
-    A config may carry its own ``workload`` — lanes share no mutable
-    state, so stacking e.g. several load-scaled variants of one base trace
-    into a single batch is safe; lanes on the same workload object share
-    one decoded trace.
-    Engine lanes mutate their cluster (reset + allocate); when several such
-    lanes share one ``Cluster`` instance (e.g. via the memoized
-    ``ClusterSpec.materialize``), clones are substituted so the lanes
-    cannot corrupt each other.  Fast lanes only read the cluster's
-    inventory.
+    Results are returned in config order; each is bit-identical to a
+    scalar :class:`~repro.sim.engine.Simulation` run with the same
+    parameters, and leaves the lane's estimator in the state that run
+    would.  The lanes behave as consecutive runs, so lanes sharing one
+    estimator see each other's learning in config order.
+    A config may carry its own ``workload`` — how several load-scaled
+    variants of one base trace stack into a single batch; lanes on the
+    same workload object share one decoded trace.
+    Engine lanes reset their cluster when built and leave every node free
+    when finished, so lanes may share one ``Cluster`` instance (the
+    memoized ``ClusterSpec.materialize`` does this).  Fast lanes only read
+    the cluster's inventory.
     """
     if not configs:
         return []
@@ -1602,8 +1705,8 @@ def simulate_batch(
 
     fast_successive: List[int] = []
     kinds: List[bool] = []
-    for config in configs:
-        fast = fast_lane_eligible(config)
+    for config, lane_trace in zip(configs, lane_traces):
+        fast = fast_lane_eligible(config) and lane_trace.float_typed
         kinds.append(fast)
         if fast and config.estimator is not None and (
             type(config.estimator) is SuccessiveApproximation
@@ -1643,35 +1746,26 @@ def simulate_batch(
                     preq[out_row], pidx[out_row],
                 )
 
-    lanes = []
-    live_clusters: set = set()
+    # Lanes run one after another, each built just before it runs: a lane
+    # whose estimator an earlier lane of the batch trained continues from
+    # that learning, as consecutive scalar runs would.  Each lane's own loop
+    # enforces the scalar per-lane event order (internal events before
+    # same-instant arrivals iff their kind sorts first).
+    results = []
     for k, config in enumerate(configs):
         estimator = config.estimator
         if kinds[k]:
-            lanes.append(
-                _FastLane(
-                    lane_traces[k],
-                    config,
-                    estimator if estimator is not None else NoEstimation(),
-                    config.policy if config.policy is not None else Fcfs(),
-                    group_seeds.get(k),
-                )
+            lane = _FastLane(
+                lane_traces[k],
+                config,
+                estimator if estimator is not None else NoEstimation(),
+                config.policy if config.policy is not None else Fcfs(),
+                group_seeds.get(k),
             )
         else:
-            if id(config.cluster) in live_clusters:
-                config = replace(
-                    config, cluster=_clone_cluster(config.cluster)
-                )
-            live_clusters.add(id(config.cluster))
-            lanes.append(
-                _EngineLane(
-                    lane_traces[k], config, config.estimator, config.policy
-                )
+            lane = _EngineLane(
+                lane_traces[k], config, config.estimator, config.policy
             )
-
-    # Lanes share no mutable state, so they run one after another.  Each
-    # lane's own loop enforces the scalar per-lane event order (internal
-    # events before same-instant arrivals iff their kind sorts first).
-    for lane in lanes:
         lane.run()
-    return [lane.finish() for lane in lanes]
+        results.append(lane.finish())
+    return results

@@ -32,7 +32,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from repro.cluster.cluster import Allocation, Cluster
 from repro.core.base import Estimator, Feedback
 from repro.core.baselines import NoEstimation
-from repro.obs.base import RunMeta, SimObserver
+from repro.obs.base import NullObserver, RunMeta, SimObserver
 from repro.sim.events import EventKind, EventQueue
 from repro.sim.failure import ExecutionOutcome, FailureModel
 from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
@@ -133,12 +133,8 @@ class Simulation:
         self.late_binding = late_binding
         # A NullObserver is contractually the absence of observation, so it
         # is normalised onto the observer-free fast path (no hook dispatch).
-        # Imported here: repro.obs imports repro.sim at module load.
-        if observer is not None:
-            from repro.obs.base import NullObserver
-
-            if type(observer) is NullObserver:
-                observer = None
+        if type(observer) is NullObserver:
+            observer = None
         self._obs = observer
         self._timeline: List[TimelineSample] = []
         #: (fail_time, scheduled_repair_time) per failed node; downtime is
@@ -850,13 +846,55 @@ def simulate(
 ) -> SimResult:
     """Run one simulation with the paper's defaults (FCFS, no estimation).
 
-    Convenience wrapper over :class:`Simulation`; see its docstring.
     ``fault_config`` switches on node-level fault injection
     (:mod:`repro.sim.faults`); its RNG stream derives from ``seed`` but is
     independent of the failure model's, so enabling faults never reshuffles
     the baseline's randomness.  ``observer`` attaches a
     :class:`~repro.obs.base.SimObserver` (see :mod:`repro.obs`).
+
+    Configurations :func:`repro.sim.batch.fast_lane_eligible` accepts run on
+    the array fast lane as a one-lane
+    :func:`~repro.sim.batch.simulate_batch`; every other one runs a
+    :class:`Simulation` (see its docstring).  Both give bit-identical
+    results and leave ``estimator`` in the same learned state.
     """
+    # Imported here: repro.sim.batch imports this module.
+    from repro.sim.batch import BatchConfig, fast_lane_eligible, simulate_batch
+
+    if type(observer) is NullObserver:
+        observer = None  # the absence of observation, as in Simulation
+    config = BatchConfig(
+        cluster=cluster,
+        estimator=estimator,
+        policy=policy,
+        seed=seed,
+        spurious_failure_prob=spurious_failure_prob,
+        fault_config=fault_config,
+        observer=observer,
+        collect_attempts=collect_attempts,
+    )
+    if fast_lane_eligible(config):
+        return simulate_batch(workload, [config])[0]
+    return _simulate_scalar(
+        workload, cluster, estimator, policy, seed, spurious_failure_prob,
+        fault_config, collect_attempts, observer,
+    )
+
+
+def _simulate_scalar(
+    workload: Workload,
+    cluster: Cluster,
+    estimator: Optional[Estimator] = None,
+    policy: Optional[Policy] = None,
+    seed: RngStream = 0,
+    spurious_failure_prob: float = 0.0,
+    fault_config: Optional[FaultConfig] = None,
+    collect_attempts: bool = True,
+    observer: Optional[SimObserver] = None,
+) -> SimResult:
+    """:func:`simulate` on the scalar :class:`Simulation`, whatever the
+    configuration — its fallback, and the sweep executor's per-spec oracle
+    path."""
     injector = None
     if fault_config is not None and fault_config.enabled:
         injector = NodeFaultInjector(fault_config, rng=fault_rng(seed))

@@ -133,3 +133,33 @@ def slice_batch_config(spec: SliceSpec, observer=None):
         record_timeline=spec.timeline,
         observer=observer,
     )
+
+
+def scalar_run(
+    workload,
+    cluster,
+    estimator=None,
+    policy=None,
+    seed=0,
+    spurious_failure_prob=0.0,
+    fault_config=None,
+    collect_attempts=True,
+) -> SimResult:
+    """The oracle: an explicit scalar :class:`Simulation` run with
+    :func:`repro.sim.engine.simulate`'s parameters — never the fast lane
+    ``simulate`` may route to."""
+    injector = None
+    if fault_config is not None and fault_config.enabled:
+        injector = NodeFaultInjector(fault_config, rng=fault_rng(seed))
+    return Simulation(
+        workload=workload,
+        cluster=cluster,
+        estimator=estimator,
+        policy=policy,
+        failure_model=FailureModel(
+            rng=seed, spurious_failure_prob=spurious_failure_prob
+        ),
+        fault_injector=injector,
+        seed=seed,
+        collect_attempts=collect_attempts,
+    ).run()

@@ -3,10 +3,14 @@
 The fingerprint suite (``test_engine_fingerprints.py``) pins the batched
 engine to the recorded reference digests; these tests cover the rest of the
 contract: scalar parity across estimator families and K widths, lane
-routing, shared-cluster cloning, attempt-collection modes, the
+routing, lanes sharing one cluster, attempt-collection modes, the
 ``JobColumns`` edge cases (empty traces, zero-runtime jobs) flowing through
-the batched path, and a randomized differential test of every
-fast-lane-eligible configuration against the scalar engine.
+the batched path, a randomized differential test of every
+fast-lane-eligible configuration against the scalar engine, and
+:func:`repro.sim.engine.simulate`'s dispatch onto the fast lane — including
+the learned state it leaves in the caller's estimator.  Every comparison is
+against an explicit scalar ``Simulation`` run (``scalar_run``), never
+``simulate``, which may itself take the fast lane.
 """
 
 import math
@@ -34,12 +38,15 @@ from repro.sim.batch import (
 )
 from repro.sim.policies import EasyBackfilling, Fcfs, ShortestJobFirst
 from repro.workload import (
+    Job,
     Workload,
     drop_full_machine_jobs,
     lanl_cm5_like,
     scale_load,
 )
 from repro.workload.columns import JobColumns
+
+from tests.sim.engine_reference import scalar_run
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +57,7 @@ def workload():
 
 
 def scalar_fingerprint(workload, collect_attempts=True, **kwargs):
-    return simulate(
+    return scalar_run(
         workload, paper_cluster(24.0), collect_attempts=collect_attempts,
         **kwargs
     ).fingerprint()
@@ -212,10 +219,10 @@ def test_first_fit_lanes_match_scalar(workload, estimator_factory):
         ),
     ]
     results = simulate_batch(workload, configs)
-    assert results[0].fingerprint() == simulate(
+    assert results[0].fingerprint() == scalar_run(
         workload, cluster(), estimator=estimator_factory()
     ).fingerprint()
-    assert results[1].fingerprint() == simulate(
+    assert results[1].fingerprint() == scalar_run(
         workload, cluster(), estimator=estimator_factory(),
         policy=EasyBackfilling(),
     ).fingerprint()
@@ -280,10 +287,10 @@ def test_mixed_fast_and_engine_lanes_coexist(workload):
         assert result.fingerprint() == expected, f"{case} diverged"
 
 
-def test_engine_lanes_sharing_one_cluster_are_cloned(workload):
-    """Engine lanes mutate their cluster, so lanes handed the *same*
-    instance (the memoized ``ClusterSpec.materialize`` does this) must be
-    isolated by cloning — results identical to fresh-cluster runs."""
+def test_engine_lanes_sharing_one_cluster_match_scalar(workload):
+    """Engine lanes handed the *same* cluster instance (the memoized
+    ``ClusterSpec.materialize`` does this) run one after another, each
+    resetting it — results identical to fresh-cluster runs."""
     shared = paper_cluster(24.0)
     configs = [
         BatchConfig(
@@ -538,7 +545,7 @@ def test_fast_lanes_match_scalar_engine(workload, cases):
     assert all(fast_lane_eligible(config) for config in configs)
     results = simulate_batch(workload, configs)
     for (policy, strategy, est, seed, spurious), result in zip(cases, results):
-        scalar = simulate(
+        scalar = scalar_run(
             workload,
             _diff_cluster(strategy),
             estimator=_diff_estimator(est),
@@ -568,3 +575,215 @@ def _assert_accounting_invariants(workload, result):
     assert math.isclose(
         result.wasted_node_seconds, wasted, rel_tol=1e-9, abs_tol=1e-9
     )
+
+
+# ------------------------------- simulate() dispatch and estimator parity
+def _estimator_state(est):
+    """Everything a run leaves in a successive estimator, in group order."""
+    return (
+        est.telemetry(),
+        est.n_groups,
+        dict(est._failed_at),
+        list(est._groups.items()),
+        est.memory_footprint(),
+    )
+
+
+def _spy_on_simulate_batch(monkeypatch):
+    from repro.sim import batch
+
+    calls = []
+    real = batch.simulate_batch
+
+    def spy(workload, configs):
+        calls.append(len(configs))
+        return real(workload, configs)
+
+    monkeypatch.setattr(batch, "simulate_batch", spy)
+    return calls
+
+
+#: Every successive-approximation variant the fast lane covers, with
+#: spurious failures where the variant needs failures to matter.
+_FAST_SUCCESSIVE_VARIANTS = [
+    pytest.param({}, 0.0, id="default"),
+    pytest.param({"explicit_guard": True}, 0.05, id="explicit-guard"),
+    pytest.param({"mixed_group_threshold": 1}, 0.05, id="mixed-threshold"),
+    pytest.param({"serial_probing": False}, 0.0, id="no-serial-probing"),
+    pytest.param({"max_reduced_attempts": 1, "beta": 0.5}, 0.05,
+                 id="spurious-failures"),
+]
+
+
+@pytest.mark.parametrize("policy", [Fcfs, EasyBackfilling])
+@pytest.mark.parametrize("kwargs,spurious", _FAST_SUCCESSIVE_VARIANTS)
+def test_simulate_fast_lane_leaves_scalar_estimator_state(
+    monkeypatch, workload, kwargs, spurious, policy
+):
+    """simulate() runs an eligible config on the fast lane, and afterwards
+    the caller's estimator holds what a scalar run leaves in it: the same
+    groups in the same order with the same learned state and counters, and
+    the same per-job retry floors."""
+    calls = _spy_on_simulate_batch(monkeypatch)
+    fast_est = SuccessiveApproximation(**kwargs)
+    scalar_est = SuccessiveApproximation(**kwargs)
+    fast = simulate(workload, paper_cluster(24.0), fast_est, policy(),
+                    seed=1, spurious_failure_prob=spurious)
+    scalar = scalar_run(workload, paper_cluster(24.0), scalar_est, policy(),
+                        seed=1, spurious_failure_prob=spurious)
+    assert calls == [1]
+    assert fast.fingerprint() == scalar.fingerprint()
+    assert _estimator_state(fast_est) == _estimator_state(scalar_est)
+    assert fast_est.n_groups > 1
+    assert fast_est.ladder.levels == scalar_est.ladder.levels
+
+
+def test_reused_estimator_continues_on_the_fast_lane(monkeypatch, workload):
+    """Consecutive simulate() calls on one estimator all ride the fast
+    lane, each continuing from the learning the last one left — exactly as
+    consecutive scalar runs do, also when the last trace reuses the
+    earlier one's job ids for other similarity groups."""
+    other = Workload(
+        [job._replace(user_id=job.user_id + 1) for job in workload],
+        total_nodes=workload.total_nodes, node_mem=workload.node_mem,
+    )
+    calls = _spy_on_simulate_batch(monkeypatch)
+    fast_est = SuccessiveApproximation()
+    scalar_est = SuccessiveApproximation()
+    for trace, seed in ((workload, 0), (workload, 1), (other, 2)):
+        held = list(fast_est._groups.values())
+        fast = simulate(trace, paper_cluster(24.0), fast_est, seed=seed,
+                        spurious_failure_prob=0.02)
+        scalar = scalar_run(trace, paper_cluster(24.0), scalar_est,
+                            seed=seed, spurious_failure_prob=0.02)
+        assert fast.fingerprint() == scalar.fingerprint()
+        assert _estimator_state(fast_est) == _estimator_state(scalar_est)
+        # Groups learned earlier are updated in place, as observe does.
+        assert all(fast_est.group_state(key) is state
+                   for key, state in zip(fast_est._groups, held))
+    assert calls == [1, 1, 1]
+
+
+def test_retry_floor_left_by_an_earlier_run_applies_on_the_fast_lane():
+    """A job rejected after a failure leaves its retry floor in the
+    estimator; a later trace reusing that job id must respect the floor
+    from its very first submission, as the scalar engine does."""
+    def job(job_id, submit, procs, used, user):
+        return Job(job_id, submit, 10.0, procs, 32.0, used, user_id=user)
+
+    def cluster():
+        return Cluster([(4, 32.0), (4, 16.0)], name="floor")
+
+    # Job 1 teaches the group 16; job 2 (6 nodes) fails there, and its
+    # 32 MB retry fits on no 6 nodes, so it is rejected with floor 16.
+    first = Workload([job(1, 0.0, 1, 20.0, 1), job(2, 100.0, 6, 20.0, 1)],
+                     total_nodes=8, node_mem=32.0)
+    # Another group learns 16 from job 3; job 2 — the same id — would fit
+    # at 16, but its floor sends it to 32.
+    second = Workload([job(3, 0.0, 1, 10.0, 2), job(2, 100.0, 1, 10.0, 2)],
+                      total_nodes=8, node_mem=32.0)
+    fast_est = SuccessiveApproximation(serial_probing=False)
+    scalar_est = SuccessiveApproximation(serial_probing=False)
+    for trace in (first, second):
+        fast = simulate(trace, cluster(), fast_est)
+        scalar = scalar_run(trace, cluster(), scalar_est)
+        assert fast.fingerprint() == scalar.fingerprint()
+        assert _estimator_state(fast_est) == _estimator_state(scalar_est)
+        if trace is first:
+            assert fast_est._failed_at == {2: 16.0}
+    assert [a.requirement for a in fast.attempts] == [32.0, 32.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_diff_traces(), min_size=2, max_size=3),
+    _diff_configs,
+    st.booleans(),
+)
+def test_consecutive_runs_continue_like_the_scalar_engine(
+    traces, case, one_batch
+):
+    """One successive estimator through consecutive runs over generated
+    traces (whose job ids overlap) — as separate simulate() calls, or as
+    one batch whose lanes share the estimator — equals the same runs on
+    the scalar engine, result by result, and ends in the same learned
+    state, retry floors included."""
+    policy, strategy, est, seed, spurious = case
+    fast_est = _diff_estimator(est or {})
+    scalar_est = _diff_estimator(est or {})
+    if one_batch:
+        fast = simulate_batch(traces[0], [
+            BatchConfig(cluster=_diff_cluster(strategy), estimator=fast_est,
+                        policy=policy(), seed=seed + k,
+                        spurious_failure_prob=spurious, workload=trace)
+            for k, trace in enumerate(traces)
+        ])
+    else:
+        fast = [
+            simulate(trace, _diff_cluster(strategy), fast_est, policy(),
+                     seed=seed + k, spurious_failure_prob=spurious)
+            for k, trace in enumerate(traces)
+        ]
+    for k, (trace, result) in enumerate(zip(traces, fast)):
+        scalar = scalar_run(trace, _diff_cluster(strategy), scalar_est,
+                            policy(), seed=seed + k,
+                            spurious_failure_prob=spurious)
+        assert result.fingerprint() == scalar.fingerprint()
+    assert _estimator_state(fast_est) == _estimator_state(scalar_est)
+
+
+def test_null_observer_takes_the_fast_lane(monkeypatch, workload):
+    """A NullObserver is no observation: simulate() normalises it away and
+    runs the fast lane, so the observer-overhead gate compares like with
+    like."""
+    from repro.obs import NullObserver
+
+    calls = _spy_on_simulate_batch(monkeypatch)
+    result = simulate(workload, paper_cluster(24.0),
+                      SuccessiveApproximation(), observer=NullObserver())
+    assert calls == [1]
+    assert result.fingerprint() == scalar_fingerprint(
+        workload, estimator=SuccessiveApproximation()
+    )
+
+
+def test_ineligible_config_takes_the_scalar_path(monkeypatch, workload):
+    calls = _spy_on_simulate_batch(monkeypatch)
+    result = simulate(workload, paper_cluster(24.0), OracleEstimator())
+    assert calls == []
+    assert result.fingerprint() == scalar_fingerprint(
+        workload, estimator=OracleEstimator()
+    )
+
+
+def test_trace_columns_share_the_jobs_numbers(workload):
+    """The decoded columns reuse the trace's Job numbers instead of holding
+    copies that every result would keep alive."""
+    trace = _SharedTrace(workload)
+    jobs = list(workload)
+    for column, field in (("submit", "submit_time"), ("run_time", "run_time"),
+                          ("req_mem", "req_mem"), ("used_mem", "used_mem")):
+        values = getattr(trace, column)
+        assert all(v is getattr(job, field) for v, job in zip(values, jobs))
+
+
+def test_int_typed_job_list_runs_on_the_engine_lane():
+    """A hand-built job list with int fields: the scalar engine carries the
+    ints into its results, so the batch runs it on the engine lane and
+    simulate() stays bit-identical (fingerprints hash types too)."""
+    jobs = [
+        Job(1, 0, 100, 2, 32, 6, user_id=1),
+        Job(2, 10, 50, 1, 32, 6, user_id=1),
+        Job(3, 20, 80, 3, 16, 12, user_id=2),
+    ]
+    workload = Workload(jobs, total_nodes=8, node_mem=32)
+    assert not _SharedTrace(workload).float_typed
+    expected = scalar_fingerprint(workload, estimator=SuccessiveApproximation())
+    batched = simulate_batch(
+        workload, [BatchConfig(cluster=paper_cluster(24.0),
+                               estimator=SuccessiveApproximation())]
+    )[0]
+    assert batched.fingerprint() == expected
+    assert simulate(
+        workload, paper_cluster(24.0), SuccessiveApproximation()
+    ).fingerprint() == expected

@@ -1,5 +1,7 @@
 """Job record and Workload container."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -67,6 +69,24 @@ class TestWorkload:
         assert len(w) == 2
         assert [j.job_id for j in w] == [1, 2]
         assert w[1].job_id == 2
+
+    def test_repeated_job_id_rejected(self):
+        # The engines key per-job state by id: a repeated id would give
+        # one job's outcome to another.
+        jobs = [make_job(job_id=1), make_job(job_id=2, submit_time=5.0),
+                make_job(job_id=1, submit_time=9.0)]
+        with pytest.raises(ValueError, match="job id 1 appears more than once"):
+            make_workload(jobs)
+
+    def test_repeated_job_id_rejected_columnar(self):
+        cols = make_workload(
+            [make_job(job_id=1), make_job(job_id=2, submit_time=5.0)]
+        ).as_columns()
+        repeated = replace(cols, job_id=np.array([7, 7]))
+        with pytest.raises(ValueError, match="job id 7 appears more than once"):
+            Workload.from_columns(repeated)
+        with pytest.raises(ValueError, match="job id 7"):
+            Workload.from_columns(repeated, presorted=True)
 
     def test_span(self):
         w = make_workload([make_job(job_id=1, submit_time=10.0), make_job(job_id=2, submit_time=110.0)])
