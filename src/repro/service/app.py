@@ -37,7 +37,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Awaitable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.experiments.cache import SweepCache
@@ -49,6 +49,11 @@ from repro.service.streaming import LAST_CHUNK, encode_chunk, event_line
 #: Submission bodies above this are refused outright (413).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Seconds a client gets to deliver its request head, and again its body;
+#: a client that stalls longer is answered 408 and disconnected, so a slow
+#: or stuck client cannot hold a connection open forever.
+READ_TIMEOUT_S = 30.0
+
 #: Reason phrases for the statuses the service actually emits.
 _REASONS = {
     200: "OK",
@@ -56,6 +61,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     500: "Internal Server Error",
@@ -105,6 +111,16 @@ def _response(
 def _json_response(status: int, doc: Any) -> bytes:
     body = (json.dumps(doc, indent=2, sort_keys=False) + "\n").encode("utf-8")
     return _response(status, body)
+
+
+async def _read_in_time(read: Awaitable[bytes]) -> bytes:
+    """Await one request read, or answer 408 after :data:`READ_TIMEOUT_S`."""
+    try:
+        return await asyncio.wait_for(read, READ_TIMEOUT_S)
+    except asyncio.TimeoutError:
+        raise _HttpError(
+            408, f"request not received within {READ_TIMEOUT_S:g} s"
+        ) from None
 
 
 class SweepService:
@@ -182,7 +198,7 @@ class SweepService:
         self, reader: asyncio.StreamReader
     ) -> Tuple[str, str, bytes]:
         try:
-            head = await reader.readuntil(b"\r\n\r\n")
+            head = await _read_in_time(reader.readuntil(b"\r\n\r\n"))
         except asyncio.LimitOverrunError:
             raise _HttpError(400, "request head too large") from None
         except asyncio.IncompleteReadError:
@@ -210,7 +226,9 @@ class SweepService:
             raise _HttpError(
                 413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
             )
-        body = await reader.readexactly(length) if length else b""
+        body = (
+            await _read_in_time(reader.readexactly(length)) if length else b""
+        )
         return method, target, body
 
     async def _dispatch(

@@ -16,21 +16,29 @@ the scalar engine's per-event object graph.
 
 Two lane implementations sit behind one driver:
 
-* **Fast lane** — the paper's hot configurations: FCFS, SJF or EASY
-  backfilling over a best-fit or first-fit cluster with
-  :class:`~repro.core.baselines.NoEstimation` or default-keyed
-  :class:`~repro.core.successive.SuccessiveApproximation`, spurious failures
-  allowed, no fault injection / observer / timeline.  Queue entries are
-  small mutable lists over row indices, allocation is a free-count list per
-  capacity level with a precomputed fill-order table per (strategy, ladder
-  index), and arrival-time estimates come from a per-group cache memoized on
-  the group's observe-version — refilled scalar-per-group on invalidation,
-  seeded for all lanes at once by the vectorized ``(K, G)`` kernel.
-  Estimate/observe/outcome are inlined with the exact float-op order of the
-  scalar code, so results are bit-identical, and the learned group state is
-  written back into the caller's estimator when the lane finishes.
-* **Engine lane** — every other configuration (other estimators/policies/
-  strategies, fault injection, observers, timeline recording) wraps a scalar
+* **Fast lane** — FCFS, SJF or EASY backfilling over a best-fit or
+  first-fit cluster with any estimator, spurious failures allowed, no fault
+  injection / observer / timeline.  Queue entries are small mutable lists
+  over row indices, allocation is a free-count list per capacity level with
+  a precomputed fill-order table per (strategy, ladder index), completions
+  are raw heap tuples, and results are assembled after the run.  Estimation
+  takes one of three modes:
+
+  - :class:`~repro.core.baselines.NoEstimation` — the request, verbatim;
+  - default-keyed :class:`~repro.core.successive.SuccessiveApproximation`
+    without trajectory recording — Algorithm 1 inlined with the exact
+    float-op order of the scalar code, its arrival-time estimates served
+    from a per-group cache memoized on the group's observe-version (seeded
+    for all lanes at once by the vectorized ``(K, G)`` kernel), and the
+    learned group state written back into the caller's estimator when the
+    lane finishes;
+  - **protocol mode** (:mod:`repro.sim.protocol_lane`) — every other
+    estimator, driven through its public ``estimate``/``estimate_version``/
+    ``observe`` methods with the arguments and in the order the scalar
+    engine uses, so the estimator learns in place exactly as in a scalar
+    run.
+* **Engine lane** — every other configuration (other policies/strategies,
+  fault injection, observers, timeline recording) wraps a scalar
   :class:`~repro.sim.engine.Simulation` via its streaming API
   (``begin_stream``/``stream_arrival``/``step_internal``/``end_stream``),
   which replays ``run()``'s per-event sequence verbatim.  Slower, but the
@@ -353,12 +361,18 @@ class _FastLane:
     group-state rows handed down from the ``(K, G)`` seed matrices); queue
     entries are mutable ``[row, attempt, requirement, enqueue_time,
     req_version, req_idx]`` lists; completions are raw heap tuples.  FCFS
-    runs the inlined :meth:`_run_fcfs` driver; SJF and backfilling dispatch
-    their scheduling pass through ``self.sched``.  All three share the same
+    runs the inlined :meth:`_run_fcfs` driver; SJF and backfilling run the
+    generic :meth:`_run_events` loop, which dispatches the scheduling pass
+    through ``self.sched``.  All three share the same
     refresh/allocate/outcome blocks, inlined with the scalar float-op
     order.  Attempt records and job summaries are assembled *after* the
     run from accumulated scalars, so the per-event path allocates almost
     nothing.
+
+    This class estimates with :class:`NoEstimation` or the inlined
+    Algorithm 1; :class:`~repro.sim.protocol_lane.ProtocolLane` overrides
+    the estimation hooks (:meth:`feed_arrival`, :meth:`_requeue_failed`,
+    :meth:`_refresh_head`, :meth:`_observe`) for every other estimator.
     """
 
     __slots__ = (
@@ -378,7 +392,7 @@ class _FastLane:
         "final_req", "final_granted", "final_reduced", "completed", "dead",
         "rejected_rows", "raw_attempts", "collect",
         "n_attempts", "n_resource_failures", "n_spurious", "n_reduced",
-        "useful", "wasted", "t_last_end",
+        "useful", "wasted", "t_last_end", "__weakref__",
     )
 
     def __init__(
@@ -449,8 +463,10 @@ class _FastLane:
         self.track_running = kind is EasyBackfilling
         self.running: Dict[int, tuple] = {}
         self.is_fcfs = kind is Fcfs
-        # FCFS lanes run the inlined _run_fcfs driver, which never
-        # dispatches through ``sched``.
+        # The scheduling pass of the generic _run_events loop; FCFS lanes
+        # run _run_fcfs instead.  A bound method held by its own lane is a
+        # reference cycle: finish() drops it so a finished lane is freed by
+        # refcount.
         if kind is Fcfs:
             self.sched = None
             self.c_rte = None
@@ -460,47 +476,7 @@ class _FastLane:
             )
             self.c_rte = trace.runtime_estimates()
 
-        self.mode_none = type(estimator) is NoEstimation
-        self.refresh = not self.mode_none
-        self.cache_on = False
-        if self.mode_none:
-            self.gid = None
-        else:
-            gid, _ = trace.group_info()
-            self.gid = gid
-            (est_row, alpha_row, greq, cache_val, cache_vidx, cache_preq,
-             cache_pidx) = group_seed
-            self.gest: List[float] = est_row.tolist()
-            self.galpha: List[float] = alpha_row.tolist()
-            self.greq: List[float] = greq
-            self.greq_idx: List[int] = trace.group_req_indices(self.levels)
-            n_groups = len(self.greq)
-            self.glast_safe: List[Optional[float]] = [None] * n_groups
-            self.gprobe: List[Optional[Tuple[int, int]]] = [None] * n_groups
-            self.gsafe_fail = [0] * n_groups
-            self.gver = [0] * n_groups
-            # GroupState.successes/failures, counted exactly as observe does.
-            self.gsucc = [0] * n_groups
-            self.gfail = [0] * n_groups
-            self.failed_at: Dict[int, float] = dict(estimator._failed_at)
-            self.beta = estimator.beta
-            self.serial_probing = estimator.serial_probing
-            self.explicit_guard = estimator.explicit_guard
-            self.max_reduced = estimator.max_reduced_attempts
-            self.mixed_threshold = estimator.mixed_group_threshold
-            # Arrival-estimate cache, memoized on the group's observe
-            # version (probe *takes* don't bump it, and first-taker-wins is
-            # stable within a version).  Valid while an attempt-0 row cannot
-            # carry a retry floor: ``Workload`` rejects repeated job ids, so
-            # only floors an earlier run left in the estimator could apply.
-            self.cache_on = self.max_reduced > 0 and not self.failed_at
-            self.gc_ver = [0] * n_groups
-            self.gc_val: List[float] = cache_val.tolist()
-            self.gc_vidx: List[int] = cache_vidx.tolist()
-            self.gc_preq: List[float] = cache_preq.tolist()
-            self.gc_pidx: List[int] = cache_pidx.tolist()
-            if estimator._groups:
-                self._resume(estimator._groups)
+        self._setup_estimator(estimator, group_seed)
 
         n = trace.n
         self.n_att = [0] * n
@@ -523,6 +499,54 @@ class _FastLane:
         self.useful = 0.0
         self.wasted = 0.0
         self.t_last_end = 0.0
+
+    def _setup_estimator(
+        self, estimator: Estimator, group_seed: Optional[tuple]
+    ) -> None:
+        """Estimator state for the none and inlined Algorithm 1 modes:
+        the successive lanes' group rows come from the ``(K, G)`` seed."""
+        self.mode_none = type(estimator) is NoEstimation
+        self.refresh = not self.mode_none
+        self.cache_on = False
+        if self.mode_none:
+            self.gid = None
+            return
+        trace = self.trace
+        gid, _ = trace.group_info()
+        self.gid = gid
+        (est_row, alpha_row, greq, cache_val, cache_vidx, cache_preq,
+         cache_pidx) = group_seed
+        self.gest: List[float] = est_row.tolist()
+        self.galpha: List[float] = alpha_row.tolist()
+        self.greq: List[float] = greq
+        self.greq_idx: List[int] = trace.group_req_indices(self.levels)
+        n_groups = len(self.greq)
+        self.glast_safe: List[Optional[float]] = [None] * n_groups
+        self.gprobe: List[Optional[Tuple[int, int]]] = [None] * n_groups
+        self.gsafe_fail = [0] * n_groups
+        self.gver = [0] * n_groups
+        # GroupState.successes/failures, counted exactly as observe does.
+        self.gsucc = [0] * n_groups
+        self.gfail = [0] * n_groups
+        self.failed_at: Dict[int, float] = dict(estimator._failed_at)
+        self.beta = estimator.beta
+        self.serial_probing = estimator.serial_probing
+        self.explicit_guard = estimator.explicit_guard
+        self.max_reduced = estimator.max_reduced_attempts
+        self.mixed_threshold = estimator.mixed_group_threshold
+        # Arrival-estimate cache, memoized on the group's observe version
+        # (probe *takes* don't bump it, and first-taker-wins is stable
+        # within a version).  Valid while an attempt-0 row cannot carry a
+        # retry floor: ``Workload`` rejects repeated job ids, so only floors
+        # an earlier run left in the estimator could apply.
+        self.cache_on = self.max_reduced > 0 and not self.failed_at
+        self.gc_ver = [0] * n_groups
+        self.gc_val: List[float] = cache_val.tolist()
+        self.gc_vidx: List[int] = cache_vidx.tolist()
+        self.gc_preq: List[float] = cache_preq.tolist()
+        self.gc_pidx: List[int] = cache_pidx.tolist()
+        if estimator._groups:
+            self._resume(estimator._groups)
 
     def _resume(self, learned: dict) -> None:
         """Continue from an earlier run's learning, as the scalar engine
@@ -1040,11 +1064,17 @@ class _FastLane:
 
         FCFS — the paper's discipline and the bulk of every sweep — takes
         the fully inlined :meth:`_run_fcfs` driver; SJF/backfilling use the
-        generic method-dispatched loop below.
+        generic method-dispatched :meth:`_run_events` loop.
         """
         if self.is_fcfs:
             self._run_fcfs()
-            return
+        else:
+            self._run_events()
+
+    def _run_events(self) -> None:
+        """The generic loop: arrivals through :meth:`feed_arrival`,
+        completions through :meth:`step`, each followed by the policy's
+        pass (``self.sched``) exactly where the scalar engine runs one."""
         heap = self.heap
         step = self.step
         feed = self.feed_arrival
@@ -1508,6 +1538,7 @@ class _FastLane:
         self.final_start = self.final_end = self.final_req = None
         self.final_granted = self.final_reduced = None
         self.completed = self.dead = None
+        self.sched = None  # the bound pass: a lane -> method -> lane cycle
         self._write_back()
         return SimResult(
             workload_name=trace.workload.name,
@@ -1569,7 +1600,11 @@ class _FastLane:
 
 
 class _EngineLane:
-    """Generic lane: a scalar Simulation driven through its streaming API."""
+    """Generic lane: a scalar Simulation driven through its streaming API.
+
+    Serves only what the fast lane does not model: fault injection,
+    observers, timeline recording, other cluster strategies and other
+    policies (plus job lists holding ints)."""
 
     __slots__ = ("sim", "jobs", "submit", "heap", "_stream_arrival", "_step")
 
@@ -1638,15 +1673,16 @@ class _EngineLane:
 def fast_lane_eligible(config: BatchConfig) -> bool:
     """Whether a config runs on the array fast lane (vs the engine lane).
 
-    The fast lane covers the sweep grids' hot configurations: FCFS,
-    shortest-job-first or EASY backfilling over a best-fit or first-fit
-    cluster, no-estimation or default-keyed successive approximation
-    without trajectory recording, optional spurious failures — no fault
-    injection, observer, or timeline.  Exact-type checks, so subclasses
-    with overridden behavior fall back to the (always-correct) engine lane.
-    An estimator's learned state does not matter: the lane continues from
-    it.  :func:`simulate_batch` also keeps the engine lane for a job list
-    holding ints (see ``_SharedTrace.float_typed``).
+    The fast lane covers FCFS, shortest-job-first or EASY backfilling over
+    a best-fit or first-fit cluster with optional spurious failures — no
+    fault injection, observer, or timeline.  Exact-type policy checks, so a
+    subclass with overridden behavior falls back to the (always-correct)
+    engine lane.  The estimator does not matter: no-estimation and
+    default-keyed successive approximation run inlined, every other
+    estimator in protocol mode (:mod:`repro.sim.protocol_lane`), and
+    learned state carries over either way.  :func:`simulate_batch` also
+    keeps the engine lane for a job list holding ints (see
+    ``_SharedTrace.float_typed``).
     """
     if config.record_timeline or config.observer is not None:
         return False
@@ -1657,11 +1693,15 @@ def fast_lane_eligible(config: BatchConfig) -> bool:
         Fcfs, ShortestJobFirst, EasyBackfilling
     ):
         return False
-    if config.cluster.strategy not in _FAST_STRATEGIES:
-        return False
-    estimator = config.estimator
-    if estimator is None or type(estimator) is NoEstimation:
-        return True
+    return config.cluster.strategy in _FAST_STRATEGIES
+
+
+def _inlined_successive(estimator: Optional[Estimator]) -> bool:
+    """Whether a fast lane runs ``estimator`` on its inlined Algorithm 1
+    path: a default-keyed :class:`SuccessiveApproximation` that records no
+    trajectories.  Only these lanes take the ``(K, G)`` seeding and the
+    arrival-estimate cache; any other estimator but :class:`NoEstimation`
+    runs in protocol mode."""
     return (
         type(estimator) is SuccessiveApproximation
         and not estimator.record_trajectories
@@ -1708,9 +1748,7 @@ def simulate_batch(
     for config, lane_trace in zip(configs, lane_traces):
         fast = fast_lane_eligible(config) and lane_trace.float_typed
         kinds.append(fast)
-        if fast and config.estimator is not None and (
-            type(config.estimator) is SuccessiveApproximation
-        ):
+        if fast and _inlined_successive(config.estimator):
             fast_successive.append(len(kinds) - 1)
 
     # Vectorized (K, n_groups) seed for every successive fast lane at once:
@@ -1755,13 +1793,22 @@ def simulate_batch(
     for k, config in enumerate(configs):
         estimator = config.estimator
         if kinds[k]:
-            lane = _FastLane(
-                lane_traces[k],
-                config,
-                estimator if estimator is not None else NoEstimation(),
-                config.policy if config.policy is not None else Fcfs(),
-                group_seeds.get(k),
-            )
+            policy = config.policy if config.policy is not None else Fcfs()
+            if estimator is None:
+                estimator = NoEstimation()
+            if type(estimator) is NoEstimation or _inlined_successive(
+                estimator
+            ):
+                lane = _FastLane(
+                    lane_traces[k], config, estimator, policy,
+                    group_seeds.get(k),
+                )
+            else:
+                # Imported here: the protocol lane subclasses _FastLane, and
+                # a batch that needs no protocol lane never loads it.
+                from repro.sim.protocol_lane import ProtocolLane
+
+                lane = ProtocolLane(lane_traces[k], config, estimator, policy)
         else:
             lane = _EngineLane(
                 lane_traces[k], config, config.estimator, config.policy

@@ -852,11 +852,13 @@ def simulate(
     the baseline's randomness.  ``observer`` attaches a
     :class:`~repro.obs.base.SimObserver` (see :mod:`repro.obs`).
 
-    Configurations :func:`repro.sim.batch.fast_lane_eligible` accepts run on
-    the array fast lane as a one-lane
-    :func:`~repro.sim.batch.simulate_batch`; every other one runs a
-    :class:`Simulation` (see its docstring).  Both give bit-identical
-    results and leave ``estimator`` in the same learned state.
+    Configurations :func:`repro.sim.batch.fast_lane_eligible` accepts —
+    FCFS/SJF/EASY over a best- or first-fit cluster, whatever the
+    estimator — run on the array fast lane as a one-lane
+    :func:`~repro.sim.batch.simulate_batch`; every other one (faults, an
+    observer, other policies or strategies) runs a :class:`Simulation`
+    (see its docstring).  Both give bit-identical results and leave
+    ``estimator`` in the same learned state.
     """
     # Imported here: repro.sim.batch imports this module.
     from repro.sim.batch import BatchConfig, fast_lane_eligible, simulate_batch

@@ -104,6 +104,23 @@ class TestEndpoints:
             reply = sock.makefile("rb").readline()
         assert reply.split()[1] == b"400"
 
+    @pytest.mark.parametrize("sent", [
+        pytest.param(b"GET /healthz HTTP/1.1\r\nHost: x\r\n", id="half-head"),
+        pytest.param(b"POST /runs HTTP/1.1\r\nContent-Length: 10\r\n\r\n{\"s",
+                     id="half-body"),
+    ])
+    def test_stalled_client_gets_408_and_is_disconnected(
+        self, server, monkeypatch, sent
+    ):
+        from repro.service import app
+
+        monkeypatch.setattr(app, "READ_TIMEOUT_S", 0.2)
+        with socket.create_connection(server, timeout=60) as sock:
+            sock.sendall(sent)  # ... and stall
+            reply = sock.makefile("rb").read()  # returns once the server closes
+        assert reply.split()[1] == b"408"
+        assert b"request not received within 0.2 s" in reply
+
     def test_run_listing_and_status(self, server):
         specs = [make_spec(0.5)]
         status, body = request(server, "POST", "/runs", body=submission(specs))

@@ -22,7 +22,16 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cluster import paper_cluster
-from repro.core import NoEstimation, SuccessiveApproximation
+from repro.core import (
+    HybridEstimator,
+    LastInstance,
+    NoEstimation,
+    OnlineSimilarityEstimator,
+    RegressionEstimator,
+    ReinforcementLearning,
+    RobustLineSearch,
+    SuccessiveApproximation,
+)
 from repro.sim.engine import Simulation
 from repro.sim.failure import FailureModel
 from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
@@ -72,6 +81,15 @@ REFERENCE_SLICES: Dict[str, SliceSpec] = {
     "fig5-sjf-successive-firstfit": SliceSpec(
         "sjf", "successive", 0.8, strategy="first_fit"
     ),
+    # Table 1's other estimators (and this repo's line-search, online and
+    # hybrid ones), FCFS at the Figure 5 load: pins the fast lane's
+    # estimator-protocol mode against the scalar engine.
+    "table1-fcfs-last-instance": SliceSpec("fcfs", "last-instance", 0.8),
+    "table1-fcfs-rl": SliceSpec("fcfs", "rl", 0.8),
+    "table1-fcfs-regression": SliceSpec("fcfs", "regression", 0.8),
+    "table1-fcfs-line-search": SliceSpec("fcfs", "line-search", 0.8),
+    "table1-fcfs-online": SliceSpec("fcfs", "online", 0.8),
+    "table1-fcfs-hybrid": SliceSpec("fcfs", "hybrid", 0.8),
 }
 
 _POLICIES = {
@@ -83,6 +101,12 @@ _POLICIES = {
 _ESTIMATORS = {
     "none": NoEstimation,
     "successive": SuccessiveApproximation,
+    "last-instance": LastInstance,
+    "rl": ReinforcementLearning,
+    "regression": RegressionEstimator,
+    "line-search": RobustLineSearch,
+    "online": OnlineSimilarityEstimator,
+    "hybrid": HybridEstimator,
 }
 
 #: MTBF/MTTR for the fault slices: frequent enough that a 2000-job trace

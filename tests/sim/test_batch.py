@@ -6,11 +6,14 @@ contract: scalar parity across estimator families and K widths, lane
 routing, lanes sharing one cluster, attempt-collection modes, the
 ``JobColumns`` edge cases (empty traces, zero-runtime jobs) flowing through
 the batched path, a randomized differential test of every
-fast-lane-eligible configuration against the scalar engine, and
+fast-lane-eligible configuration against the scalar engine,
 :func:`repro.sim.engine.simulate`'s dispatch onto the fast lane — including
-the learned state it leaves in the caller's estimator.  Every comparison is
-against an explicit scalar ``Simulation`` run (``scalar_run``), never
-``simulate``, which may itself take the fast lane.
+the learned state it leaves in the caller's estimator — and the protocol
+mode that runs every other estimator on the fast lane: its estimator call
+sequence, results and post-run estimator state against the scalar
+engine's.  Every comparison is against an explicit scalar ``Simulation``
+run (``scalar_run``), never ``simulate``, which may itself take the fast
+lane.
 """
 
 import math
@@ -22,11 +25,17 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster, paper_cluster
 from repro.core import (
+    HybridEstimator,
     LastInstance,
     NoEstimation,
+    OnlineSimilarityEstimator,
     OracleEstimator,
+    RegressionEstimator,
+    ReinforcementLearning,
+    RobustLineSearch,
     SuccessiveApproximation,
 )
+from repro.core.base import Estimator
 from repro.similarity.keys import by_user_app
 from repro.sim import FaultConfig, simulate
 from repro.sim.batch import (
@@ -310,6 +319,10 @@ def test_engine_lanes_sharing_one_cluster_match_scalar(workload):
     assert results[1].fingerprint() == expected
 
 
+class _UnknownFcfs(Fcfs):
+    """A policy subclass the fast lane cannot know the behavior of."""
+
+
 def test_fast_lane_routing():
     cluster = paper_cluster(24.0)
     assert fast_lane_eligible(BatchConfig(cluster=cluster))
@@ -335,37 +348,50 @@ def test_fast_lane_routing():
             estimator=SuccessiveApproximation(),
         )
     )
-    # Everything the fast lane does not model must fall to the engine lane.
-    assert not fast_lane_eligible(
-        BatchConfig(cluster=paper_cluster(24.0, strategy="worst_fit"))
-    )
-    assert not fast_lane_eligible(
+    # Any other estimator rides the fast lane in protocol mode.
+    assert fast_lane_eligible(
         BatchConfig(cluster=cluster, estimator=OracleEstimator())
     )
-    assert not fast_lane_eligible(
-        BatchConfig(cluster=cluster, record_timeline=True)
-    )
-    assert not fast_lane_eligible(
-        BatchConfig(cluster=cluster, observer=object())
-    )
-    assert not fast_lane_eligible(
-        BatchConfig(
-            cluster=cluster,
-            fault_config=FaultConfig(node_mtbf=1e6, node_mttr=3600.0),
-        )
-    )
-    assert not fast_lane_eligible(
+    assert fast_lane_eligible(
         BatchConfig(
             cluster=cluster,
             estimator=SuccessiveApproximation(record_trajectories=True),
         )
     )
-    assert not fast_lane_eligible(
+    assert fast_lane_eligible(
         BatchConfig(
             cluster=cluster,
             estimator=SuccessiveApproximation(key_fn=by_user_app),
+            policy=EasyBackfilling(),
         )
     )
+    # Everything the fast lane does not model must fall to the engine lane,
+    # whatever the estimator.
+    for estimator in (None, SuccessiveApproximation(), LastInstance()):
+        assert not fast_lane_eligible(
+            BatchConfig(cluster=paper_cluster(24.0, strategy="worst_fit"),
+                        estimator=estimator)
+        )
+        assert not fast_lane_eligible(
+            BatchConfig(cluster=cluster, estimator=estimator,
+                        record_timeline=True)
+        )
+        assert not fast_lane_eligible(
+            BatchConfig(cluster=cluster, estimator=estimator,
+                        observer=object())
+        )
+        assert not fast_lane_eligible(
+            BatchConfig(
+                cluster=cluster,
+                estimator=estimator,
+                fault_config=FaultConfig(node_mtbf=1e6, node_mttr=3600.0),
+            )
+        )
+        assert not fast_lane_eligible(
+            BatchConfig(cluster=cluster, estimator=estimator,
+                        policy=_UnknownFcfs())
+        )
+
 
 
 def test_seed_group_arrays_shapes(workload):
@@ -748,12 +774,15 @@ def test_null_observer_takes_the_fast_lane(monkeypatch, workload):
 
 
 def test_ineligible_config_takes_the_scalar_path(monkeypatch, workload):
+    faults = FaultConfig(node_mtbf=5.0e5, node_mttr=3600.0)
     calls = _spy_on_simulate_batch(monkeypatch)
-    result = simulate(workload, paper_cluster(24.0), OracleEstimator())
+    result = simulate(workload, paper_cluster(24.0), SuccessiveApproximation(),
+                      fault_config=faults)
     assert calls == []
     assert result.fingerprint() == scalar_fingerprint(
-        workload, estimator=OracleEstimator()
+        workload, estimator=SuccessiveApproximation(), fault_config=faults
     )
+    assert result.n_node_failures > 0
 
 
 def test_trace_columns_share_the_jobs_numbers(workload):
@@ -787,3 +816,290 @@ def test_int_typed_job_list_runs_on_the_engine_lane():
     assert simulate(
         workload, paper_cluster(24.0), SuccessiveApproximation()
     ).fingerprint() == expected
+
+
+# --------------------------------------- protocol mode: other estimators
+class _Recording(Estimator):
+    """Wraps an estimator and logs every protocol call the engine makes —
+    arguments and results — so two engines' call sequences can be
+    compared."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+        self.name = inner.name
+        self.log = []
+
+    def bind(self, ladder):
+        super().bind(ladder)
+        self.inner.bind(ladder)
+        self.log.append(("bind", ladder.levels))
+
+    def never_reduces(self):
+        return self.inner.never_reduces()
+
+    def estimate(self, job, attempt=0):
+        value = self.inner.estimate(job, attempt=attempt)
+        self.log.append(("estimate", job.job_id, attempt, value))
+        return value
+
+    def estimate_version(self, job, attempt=0):
+        token = self.inner.estimate_version(job, attempt)
+        self.log.append(("estimate_version", job.job_id, attempt, token))
+        return token
+
+    def observe(self, feedback):
+        self.log.append(("observe", feedback.job.job_id) + tuple(feedback[1:]))
+        self.inner.observe(feedback)
+
+
+@pytest.mark.parametrize("spurious", [0.0, 0.05])
+@pytest.mark.parametrize("strategy", ["best_fit", "first_fit"])
+@pytest.mark.parametrize("policy", [Fcfs, ShortestJobFirst, EasyBackfilling])
+@pytest.mark.parametrize("inner", [
+    # No version token, and randomness drawn inside estimate: every call
+    # the scalar engine makes must happen, and no other.
+    pytest.param(ReinforcementLearning, id="rl"),
+    # Version tokens: refreshes are memoized exactly where the scalar
+    # engine memoizes them.
+    pytest.param(lambda: SuccessiveApproximation(key_fn=by_user_app),
+                 id="successive-custom-key"),
+])
+def test_protocol_lane_replays_the_scalar_call_sequence(
+    workload, inner, policy, strategy, spurious
+):
+    """The protocol lane binds, estimates, asks for version tokens and
+    reports feedback with exactly the scalar engine's calls, arguments and
+    order — the FCFS empty-queue arrival's second head estimate
+    included."""
+    fast_est = _Recording(inner())
+    scalar_est = _Recording(inner())
+    config = BatchConfig(
+        cluster=paper_cluster(24.0, strategy=strategy), estimator=fast_est,
+        policy=policy(), seed=2, spurious_failure_prob=spurious,
+    )
+    assert fast_lane_eligible(config)
+    fast = simulate_batch(workload, [config])[0]
+    scalar = scalar_run(
+        workload, paper_cluster(24.0, strategy=strategy), scalar_est,
+        policy(), seed=2, spurious_failure_prob=spurious,
+    )
+    assert fast_est.log == scalar_est.log
+    assert fast.fingerprint() == scalar.fingerprint()
+    calls = [entry[0] for entry in fast_est.log]
+    assert calls[0] == "bind"
+    # Late binding re-asks at the head: more estimates than submissions.
+    assert calls.count("estimate") > fast.n_attempts
+    assert calls.count("observe") == fast.n_attempts
+
+
+#: Estimators outside the inlined paths, each built fresh per run.
+_PROTOCOL_ESTIMATORS = {
+    "last-instance": LastInstance,
+    "rl": ReinforcementLearning,
+    "regression": RegressionEstimator,
+    "regression-warm": lambda: RegressionEstimator(min_samples=3),
+    "line-search": RobustLineSearch,
+    "online": OnlineSimilarityEstimator,
+    "hybrid": HybridEstimator,
+    "hybrid-warm": lambda: HybridEstimator(
+        fallback=RegressionEstimator(min_samples=3)
+    ),
+    "oracle": OracleEstimator,
+    "successive-trajectories": lambda: SuccessiveApproximation(
+        record_trajectories=True
+    ),
+    "successive-custom-key": lambda: SuccessiveApproximation(
+        key_fn=by_user_app, mixed_group_threshold=2
+    ),
+}
+
+
+def _protocol_state(est):
+    """What a run leaves in a protocol-mode estimator."""
+    state = {"telemetry": est.telemetry()}
+    if isinstance(est, ReinforcementLearning):
+        state.update(
+            rng=est._rng.bit_generator.state,
+            q={key: est.q_values(key) for key in est._q},
+            visits=dict(est._visits),
+            pending=dict(est._pending),
+        )
+    elif isinstance(est, RegressionEstimator):
+        weights = est.weights
+        state.update(
+            n_samples=est.n_samples,
+            weights=None if weights is None else weights.tolist(),
+            residual_std=est.residual_std,
+        )
+    elif isinstance(est, HybridEstimator):
+        state.update(similarity=_protocol_state(est.similarity),
+                     fallback=_protocol_state(est.fallback))
+    elif isinstance(est, OnlineSimilarityEstimator):
+        state.update(inner=_protocol_state(est.inner))
+    elif isinstance(est, SuccessiveApproximation):
+        state.update(groups=list(est._groups.items()),
+                     failed_at=dict(est._failed_at),
+                     trajectories=dict(est._trajectories))
+    elif isinstance(est, LastInstance):
+        state.update(groups=list(est._groups.items()))
+    elif isinstance(est, RobustLineSearch):
+        state.update(brackets=list(est._brackets.items()))
+    return state
+
+
+_protocol_cases = st.tuples(
+    st.sampled_from((Fcfs, ShortestJobFirst, EasyBackfilling)),
+    st.sampled_from(("best_fit", "first_fit")),
+    st.sampled_from(sorted(_PROTOCOL_ESTIMATORS)),
+    st.integers(0, 3),
+    st.sampled_from((0.0, 0.0, 0.2)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_diff_traces(), st.lists(_protocol_cases, min_size=1, max_size=3))
+def test_protocol_lanes_match_scalar_engine(workload, cases):
+    """Every estimator outside the inlined paths, batched K=1..3 over a
+    generated trace: fingerprints equal to its own scalar run, and the
+    estimator left in the state the scalar run leaves it in (RNG, learned
+    model and trajectories included)."""
+    configs = [
+        BatchConfig(
+            cluster=_diff_cluster(strategy),
+            estimator=_PROTOCOL_ESTIMATORS[name](),
+            policy=policy(),
+            seed=seed,
+            spurious_failure_prob=spurious,
+        )
+        for policy, strategy, name, seed, spurious in cases
+    ]
+    assert all(fast_lane_eligible(config) for config in configs)
+    results = simulate_batch(workload, configs)
+    for (policy, strategy, name, seed, spurious), config, result in zip(
+        cases, configs, results
+    ):
+        scalar_est = _PROTOCOL_ESTIMATORS[name]()
+        scalar = scalar_run(
+            workload,
+            _diff_cluster(strategy),
+            estimator=scalar_est,
+            policy=policy(),
+            seed=seed,
+            spurious_failure_prob=spurious,
+        )
+        assert result.fingerprint() == scalar.fingerprint(), name
+        assert _protocol_state(config.estimator) == _protocol_state(scalar_est)
+        _assert_accounting_invariants(workload, scalar)
+
+
+@pytest.mark.parametrize("name", ["rl", "last-instance", "hybrid"])
+def test_protocol_estimator_reused_across_runs(monkeypatch, workload, name):
+    """simulate() runs protocol estimators on the fast lane, and a reused
+    one carries its learning (and RNG) into the next run exactly as
+    consecutive scalar runs do."""
+    calls = _spy_on_simulate_batch(monkeypatch)
+    fast_est = _PROTOCOL_ESTIMATORS[name]()
+    scalar_est = _PROTOCOL_ESTIMATORS[name]()
+    for seed, policy in ((0, Fcfs), (1, EasyBackfilling)):
+        fast = simulate(workload, paper_cluster(24.0), fast_est, policy(),
+                        seed=seed, spurious_failure_prob=0.02)
+        scalar = scalar_run(workload, paper_cluster(24.0), scalar_est,
+                            policy(), seed=seed, spurious_failure_prob=0.02)
+        assert fast.fingerprint() == scalar.fingerprint()
+        assert _protocol_state(fast_est) == _protocol_state(scalar_est)
+    assert calls == [1, 1]
+
+
+class _ZeroEstimator(OracleEstimator):
+    """Asks for no memory at all: the matcher must refuse it."""
+
+    def estimate(self, job, attempt=0):
+        return 0.0
+
+
+def test_protocol_lane_refuses_a_non_positive_requirement(workload):
+    with pytest.raises(ValueError, match="min_capacity"):
+        scalar_run(workload, paper_cluster(24.0), _ZeroEstimator())
+    with pytest.raises(ValueError, match="min_capacity"):
+        simulate_batch(workload, [BatchConfig(cluster=paper_cluster(24.0),
+                                              estimator=_ZeroEstimator())])
+
+
+class _OverReachingRetries(OracleEstimator):
+    """Cuts first submissions to a quarter of the request, then asks more
+    than any node has: every failed job's resubmission must fall back to
+    its request, as the scalar engine's does."""
+
+    def estimate(self, job, attempt=0):
+        return job.req_mem / 4 if attempt == 0 else 1e9
+
+
+def test_protocol_resubmission_that_fits_nowhere_falls_back_to_the_request(
+    workload,
+):
+    fast = simulate_batch(workload, [BatchConfig(
+        cluster=paper_cluster(24.0), estimator=_OverReachingRetries()
+    )])[0]
+    scalar = scalar_run(workload, paper_cluster(24.0), _OverReachingRetries())
+    assert fast.fingerprint() == scalar.fingerprint()
+    retries = [a for a in fast.attempts if a.attempt > 0]
+    assert retries and not fast.rejected_jobs
+    assert all(not a.reduced for a in retries)
+
+
+def test_engine_lanes_sharing_one_faulted_cluster_match_scalar(workload):
+    """Engine lanes (here: fault injection) handed the *same* cluster
+    instance run one after another, each resetting it."""
+    faults = FaultConfig(node_mtbf=5.0e5, node_mttr=3600.0)
+    shared = paper_cluster(24.0)
+    configs = [
+        BatchConfig(cluster=shared, estimator=LastInstance(),
+                    policy=ShortestJobFirst(), fault_config=faults)
+        for _ in range(2)
+    ]
+    assert not any(fast_lane_eligible(config) for config in configs)
+    results = simulate_batch(workload, configs)
+    expected = scalar_fingerprint(
+        workload, estimator=LastInstance(), policy=ShortestJobFirst(),
+        fault_config=faults,
+    )
+    assert [r.fingerprint() for r in results] == [expected, expected]
+
+
+def test_finished_lanes_are_freed_by_refcount(monkeypatch, workload):
+    """A finished fast lane holds no reference cycle (its bound scheduling
+    pass is dropped), so it is freed the moment the batch lets go of it —
+    with the cyclic GC off."""
+    import gc
+    import weakref
+
+    from repro.sim import batch
+
+    refs = []
+    finish = batch._FastLane.finish
+
+    def recording_finish(lane):
+        refs.append(weakref.ref(lane))
+        return finish(lane)
+
+    monkeypatch.setattr(batch._FastLane, "finish", recording_finish)
+    cases = [
+        (SuccessiveApproximation(), Fcfs()),
+        (NoEstimation(), ShortestJobFirst()),
+        (SuccessiveApproximation(), EasyBackfilling()),
+        (LastInstance(), Fcfs()),
+        (ReinforcementLearning(), ShortestJobFirst()),
+    ]
+    configs = [
+        BatchConfig(cluster=paper_cluster(24.0), estimator=est, policy=policy)
+        for est, policy in cases
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        simulate_batch(workload, configs)
+        assert len(refs) == len(cases)
+        assert [ref() for ref in refs] == [None] * len(cases)
+    finally:
+        gc.enable()
