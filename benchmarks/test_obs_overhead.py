@@ -13,7 +13,10 @@ bare scalar ``Simulation`` run.
 Timing protocol: best-of-N wall clock per variant (default 5 repeats,
 ``REPRO_OBS_REPEATS``), interleaved so ambient load hits all variants
 alike.  Best-of is the right statistic for an overhead *bound*: it strips
-scheduler noise, which only ever inflates a measurement.
+scheduler noise, which only ever inflates a measurement.  The default
+trace (``REPRO_OBS_JOBS``, 32000 jobs) keeps each bare fast-lane run at
+about 110 ms on a 2-vCPU host, so a few milliseconds of noise stay well
+inside the 5% tolerance.
 
 Run via ``make obs-bench`` (plain pytest: these tests assert a ratio, so
 they run with or without ``--benchmark-only``'s machinery).
@@ -31,7 +34,7 @@ from repro.sim.engine import Simulation
 from repro.workload import drop_full_machine_jobs
 from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
 
-N_JOBS = int(os.environ.get("REPRO_OBS_JOBS", "8000"))
+N_JOBS = int(os.environ.get("REPRO_OBS_JOBS", "32000"))
 REPEATS = int(os.environ.get("REPRO_OBS_REPEATS", "5"))
 TOLERANCE = float(os.environ.get("REPRO_OBS_TOLERANCE", "0.05"))
 

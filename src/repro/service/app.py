@@ -37,7 +37,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Awaitable, Dict, Optional, Tuple
+from typing import Any, Awaitable, Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.experiments.cache import SweepCache
@@ -121,6 +121,40 @@ async def _read_in_time(read: Awaitable[bytes]) -> bytes:
         raise _HttpError(
             408, f"request not received within {READ_TIMEOUT_S:g} s"
         ) from None
+
+
+def _content_length(values: Set[str]) -> int:
+    """The body length the request's ``Content-Length`` headers declare.
+
+    A value must be ASCII digits only (``int()`` alone would take ``+5``,
+    ``1_0`` or non-ASCII digits), and repeated headers must agree on the
+    number: answers 400 otherwise, 413 past :data:`MAX_BODY_BYTES`.  No
+    header: no body.
+    """
+    lengths = set()
+    for value in values:
+        if not (value.isascii() and value.isdigit()):
+            raise _HttpError(400, "bad Content-Length")
+        lengths.add(value.lstrip("0") or "0")
+    if not lengths:
+        return 0
+    if len(lengths) > 1:
+        raise _HttpError(400, "conflicting Content-Length headers")
+    (digits,) = lengths
+    # Digit count first: int() refuses strings past ~4300 digits.
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+    return int(digits)
+
+
+def _parse_target(target: str) -> Tuple[str, Dict[str, str]]:
+    """``(path, query)`` of a request target; 400 if it does not parse."""
+    try:
+        url = urlsplit(target)
+        query = {k: v[-1] for k, v in parse_qs(url.query).items()}
+    except ValueError:
+        raise _HttpError(400, f"malformed request target: {target!r}") from None
+    return url.path.rstrip("/") or "/", query
 
 
 class SweepService:
@@ -208,24 +242,14 @@ class SweepService:
         if len(parts) != 3:
             raise _HttpError(400, f"malformed request line: {request_line!r}")
         method, target, _version = parts
-        headers: Dict[str, str] = {}
+        lengths = set()
         for line in header_lines:
             if not line or ":" not in line:
                 continue
             name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = 0
-        if "content-length" in headers:
-            try:
-                length = int(headers["content-length"])
-            except ValueError:
-                raise _HttpError(400, "bad Content-Length") from None
-            if length < 0:
-                raise _HttpError(400, "bad Content-Length")
-        if length > MAX_BODY_BYTES:
-            raise _HttpError(
-                413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
-            )
+            if name.strip().lower() == "content-length":
+                lengths.add(value.strip())
+        length = _content_length(lengths)
         body = (
             await _read_in_time(reader.readexactly(length)) if length else b""
         )
@@ -234,10 +258,8 @@ class SweepService:
     async def _dispatch(
         self, method: str, target: str, body: bytes, writer: asyncio.StreamWriter
     ) -> None:
-        url = urlsplit(target)
-        path = url.path.rstrip("/") or "/"
-        query = {k: v[-1] for k, v in parse_qs(url.query).items()}
         try:
+            path, query = _parse_target(target)
             payload = await self._route(method, path, query, body, writer)
         except _HttpError as exc:
             payload = _json_response(exc.status, {"error": exc.message})

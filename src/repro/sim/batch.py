@@ -54,6 +54,18 @@ instant iff its kind sorts before ``EventKind.ARRIVAL`` — the scalar
 tie-break.  Fast-lane heaps hold only completions (kind 0), so their
 arrival check reduces to ``heap[0][0] <= t_arrival``.
 
+:func:`simulate_batch` runs with the cyclic garbage collector paused.  The
+lanes allocate heap tuples, queue entries and result records fast, and
+every allocation burst would otherwise trigger collector scans over all
+the objects the process already holds (decoded traces, earlier results),
+about 30% of a ``simulate()`` call, to free nothing: the lanes make no
+reference cycles (``tests/sim/test_gc_pause.py`` checks every lane kind).
+The pause is refcounted across threads under a module lock, and a fork
+hook ends it in a child forked mid-pause (a sweep pool forked from one
+service thread while another simulates).  The scalar
+:meth:`Simulation.run` stays unpaused: it is the oracle, and runs user
+observers.
+
 Every batched config is guaranteed to produce a :class:`SimResult`
 bit-identical (see :meth:`SimResult.fingerprint`) to a scalar
 :class:`~repro.sim.engine.Simulation` with the same parameters; the
@@ -65,13 +77,17 @@ whenever :func:`fast_lane_eligible` accepts it.
 
 from __future__ import annotations
 
+import gc as _gc
+import os as _os
+import threading as _threading
 from bisect import bisect_left as _bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from collections import deque
 from heapq import heappush as _heappush, heappop as _heappop
 from math import isfinite as _isfinite, inf as _inf
 from operator import itemgetter as _itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,6 +124,65 @@ _LEARNED_FIELDS = (
 
 #: Cluster strategies the fast lane's fill-order table models.
 _FAST_STRATEGIES = ("best_fit", "first_fit")
+
+#: Cyclic-GC pause state shared by every thread (see :func:`_gc_paused`):
+#: the nesting depth, and whether the outermost entry found the collector
+#: enabled.
+_gc_lock = _threading.Lock()
+_gc_depth = 0
+_gc_restore = False
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Hold the cyclic garbage collector off for the body.
+
+    Refcounted across threads: only the outermost entry records
+    ``gc.isenabled()`` and disables the collector, and only the last exit
+    re-enables it, and only if it was enabled before.  The exit runs even
+    when the body raises.  ``gc.get_threshold()`` is never touched.  The
+    state changes are ordered so that a fork taken between any two steps
+    leaves the child's hook (:func:`_gc_after_fork_in_child`) a correct
+    picture.
+    """
+    global _gc_depth, _gc_restore
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_restore = _gc.isenabled()
+            _gc_depth = 1
+            _gc.disable()
+        else:
+            _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            if _gc_depth == 1:
+                if _gc_restore:
+                    _gc.enable()
+                _gc_depth = 0
+            elif _gc_depth > 1:
+                _gc_depth -= 1
+            # Depth 0: a forked child whose hook already ended the pause.
+
+
+def _gc_after_fork_in_child() -> None:
+    """End the pause in a forked child, where only the forking thread runs.
+
+    A pool forked from one thread while another is inside the pause would
+    otherwise start with the lock held and the collector off for good: the
+    child gets a fresh lock, depth zero, and the collector state saved
+    before the outermost pause.
+    """
+    global _gc_lock, _gc_depth
+    _gc_lock = _threading.Lock()
+    if _gc_depth:
+        _gc_depth = 0
+        if _gc_restore:
+            _gc.enable()
+
+
+_os.register_at_fork(after_in_child=_gc_after_fork_in_child)
 
 
 @dataclass
@@ -189,6 +264,20 @@ class _SharedTrace:
         self._ladders: Dict[tuple, dict] = {}
         self._rte = None
 
+    def check_submit_times(self) -> None:
+        """Refuse a non-finite arrival time with the scalar engine's error.
+
+        :meth:`Simulation.run` schedules every arrival before the first
+        event and raises on the first non-finite submit time, in arrival
+        order.  A lane would otherwise run such a trace whenever the job
+        never starts, e.g. because it is rejected.  Lanes call this when
+        they start, so every engine refuses the trace the same way.
+        """
+        finite = np.isfinite(self.columns.submit_time)
+        if not finite.all():
+            bad = self.submit[int(np.argmin(finite))]
+            raise ValueError(f"event time must be finite, got {bad!r}")
+
     def runtime_estimates(self) -> List[float]:
         """Per-row ``Job.runtime_estimate`` (req_time, else run_time) —
         the scheduler-visible runtime SJF/backfilling sort by.  One
@@ -232,22 +321,28 @@ class _SharedTrace:
 
         Returns ``(gid, group_req)``: per-row group ids and the per-group
         request (every member of a ``(user, app, req_mem)`` group shares its
-        ``req_mem`` by construction).  One ``np.unique`` over a structured
-        view replaces the scalar estimator's per-job dict probes.
+        ``req_mem`` by construction).  Groups are numbered in lexicographic
+        key order, each remembering its first row.  One stable three-key
+        ``np.lexsort`` plus a neighbour diff replaces the scalar estimator's
+        per-job dict probes; it gives exactly what ``np.unique`` over a
+        structured ``(user, app, req_mem)`` view gives, at a seventh of the
+        cost, and like the scalar dict key it merges ``-0.0`` with ``0.0``.
         """
         if self._groups is None:
             cols = self.columns
-            keys = np.empty(
-                self.n, dtype=[("u", np.int64), ("a", np.int64), ("r", np.float64)]
+            order = np.lexsort((cols.req_mem, cols.app_id, cols.user_id))
+            user = cols.user_id[order]
+            app = cols.app_id[order]
+            req = cols.req_mem[order]
+            opens = np.ones(self.n, dtype=bool)
+            opens[1:] = (
+                (user[1:] != user[:-1]) | (app[1:] != app[:-1])
+                | (req[1:] != req[:-1])
             )
-            keys["u"] = cols.user_id
-            keys["a"] = cols.app_id
-            keys["r"] = cols.req_mem
-            uniq, first, inverse = np.unique(
-                keys, return_index=True, return_inverse=True
-            )
-            self._groups = (inverse.tolist(), uniq["r"].astype(np.float64))
-            self._group_first = first
+            gid = np.empty(self.n, dtype=np.intp)
+            gid[order] = np.cumsum(opens) - 1
+            self._groups = (gid.tolist(), req[opens])
+            self._group_first = order[opens]
         return self._groups
 
     def group_keys(self) -> Tuple[List[int], list]:
@@ -1066,6 +1161,7 @@ class _FastLane:
         the fully inlined :meth:`_run_fcfs` driver; SJF/backfilling use the
         generic method-dispatched :meth:`_run_events` loop.
         """
+        self.trace.check_submit_times()
         if self.is_fcfs:
             self._run_fcfs()
         else:
@@ -1640,6 +1736,7 @@ class _EngineLane:
         self.submit = trace.submit
         first_submit = trace.submit[0] if trace.n else _inf
         sim.begin_stream(trace.n, first_submit)
+        trace.check_submit_times()
         self.heap = sim._events.raw_heap
         self._stream_arrival = sim.stream_arrival
         self._step = sim.step_internal
@@ -1726,9 +1823,27 @@ def simulate_batch(
     when finished, so lanes may share one ``Cluster`` instance (the
     memoized ``ClusterSpec.materialize`` does this).  Fast lanes only read
     the cluster's inventory.
+
+    The cyclic garbage collector is paused for the whole call: trace
+    decode, ``(K, G)`` seeding, and every lane's build, run and result
+    build (see the module docstring for why).  Calls from several threads
+    at once (the service runs sweeps side by side) share one pause; the
+    last one out, returning or raising, leaves the collector as the first
+    one in found it, so a caller that turned it off keeps it off.  A child
+    forked while any thread is inside the pause starts with the collector
+    as it was before the pause.  Observers on engine lanes run paused too;
+    cyclic garbage they make is collected once the pause ends.
     """
     if not configs:
         return []
+    with _gc_paused():
+        return _run_batch(workload, configs)
+
+
+def _run_batch(
+    workload: Workload, configs: Sequence[BatchConfig]
+) -> List[SimResult]:
+    """:func:`simulate_batch`'s body, run with the collector paused."""
     traces: Dict[int, _SharedTrace] = {}
 
     def _trace_for(w: Workload) -> _SharedTrace:

@@ -61,6 +61,7 @@ class ProtocolLane(_FastLane):
 
     def run(self) -> None:
         self.est.bind(self.cluster.ladder)
+        self.trace.check_submit_times()
         if self.is_fcfs:
             self.sched = self._sched_fcfs
         self._run_events()

@@ -6,7 +6,8 @@ contract: scalar parity across estimator families and K widths, lane
 routing, lanes sharing one cluster, attempt-collection modes, the
 ``JobColumns`` edge cases (empty traces, zero-runtime jobs) flowing through
 the batched path, a randomized differential test of every
-fast-lane-eligible configuration against the scalar engine,
+fast-lane-eligible configuration against the scalar engine (also at
+denormal, huge and overflowing times),
 :func:`repro.sim.engine.simulate`'s dispatch onto the fast lane — including
 the learned state it leaves in the caller's estimator — and the protocol
 mode that runs every other estimator on the fast lane: its estimator call
@@ -78,8 +79,9 @@ def test_empty_config_list(workload):
 
 def test_mixed_estimators_match_scalar(workload):
     """Four estimator families in one batch — NoEstimation and
-    SuccessiveApproximation ride the fast lane, Oracle and LastInstance the
-    engine lane — each lane bit-identical to its scalar run."""
+    SuccessiveApproximation ride the fast lane inlined, Oracle and
+    LastInstance in protocol mode — each lane bit-identical to its scalar
+    run."""
     factories = [
         NoEstimation,
         SuccessiveApproximation,
@@ -274,14 +276,14 @@ def test_per_lane_collect_attempts_override(workload):
 
 
 def test_mixed_fast_and_engine_lanes_coexist(workload):
-    """One batch spanning both lane kinds — widened fast configs (SJF,
-    backfilling, first_fit) next to engine-lane configs (oracle estimator,
-    worst_fit) — every lane bit-identical to scalar."""
+    """One batch spanning the fast lane's estimation modes — inlined
+    successive approximation under SJF and backfilling next to protocol-mode
+    lanes (oracle, last-instance) — every lane bit-identical to scalar."""
     cases = [
         dict(estimator=SuccessiveApproximation(), policy=ShortestJobFirst()),
-        dict(estimator=OracleEstimator()),  # engine lane
+        dict(estimator=OracleEstimator()),  # protocol mode
         dict(estimator=SuccessiveApproximation(), policy=EasyBackfilling()),
-        dict(estimator=LastInstance(), policy=EasyBackfilling()),  # engine
+        dict(estimator=LastInstance(), policy=EasyBackfilling()),  # protocol
     ]
     configs = [
         BatchConfig(cluster=paper_cluster(24.0), **case) for case in cases
@@ -297,14 +299,16 @@ def test_mixed_fast_and_engine_lanes_coexist(workload):
 
 
 def test_engine_lanes_sharing_one_cluster_match_scalar(workload):
-    """Engine lanes handed the *same* cluster instance (the memoized
-    ``ClusterSpec.materialize`` does this) run one after another, each
-    resetting it — results identical to fresh-cluster runs."""
+    """Lanes handed the *same* cluster instance (the memoized
+    ``ClusterSpec.materialize`` does this) run one after another — results
+    identical to fresh-cluster runs.  Despite the test's name, these oracle
+    lanes run on the fast lane in protocol mode, which only reads the
+    cluster's inventory."""
     shared = paper_cluster(24.0)
     configs = [
         BatchConfig(
             cluster=shared,
-            estimator=OracleEstimator(),  # forces the engine lane
+            estimator=OracleEstimator(),  # a protocol-mode fast lane
             policy=ShortestJobFirst(),
         )
         for _ in range(2)
@@ -487,14 +491,26 @@ _DIFF_TIERS = ((4, 32.0), (4, 16.0))
 _DIFF_REQ_MEM = (8.0, 12.0, 16.0, 24.0, 32.0, 48.0)
 
 
+#: Submit gaps and run times of the differential traces.
+_DIFF_GAPS = (0.0, 0.0, 1.0, 5.0, 40.0)
+_DIFF_RUN_TIMES = (0.0, 1.0, 7.5, 30.0, 120.0)
+
+#: Extreme times: denormals, the smallest normal, huge values, and values
+#: whose sums lose the small term or overflow to infinity.
+_EXTREME_TIMES = (
+    0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 1e15,
+    1e300, 1e308, 1.7e308,
+)
+
+
 @st.composite
-def _diff_traces(draw):
+def _diff_traces(draw, gaps=_DIFF_GAPS, run_times=_DIFF_RUN_TIMES):
     """Small columnar traces with same-instant ties, zero run times and
-    over-tier requests."""
+    over-tier requests; submit gaps and run times drawn from the given
+    pools."""
     n = draw(st.integers(1, 24))
-    gaps = draw(st.lists(st.sampled_from((0.0, 0.0, 1.0, 5.0, 40.0)),
-                         min_size=n, max_size=n))
-    run_time = draw(st.lists(st.sampled_from((0.0, 1.0, 7.5, 30.0, 120.0)),
+    gaps = draw(st.lists(st.sampled_from(gaps), min_size=n, max_size=n))
+    run_time = draw(st.lists(st.sampled_from(run_times),
                              min_size=n, max_size=n))
     procs = draw(st.lists(st.integers(1, 10), min_size=n, max_size=n))
     req_mem = draw(st.lists(st.sampled_from(_DIFF_REQ_MEM),
@@ -503,9 +519,11 @@ def _diff_traces(draw):
                               min_size=n, max_size=n))
     user_id = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     req = np.array(req_mem)
+    with np.errstate(over="ignore"):  # extreme gaps may sum past the range
+        submit_time = np.cumsum(gaps)
     cols = JobColumns(
         job_id=np.arange(1, n + 1),
-        submit_time=np.cumsum(gaps),
+        submit_time=submit_time,
         run_time=np.array(run_time),
         procs=np.array(procs),
         req_mem=req,
@@ -581,6 +599,126 @@ def test_fast_lanes_match_scalar_engine(workload, cases):
         )
         assert result.fingerprint() == scalar.fingerprint()
         _assert_accounting_invariants(workload, scalar)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _diff_traces(gaps=_EXTREME_TIMES, run_times=_EXTREME_TIMES),
+    st.lists(_diff_configs, min_size=1, max_size=4),
+)
+def test_fast_lanes_match_scalar_engine_at_extreme_times(workload, cases):
+    """Denormal, huge and mixed-magnitude submit and run times: every
+    fast-lane config agrees with its scalar run on the fingerprint and the
+    §3.1 invariants, or both raise the same non-finite-time
+    ``ValueError``; batched, the first such lane's error is raised."""
+    def config(policy, strategy, est, seed, spurious):
+        return BatchConfig(
+            cluster=_diff_cluster(strategy),
+            estimator=_diff_estimator(est),
+            policy=policy(),
+            seed=seed,
+            spurious_failure_prob=spurious,
+        )
+
+    expected = []
+    for policy, strategy, est, seed, spurious in cases:
+        lane = config(policy, strategy, est, seed, spurious)
+        assert fast_lane_eligible(lane)
+        try:
+            scalar = scalar_run(
+                workload,
+                _diff_cluster(strategy),
+                estimator=_diff_estimator(est),
+                policy=policy(),
+                seed=seed,
+                spurious_failure_prob=spurious,
+            )
+        except ValueError as exc:
+            assert str(exc).startswith("event time must be finite"), exc
+            with pytest.raises(ValueError) as fast_exc:
+                simulate_batch(workload, [lane])
+            assert str(fast_exc.value) == str(exc)
+            expected.append(str(exc))
+            continue
+        fast = simulate_batch(workload, [lane])[0]
+        assert fast.fingerprint() == scalar.fingerprint()
+        _assert_extreme_accounting_invariants(workload, scalar)
+        expected.append(scalar.fingerprint())
+    errors = [e for e in expected if e.startswith("event time")]
+    try:
+        results = simulate_batch(workload, [config(*case) for case in cases])
+    except ValueError as exc:
+        assert errors and str(exc) == errors[0]
+    else:
+        assert not errors
+        assert [result.fingerprint() for result in results] == expected
+
+
+@pytest.mark.parametrize("lane", [
+    pytest.param(dict(estimator=NoEstimation()), id="fast-none"),
+    pytest.param(dict(estimator=SuccessiveApproximation()), id="fast-successive"),
+    pytest.param(dict(estimator=LastInstance()), id="fast-protocol"),
+    pytest.param(dict(estimator=NoEstimation(), strategy="worst_fit"),
+                 id="engine"),
+])
+def test_infinite_submit_time_refused_like_the_scalar_engine(lane):
+    """The scalar engine refuses an infinite arrival time when it schedules
+    the arrivals, even for a job that would never start; every lane kind
+    refuses it with the same error."""
+    cols = JobColumns(
+        job_id=np.arange(1, 3),
+        submit_time=np.array([0.0, math.inf]),
+        run_time=np.array([10.0, 10.0]),
+        procs=np.array([1, 10]),  # the second job never fits: rejected
+        req_mem=np.array([16.0, 16.0]),
+        used_mem=np.array([8.0, 8.0]),
+        req_time=np.full(2, 100.0),
+        user_id=np.zeros(2, dtype=np.int64),
+        group_id=np.zeros(2, dtype=np.int64),
+        app_id=np.zeros(2, dtype=np.int64),
+        status=np.ones(2, dtype=np.int64),
+    )
+    workload = Workload.from_columns(cols, total_nodes=8, node_mem=32.0)
+    strategy = lane.get("strategy", "best_fit")
+    estimator = lane["estimator"]
+    config = BatchConfig(cluster=_diff_cluster(strategy), estimator=estimator)
+    assert fast_lane_eligible(config) == (strategy == "best_fit")
+    message = "event time must be finite, got inf"
+    with pytest.raises(ValueError, match=message):
+        scalar_run(workload, _diff_cluster(strategy),
+                   estimator=type(estimator)())
+    with pytest.raises(ValueError, match=message):
+        simulate_batch(workload, [config])
+
+
+def _node_seconds(values):
+    """Exact sum of non-negative node-seconds; ``inf`` past the float
+    range, where the engines' running sums overflow too."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def _assert_extreme_accounting_invariants(workload, result):
+    """§3.1 at extreme magnitudes.  A run time can vanish in the rounding
+    of its start time, so the node-second sums are checked against the
+    simulated durations (end minus start), and each completed job's end
+    against its start plus its run time, as one float sum."""
+    completed = [s for s in result.summaries if s.completed]
+    assert len(completed) + len(result.rejected_jobs) == len(workload)
+    for s in completed:
+        assert s.end_time == s.start_time + s.job.run_time
+    useful = _node_seconds(
+        (s.end_time - s.start_time) * s.job.procs for s in completed
+    )
+    assert math.isclose(result.useful_node_seconds, useful, rel_tol=1e-9)
+    wasted = _node_seconds(
+        (a.end_time - a.start_time) * a.procs
+        for a in result.attempts
+        if not a.succeeded
+    )
+    assert math.isclose(result.wasted_node_seconds, wasted, rel_tol=1e-9)
 
 
 def _assert_accounting_invariants(workload, result):
