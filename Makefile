@@ -20,7 +20,7 @@ bench-full:
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Sweep throughput gate: the Figure 5 grid end-to-end through the pool
-# (shared-memory fan-out + batched execution), written machine-readably to
+# (shared-memory fan-out, one spec per unit), written machine-readably to
 # benchmarks/results/BENCH_sweep.json; fails if throughput drops >10% below
 # the recorded columnar-data-plane baseline.
 sweep-bench:

@@ -89,7 +89,6 @@ def bench_sweep(workers: int, n_jobs: int, loads=None) -> dict:
     report = run_sweep(specs, max_workers=workers, oversubscribe=True)
     wall = time.perf_counter() - t0
     report.points()  # raises with full tracebacks if any spec failed
-    profile = report.profile()
     return {
         "n_specs": len(specs),
         "n_jobs_each": n_jobs,
@@ -101,8 +100,6 @@ def bench_sweep(workers: int, n_jobs: int, loads=None) -> dict:
         "peak_worker_rss_kb": report.peak_worker_rss_kb,
         "n_retries": report.n_retries,
         "n_pool_rebuilds": report.n_pool_rebuilds,
-        "n_batched_runs": profile.n_batched,
-        "mean_batch_width": round(profile.mean_batch_width, 2),
     }
 
 
@@ -155,10 +152,6 @@ def main(argv=None) -> int:
         f"{sweep['wall_s']}s = {sweep['runs_per_second']:.3f} runs/s "
         f"({sweep['workers']} workers on {sweep['host_cpus']} CPU(s), "
         f"spin-up {sweep['pool_spinup_s']}s)"
-    )
-    print(
-        f"batch  : {sweep['n_batched_runs']}/{sweep['n_specs']} runs in "
-        f"same-trace batches (mean width {sweep['mean_batch_width']})"
     )
     print(
         f"memory : peak worker RSS {sweep['peak_worker_rss_kb']:,} KB "

@@ -79,8 +79,10 @@ from repro.experiments.specs import (
     materialize_base_workload,
     trim_materialized_workloads,
 )
-from repro.sim.batch import BatchConfig, simulate_batch
-from repro.sim.engine import _simulate_scalar
+# ``simulate_batch`` is not called here; the e2e benchmark's tracer
+# (benchmarks/e2e/tracing.py) wraps it under this module's name.
+from repro.sim.batch import simulate_batch  # noqa: F401
+from repro.sim.engine import _simulate_scalar, simulate
 from repro.sim.faults import FaultConfig
 from repro.sim.metrics import mean_slowdown, utilization
 from repro.sim.records import SimResult
@@ -102,13 +104,6 @@ _POOL_UNAVAILABLE = (OSError, ImportError, PermissionError)
 #: Backoff delays are capped so a high retry count cannot stall a sweep.
 _BACKOFF_CAP = 30.0
 
-#: Built-in ceiling on how many specs ride in one same-trace batch.  The
-#: actual width adapts per group (see :func:`_same_workload_batches`): a
-#: group of same-trace specs runs at its full stack depth up to this cap,
-#: split further only when a pooled sweep needs more units in flight to
-#: keep its workers busy.  The cap bounds per-lane memory and keeps one
-#: batch's wall clock within the sliding window's load-balancing grain.
-_MAX_BATCH = 16
 
 @dataclass(frozen=True)
 class RunOutcome:
@@ -131,10 +126,6 @@ class RunOutcome:
     #: the run finished — the sweep-level peak is the memory a worker
     #: actually needs (0 for cache hits and platforms without getrusage).
     worker_rss_kb: int = 0
-    #: Lanes of the batch this run executed in (1 = plain scalar execution;
-    #: >1 = one :func:`repro.sim.batch.simulate_batch` call over that many
-    #: same-trace configs).
-    batch_width: int = 1
 
     @property
     def ok(self) -> bool:
@@ -164,16 +155,13 @@ def _result_to_point(spec: RunSpec, result: SimResult) -> SweepPoint:
     )
 
 
-def simulate_spec(spec: RunSpec) -> SweepPoint:
-    """Materialize ``spec`` and run its simulation to one sweep point.
+def _run_spec(spec: RunSpec, run: Callable[..., SimResult]) -> SweepPoint:
+    """Materialize ``spec``, run it through ``run`` and fold the result.
 
-    This is the executor's per-spec path, shared by the serial loop and the
-    pool workers (which is what guarantees worker/in-process parity) and
-    the fallback when a batch fails.  It always runs the scalar
-    :class:`~repro.sim.engine.Simulation` — the oracle batched sweeps are
-    checked against — with the attempt trace off, as ``run_point`` does.
+    The attempt trace is off, as in ``run_point``: a sweep point only
+    aggregates.
     """
-    result = _simulate_scalar(
+    result = run(
         spec.workload.materialize(),
         spec.cluster.materialize(),
         spec.estimator.materialize(),
@@ -186,26 +174,16 @@ def simulate_spec(spec: RunSpec) -> SweepPoint:
     return _result_to_point(spec, result)
 
 
-def _spec_batch_config(spec: RunSpec, workload=None) -> BatchConfig:
-    """The :func:`simulate_batch` lane configuration equivalent to
-    :func:`simulate_spec`'s scalar run (same seeds, same knobs).
+def simulate_spec(spec: RunSpec) -> SweepPoint:
+    """``spec``'s sweep point from the scalar oracle engine.
 
-    ``workload`` is the per-lane workload override (``None`` inherits the
-    batch's shared workload) — how load points of one base trace stack into
-    a single batch.
+    Always runs a :class:`~repro.sim.engine.Simulation`, whatever the
+    configuration.  The executor itself runs :func:`execute_spec`, which
+    takes the fast lane whenever it can; tests and the e2e benchmark's
+    cross-check compare sweep points against this function, so that check
+    is a fast-versus-scalar comparison.
     """
-    return BatchConfig(
-        cluster=spec.cluster.materialize(),
-        estimator=spec.estimator.materialize(),
-        policy=spec.policy.materialize(),
-        seed=spec.seed,
-        spurious_failure_prob=spec.faults.spurious,
-        fault_config=_spec_fault_config(spec),
-        # Sweep points aggregate, so only specs that ask for the
-        # per-attempt trace pay for it.
-        collect_attempts=spec.collect_attempts,
-        workload=workload,
-    )
+    return _run_spec(spec, _simulate_scalar)
 
 
 def _worker_init(shared_handles=None) -> None:
@@ -256,12 +234,16 @@ def _peak_rss_kb() -> int:
 def execute_spec(spec: RunSpec) -> RunOutcome:
     """Run one spec, capturing any exception into the outcome envelope.
 
-    Module-level (hence picklable) — this is the function shipped to pool
-    workers.
+    The spec runs through :func:`repro.sim.engine.simulate`, which takes the
+    fast lane (a one-lane :func:`~repro.sim.batch.simulate_batch`) when
+    :func:`~repro.sim.batch.fast_lane_eligible` accepts the configuration
+    and the scalar engine otherwise; both give bit-identical points.  One
+    spec is the executor's whole scheduling unit.  Module-level (hence
+    picklable): this is the function shipped to pool workers.
     """
     t0 = time.perf_counter()
     try:
-        point = simulate_spec(spec)
+        point = _run_spec(spec, simulate)
         return RunOutcome(
             spec=spec,
             point=point,
@@ -283,80 +265,12 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
 
 
 def execute_batch(specs: Sequence[RunSpec]) -> List[RunOutcome]:
-    """Run a batch of specs in this process, one outcome per spec, in order.
+    """:func:`execute_spec` over ``specs`` in this process, in order.
 
-    The batch is the pool scheduling unit (see ``_PoolExecution``): specs
-    sharing a base workload travel together, so one worker amortizes a
-    single base materialization (or shared-memory attach) across the whole
-    batch and the executor pays one future round-trip instead of one per
-    spec.
-
-    Specs sharing the same *base* trace (identical ``WorkloadSpec`` up to
-    the load scaling — :meth:`WorkloadSpec.base_key`) additionally run as
-    lanes of one :func:`repro.sim.batch.simulate_batch` call: load scaling
-    rewrites only the arrival schedule, so lanes at different load points
-    carry per-lane workload overrides while the whole group shares one
-    decoded trace per load point and one ``(K, G)`` seeding.  The batched
-    engine is gated bit-identical to the scalar one
-    (``tests/sim/test_engine_fingerprints``), so results are exactly what
-    per-spec execution would have produced; the group's wall clock is split
-    evenly across its members and each outcome records the ``batch_width``
-    it ran at.  Any failure inside a batched group falls
-    back to per-spec execution, so one bad spec reports its own error
-    instead of sinking its batch-mates.
+    The executor no longer calls this; it stays because the e2e
+    benchmark's tracer (benchmarks/e2e/tracing.py) binds it by name.
     """
-    outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
-    groups: Dict[object, List[int]] = {}
-    for idx, spec in enumerate(specs):
-        groups.setdefault(spec.workload.base_key(), []).append(idx)
-    for indices in groups.values():
-        if len(indices) == 1:
-            outcomes[indices[0]] = execute_spec(specs[indices[0]])
-            continue
-        members = [specs[idx] for idx in indices]
-        t0 = time.perf_counter()
-        try:
-            # One materialization per distinct load point; lanes at the
-            # shared (first) workload carry no override.
-            materialized: Dict[object, object] = {}
-            for spec in members:
-                if spec.workload not in materialized:
-                    materialized[spec.workload] = spec.workload.materialize()
-            workload = materialized[members[0].workload]
-            configs = [
-                _spec_batch_config(
-                    spec,
-                    workload=(
-                        None
-                        if materialized[spec.workload] is workload
-                        else materialized[spec.workload]
-                    ),
-                )
-                for spec in members
-            ]
-            results = simulate_batch(workload, configs)
-            wall = (time.perf_counter() - t0) / len(indices)
-            rss = _peak_rss_kb()
-            for idx, spec, result in zip(indices, members, results):
-                outcomes[idx] = RunOutcome(
-                    spec=spec,
-                    point=_result_to_point(spec, result),
-                    wall_time=wall,
-                    worker_rss_kb=rss,
-                    batch_width=len(indices),
-                )
-        except Exception as exc:
-            logger.warning(
-                "batch of %d same-trace specs failed (%s); re-running "
-                "per-spec to isolate the failure",
-                len(indices),
-                exc,
-            )
-            for idx in indices:
-                outcomes[idx] = execute_spec(specs[idx])
-        finally:
-            trim_materialized_workloads()
-    return outcomes
+    return [execute_spec(spec) for spec in specs]
 
 
 # --------------------------------------------------------------- resilience
@@ -529,10 +443,15 @@ class SweepProfile:
     n_pool_rebuilds: int
     n_resumed: int
     slowest: Tuple[Tuple[str, float], ...] = ()
-    #: Executed runs that ran as lanes of a batch (``batch_width > 1``).
-    n_batched: int = 0
-    #: Mean ``batch_width`` across executed runs (1.0 = all scalar).
-    mean_batch_width: float = 1.0
+
+    @property
+    def mean_batch_width(self) -> float:
+        """Specs per executor unit: always 1.0, since each unit is one spec.
+
+        Kept for readers of the old profile shape (the e2e benchmark's
+        tracer reports it as ``parallel.batch_width_mean``).
+        """
+        return 1.0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -546,8 +465,6 @@ class SweepProfile:
             f"wall time   : {self.total_wall_time:.2f}s total across workers "
             f"(mean {self.mean_wall_time:.2f}s, max {self.max_wall_time:.2f}s "
             f"per executed run)",
-            f"batching    : {self.n_batched}/{self.n_executed} executed runs "
-            f"in same-trace batches (mean width {self.mean_batch_width:.2f})",
             f"resilience  : {self.total_retries} retries, "
             f"{self.n_timeouts} timeouts, {self.n_pool_rebuilds} pool rebuilds, "
             f"{self.n_resumed} resumed from checkpoint",
@@ -649,12 +566,6 @@ class SweepReport:
                 (o.spec.label or o.spec.canonical(), o.wall_time)
                 for o in by_cost[: max(top, 0)]
             ),
-            n_batched=sum(1 for o in executed if o.batch_width > 1),
-            mean_batch_width=(
-                float(sum(o.batch_width for o in executed)) / len(executed)
-                if executed
-                else 1.0
-            ),
         )
 
     def summary(self) -> str:
@@ -693,9 +604,9 @@ def run_sweep(
 ) -> SweepReport:
     """Execute every spec, in parallel when ``max_workers > 1``.
 
-    Same-trace specs run together through
-    :func:`repro.sim.batch.simulate_batch`, up to ``_MAX_BATCH`` per
-    execution unit (see :func:`_same_workload_batches`).
+    Each spec is one unit of work: :func:`execute_spec` runs it through
+    :func:`repro.sim.engine.simulate`, so an eligible spec takes the fast
+    lane on its own and any other spec runs the scalar engine.
 
     Cache and checkpoint lookups happen up front in the parent process;
     only misses are dispatched, and each result is written back the moment
@@ -829,14 +740,9 @@ def _run_with_retries(
     retry_backoff: float,
     stats: _ExecutionStats,
     rng: Optional[random.Random] = None,
-    first: Optional[RunOutcome] = None,
 ) -> RunOutcome:
-    """In-process execution with the same bounded-retry policy as the pool.
-
-    ``first`` is an attempt already made (a batch lane's outcome); without
-    one the spec runs here first.  Retries always re-run the spec alone.
-    """
-    outcome = execute_spec(spec) if first is None else first
+    """In-process execution with the same bounded-retry policy as the pool."""
+    outcome = execute_spec(spec)
     attempt = 0
     while not outcome.ok and attempt < max_retries:
         attempt += 1
@@ -844,57 +750,6 @@ def _run_with_retries(
         time.sleep(_backoff_delay(retry_backoff, attempt, rng))
         outcome = execute_spec(spec)
     return replace(outcome, retries=attempt) if attempt else outcome
-
-
-def _same_workload_batches(
-    specs: Sequence[RunSpec], workers: int = 1, cap: int = _MAX_BATCH
-) -> List[List[int]]:
-    """Spec indices batched by base trace, at adaptive width up to ``cap``.
-
-    Grouping is by ``WorkloadSpec.base_key()`` — the base trace provenance
-    with the load scaling factored out — regardless of submission order:
-    interleaved grids (e.g. an estimator x memory lattice iterating the
-    estimator in the outer loop) and load sweeps (fig5's estimator x load
-    grid) both stack full-width, since load scaling only rewrites arrival
-    times and ``execute_batch`` gives each load point its own lane-level
-    workload override.
-
-    Width adapts to each group's same-trace depth: a group runs as few
-    units as ``cap`` allows, so a deep stack of configs over one trace
-    shares one decoded trace and one ``(K, G)`` seeding instead of a
-    fixed-width chunking.  A pooled sweep (``workers > 1``) splits deep
-    stacks further when the grid has fewer groups than workers, so enough
-    units stay in flight that batching never starves the pool.  Within a
-    unit, specs over the *identical* workload (same load point) sit
-    adjacent and whole same-load stacks travel together wherever the
-    width allows, so each unit decodes — and holds resident — as few
-    distinct arrival schedules as possible.  Batches come back ordered by
-    their first member, so execution stays in near-spec order.
-    """
-    groups: Dict[object, List[int]] = {}
-    for j, spec in enumerate(specs):
-        groups.setdefault(spec.workload.base_key(), []).append(j)
-    batches: List[List[int]] = []
-    spread = max(1, workers // max(1, len(groups)))
-    for indices in groups.values():
-        depth = len(indices)
-        n_units = max(spread, -(-depth // cap))
-        width = min(cap, -(-depth // n_units))  # balanced ceiling
-        stacks: Dict[object, List[int]] = {}
-        for j in indices:
-            stacks.setdefault(specs[j].workload, []).append(j)
-        unit: List[int] = []
-        for stack in stacks.values():
-            for i in range(0, len(stack), width):
-                chunk = stack[i : i + width]
-                if unit and len(unit) + len(chunk) > width:
-                    batches.append(unit)
-                    unit = []
-                unit.extend(chunk)
-        if unit:
-            batches.append(unit)
-    batches.sort(key=lambda batch: batch[0])
-    return batches
 
 
 def _execute_all(
@@ -929,35 +784,18 @@ def _execute_all(
         ).run()
     else:
         rng = random.Random(0x0B0FF)
-        for batch in _same_workload_batches(specs):
-            firsts = (
-                execute_batch([specs[j] for j in batch])
-                if len(batch) > 1
-                else [None]
-            )
-            for j, first in zip(batch, firsts):
-                finish(
-                    j,
-                    _run_with_retries(
-                        specs[j], max_retries, retry_backoff, stats, rng, first
-                    ),
-                )
+        for j, spec in enumerate(specs):
+            finish(j, _run_with_retries(spec, max_retries, retry_backoff, stats, rng))
     return results
 
 
 class _PoolExecution:
     """One parallel ``_execute_all``: sliding-window futures over a pool.
 
-    The scheduling unit is a **batch**: a list of spec indices sharing one
-    ``WorkloadSpec.base_key()``, sized so the grid spreads evenly over the
-    workers (``_initial_batches``).  Batching amortizes the per-future
-    round-trip and steers same-trace specs to the same worker (whose
-    bounded materialization caches then actually hit); per-spec semantics
-    are untouched because workers run batch members independently
-    (``execute_batch``) and every retry, timeout, crash resubmission, or
-    quarantine is handled on singleton batches.  With a per-spec ``timeout``
-    every batch is a singleton from the start — a timeout measures one run,
-    never a convoy.
+    Each future runs one spec (:func:`execute_spec`), so every pending
+    future maps to one spec index: a timeout measures one run, and
+    retries, crash resubmissions and quarantine each charge exactly the
+    spec they concern.
 
     At most ``workers`` futures are in flight at a time, so every pending
     future is (approximately) *running*, which makes the per-spec timeout a
@@ -989,8 +827,8 @@ class _PoolExecution:
         self.finish = finish
         self.stats = stats
         n = len(specs)
-        self.todo: deque = deque(self._initial_batches())
-        self.pending: Dict[Future, List[int]] = {}
+        self.todo: deque = deque(range(n))
+        self.pending: Dict[Future, int] = {}
         self.started: Dict[Future, float] = {}
         self.retries_used = [0] * n
         #: Pool crashes a spec was in flight for.  A spec exceeding the
@@ -1003,18 +841,6 @@ class _PoolExecution:
         self.pool: Optional[ProcessPoolExecutor] = None
         self.backoff_rng = random.Random(0x0B0FF)
         self.shm_store = SharedBaseStore()
-
-    def _initial_batches(self) -> List[List[int]]:
-        """Spec indices grouped by base trace, in near-spec order.
-
-        See :func:`_same_workload_batches`: every batch runs its members
-        through one ``simulate_batch`` call, at adaptive width up to
-        ``_MAX_BATCH``.  With a per-spec ``timeout`` every batch is a
-        singleton (see the class docstring).
-        """
-        if self.timeout is not None:
-            return [[j] for j in range(len(self.specs))]
-        return _same_workload_batches(self.specs, self.workers)
 
     # Quarantine after more pool crashes than plausible for a bystander.
     @property
@@ -1092,19 +918,19 @@ class _PoolExecution:
             self.pool.shutdown(wait=False, cancel_futures=True)
             self.pool = None
         while self.todo:
-            for j in self.todo.popleft():
-                outcome = _run_with_retries(
-                    self.specs[j],
-                    self.max_retries - self.retries_used[j],
-                    self.retry_backoff,
-                    self.stats,
-                    self.backoff_rng,
+            j = self.todo.popleft()
+            outcome = _run_with_retries(
+                self.specs[j],
+                self.max_retries - self.retries_used[j],
+                self.retry_backoff,
+                self.stats,
+                self.backoff_rng,
+            )
+            if self.retries_used[j]:
+                outcome = replace(
+                    outcome, retries=outcome.retries + self.retries_used[j]
                 )
-                if self.retries_used[j]:
-                    outcome = replace(
-                        outcome, retries=outcome.retries + self.retries_used[j]
-                    )
-                self.finish(j, outcome)
+            self.finish(j, outcome)
 
     def _run_quarantined(self, j: int) -> None:
         logger.warning(
@@ -1127,56 +953,47 @@ class _PoolExecution:
         for _ in range(len(self.todo)):
             if not self.todo or len(self.pending) >= self.workers:
                 break
-            batch = self.todo[0]
-            if max(self.not_before[j] for j in batch) > now:
-                self.todo.rotate(-1)  # backing off; look at the next batch
+            j = self.todo[0]
+            if self.not_before[j] > now:
+                self.todo.rotate(-1)  # backing off; look at the next spec
                 continue
             self.todo.popleft()
-            # Quarantined members run in-process (crash resubmissions are
-            # singletons, so in practice this drains the whole batch).
-            hot = [j for j in batch if self.crashes[j] > self.crash_quarantine]
-            for j in hot:
+            if self.crashes[j] > self.crash_quarantine:
                 self._run_quarantined(j)
-            batch = [j for j in batch if self.crashes[j] <= self.crash_quarantine]
-            if not batch:
                 continue
             try:
-                future = self.pool.submit(
-                    execute_batch, [self.specs[j] for j in batch]
-                )
+                future = self.pool.submit(execute_spec, self.specs[j])
             except BrokenExecutor as exc:
                 # The break can surface at submit time (a worker died between
                 # wait rounds) — same recovery as a break seen at result time.
-                self._recover_broken_pool(batch, exc)
+                self._recover_broken_pool(j, exc)
                 return
             except _POOL_UNAVAILABLE as exc:
                 logger.warning(
                     "submission to the process pool failed (%s); running the "
                     "remaining %d specs in-process",
                     exc,
-                    sum(len(b) for b in self.todo) + len(batch),
+                    len(self.todo) + 1,
                 )
-                self.todo.appendleft(batch)
+                self.todo.appendleft(j)
                 self._recall_pending()
                 self._drain_in_process()
                 return
-            self.pending[future] = batch
+            self.pending[future] = j
             self.started[future] = time.monotonic()
         if not self.pending and self.todo:
             # Everything left is backing off; sleep until the earliest is due.
-            soonest = min(
-                max(self.not_before[j] for j in batch) for batch in self.todo
-            )
+            soonest = min(self.not_before[j] for j in self.todo)
             delay = soonest - time.monotonic()
             if delay > 0:
                 time.sleep(min(delay, 1.0))
 
     def _recall_pending(self) -> None:
         """Move every pending index back onto ``todo`` (pool is dead)."""
-        recalled = sorted(j for batch in self.pending.values() for j in batch)
+        recalled = sorted(self.pending.values())
         self.pending.clear()
         self.started.clear()
-        self.todo.extendleft([j] for j in reversed(recalled))
+        self.todo.extendleft(reversed(recalled))
 
     def _wait_round(self) -> None:
         wait_timeout = None
@@ -1192,44 +1009,29 @@ class _PoolExecution:
         for future in done:
             if future not in self.pending:
                 continue  # cleared by broken-pool recovery earlier this round
-            batch = self.pending.pop(future)
+            j = self.pending.pop(future)
             t_submit = self.started.pop(future)
             try:
-                outcomes = list(future.result())
+                outcome = future.result()
             except BrokenExecutor as exc:
-                self._recover_broken_pool(batch, exc)
+                self._recover_broken_pool(j, exc)
                 return
             except CancelledError:
                 continue
             except Exception:
-                # Submission-side failure (e.g. a spec did not pickle):
-                # report it on every member's envelope like a worker exception.
-                error = traceback.format_exc()
-                outcomes = [
-                    RunOutcome(
-                        spec=self.specs[j],
-                        point=None,
-                        error=error,
-                        wall_time=time.monotonic() - t_submit,
-                    )
-                    for j in batch
-                ]
-            while len(outcomes) < len(batch):  # defensive: never lose a spec
-                j = batch[len(outcomes)]
-                outcomes.append(
-                    RunOutcome(
-                        spec=self.specs[j],
-                        point=None,
-                        error="batch execution returned too few outcomes",
-                        wall_time=time.monotonic() - t_submit,
-                    )
+                # Submission-side failure (e.g. the spec did not pickle):
+                # report it on the envelope like a worker exception.
+                outcome = RunOutcome(
+                    spec=self.specs[j],
+                    point=None,
+                    error=traceback.format_exc(),
+                    wall_time=time.monotonic() - t_submit,
                 )
-            for j, outcome in zip(batch, outcomes):
-                self._resolve(j, outcome)
+            self._resolve(j, outcome)
 
     def _expire_overdue(self) -> None:
         now = time.monotonic()
-        for future, batch in list(self.pending.items()):
+        for future, j in list(self.pending.items()):
             elapsed = now - self.started[future]
             if elapsed < self.timeout:
                 continue
@@ -1237,22 +1039,19 @@ class _PoolExecution:
             del self.started[future]
             future.cancel()  # a running task cannot be cancelled; its late
             # result is simply ignored (the slot frees when it finishes).
-            # With a timeout configured every batch is a singleton, so the
-            # timeout (and its counter) always charges exactly one spec.
-            for j in batch:
-                self.stats.n_timeouts += 1
-                self._resolve(
-                    j,
-                    RunOutcome(
-                        spec=self.specs[j],
-                        point=None,
-                        error=(
-                            f"timed out after {elapsed:.1f}s "
-                            f"(per-spec timeout {self.timeout:g}s)"
-                        ),
-                        wall_time=elapsed,
+            self.stats.n_timeouts += 1
+            self._resolve(
+                j,
+                RunOutcome(
+                    spec=self.specs[j],
+                    point=None,
+                    error=(
+                        f"timed out after {elapsed:.1f}s "
+                        f"(per-spec timeout {self.timeout:g}s)"
                     ),
-                )
+                    wall_time=elapsed,
+                ),
+            )
 
     def _resolve(self, j: int, outcome: RunOutcome) -> None:
         if outcome.ok or self.retries_used[j] >= self.max_retries:
@@ -1270,24 +1069,21 @@ class _PoolExecution:
             self.retry_backoff, self.retries_used[j], self.backoff_rng
         )
         self.not_before[j] = time.monotonic() + delay
-        self.todo.append([j])  # retries always travel alone
+        self.todo.append(j)
 
-    def _recover_broken_pool(self, batch: List[int], exc: BaseException) -> None:
+    def _recover_broken_pool(self, j: int, exc: BaseException) -> None:
         """A worker died: rebuild the pool, resubmit only unfinished specs.
 
-        Resubmissions are singleton batches: each crashed spec carries its
-        own crash count toward quarantine, and a poison spec cannot drag
-        batch-mates down with it on the next attempt.
+        ``j`` is the spec whose future surfaced the break; every spec in
+        flight with it counts one crash toward its own quarantine.
         """
         self.stats.n_pool_rebuilds += 1
-        unfinished = sorted(
-            {*batch, *(j for b in self.pending.values() for j in b)}
-        )
+        unfinished = sorted({j, *self.pending.values()})
         self.pending.clear()
         self.started.clear()
         for k in unfinished:
             self.crashes[k] += 1
-        self.todo.extendleft([k] for k in reversed(unfinished))
+        self.todo.extendleft(reversed(unfinished))
         logger.warning(
             "process pool broke (%s); rebuilding and resubmitting %d "
             "unfinished specs (completed outcomes are preserved)",

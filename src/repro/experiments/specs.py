@@ -396,10 +396,6 @@ class RunSpec:
     seed: int = 0  # failure-model seed (fixed across load points of a sweep)
     label: str = ""
     faults: FaultSpec = field(default_factory=FaultSpec)
-    #: Keep the per-attempt trace when this spec runs as a lane of a
-    #: same-trace batch.  Off by default: sweep points aggregate, so most
-    #: lanes skip the per-attempt records.
-    collect_attempts: bool = False
 
     @property
     def load(self) -> float:
@@ -415,10 +411,6 @@ class RunSpec:
             # Fault-free specs canonicalize exactly as before the ``faults``
             # field existed, so every pre-existing cache entry stays valid.
             doc.pop("faults")
-        if not self.collect_attempts:
-            # Same back-compat move as ``faults``: the default canonicalizes
-            # exactly as before the field existed.
-            doc.pop("collect_attempts")
         doc["estimator"]["kwargs"] = [list(kv) for kv in self.estimator.kwargs]
         doc["policy"]["kwargs"] = [list(kv) for kv in self.policy.kwargs]
         return doc
