@@ -4,9 +4,9 @@ A parameter sweep replays the *same* arrival stream through the scalar
 engine once per (estimator, policy, cluster, fault) configuration; at ~35k
 jobs/s the event loop — not the arrival decode — dominates, and every config
 pays it in full.  :func:`simulate_batch` amortizes the shared work: arrivals
-are decoded once into plain column lists that share their numbers with the
-trace's :class:`~repro.workload.job.Job` objects, per-ladder index columns
-and runtime-estimate columns are
+are decoded once into plain column lists (straight from a columnar trace's
+arrays, so no :class:`~repro.workload.job.Job` is built for them), per-ladder
+index columns and runtime-estimate columns are
 precomputed once per batch, the successive-approximation group state of all
 K lanes is seeded as ``(K, n_groups)`` NumPy matrices — including the
 arrival-estimate cache, computed by one masked-``np.where`` kernel
@@ -21,8 +21,9 @@ Two lane implementations sit behind one driver:
   injection / observer / timeline.  Queue entries are small mutable lists
   over row indices, allocation is a free-count list per capacity level with
   a precomputed fill-order table per (strategy, ladder index), completions
-  are raw heap tuples, and results are assembled after the run.  Estimation
-  takes one of three modes:
+  are raw heap tuples, and results are assembled after the run, their job
+  summaries left columnar (:class:`~repro.sim.records.LazySummaries`) until
+  someone reads one.  Estimation takes one of three modes:
 
   - :class:`~repro.core.baselines.NoEstimation` — the request, verbatim;
   - default-keyed :class:`~repro.core.successive.SuccessiveApproximation`
@@ -100,7 +101,7 @@ from repro.sim.engine import Simulation
 from repro.sim.failure import FailureModel
 from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
 from repro.sim.policies import EasyBackfilling, Fcfs, Policy, ShortestJobFirst
-from repro.sim.records import AttemptRecord, JobSummary, SimResult
+from repro.sim.records import AttemptRecord, LazySummaries, SimResult
 from repro.similarity.keys import by_user_app_reqmem
 from repro.util.rng import RngStream, as_generator
 from repro.workload.job import LazyJobs, Workload
@@ -213,15 +214,26 @@ class BatchConfig:
     workload: Optional[Workload] = None
 
 
+def _jobs_exist(workload: Workload) -> bool:
+    """Whether ``workload``'s :class:`Job` objects exist already: a job
+    list, or a columnar workload some consumer has materialized."""
+    jobs = workload.jobs
+    return not isinstance(jobs, LazyJobs) or jobs.materialized()
+
+
 class _SharedTrace:
     """The batch's shared arrival stream, decoded once per workload.
 
-    The hot columns are plain-Python lists read off the trace's ``Job``
-    objects (one ``itemgetter`` pass per column): they index faster than
-    NumPy scalars in the per-event loops, and they share their numbers with
-    the jobs instead of holding a second copy — results keep those numbers
-    alive through their summaries and attempt records.  The jobs are needed
-    anyway, for result assembly and engine lanes.
+    The hot columns are plain-Python lists: they index faster than NumPy
+    scalars in the per-event loops.  A columnar workload whose jobs do not
+    exist yet decodes them straight from its arrays with ``tolist()``,
+    which yields the doubles :meth:`JobColumns.to_jobs` would put in the
+    jobs, so inlined fast lanes never build a :class:`Job`.  A workload
+    whose jobs exist (a job list, or columns some earlier consumer already
+    materialized) decodes from the jobs, one ``itemgetter`` pass per
+    column, so the lists share their numbers instead of holding copies.
+    :attr:`jobs` is built on first use: only protocol lanes and engine
+    lanes ask for it.
 
     Per-ladder derived columns (the ``bisect_left`` index of every row's
     request, the per-group request indices, and the float→index memo the
@@ -231,38 +243,68 @@ class _SharedTrace:
     """
 
     __slots__ = (
-        "workload", "columns", "n", "jobs", "submit", "run_time", "procs",
+        "workload", "columns", "n", "_jobs", "submit", "run_time", "procs",
         "req_mem", "used_mem", "job_id", "float_typed", "_groups",
         "_group_first", "_group_keys", "_ladders", "_rte",
     )
 
     def __init__(self, workload: Workload) -> None:
         self.workload = workload
-        self.columns = workload.as_columns()
-        #: Row-aligned ``Job`` objects, in arrival order.
-        self.jobs: list = list(workload)
-        self.n = len(self.jobs)
-        jobs = self.jobs
-        self.job_id: List[int] = list(map(_itemgetter(0), jobs))
-        self.submit: List[float] = list(map(_itemgetter(1), jobs))
-        self.run_time: List[float] = list(map(_itemgetter(2), jobs))
-        self.procs: List[int] = list(map(_itemgetter(3), jobs))
-        self.req_mem: List[float] = list(map(_itemgetter(4), jobs))
-        self.used_mem: List[float] = list(map(_itemgetter(5), jobs))
-        # Columnar traces decode to floats.  A hand-built job list may hold
-        # ints, which the scalar engine carries into its results as ints
-        # while the fast lane's NumPy-seeded estimates are floats: such a
-        # trace runs every lane on the engine lane.
-        self.float_typed = isinstance(workload.jobs, LazyJobs) or all(
-            set(map(type, column)) <= {float}
-            for column in (self.submit, self.run_time, self.req_mem,
-                           self.used_mem)
-        )
+        self.columns = cols = workload.as_columns()
+        self.n = len(cols)
+        self._jobs: Optional[list] = None
+        if not _jobs_exist(workload):
+            self.job_id: List[int] = cols.job_id.tolist()
+            self.submit: List[float] = cols.submit_time.tolist()
+            self.run_time: List[float] = cols.run_time.tolist()
+            self.procs: List[int] = cols.procs.tolist()
+            self.req_mem: List[float] = cols.req_mem.tolist()
+            self.used_mem: List[float] = cols.used_mem.tolist()
+            self.float_typed = True
+        else:
+            # Kept for materialized columnar workloads too: decoding those
+            # from the arrays would hold a second copy of every float while
+            # the jobs are alive, which raised a repeated simulate() call's
+            # peak RSS by ~4% (single-run benchmark, 20k jobs).
+            jobs = self.jobs
+            self.job_id = list(map(_itemgetter(0), jobs))
+            self.submit = list(map(_itemgetter(1), jobs))
+            self.run_time = list(map(_itemgetter(2), jobs))
+            self.procs = list(map(_itemgetter(3), jobs))
+            self.req_mem = list(map(_itemgetter(4), jobs))
+            self.used_mem = list(map(_itemgetter(5), jobs))
+            # Columnar traces decode to floats.  A hand-built job list may
+            # hold ints, which the scalar engine carries into its results
+            # as ints while the fast lane's NumPy-seeded estimates are
+            # floats: such a trace runs every lane on the engine lane.
+            self.float_typed = isinstance(workload.jobs, LazyJobs) or all(
+                set(map(type, column)) <= {float}
+                for column in (self.submit, self.run_time, self.req_mem,
+                               self.used_mem)
+            )
         self._groups = None
         self._group_first = None
         self._group_keys = None
         self._ladders: Dict[tuple, dict] = {}
         self._rte = None
+
+    @property
+    def jobs(self) -> list:
+        """Row-aligned :class:`Job` objects, in arrival order (built on
+        first use: this materializes a columnar workload)."""
+        if self._jobs is None:
+            self._jobs = list(self.workload)
+        return self._jobs
+
+    def jobs_at(self, rows: List[int]) -> list:
+        """The :class:`Job` objects at ``rows``, without materializing a
+        columnar workload's whole job list."""
+        if not rows:
+            return []
+        if _jobs_exist(self.workload):
+            jobs = self.workload.jobs
+            return [jobs[i] for i in rows]
+        return self.columns.select(np.asarray(rows, dtype=np.intp)).to_jobs()
 
     def check_submit_times(self) -> None:
         """Refuse a non-finite arrival time with the scalar engine's error.
@@ -354,10 +396,14 @@ class _SharedTrace:
             self.group_info()
             first = self._group_first
             order = np.argsort(first, kind="stable")
-            jobs = self.jobs
-            keys = [
-                by_user_app_reqmem(jobs[row]) for row in first[order].tolist()
-            ]
+            rows = first[order]
+            cols = self.columns
+            # by_user_app_reqmem's (user_id, app_id, req_mem), off the
+            # columns: the same Python scalars the jobs would hold.
+            keys = list(zip(
+                cols.user_id[rows].tolist(), cols.app_id[rows].tolist(),
+                cols.req_mem[rows].tolist(),
+            ))
             self._group_keys = (order.tolist(), keys)
         return self._group_keys
 
@@ -460,9 +506,9 @@ class _FastLane:
     generic :meth:`_run_events` loop, which dispatches the scheduling pass
     through ``self.sched``.  All three share the same
     refresh/allocate/outcome blocks, inlined with the scalar float-op
-    order.  Attempt records and job summaries are assembled *after* the
-    run from accumulated scalars, so the per-event path allocates almost
-    nothing.
+    order.  Attempt records are assembled *after* the run from accumulated
+    scalars, and job summaries stay the per-row lists they were
+    accumulated in, so the per-event path allocates almost nothing.
 
     This class estimates with :class:`NoEstimation` or the inlined
     Algorithm 1; :class:`~repro.sim.protocol_lane.ProtocolLane` overrides
@@ -1589,7 +1635,6 @@ class _FastLane:
                 f"{len(self.queue)} jobs stranded in the queue at end of trace"
             )
         trace = self.trace
-        jobs = trace.jobs
         # Attempt records replace their raw tuples in place: one list, and
         # each freed 12-tuple's block is reused by its same-size record.
         attempts = self.raw_attempts
@@ -1597,44 +1642,43 @@ class _FastLane:
         make = AttemptRecord._make
         for k, raw in enumerate(attempts):
             attempts[k] = make(raw)
-        summaries: List[JobSummary] = []
-        append = summaries.append
-        make = JobSummary._make  # tuple.__new__ directly, no kwargs wrapper
-        submit = trace.submit
-        dead = self.dead
-        final_start = self.final_start
-        final_end = self.final_end
-        n_att = self.n_att
-        n_resfail = self.n_resfail
-        completed = self.completed
-        final_req = self.final_req
-        final_granted = self.final_granted
-        final_reduced = self.final_reduced
-        wasted_job = self.wasted_job
-        for i in range(trace.n):
-            if dead[i]:
-                continue
-            end = final_end[i]
-            if end is None:
-                raise RuntimeError(
-                    f"job {trace.job_id[i]} finished the trace incomplete"
-                )
-            # Positional JobSummary fields: job, first_submit, start_time,
-            # end_time, n_attempts, n_resource_failures, completed,
-            # final_requirement, final_granted, reduced, wasted_node_seconds.
-            append(make((
-                jobs[i], submit[i], final_start[i], end, n_att[i],
-                n_resfail[i], completed[i], final_req[i], final_granted[i],
-                final_reduced[i], wasted_job[i],
-            )))
-        # Rows are sorted by (submit_time, job_id) — the workload's invariant
-        # — so the summary order already matches the scalar engine's sort.
-        # The per-row lists are spent: free them before the write-back.
+        # The summaries stay columnar: the per-row lists, in JobSummary
+        # field order, go to a LazySummaries that builds the records only
+        # if someone reads one.  Rows are sorted by (submit_time, job_id) —
+        # the workload's invariant — so their order already matches the
+        # scalar engine's sort.  Rejected rows have no summary.
+        fields = (
+            self.final_start, self.final_end, self.n_att, self.n_resfail,
+            self.completed, self.final_req, self.final_granted,
+            self.final_reduced, self.wasted_job,
+        )
+        rejected = self.rejected_rows
+        rows = None
+        if rejected:
+            keep = np.ones(trace.n, dtype=bool)
+            keep[rejected] = False
+            rows = np.flatnonzero(keep)
+            kept = rows.tolist()
+            fields = tuple([column[i] for i in kept] for column in fields)
+        end = fields[1]
+        if None in end:
+            k = end.index(None)
+            row = k if rows is None else int(rows[k])
+            raise RuntimeError(
+                f"job {trace.job_id[row]} finished the trace incomplete"
+            )
+        t_first_submit = 0.0
+        if end:
+            t_first_submit = trace.submit[0 if rows is None else int(rows[0])]
+        summaries = LazySummaries(trace.workload, rows, *fields)
+        # The lane is done with its per-row lists (the summaries own them
+        # now) and with the bound scheduling pass, a lane -> method -> lane
+        # cycle.
         self.n_att = self.n_resfail = self.wasted_job = None
         self.final_start = self.final_end = self.final_req = None
         self.final_granted = self.final_reduced = None
         self.completed = self.dead = None
-        self.sched = None  # the bound pass: a lane -> method -> lane cycle
+        self.sched = None
         self._write_back()
         return SimResult(
             workload_name=trace.workload.name,
@@ -1644,8 +1688,8 @@ class _FastLane:
             total_nodes=self.cluster.total_nodes,
             attempts=attempts,
             summaries=summaries,
-            rejected_jobs=[jobs[i] for i in self.rejected_rows],
-            t_first_submit=summaries[0].first_submit if summaries else 0.0,
+            rejected_jobs=trace.jobs_at(rejected),
+            t_first_submit=t_first_submit,
             t_last_end=self.t_last_end,
             n_attempts=self.n_attempts,
             n_resource_failures=self.n_resource_failures,

@@ -3,18 +3,25 @@
 The simulator records one :class:`AttemptRecord` per execution attempt (a job
 that fails and is resubmitted produces several) and folds them into one
 :class:`JobSummary` per job at the end of the run.  :class:`SimResult` is the
-container every metric and experiment consumes.
+container every metric and experiment consumes.  The scalar engine builds its
+summaries eagerly; the batched fast lane hands over a :class:`LazySummaries`
+sequence that builds them only when someone reads one.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from operator import attrgetter as _attrgetter, eq as _eq
+from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.workload.job import Job
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workload.job import Workload
 
 
 def _canon(value) -> str:
@@ -85,8 +92,10 @@ class AttemptRecord(NamedTuple):
 class JobSummary(NamedTuple):
     """Outcome of one job across all its attempts.
 
-    A ``NamedTuple`` for the same reason as :class:`AttemptRecord`: one is
-    built per job when the result is assembled.
+    A ``NamedTuple`` for the same reason as :class:`AttemptRecord`.  The
+    scalar engine builds one per job when it assembles its result; a
+    fast-lane result builds them all on the first element access or
+    iteration of its :class:`LazySummaries`.
     """
 
     job: Job
@@ -148,9 +157,149 @@ class SummaryColumns(NamedTuple):
     procs: np.ndarray  # int64
 
 
+#: Field getters for the column builds.  A fast-lane job's first
+#: submission is its arrival time, ``Job.submit_time``.
+_JOB, _FIRST_SUBMIT, _END_TIME, _COMPLETED = map(
+    _attrgetter, ("job", "first_submit", "end_time", "completed")
+)
+_SUBMIT_TIME, _RUN_TIME, _PROCS = map(
+    _attrgetter, ("submit_time", "run_time", "procs")
+)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+class LazySummaries(_SequenceABC):
+    """A fast-lane result's :class:`JobSummary` sequence, built on demand.
+
+    Holds the lane's per-row outcome lists (one entry per summarized job,
+    in :class:`JobSummary` field order from ``start_time`` on), the
+    workload, and the workload rows the summaries describe (``None`` when
+    no job was rejected, so every row has one).  ``len()``, ``bool()``,
+    ``==`` against another lazy sequence and :meth:`columns` read those
+    lists and the workload's columns; the first element access or iteration
+    builds the exact list a scalar run holds, once, reading the workload's
+    :class:`Job` objects (a released columnar workload rebuilds them
+    bit-identically).  Pickles and deep-copies as that plain list.
+    """
+
+    __slots__ = ("_workload", "_rows", "_fields", "_list")
+
+    def __init__(
+        self, workload: "Workload", rows: Optional[np.ndarray], *fields: list
+    ) -> None:
+        self._workload = workload
+        self._rows = rows
+        #: start_time, end_time, n_attempts, n_resource_failures, completed,
+        #: final_requirement, final_granted, reduced, wasted_node_seconds.
+        self._fields: Tuple[list, ...] = fields
+        self._list: Optional[List[JobSummary]] = None
+
+    def built(self) -> bool:
+        """Whether the :class:`JobSummary` list exists yet."""
+        return self._list is not None
+
+    def _jobs(self) -> list:
+        jobs = self._workload.jobs
+        if self._rows is None:
+            return list(jobs)
+        return [jobs[i] for i in self._rows.tolist()]
+
+    def _build(self) -> Iterator[JobSummary]:
+        jobs = self._jobs()
+        return map(
+            JobSummary._make,
+            zip(jobs, map(_SUBMIT_TIME, jobs), *self._fields),
+        )
+
+    def _materialize(self) -> List[JobSummary]:
+        if self._list is None:
+            self._list = list(self._build())
+        return self._list
+
+    def columns(self) -> SummaryColumns:
+        """The :class:`SummaryColumns` the built list would give, read
+        off the lane's lists and the workload's columns (read-only views
+        where the workload's own arrays serve)."""
+        cols = self._workload.as_columns()
+        rows = self._rows
+        if rows is None:
+            first_submit = _read_only(cols.submit_time)
+            run_time = _read_only(cols.run_time)
+            procs = _read_only(cols.procs)
+        else:
+            first_submit = cols.submit_time[rows]
+            run_time = cols.run_time[rows]
+            procs = cols.procs[rows]
+        return SummaryColumns(
+            completed=np.array(self._fields[4], dtype=bool),
+            first_submit=first_submit,
+            end_time=np.array(self._fields[1], dtype=np.float64),
+            run_time=run_time,
+            procs=procs,
+        )
+
+    def n_completed(self) -> int:
+        return self._fields[4].count(True)
+
+    def __len__(self) -> int:
+        return len(self._fields[1])
+
+    def __bool__(self) -> bool:
+        return len(self) > 0
+
+    def __iter__(self) -> Iterator[JobSummary]:
+        return iter(self._materialize())
+
+    def __getitem__(self, index):
+        return self._materialize()[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LazySummaries):
+            return self._fields == other._fields and self._same_jobs(other)
+        if isinstance(other, list):
+            if self._list is not None:
+                return self._list == other
+            # Compared one summary at a time; nothing is kept.
+            return len(self) == len(other) and all(
+                map(_eq, self._build(), other)
+            )
+        return NotImplemented
+
+    def _same_jobs(self, other: "LazySummaries") -> bool:
+        rows, other_rows = self._rows, other._rows
+        same_rows = (rows is None and other_rows is None) or (
+            rows is not None and other_rows is not None
+            and np.array_equal(rows, other_rows)
+        )
+        if same_rows and self._workload is other._workload:
+            return True
+        return self._jobs() == other._jobs()
+
+    def __repr__(self) -> str:
+        state = "built" if self._list is not None else "lazy"
+        return f"LazySummaries({len(self)} jobs, {state})"
+
+    def __reduce__(self):
+        return (list, (self._materialize(),))
+
+
 @dataclass
 class SimResult:
-    """Everything a simulation run produced."""
+    """Everything a simulation run produced.
+
+    ``summaries`` is a plain list on the scalar engine, built when the run
+    ends.  A fast-lane result holds a :class:`LazySummaries` instead:
+    :attr:`n_jobs`, :attr:`n_completed`, :meth:`summary_columns` and the
+    metrics built on it read the lane's columns, and the
+    :class:`JobSummary` list is built on the first element access or
+    iteration (:meth:`fingerprint`, ``for s in result.summaries``).  Both
+    compare, fingerprint and pickle alike.
+    """
 
     workload_name: str
     cluster_name: str
@@ -158,7 +307,7 @@ class SimResult:
     policy_name: str
     total_nodes: int
     attempts: List[AttemptRecord]
-    summaries: List[JobSummary]
+    summaries: Sequence[JobSummary]
     rejected_jobs: List[Job]
     t_first_submit: float
     t_last_end: float
@@ -208,7 +357,10 @@ class SimResult:
 
     @property
     def n_completed(self) -> int:
-        return sum(1 for s in self.summaries if s.completed)
+        summaries = self.summaries
+        if isinstance(summaries, LazySummaries):
+            return summaries.n_completed()
+        return sum(1 for s in summaries if s.completed)
 
     @property
     def frac_reduced_submissions(self) -> float:
@@ -227,27 +379,32 @@ class SimResult:
     # ------------------------------------------------------------- arrays
     def summary_columns(self) -> SummaryColumns:
         """Columnar views over ``summaries`` (memoized — results are frozen
-        after the run, so the first call pays the only object pass)."""
+        after the run).  A lazy sequence supplies them from its columns; a
+        list pays one pass per column."""
         if self._summary_columns is None:
-            n = len(self.summaries)
-            completed = np.empty(n, dtype=bool)
-            first_submit = np.empty(n, dtype=np.float64)
-            end_time = np.empty(n, dtype=np.float64)
-            run_time = np.empty(n, dtype=np.float64)
-            procs = np.empty(n, dtype=np.int64)
-            for i, s in enumerate(self.summaries):
-                completed[i] = s.completed
-                first_submit[i] = s.first_submit
-                end_time[i] = s.end_time
-                run_time[i] = s.job.run_time
-                procs[i] = s.job.procs
-            self._summary_columns = SummaryColumns(
-                completed=completed,
-                first_submit=first_submit,
-                end_time=end_time,
-                run_time=run_time,
-                procs=procs,
-            )
+            summaries = self.summaries
+            if isinstance(summaries, LazySummaries):
+                self._summary_columns = summaries.columns()
+            else:
+                n = len(summaries)
+                jobs = list(map(_JOB, summaries))
+                self._summary_columns = SummaryColumns(
+                    completed=np.fromiter(
+                        map(_COMPLETED, summaries), dtype=bool, count=n
+                    ),
+                    first_submit=np.fromiter(
+                        map(_FIRST_SUBMIT, summaries), dtype=np.float64, count=n
+                    ),
+                    end_time=np.fromiter(
+                        map(_END_TIME, summaries), dtype=np.float64, count=n
+                    ),
+                    run_time=np.fromiter(
+                        map(_RUN_TIME, jobs), dtype=np.float64, count=n
+                    ),
+                    procs=np.fromiter(
+                        map(_PROCS, jobs), dtype=np.int64, count=n
+                    ),
+                )
         return self._summary_columns
 
     def slowdowns(self) -> np.ndarray:

@@ -924,14 +924,34 @@ def test_ineligible_config_takes_the_scalar_path(monkeypatch, workload):
 
 
 def test_trace_columns_share_the_jobs_numbers(workload):
-    """The decoded columns reuse the trace's Job numbers instead of holding
-    copies that every result would keep alive."""
-    trace = _SharedTrace(workload)
+    """Once a workload's jobs exist, the decoded columns reuse their
+    numbers instead of holding copies while the jobs are alive."""
     jobs = list(workload)
+    trace = _SharedTrace(workload)
     for column, field in (("submit", "submit_time"), ("run_time", "run_time"),
                           ("req_mem", "req_mem"), ("used_mem", "used_mem")):
         values = getattr(trace, column)
         assert all(v is getattr(job, field) for v, job in zip(values, jobs))
+
+
+def test_unmaterialized_trace_decodes_from_its_columns(workload):
+    """A columnar workload whose jobs do not exist yet decodes from its
+    arrays, to the same numbers its jobs would hold, and stays lazy until
+    a lane asks for the jobs."""
+    fresh = Workload.from_columns(workload.as_columns(), presorted=True)
+    trace = _SharedTrace(fresh)
+    assert not fresh.jobs.materialized() and trace.float_typed
+    reference = _SharedTrace(workload)
+    for column in ("job_id", "submit", "run_time", "procs", "req_mem",
+                   "used_mem"):
+        got, want = getattr(trace, column), getattr(reference, column)
+        assert list(map(type, got)) == list(map(type, want))
+        assert got == want, column
+    assert trace.group_keys() == reference.group_keys()
+    assert trace.jobs_at([3, 1]) == [workload.jobs[3], workload.jobs[1]]
+    assert not fresh.jobs.materialized()
+    assert trace.jobs == list(workload)
+    assert fresh.jobs.materialized()
 
 
 def test_int_typed_job_list_runs_on_the_engine_lane():
