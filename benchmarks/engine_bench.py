@@ -1,7 +1,7 @@
 """Engine throughput gate: measure jobs/s and sweep runs/s, fail on regression.
 
 Run via ``make engine-bench`` (or directly: ``PYTHONPATH=src python
-benchmarks/engine_bench.py``).  Two measurements:
+benchmarks/engine_bench.py``).  Measurements:
 
 * **single run** — the Figure 5 configuration (synthetic LANL-CM5-like
   trace at load 0.8, paper cluster, successive approximation, FCFS) on the
@@ -16,6 +16,12 @@ benchmarks/engine_bench.py``).  Two measurements:
   and (on multi-CPU hosts) through the process pool, reporting runs/s, the
   host CPU count, and the pool spin-up time separately from simulation
   time.
+
+* **simulate defaults** — the same configuration through
+  :func:`repro.sim.engine.simulate` with its defaults (the fast lane,
+  attempt records collected), as the library and CLI call it.  Reports the
+  median and quartiles of ``--rounds`` calls, and checks the last result's
+  fingerprint against its scalar twin (attempts collected too).  Not gated.
 
 * **batched** — the same configuration as K configs (varied estimator
   alphas) through one :func:`repro.sim.batch.simulate_batch` call,
@@ -42,6 +48,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.cluster import paper_cluster
 from repro.core import SuccessiveApproximation
 from repro.experiments.parallel import run_sweep
@@ -52,7 +60,7 @@ from repro.experiments.specs import (
     WorkloadSpec,
 )
 from repro.sim.batch import BatchConfig, simulate_batch
-from repro.sim.engine import Simulation
+from repro.sim.engine import Simulation, simulate
 from repro.workload import drop_full_machine_jobs, lanl_cm5_like, scale_load
 
 #: jobs/s recorded for the seed engine on the reference container, before
@@ -124,6 +132,40 @@ def bench_single_run(n_jobs: int, rounds: int, seed: int = 0) -> dict:
         "best_s": round(best, 4),
         "jobs_per_second": round(result.n_jobs / best, 1),
         "events_per_second": round(n_events / best, 1),
+    }
+
+
+def bench_simulate_defaults(n_jobs: int, rounds: int, seed: int = 0) -> dict:
+    """The single-run configuration through ``simulate()`` as the library
+    calls it: fast lane, attempt records collected (and left unbuilt, so
+    the timed calls never build one)."""
+    workload = scale_load(
+        drop_full_machine_jobs(lanl_cm5_like(n_jobs=n_jobs, seed=seed)), 0.8
+    )
+    cluster = paper_cluster(24.0)
+    times = []
+    result = None
+    for _ in range(rounds):
+        estimator = SuccessiveApproximation()  # fresh learned state per round
+        t0 = time.perf_counter()
+        result = simulate(workload, cluster, estimator, seed=seed)
+        times.append(time.perf_counter() - t0)
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    attempts_built = result.attempts.built()
+    twin = Simulation(
+        workload, cluster, SuccessiveApproximation(), seed=seed
+    ).run()
+    return {
+        "n_jobs": result.n_jobs,
+        "n_attempts": result.n_attempts,
+        "rounds": rounds,
+        "times_s": [round(t, 4) for t in times],
+        "median_s": round(median, 4),
+        "q1_s": round(q1, 4),
+        "q3_s": round(q3, 4),
+        "jobs_per_second": round(result.n_jobs / median, 1),
+        "attempts_built_by_run": attempts_built,
+        "bit_identical": result.fingerprint() == twin.fingerprint(),
     }
 
 
@@ -274,6 +316,7 @@ def main(argv=None) -> int:
 
     baseline = load_baseline()
     single = bench_single_run(args.jobs, args.rounds, args.seed)
+    defaults = bench_simulate_defaults(args.jobs, args.rounds, args.seed)
     batched = bench_batched(
         args.jobs, args.batch_k, args.rounds, args.seed,
         scalar_jobs_per_s=single["jobs_per_second"],
@@ -302,6 +345,7 @@ def main(argv=None) -> int:
         ),
         "host_cpus": os.cpu_count() or 1,
         "single_run": single,
+        "simulate_defaults": defaults,
         "batched": batched,
         "sweep": sweep,
         "baseline_jobs_per_second": baseline,
@@ -326,6 +370,12 @@ def main(argv=None) -> int:
         f"engine : {single['jobs_per_second']:,.0f} jobs/s "
         f"({single['events_per_second']:,.0f} events/s; best of "
         f"{single['rounds']} x {single['n_jobs']} jobs, {single['best_s']}s)"
+    )
+    print(
+        f"default: {defaults['jobs_per_second']:,.0f} jobs/s via simulate() "
+        f"(median {defaults['median_s']}s, quartiles {defaults['q1_s']}-"
+        f"{defaults['q3_s']}s over {defaults['rounds']} calls; "
+        f"bit-identical: {defaults['bit_identical']})"
     )
     print(
         f"batched: {batched['amortized_jobs_per_second']:,.0f} jobs/s "

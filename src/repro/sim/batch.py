@@ -21,9 +21,10 @@ Two lane implementations sit behind one driver:
   injection / observer / timeline.  Queue entries are small mutable lists
   over row indices, allocation is a free-count list per capacity level with
   a precomputed fill-order table per (strategy, ladder index), completions
-  are raw heap tuples, and results are assembled after the run, their job
-  summaries left columnar (:class:`~repro.sim.records.LazySummaries`) until
-  someone reads one.  Estimation takes one of three modes:
+  are raw heap tuples, and results are assembled after the run, their
+  attempt records left raw (:class:`~repro.sim.records.LazyAttempts`) and
+  their job summaries columnar (:class:`~repro.sim.records.LazySummaries`)
+  until someone reads one.  Estimation takes one of three modes:
 
   - :class:`~repro.core.baselines.NoEstimation` — the request, verbatim;
   - default-keyed :class:`~repro.core.successive.SuccessiveApproximation`
@@ -46,14 +47,14 @@ Two lane implementations sit behind one driver:
   bit-identical guarantee holds for the *whole* configuration space.
 
 Lanes run one after another, each built just before it runs, and share
-only read-only state: one decoded trace per workload and one ``(K, G)``
-seeding.  Each lane's own run loop
-preserves the scalar event order: internal events (completions, node
-faults/repairs) live on the lane's heap keyed ``(time, kind)`` exactly as
-the scalar heap orders them, and a heap event beats an arrival at the same
-instant iff its kind sorts before ``EventKind.ARRIVAL`` — the scalar
-tie-break.  Fast-lane heaps hold only completions (kind 0), so their
-arrival check reduces to ``heap[0][0] <= t_arrival``.
+only read-only state: one decoded trace and one ``(K, G)`` seeding.  Each
+lane's own run loop preserves the scalar event order: internal events
+(completions, node faults/repairs) live on the lane's heap keyed
+``(time, kind)`` exactly as the scalar heap orders them, and a heap event
+beats an arrival at the same instant iff its kind sorts before
+``EventKind.ARRIVAL`` — the scalar tie-break.  Fast-lane heaps hold only
+completions (kind 0), so their arrival check reduces to
+``heap[0][0] <= t_arrival``.
 
 :func:`simulate_batch` runs with the cyclic garbage collector paused.  The
 lanes allocate heap tuples, queue entries and result records fast, and
@@ -101,7 +102,7 @@ from repro.sim.engine import Simulation
 from repro.sim.failure import FailureModel
 from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
 from repro.sim.policies import EasyBackfilling, Fcfs, Policy, ShortestJobFirst
-from repro.sim.records import AttemptRecord, LazySummaries, SimResult
+from repro.sim.records import LazyAttempts, LazySummaries, SimResult
 from repro.similarity.keys import by_user_app_reqmem
 from repro.util.rng import RngStream, as_generator
 from repro.workload.job import LazyJobs, Workload
@@ -189,17 +190,15 @@ _os.register_at_fork(after_in_child=_gc_after_fork_in_child)
 @dataclass
 class BatchConfig:
     """One lane of a batched run: everything :func:`simulate` takes except
-    the (shared) workload.  ``record_timeline``/``observer`` force the lane
-    onto the engine path; the defaults keep it eligible for the fast lane.
+    the workload, which all lanes of a batch share.
+    ``record_timeline``/``observer`` force the lane onto the engine path;
+    the defaults keep it eligible for the fast lane.
 
     ``collect_attempts`` keeps the lane's per-attempt trace, as in
-    :func:`simulate`; sweeps that only aggregate turn it off per lane.
-
-    ``workload`` overrides the batch's shared workload for this lane — the
-    sweep executor uses it to stack *load points* of one base trace into a
-    single batch (load scaling changes only arrival times).  Lanes on the
-    same workload object share one decoded arrival stream; any workload is
-    accepted, the override does not have to be derived from the shared one.
+    :func:`simulate`; sweeps and the service, which only aggregate, turn it
+    off.  A fast lane keeps the trace as raw tuples, and its result's
+    ``attempts`` (a :class:`~repro.sim.records.LazyAttempts`) builds the
+    :class:`~repro.sim.records.AttemptRecord` list on first read.
     """
 
     cluster: Cluster
@@ -211,7 +210,6 @@ class BatchConfig:
     record_timeline: bool = False
     observer: Optional[SimObserver] = None
     collect_attempts: bool = True
-    workload: Optional[Workload] = None
 
 
 def _jobs_exist(workload: Workload) -> bool:
@@ -506,9 +504,11 @@ class _FastLane:
     generic :meth:`_run_events` loop, which dispatches the scheduling pass
     through ``self.sched``.  All three share the same
     refresh/allocate/outcome blocks, inlined with the scalar float-op
-    order.  Attempt records are assembled *after* the run from accumulated
-    scalars, and job summaries stay the per-row lists they were
-    accumulated in, so the per-event path allocates almost nothing.
+    order.  A completion appends one raw attempt tuple, its allocation the
+    unsorted ``(ladder index, take)`` pairs the lane filled, and job
+    summaries stay the per-row lists they were accumulated in: records of
+    either kind are built only when a reader asks, so the per-event path
+    allocates almost nothing.
 
     This class estimates with :class:`NoEstimation` or the inlined
     Algorithm 1; :class:`~repro.sim.protocol_lane.ProtocolLane` overrides
@@ -1164,11 +1164,10 @@ class _FastLane:
         reduced = requirement < self.c_req_mem[i]
         node_seconds = (now - start) * procs
         if self.collect:
-            levels = self.levels
             self.raw_attempts.append(
                 (self.c_job_id[i], attempt, enqueue_time, start, now, procs,
                  requirement, granted, succeeded, resource_related, reduced,
-                 tuple(sorted((levels[j], take) for j, take in counts)))
+                 tuple(counts))
             )
         if now > self.t_last_end:
             self.t_last_end = now
@@ -1344,10 +1343,7 @@ class _FastLane:
                     raw_attempts.append(
                         (c_job_id[i], attempt, enqueue_time, start, now,
                          procs, requirement, granted, succeeded,
-                         resource_related, reduced,
-                         tuple(sorted(
-                             (levels[j], take) for j, take in counts
-                         )))
+                         resource_related, reduced, tuple(counts))
                     )
                 if now > t_last_end:
                     t_last_end = now
@@ -1635,13 +1631,10 @@ class _FastLane:
                 f"{len(self.queue)} jobs stranded in the queue at end of trace"
             )
         trace = self.trace
-        # Attempt records replace their raw tuples in place: one list, and
-        # each freed 12-tuple's block is reused by its same-size record.
-        attempts = self.raw_attempts
+        # The attempts stay raw: a LazyAttempts turns them into records,
+        # in place, only if someone reads one.
+        attempts = LazyAttempts(self.raw_attempts, self.levels)
         self.raw_attempts = None
-        make = AttemptRecord._make
-        for k, raw in enumerate(attempts):
-            attempts[k] = make(raw)
         # The summaries stay columnar: the per-row lists, in JobSummary
         # field order, go to a LazySummaries that builds the records only
         # if someone reads one.  Rows are sorted by (submit_time, job_id) —
@@ -1859,10 +1852,8 @@ def simulate_batch(
     scalar :class:`~repro.sim.engine.Simulation` run with the same
     parameters, and leaves the lane's estimator in the state that run
     would.  The lanes behave as consecutive runs, so lanes sharing one
-    estimator see each other's learning in config order.
-    A config may carry its own ``workload`` — how several load-scaled
-    variants of one base trace stack into a single batch; lanes on the
-    same workload object share one decoded trace.
+    estimator see each other's learning in config order.  All lanes share
+    one decoded trace of ``workload``.
     Engine lanes reset their cluster when built and leave every node free
     when finished, so lanes may share one ``Cluster`` instance (the
     memoized ``ClusterSpec.materialize`` does this).  Fast lanes only read
@@ -1888,44 +1879,26 @@ def _run_batch(
     workload: Workload, configs: Sequence[BatchConfig]
 ) -> List[SimResult]:
     """:func:`simulate_batch`'s body, run with the collector paused."""
-    traces: Dict[int, _SharedTrace] = {}
-
-    def _trace_for(w: Workload) -> _SharedTrace:
-        shared = traces.get(id(w))
-        if shared is None:
-            traces[id(w)] = shared = _SharedTrace(w)
-        return shared
-
-    trace = _trace_for(workload)
-    lane_traces = [
-        _trace_for(config.workload) if config.workload is not None else trace
-        for config in configs
+    trace = _SharedTrace(workload)
+    kinds = [
+        fast_lane_eligible(config) and trace.float_typed for config in configs
+    ]
+    fast_successive = [
+        k for k, config in enumerate(configs)
+        if kinds[k] and _inlined_successive(config.estimator)
     ]
 
-    fast_successive: List[int] = []
-    kinds: List[bool] = []
-    for config, lane_trace in zip(configs, lane_traces):
-        fast = fast_lane_eligible(config) and lane_trace.float_typed
-        kinds.append(fast)
-        if fast and _inlined_successive(config.estimator):
-            fast_successive.append(len(kinds) - 1)
-
     # Vectorized (K, n_groups) seed for every successive fast lane at once:
-    # per shared trace, the group-state matrices plus, per distinct capacity
-    # ladder, the masked arrival-estimate kernel over the lanes on that
-    # ladder.
+    # the group-state matrices plus, per distinct capacity ladder, the
+    # masked arrival-estimate kernel over the lanes on that ladder.
     group_seeds: Dict[int, tuple] = {}
-    by_trace: Dict[int, List[int]] = {}
-    for k in fast_successive:
-        by_trace.setdefault(id(lane_traces[k]), []).append(k)
-    for trace_lanes in by_trace.values():
-        lane_trace = lane_traces[trace_lanes[0]]
+    if fast_successive:
         est_mat, alpha_mat, group_req = seed_group_arrays(
-            lane_trace, [configs[k].estimator.alpha for k in trace_lanes]
+            trace, [configs[k].estimator.alpha for k in fast_successive]
         )
         greq_list = group_req.tolist()
         by_ladder: Dict[tuple, List[Tuple[int, int]]] = {}
-        for row, k in enumerate(trace_lanes):
+        for row, k in enumerate(fast_successive):
             levels = configs[k].cluster.ladder.levels
             by_ladder.setdefault(levels, []).append((row, k))
         for levels, members in by_ladder.items():
@@ -1959,19 +1932,16 @@ def _run_batch(
                 estimator
             ):
                 lane = _FastLane(
-                    lane_traces[k], config, estimator, policy,
-                    group_seeds.get(k),
+                    trace, config, estimator, policy, group_seeds.get(k)
                 )
             else:
                 # Imported here: the protocol lane subclasses _FastLane, and
                 # a batch that needs no protocol lane never loads it.
                 from repro.sim.protocol_lane import ProtocolLane
 
-                lane = ProtocolLane(lane_traces[k], config, estimator, policy)
+                lane = ProtocolLane(trace, config, estimator, policy)
         else:
-            lane = _EngineLane(
-                lane_traces[k], config, config.estimator, config.policy
-            )
+            lane = _EngineLane(trace, config, config.estimator, config.policy)
         lane.run()
         results.append(lane.finish())
     return results

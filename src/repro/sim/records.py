@@ -4,8 +4,9 @@ The simulator records one :class:`AttemptRecord` per execution attempt (a job
 that fails and is resubmitted produces several) and folds them into one
 :class:`JobSummary` per job at the end of the run.  :class:`SimResult` is the
 container every metric and experiment consumes.  The scalar engine builds its
-summaries eagerly; the batched fast lane hands over a :class:`LazySummaries`
-sequence that builds them only when someone reads one.
+attempt records and summaries eagerly; the batched fast lane hands over a
+:class:`LazyAttempts` and a :class:`LazySummaries` sequence that build them
+only when someone reads one.
 """
 
 from __future__ import annotations
@@ -59,10 +60,12 @@ class TimelineSample(NamedTuple):
 class AttemptRecord(NamedTuple):
     """One execution attempt of one job.
 
-    A ``NamedTuple`` rather than a frozen dataclass: the engine materializes
-    one per attempt on the completion hot path, and tuple construction skips
-    the per-field ``object.__setattr__`` a frozen dataclass pays.  Field
-    access, equality and keyword construction are unchanged.
+    A ``NamedTuple`` rather than a frozen dataclass: the scalar engine
+    materializes one per attempt on the completion hot path, and tuple
+    construction skips the per-field ``object.__setattr__`` a frozen
+    dataclass pays.  Field access, equality and keyword construction are
+    unchanged.  A fast-lane result builds them all on the first element
+    access or iteration of its :class:`LazyAttempts`.
     """
 
     job_id: int
@@ -173,7 +176,72 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-class LazySummaries(_SequenceABC):
+class _LazySequence(_SequenceABC):
+    """A fast-lane record list, built on the first element access.
+
+    Subclasses hold the lane's raw per-record data and say how long the
+    list is (``__len__``) and how to make its records (:meth:`_build`, one
+    at a time, keeping none).  ``len()`` and ``bool()`` build nothing; the
+    first element access or iteration builds the list once
+    (:meth:`_make_list`) and keeps it.  ``==`` against a list compares one
+    record at a time and keeps nothing; against another lazy sequence of
+    the same class it asks :meth:`_same`.  Pickles and deep-copies as the
+    built list.
+    """
+
+    __slots__ = ("_list",)
+
+    #: What one record is, for ``repr``.
+    _noun: str
+
+    def built(self) -> bool:
+        """Whether the record list exists yet."""
+        return self._list is not None
+
+    def _build(self) -> Iterator:
+        raise NotImplementedError
+
+    def _make_list(self) -> list:
+        return list(self._build())
+
+    def _materialize(self) -> list:
+        if self._list is None:
+            self._list = self._make_list()
+        return self._list
+
+    def _same(self, other) -> bool:
+        raise NotImplementedError
+
+    def __bool__(self) -> bool:
+        return len(self) > 0
+
+    def __iter__(self) -> Iterator:
+        return iter(self._materialize())
+
+    def __getitem__(self, index):
+        return self._materialize()[index]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self._same(other)
+        if isinstance(other, list):
+            if self._list is not None:
+                return self._list == other
+            # Compared one record at a time; nothing is kept.
+            return len(self) == len(other) and all(
+                map(_eq, self._build(), other)
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        state = "built" if self._list is not None else "lazy"
+        return f"{type(self).__name__}({len(self)} {self._noun}, {state})"
+
+    def __reduce__(self):
+        return (list, (self._materialize(),))
+
+
+class LazySummaries(_LazySequence):
     """A fast-lane result's :class:`JobSummary` sequence, built on demand.
 
     Holds the lane's per-row outcome lists (one entry per summarized job,
@@ -187,7 +255,9 @@ class LazySummaries(_SequenceABC):
     bit-identically).  Pickles and deep-copies as that plain list.
     """
 
-    __slots__ = ("_workload", "_rows", "_fields", "_list")
+    __slots__ = ("_workload", "_rows", "_fields")
+
+    _noun = "jobs"
 
     def __init__(
         self, workload: "Workload", rows: Optional[np.ndarray], *fields: list
@@ -198,10 +268,6 @@ class LazySummaries(_SequenceABC):
         #: final_requirement, final_granted, reduced, wasted_node_seconds.
         self._fields: Tuple[list, ...] = fields
         self._list: Optional[List[JobSummary]] = None
-
-    def built(self) -> bool:
-        """Whether the :class:`JobSummary` list exists yet."""
-        return self._list is not None
 
     def _jobs(self) -> list:
         jobs = self._workload.jobs
@@ -215,11 +281,6 @@ class LazySummaries(_SequenceABC):
             JobSummary._make,
             zip(jobs, map(_SUBMIT_TIME, jobs), *self._fields),
         )
-
-    def _materialize(self) -> List[JobSummary]:
-        if self._list is None:
-            self._list = list(self._build())
-        return self._list
 
     def columns(self) -> SummaryColumns:
         """The :class:`SummaryColumns` the built list would give, read
@@ -249,26 +310,8 @@ class LazySummaries(_SequenceABC):
     def __len__(self) -> int:
         return len(self._fields[1])
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __iter__(self) -> Iterator[JobSummary]:
-        return iter(self._materialize())
-
-    def __getitem__(self, index):
-        return self._materialize()[index]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LazySummaries):
-            return self._fields == other._fields and self._same_jobs(other)
-        if isinstance(other, list):
-            if self._list is not None:
-                return self._list == other
-            # Compared one summary at a time; nothing is kept.
-            return len(self) == len(other) and all(
-                map(_eq, self._build(), other)
-            )
-        return NotImplemented
+    def _same(self, other: "LazySummaries") -> bool:
+        return self._fields == other._fields and self._same_jobs(other)
 
     def _same_jobs(self, other: "LazySummaries") -> bool:
         rows, other_rows = self._rows, other._rows
@@ -280,25 +323,82 @@ class LazySummaries(_SequenceABC):
             return True
         return self._jobs() == other._jobs()
 
-    def __repr__(self) -> str:
-        state = "built" if self._list is not None else "lazy"
-        return f"LazySummaries({len(self)} jobs, {state})"
 
-    def __reduce__(self):
-        return (list, (self._materialize(),))
+def _attempt_record(raw: tuple, levels: Tuple[float, ...]) -> AttemptRecord:
+    """The :class:`AttemptRecord` of one raw fast-lane attempt: its first
+    eleven fields verbatim, its ``(ladder index, take)`` pairs mapped to
+    ``(level, take)`` and sorted by level, as the scalar engine records
+    them."""
+    return AttemptRecord._make(
+        raw[:11] + (tuple(sorted([(levels[j], take) for j, take in raw[11]])),)
+    )
+
+
+class LazyAttempts(_LazySequence):
+    """A fast-lane result's :class:`AttemptRecord` sequence, built on demand.
+
+    Holds the lane's raw attempt tuples, in completion order: the eleven
+    leading :class:`AttemptRecord` fields, then the allocation as the lane
+    filled it, ``(ladder index, take)`` pairs in fill order, plus the
+    capacity ladder those indices point into.  ``len()`` and ``bool()``
+    read the raw list.  The first element access or iteration converts
+    every raw tuple in place into the exact record a scalar run holds, so
+    the raw and the built list are one list and never exist side by side.
+    Pickles and deep-copies as the built list.
+    """
+
+    __slots__ = ("_raw", "_levels")
+
+    _noun = "attempts"
+
+    def __init__(self, raw: list, levels: Tuple[float, ...]) -> None:
+        self._raw = raw
+        self._levels = levels
+        self._list: Optional[List[AttemptRecord]] = None
+
+    def _build(self) -> Iterator[AttemptRecord]:
+        levels = self._levels
+        return (_attempt_record(raw, levels) for raw in self._raw)
+
+    def _make_list(self) -> List[AttemptRecord]:
+        raw, levels = self._raw, self._levels
+        for k, item in enumerate(raw):
+            raw[k] = _attempt_record(item, levels)
+        return raw
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+    def _records(self) -> Iterator[AttemptRecord]:
+        return iter(self._list) if self._list is not None else self._build()
+
+    def _same(self, other: "LazyAttempts") -> bool:
+        # Identical raw tuples on one ladder build identical records; raw
+        # tuples that differ only in fill order build equal ones.
+        if (
+            self._list is None and other._list is None
+            and self._levels == other._levels and self._raw == other._raw
+        ):
+            return True
+        return len(self) == len(other) and all(
+            map(_eq, self._records(), other._records())
+        )
 
 
 @dataclass
 class SimResult:
     """Everything a simulation run produced.
 
-    ``summaries`` is a plain list on the scalar engine, built when the run
-    ends.  A fast-lane result holds a :class:`LazySummaries` instead:
+    ``attempts`` and ``summaries`` are plain lists on the scalar engine,
+    built as the run goes and when it ends.  A fast-lane result holds a
+    :class:`LazyAttempts` and a :class:`LazySummaries` instead.
     :attr:`n_jobs`, :attr:`n_completed`, :meth:`summary_columns` and the
-    metrics built on it read the lane's columns, and the
-    :class:`JobSummary` list is built on the first element access or
-    iteration (:meth:`fingerprint`, ``for s in result.summaries``).  Both
-    compare, fingerprint and pickle alike.
+    metrics built on it read the lane's columns, and ``len()``/``bool()``
+    of either sequence read the lane's lists.  The :class:`AttemptRecord`
+    and :class:`JobSummary` lists are built on the first element access or
+    iteration (:meth:`fingerprint`, ``for s in result.summaries``,
+    :func:`repro.sim.analysis.tier_utilization`).  Both kinds compare,
+    fingerprint and pickle alike.
     """
 
     workload_name: str
@@ -306,7 +406,7 @@ class SimResult:
     estimator_name: str
     policy_name: str
     total_nodes: int
-    attempts: List[AttemptRecord]
+    attempts: Sequence[AttemptRecord]
     summaries: Sequence[JobSummary]
     rejected_jobs: List[Job]
     t_first_submit: float

@@ -867,20 +867,21 @@ def test_retry_floor_left_by_an_earlier_run_applies_on_the_fast_lane():
 def test_consecutive_runs_continue_like_the_scalar_engine(
     traces, case, one_batch
 ):
-    """One successive estimator through consecutive runs over generated
-    traces (whose job ids overlap) — as separate simulate() calls, or as
-    one batch whose lanes share the estimator — equals the same runs on
-    the scalar engine, result by result, and ends in the same learned
-    state, retry floors included."""
+    """One successive estimator through consecutive runs — as separate
+    simulate() calls over generated traces (whose job ids overlap), or as
+    one batch over the first trace whose lanes share the estimator —
+    equals the same runs on the scalar engine, result by result, and ends
+    in the same learned state, retry floors included."""
     policy, strategy, est, seed, spurious = case
     fast_est = _diff_estimator(est or {})
     scalar_est = _diff_estimator(est or {})
     if one_batch:
+        traces = [traces[0]] * len(traces)
         fast = simulate_batch(traces[0], [
             BatchConfig(cluster=_diff_cluster(strategy), estimator=fast_est,
                         policy=policy(), seed=seed + k,
-                        spurious_failure_prob=spurious, workload=trace)
-            for k, trace in enumerate(traces)
+                        spurious_failure_prob=spurious)
+            for k in range(len(traces))
         ])
     else:
         fast = [
