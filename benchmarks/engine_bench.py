@@ -35,8 +35,7 @@ ratchets with the recorded history instead of a hardcoded source constant;
 ``--rebaseline`` re-pins it to this run's measurement.  The script exits
 non-zero if single-run throughput drops more than 10% below the baseline,
 if the batched speedup at K=8 falls under 4.5x, or if the batched lane
-stops being bit-identical to the scalar engine.  ``--k-sweep`` additionally
-records the amortized width profile at K in {1, 2, 4, 8, 16}.
+stops being bit-identical to the scalar engine.
 """
 
 from __future__ import annotations
@@ -80,8 +79,8 @@ BATCHED_SPEEDUP_FLOOR = 4.5
 #: varied so the lanes genuinely diverge (different estimates, schedules,
 #: and failure patterns) instead of replaying one trajectory K times.
 #: Lane 0 keeps the estimator default (2.0) so it has an exact scalar twin
-#: for the bit-identity check.  16 values so ``--k-sweep`` reaches K=16
-#: without recycling a lane configuration.
+#: for the bit-identity check.  16 values so ``--batch-k`` up to 16 never
+#: recycles a lane configuration.
 BATCHED_ALPHAS = (
     2.0, 1.5, 2.5, 3.0, 1.75, 2.25, 2.75, 4.0,
     1.25, 3.5, 1.6, 2.4, 3.25, 1.9, 2.1, 3.75,
@@ -224,28 +223,6 @@ def bench_batched(
     }
 
 
-#: Lane counts measured by ``--k-sweep``.
-K_SWEEP_POINTS = (1, 2, 4, 8, 16)
-
-
-def bench_k_sweep(
-    n_jobs: int, rounds: int, seed: int = 0,
-    scalar_jobs_per_s: float = 0.0,
-) -> list:
-    """Amortized batched throughput across the ``K_SWEEP_POINTS`` widths.
-
-    One :func:`bench_batched` block per K — each point keeps its own
-    bit-identity check, so the sweep doubles as a widened-lane smoke test
-    at every width.
-    """
-    return [
-        bench_batched(
-            n_jobs, k, rounds, seed, scalar_jobs_per_s=scalar_jobs_per_s
-        )
-        for k in K_SWEEP_POINTS
-    ]
-
-
 def bench_sweep(n_jobs: int, seed: int = 0) -> dict:
     mems = (16.0, 24.0, 32.0)
     specs = [
@@ -295,11 +272,6 @@ def main(argv=None) -> int:
         help="lane count for the batched measurement (default 8)",
     )
     parser.add_argument(
-        "--k-sweep", action="store_true",
-        help="also record amortized throughput at K in "
-        f"{K_SWEEP_POINTS} (each width bit-identity checked)",
-    )
-    parser.add_argument(
         "--rebaseline", action="store_true",
         help="re-pin the regression baseline to this run's jobs/s",
     )
@@ -321,12 +293,6 @@ def main(argv=None) -> int:
         args.jobs, args.batch_k, args.rounds, args.seed,
         scalar_jobs_per_s=single["jobs_per_second"],
     )
-    k_sweep = None
-    if args.k_sweep:
-        k_sweep = bench_k_sweep(
-            args.jobs, args.rounds, args.seed,
-            scalar_jobs_per_s=single["jobs_per_second"],
-        )
     sweep = bench_sweep(args.sweep_jobs, args.seed)
 
     if args.rebaseline:
@@ -354,15 +320,6 @@ def main(argv=None) -> int:
         "gated": gated,
         "passed": (not gated) or (single_ok and batched_ok),
     }
-    if k_sweep is None:
-        # Not re-measured this run: carry the last recorded K sweep forward
-        # so the file keeps its width profile between --k-sweep runs.
-        try:
-            k_sweep = json.loads(RESULTS_PATH.read_text()).get("k_sweep")
-        except (OSError, ValueError):
-            k_sweep = None
-    if k_sweep is not None:
-        doc["k_sweep"] = k_sweep
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -383,11 +340,6 @@ def main(argv=None) -> int:
         f"({batched['speedup_vs_single_run']}x vs single run; "
         f"bit-identical: {batched['bit_identical']})"
     )
-    if args.k_sweep:
-        profile = ", ".join(
-            f"K={p['k']}: {p['speedup_vs_single_run']}x" for p in k_sweep
-        )
-        print(f"k-sweep: {profile}")
     print(
         f"sweep  : {sweep['serial_runs_per_second']:.2f} runs/s serial"
         + (

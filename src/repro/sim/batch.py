@@ -5,14 +5,11 @@ engine once per (estimator, policy, cluster, fault) configuration; at ~35k
 jobs/s the event loop — not the arrival decode — dominates, and every config
 pays it in full.  :func:`simulate_batch` amortizes the shared work: arrivals
 are decoded once into plain column lists (straight from a columnar trace's
-arrays, so no :class:`~repro.workload.job.Job` is built for them), per-ladder
-index columns and runtime-estimate columns are
-precomputed once per batch, the successive-approximation group state of all
-K lanes is seeded as ``(K, n_groups)`` NumPy matrices — including the
-arrival-estimate cache, computed by one masked-``np.where`` kernel
-(:func:`seed_arrival_caches`) instead of K×G scalar ladder walks — and each
-config keeps array-backed queue/cluster/estimator-group state instead of
-the scalar engine's per-event object graph.
+arrays, so no :class:`~repro.workload.job.Job` is built for them), the
+similarity groups, per-ladder index columns and runtime-estimate columns
+are resolved once per batch, and each config keeps array-backed
+queue/cluster/estimator-group state instead of the scalar engine's
+per-event object graph.
 
 Two lane implementations sit behind one driver:
 
@@ -30,10 +27,12 @@ Two lane implementations sit behind one driver:
   - default-keyed :class:`~repro.core.successive.SuccessiveApproximation`
     without trajectory recording — Algorithm 1 inlined with the exact
     float-op order of the scalar code, its arrival-time estimates served
-    from a per-group cache memoized on the group's observe-version (seeded
-    for all lanes at once by the vectorized ``(K, G)`` kernel), and the
-    learned group state written back into the caller's estimator when the
-    lane finishes;
+    from a per-group cache memoized on the group's observe-version, and
+    the learned group state written back into the caller's estimator when
+    the lane finishes.  A lane seeds its groups in closed form
+    (:func:`seed_group_arrays`, :func:`seed_arrival_caches`): Algorithm 1
+    opens a group with ``E_i = R``, so a fresh group's first estimate is
+    its request and it never probes;
   - **protocol mode** (:mod:`repro.sim.protocol_lane`) — every other
     estimator, driven through its public ``estimate``/``estimate_version``/
     ``observe`` methods with the arguments and in the order the scalar
@@ -47,7 +46,7 @@ Two lane implementations sit behind one driver:
   bit-identical guarantee holds for the *whole* configuration space.
 
 Lanes run one after another, each built just before it runs, and share
-only read-only state: one decoded trace and one ``(K, G)`` seeding.  Each
+only read-only state: one decoded trace and its group resolution.  Each
 lane's own run loop preserves the scalar event order: internal events
 (completions, node faults/repairs) live on the lane's heap keyed
 ``(time, kind)`` exactly as the scalar heap orders them, and a heap event
@@ -273,8 +272,9 @@ class _SharedTrace:
             self.used_mem = list(map(_itemgetter(5), jobs))
             # Columnar traces decode to floats.  A hand-built job list may
             # hold ints, which the scalar engine carries into its results
-            # as ints while the fast lane's NumPy-seeded estimates are
-            # floats: such a trace runs every lane on the engine lane.
+            # as ints while the fast lane seeds its estimates from a
+            # float64 group-request array: such a trace runs every lane on
+            # the engine lane.
             self.float_typed = isinstance(workload.jobs, LazyJobs) or all(
                 set(map(type, column)) <= {float}
                 for column in (self.submit, self.run_time, self.req_mem,
@@ -407,88 +407,51 @@ class _SharedTrace:
 
 
 def seed_group_arrays(
-    trace: _SharedTrace, alphas: Sequence[float]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seed Algorithm 1's group state for K lanes as ``(K, n_groups)`` arrays.
+    trace: _SharedTrace, alpha: float
+) -> Tuple[List[float], List[float], List[float]]:
+    """Seed one lane's Algorithm 1 group state in closed form.
 
     Lines 3-4 of Algorithm 1 open each group with ``E_i = R`` and
     ``alpha_i = alpha``; pre-seeding every group (rather than lazily on
     first member) is observationally identical since an untouched group's
-    state equals its seed.  Returns ``(estimate, alpha, group_req)`` where
-    the first two are ``(K, G)`` float64 matrices and ``group_req`` is the
-    shared ``(G,)`` request vector.
+    state equals its seed.  Returns ``(estimate, alpha, group_req)`` as
+    per-group lists.  ``alpha`` is kept verbatim, as ``GroupState`` keeps
+    it: an int ``alpha`` stays an int.
     """
-    _, group_req = trace.group_info()
-    n_groups = group_req.shape[0]
-    k = len(alphas)
-    estimate = np.tile(group_req, (k, 1))
-    alpha = np.repeat(
-        np.asarray(alphas, dtype=np.float64)[:, None], n_groups, axis=1
-    ) if n_groups else np.empty((k, 0), dtype=np.float64)
-    return estimate, alpha, group_req
+    greq = trace.group_info()[1].tolist()
+    return list(greq), [alpha] * len(greq), greq
 
 
 def seed_arrival_caches(
-    estimate: np.ndarray,
-    group_req: np.ndarray,
-    levels: Sequence[float],
-    serial_probing: Sequence[bool],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Masked-NumPy arrival-estimate kernel over the ``(K, G)`` state.
+    group_req: List[float], group_req_idx: List[int]
+) -> Tuple[List[float], List[int], List[float], List[int]]:
+    """The arrival-estimate cache of freshly opened groups.
 
-    Computes, for every (lane, group) cell at once, what the scalar
-    ``SuccessiveApproximation.estimate`` returns for a *first* submission
-    (attempt 0, so no per-job retry floor): the ladder round-up of the
-    group's running estimate clamped to the request, plus the serial-probing
-    decision inputs.  Pure ``searchsorted``/compare/``where`` selects of the
-    original float64 values — no arithmetic — so every cell is bit-identical
-    to the scalar walk.
+    Each cell holds what the scalar ``SuccessiveApproximation.estimate``
+    returns for a *first* submission (attempt 0, so no per-job retry
+    floor), plus the serial-probing decision inputs.  A fresh group's
+    estimate is its request, so the estimate is the request itself (the
+    ladder round-up, clamped to the request) and the group does not probe
+    (it probes only while its estimate is below its safe value, which is
+    the request until the group's first success).
 
-    Returns ``(val, vidx, preq, pidx)``, each ``(K, G)``:
+    Returns ``(val, vidx, preq, pidx)``, one entry per group:
 
-    * ``val``/``vidx`` — the estimate a probing (or non-probing) arrival
-      gets, and its ladder index;
+    * ``val``/``vidx`` — the estimate an arrival gets, and its ladder
+      index;
     * ``preq`` — the safe fallback requirement when the group's probe slot
       is already held by another job, or ``-1.0`` where the probe branch
       does not apply (then ``val`` is unconditional);
     * ``pidx`` — ``preq``'s ladder index (0 where unused).
 
     Group state mutates only under ``observe`` (which bumps the group's
-    version), so each row seeds a per-lane cache memoized on that version;
-    lanes refill single cells scalar-side as versions move.  Called at
-    batch start this vectorizes K×G ladder walks into four array ops —
-    per-event updates stay scalar because exactly one (lane, group) cell
-    changes per completion, where a masked (K, G) pass would cost more than
-    it saves.
+    version), so the lane memoizes each cell on that version and refills
+    it scalar-side as versions move.
     """
-    levels_arr = np.asarray(levels, dtype=np.float64)
-    nlev = levels_arr.shape[0]
-    req = np.asarray(group_req, dtype=np.float64)  # (G,)
-    est = np.asarray(estimate, dtype=np.float64)  # (K, G)
-    probing = np.asarray(serial_probing, dtype=bool).reshape(-1, 1)  # (K, 1)
-    padded = np.append(levels_arr, np.inf)
-
-    rqi = np.searchsorted(levels_arr, req, side="left")  # (G,)
-    idx = np.searchsorted(levels_arr, est, side="left")  # (K, G)
-    overflow = idx == nlev  # round_up(estimate) is None -> request
-    rounded = padded[idx]
-    below = (rounded < req) & ~overflow
-    val = np.where(below, rounded, req)
-    vidx = np.where(below, idx, rqi)
-
-    # Serial probing: only a lane whose estimate dropped below the group's
-    # safe value (== the request while nothing succeeded reduced) rides the
-    # single probe slot; everyone else gets the safe requirement.
-    s_over = rqi == nlev
-    safe_req = np.where(s_over | (padded[rqi] > req), req, padded[rqi])  # (G,)
-    needs = probing & (est < req) & (val < safe_req) & ~overflow
-    preq = np.where(needs, safe_req, -1.0)
-    pidx = np.where(needs, rqi, 0)
+    n_groups = len(group_req)
     return (
-        val,
-        vidx.astype(np.int64),
-        preq,
-        pidx.astype(np.int64),
+        list(group_req), list(group_req_idx),
+        [-1.0] * n_groups, [0] * n_groups,
     )
 
 
@@ -497,7 +460,7 @@ class _FastLane:
     engine.
 
     Hot state is plain lists (free counts per level, per-row counters,
-    group-state rows handed down from the ``(K, G)`` seed matrices); queue
+    per-group Algorithm 1 state seeded in closed form); queue
     entries are mutable ``[row, attempt, requirement, enqueue_time,
     req_version, req_idx]`` lists; completions are raw heap tuples.  FCFS
     runs the inlined :meth:`_run_fcfs` driver; SJF and backfilling run the
@@ -542,7 +505,6 @@ class _FastLane:
         config: BatchConfig,
         estimator: Estimator,
         policy: Policy,
-        group_seed: Optional[tuple] = None,
     ) -> None:
         self.trace = trace
         self.cluster = config.cluster
@@ -617,7 +579,7 @@ class _FastLane:
             )
             self.c_rte = trace.runtime_estimates()
 
-        self._setup_estimator(estimator, group_seed)
+        self._setup_estimator(estimator)
 
         n = trace.n
         self.n_att = [0] * n
@@ -641,26 +603,23 @@ class _FastLane:
         self.wasted = 0.0
         self.t_last_end = 0.0
 
-    def _setup_estimator(
-        self, estimator: Estimator, group_seed: Optional[tuple]
-    ) -> None:
+    def _setup_estimator(self, estimator: Estimator) -> None:
         """Estimator state for the none and inlined Algorithm 1 modes:
-        the successive lanes' group rows come from the ``(K, G)`` seed."""
+        the successive lanes' group rows start from the closed-form seed
+        of freshly opened groups."""
         self.mode_none = type(estimator) is NoEstimation
         self.refresh = not self.mode_none
         self.cache_on = False
         if self.mode_none:
             self.gid = None
             return
-        trace = self.trace
-        gid, _ = trace.group_info()
-        self.gid = gid
-        (est_row, alpha_row, greq, cache_val, cache_vidx, cache_preq,
-         cache_pidx) = group_seed
-        self.gest: List[float] = est_row.tolist()
-        self.galpha: List[float] = alpha_row.tolist()
-        self.greq: List[float] = greq
-        self.greq_idx: List[int] = trace.group_req_indices(self.levels)
+        # Seeding comes first, so the similarity-group resolution it
+        # triggers on a fresh trace is timed as part of seeding.
+        self.gest, self.galpha, self.greq = seed_group_arrays(
+            self.trace, estimator.alpha
+        )
+        self.gid = self.trace.group_info()[0]
+        self.greq_idx: List[int] = self.trace.group_req_indices(self.levels)
         n_groups = len(self.greq)
         self.glast_safe: List[Optional[float]] = [None] * n_groups
         self.gprobe: List[Optional[Tuple[int, int]]] = [None] * n_groups
@@ -682,10 +641,8 @@ class _FastLane:
         # an earlier run left in the estimator could apply.
         self.cache_on = self.max_reduced > 0 and not self.failed_at
         self.gc_ver = [0] * n_groups
-        self.gc_val: List[float] = cache_val.tolist()
-        self.gc_vidx: List[int] = cache_vidx.tolist()
-        self.gc_preq: List[float] = cache_preq.tolist()
-        self.gc_pidx: List[int] = cache_pidx.tolist()
+        (self.gc_val, self.gc_vidx, self.gc_preq,
+         self.gc_pidx) = seed_arrival_caches(self.greq, self.greq_idx)
         if estimator._groups:
             self._resume(estimator._groups)
 
@@ -1833,7 +1790,7 @@ def fast_lane_eligible(config: BatchConfig) -> bool:
 def _inlined_successive(estimator: Optional[Estimator]) -> bool:
     """Whether a fast lane runs ``estimator`` on its inlined Algorithm 1
     path: a default-keyed :class:`SuccessiveApproximation` that records no
-    trajectories.  Only these lanes take the ``(K, G)`` seeding and the
+    trajectories.  Only these lanes seed the per-group state and the
     arrival-estimate cache; any other estimator but :class:`NoEstimation`
     runs in protocol mode."""
     return (
@@ -1860,8 +1817,8 @@ def simulate_batch(
     the cluster's inventory.
 
     The cyclic garbage collector is paused for the whole call: trace
-    decode, ``(K, G)`` seeding, and every lane's build, run and result
-    build (see the module docstring for why).  Calls from several threads
+    decode, and every lane's seeding, build, run and result build (see
+    the module docstring for why).  Calls from several threads
     at once (the service runs sweeps side by side) share one pause; the
     last one out, returning or raising, leaves the collector as the first
     one in found it, so a caller that turned it off keeps it off.  A child
@@ -1880,41 +1837,6 @@ def _run_batch(
 ) -> List[SimResult]:
     """:func:`simulate_batch`'s body, run with the collector paused."""
     trace = _SharedTrace(workload)
-    kinds = [
-        fast_lane_eligible(config) and trace.float_typed for config in configs
-    ]
-    fast_successive = [
-        k for k, config in enumerate(configs)
-        if kinds[k] and _inlined_successive(config.estimator)
-    ]
-
-    # Vectorized (K, n_groups) seed for every successive fast lane at once:
-    # the group-state matrices plus, per distinct capacity ladder, the
-    # masked arrival-estimate kernel over the lanes on that ladder.
-    group_seeds: Dict[int, tuple] = {}
-    if fast_successive:
-        est_mat, alpha_mat, group_req = seed_group_arrays(
-            trace, [configs[k].estimator.alpha for k in fast_successive]
-        )
-        greq_list = group_req.tolist()
-        by_ladder: Dict[tuple, List[Tuple[int, int]]] = {}
-        for row, k in enumerate(fast_successive):
-            levels = configs[k].cluster.ladder.levels
-            by_ladder.setdefault(levels, []).append((row, k))
-        for levels, members in by_ladder.items():
-            rows = [row for row, _ in members]
-            probing = [
-                configs[k].estimator.serial_probing for _, k in members
-            ]
-            val, vidx, preq, pidx = seed_arrival_caches(
-                est_mat[rows], group_req, levels, probing
-            )
-            for out_row, (row, k) in enumerate(members):
-                group_seeds[k] = (
-                    est_mat[row], alpha_mat[row], greq_list,
-                    val[out_row], vidx[out_row],
-                    preq[out_row], pidx[out_row],
-                )
 
     # Lanes run one after another, each built just before it runs: a lane
     # whose estimator an earlier lane of the batch trained continues from
@@ -1922,18 +1844,16 @@ def _run_batch(
     # enforces the scalar per-lane event order (internal events before
     # same-instant arrivals iff their kind sorts first).
     results = []
-    for k, config in enumerate(configs):
+    for config in configs:
         estimator = config.estimator
-        if kinds[k]:
+        if fast_lane_eligible(config) and trace.float_typed:
             policy = config.policy if config.policy is not None else Fcfs()
             if estimator is None:
                 estimator = NoEstimation()
             if type(estimator) is NoEstimation or _inlined_successive(
                 estimator
             ):
-                lane = _FastLane(
-                    trace, config, estimator, policy, group_seeds.get(k)
-                )
+                lane = _FastLane(trace, config, estimator, policy)
             else:
                 # Imported here: the protocol lane subclasses _FastLane, and
                 # a batch that needs no protocol lane never loads it.

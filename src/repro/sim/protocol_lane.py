@@ -42,9 +42,7 @@ class ProtocolLane(_FastLane):
 
     __slots__ = ("jobs", "est_estimate", "est_version", "est_observe")
 
-    def _setup_estimator(
-        self, estimator: Estimator, group_seed: Optional[tuple]
-    ) -> None:
+    def _setup_estimator(self, estimator: Estimator) -> None:
         # mode_none stays False so step() reports every completion to
         # _observe, which skips the documented no-op observe the way the
         # scalar engine's _skip_feedback does (keyed on method identity).

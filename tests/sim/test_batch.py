@@ -18,6 +18,7 @@ lane.
 """
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -36,12 +37,14 @@ from repro.core import (
     RobustLineSearch,
     SuccessiveApproximation,
 )
+from repro.core import persistence
 from repro.core.base import Estimator
 from repro.similarity.keys import by_user_app
 from repro.sim import FaultConfig, simulate
 from repro.sim.batch import (
     BatchConfig,
     fast_lane_eligible,
+    seed_arrival_caches,
     seed_group_arrays,
     simulate_batch,
     _SharedTrace,
@@ -398,20 +401,50 @@ def test_fast_lane_routing():
 
 
 
-def test_seed_group_arrays_shapes(workload):
-    trace = _SharedTrace(workload)
-    alphas = [2.0, 3.0, 4.0]
-    est, alpha, group_req = seed_group_arrays(trace, alphas)
+def test_seed_group_arrays_shapes():
+    """A lane seeds Algorithm 1's group state in closed form (lines 3-4:
+    ``E_i = R``, ``alpha_i = alpha``, kept verbatim) and its arrival cache
+    with a fresh group's first estimate: the request, its ladder index and
+    no probe.  Pinned per group against a freshly bound scalar estimator,
+    for requests on a level, between levels and above the top level."""
+    reqs = [8.0, 12.0, 16.0, 24.0, 32.0, 40.0]
+    jobs = [
+        Job(i, float(i), 10.0, 1, req, req / 2, user_id=i % 4)
+        for i, req in enumerate(reqs * 4)
+    ]
+    trace = _SharedTrace(Workload(jobs, total_nodes=1024, node_mem=32.0))
     gid, _ = trace.group_info()
-    n_groups = len(group_req)
-    assert n_groups == len(set(gid))
-    assert est.shape == (3, n_groups)
-    assert alpha.shape == (3, n_groups)
-    # Algorithm 1 lines 3-4: every group opens with E_i = R and alpha_i =
-    # the lane's alpha — constant per row.
-    for k, a in enumerate(alphas):
-        assert np.allclose(alpha[k], a)
-        assert np.array_equal(est[k], np.asarray(group_req))
+    first = {}
+    for row, g in enumerate(gid):
+        first.setdefault(g, jobs[row])
+    clusters = [paper_cluster(m) for m in (8.0, 16.0, 24.0)] + [
+        Cluster([(512, 32.0), (256, 12.0), (256, 24.0)], strategy="first_fit")
+    ]
+    for cluster in clusters:
+        levels = cluster.ladder.levels
+        for probing in (True, False):
+            for alpha in (2, 3.5):
+                est, alphas, greq = seed_group_arrays(trace, alpha)
+                cache = seed_arrival_caches(
+                    greq, trace.group_req_indices(levels)
+                )
+                assert all(len(col) == len(first) for col in (est, alphas, greq))
+                assert all(len(col) == len(first) for col in cache)
+                scalar = SuccessiveApproximation(
+                    alpha=alpha, serial_probing=probing
+                )
+                scalar.bind(cluster.ladder)
+                for g, job in first.items():
+                    e = scalar.estimate(job, attempt=0)
+                    assert tuple(col[g] for col in cache) == (
+                        e, bisect_left(levels, e), -1.0, 0
+                    )
+                    state = scalar.group_state_for(job)
+                    assert (est[g], alphas[g], greq[g]) == (
+                        state.estimate, state.alpha, state.request
+                    )
+                    assert type(alphas[g]) is type(state.alpha)
+                    assert state.probe is None
 
 
 # ------------------------------------------------------- JobColumns edges
@@ -743,8 +776,10 @@ def _assert_accounting_invariants(workload, result):
 
 # ------------------------------- simulate() dispatch and estimator parity
 def _estimator_state(est):
-    """Everything a run leaves in a successive estimator, in group order."""
+    """Everything a run leaves in a successive estimator, in group order,
+    and its persisted form (which tells an int alpha from a float one)."""
     return (
+        persistence.dumps(est),
         est.telemetry(),
         est.n_groups,
         dict(est._failed_at),
@@ -771,6 +806,7 @@ def _spy_on_simulate_batch(monkeypatch):
 #: spurious failures where the variant needs failures to matter.
 _FAST_SUCCESSIVE_VARIANTS = [
     pytest.param({}, 0.0, id="default"),
+    pytest.param({"alpha": 2}, 0.0, id="int-alpha"),
     pytest.param({"explicit_guard": True}, 0.05, id="explicit-guard"),
     pytest.param({"mixed_group_threshold": 1}, 0.05, id="mixed-threshold"),
     pytest.param({"serial_probing": False}, 0.0, id="no-serial-probing"),
