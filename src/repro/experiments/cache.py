@@ -60,7 +60,7 @@ class SweepCache:
         path = self._path(spec)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-            if doc.get("version") != _SCHEMA_VERSION:
+            if not isinstance(doc, dict) or doc.get("version") != _SCHEMA_VERSION:
                 raise ValueError("schema mismatch")
             point = SweepPoint(**doc["point"])
         except (OSError, ValueError, TypeError, KeyError):

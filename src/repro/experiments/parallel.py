@@ -364,7 +364,7 @@ class SweepCheckpoint:
                 continue
             try:
                 doc = json.loads(line)
-                if doc.get("version") != self._VERSION:
+                if not isinstance(doc, dict) or doc.get("version") != self._VERSION:
                     continue
                 points[str(doc["key"])] = SweepPoint(**doc["point"])
             except (ValueError, TypeError, KeyError):

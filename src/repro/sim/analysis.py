@@ -107,7 +107,9 @@ def queue_stats(result: SimResult, total_nodes: Optional[int] = None) -> QueueSt
     """
     if not result.timeline:
         raise ValueError(
-            "no timeline recorded; run the simulation with record_timeline=True"
+            "no timeline recorded; run Simulation(..., record_timeline=True), "
+            "or pass observer=repro.obs.TimelineSampler() and set "
+            "result.timeline = list(sampler.samples)"
         )
     nodes = total_nodes if total_nodes is not None else result.total_nodes
     times = np.array([s.time for s in result.timeline])

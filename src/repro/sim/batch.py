@@ -39,21 +39,18 @@ Two lane implementations sit behind one driver:
     engine uses, so the estimator learns in place exactly as in a scalar
     run.
 * **Engine lane** — every other configuration (other policies/strategies,
-  fault injection, observers, timeline recording) wraps a scalar
-  :class:`~repro.sim.engine.Simulation` via its streaming API
-  (``begin_stream``/``stream_arrival``/``step_internal``/``end_stream``),
-  which replays ``run()``'s per-event sequence verbatim.  Slower, but the
-  bit-identical guarantee holds for the *whole* configuration space.
+  fault injection, observers, timeline recording) is a scalar
+  :class:`~repro.sim.engine.Simulation` replayed on its own event loop, the
+  one ``run()`` uses.  Slower, but the bit-identical guarantee holds for
+  the *whole* configuration space.
 
 Lanes run one after another, each built just before it runs, and share
-only read-only state: one decoded trace and its group resolution.  Each
-lane's own run loop preserves the scalar event order: internal events
-(completions, node faults/repairs) live on the lane's heap keyed
-``(time, kind)`` exactly as the scalar heap orders them, and a heap event
-beats an arrival at the same instant iff its kind sorts before
-``EventKind.ARRIVAL`` — the scalar tie-break.  Fast-lane heaps hold only
-completions (kind 0), so their arrival check reduces to
-``heap[0][0] <= t_arrival``.
+only read-only state: one decoded trace and its group resolution.  A fast
+lane's run loop preserves the scalar event order: its heap holds only
+completions, keyed ``(time, kind)`` as the scalar heap orders them, and a
+completion beats an arrival at the same instant (``EventKind.COMPLETION``
+sorts before ``EventKind.ARRIVAL``, the scalar tie-break), so its arrival
+check reduces to ``heap[0][0] <= t_arrival``.
 
 :func:`simulate_batch` runs with the cyclic garbage collector paused.  The
 lanes allocate heap tuples, queue entries and result records fast, and
@@ -97,9 +94,8 @@ from repro.core.base import Estimator
 from repro.core.baselines import NoEstimation
 from repro.core.successive import GroupState, SuccessiveApproximation
 from repro.obs.base import SimObserver
-from repro.sim.engine import Simulation
-from repro.sim.failure import FailureModel
-from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
+from repro.sim.engine import _scalar_simulation
+from repro.sim.faults import FaultConfig
 from repro.sim.policies import EasyBackfilling, Fcfs, Policy, ShortestJobFirst
 from repro.sim.records import LazyAttempts, LazySummaries, SimResult
 from repro.similarity.keys import by_user_app_reqmem
@@ -108,10 +104,6 @@ from repro.workload.job import LazyJobs, Workload
 
 #: Same expression as successive.py's retry-floor bump, evaluated once.
 _ONE_PLUS_EPS = 1 + 1e-12
-
-#: Heap-entry kind of an arrival in a lane's tie-break — the scalar heap's
-#: ``int(EventKind.ARRIVAL)``.
-_ARRIVAL_KIND = 2
 
 #: Stable running-view sort key (mirrors the scalar's
 #: ``sorted(running, key=lambda r: r.end_time)``).
@@ -309,9 +301,9 @@ class _SharedTrace:
 
         :meth:`Simulation.run` schedules every arrival before the first
         event and raises on the first non-finite submit time, in arrival
-        order.  A lane would otherwise run such a trace whenever the job
-        never starts, e.g. because it is rejected.  Lanes call this when
-        they start, so every engine refuses the trace the same way.
+        order.  A fast lane would otherwise run such a trace whenever the
+        job never starts, e.g. because it is rejected.  Fast lanes call this
+        when they start, so every engine refuses the trace the same way.
         """
         finite = np.isfinite(self.columns.submit_time)
         if not finite.all():
@@ -1690,13 +1682,14 @@ class _FastLane:
 
 
 class _EngineLane:
-    """Generic lane: a scalar Simulation driven through its streaming API.
+    """Generic lane: a scalar Simulation replaying the trace on its own
+    event loop.
 
     Serves only what the fast lane does not model: fault injection,
     observers, timeline recording, other cluster strategies and other
     policies (plus job lists holding ints)."""
 
-    __slots__ = ("sim", "jobs", "submit", "heap", "_stream_arrival", "_step")
+    __slots__ = ("sim",)
 
     def __init__(
         self,
@@ -1705,57 +1698,14 @@ class _EngineLane:
         estimator: Optional[Estimator],
         policy: Optional[Policy],
     ) -> None:
-        injector = None
-        if config.fault_config is not None and config.fault_config.enabled:
-            injector = NodeFaultInjector(
-                config.fault_config, rng=fault_rng(config.seed)
-            )
-        sim = Simulation(
-            workload=trace.workload,
-            cluster=config.cluster,
-            estimator=estimator,
-            policy=policy,
-            failure_model=FailureModel(
-                rng=config.seed,
-                spurious_failure_prob=config.spurious_failure_prob,
-            ),
-            fault_injector=injector,
-            seed=config.seed,
-            collect_attempts=config.collect_attempts,
-            record_timeline=config.record_timeline,
-            observer=config.observer,
+        self.sim = _scalar_simulation(
+            trace.workload, config.cluster, estimator, policy, config.seed,
+            config.spurious_failure_prob, config.fault_config,
+            config.collect_attempts, config.observer, config.record_timeline,
         )
-        self.sim = sim
-        self.jobs = trace.jobs
-        self.submit = trace.submit
-        first_submit = trace.submit[0] if trace.n else _inf
-        sim.begin_stream(trace.n, first_submit)
-        trace.check_submit_times()
-        self.heap = sim._events.raw_heap
-        self._stream_arrival = sim.stream_arrival
-        self._step = sim.step_internal
 
     def run(self) -> None:
-        """Replay the whole trace: the scalar run loop, arrivals streamed.
-
-        Engine-lane heaps carry faults/repairs too, so the full
-        ``(time, kind)`` tie-break against ``EventKind.ARRIVAL`` applies.
-        """
-        heap = self.heap
-        step = self._step
-        feed = self._stream_arrival
-        jobs = self.jobs
-        for i, t in enumerate(self.submit):
-            while heap:
-                entry = heap[0]
-                et = entry[0]
-                if et < t or (et == t and entry[1] < _ARRIVAL_KIND):
-                    step()
-                else:
-                    break
-            feed(t, jobs[i])
-        while heap:
-            step()
+        self.sim._replay()
 
     def finish(self) -> SimResult:
         return self.sim.end_stream()

@@ -188,6 +188,11 @@ class Simulation:
     # ----------------------------------------------------------------- run
     def run(self) -> SimResult:
         """Execute the full workload and return the result."""
+        self._replay()
+        return self._finish()
+
+    def _replay(self) -> None:
+        """Play every event of the run, up to and including the last."""
         if self._ran:
             raise RuntimeError("Simulation objects are single-use; create a new one")
         self._ran = True
@@ -273,6 +278,8 @@ class Simulation:
                     self.cluster.down_nodes,
                 )
 
+    def _finish(self) -> SimResult:
+        """Build the result of a replayed run (every event has fired)."""
         if self._queue:
             # Every arrival and completion has fired, nodes are all free,
             # yet jobs remain queued: they can never start (should have been
@@ -281,112 +288,13 @@ class Simulation:
             raise RuntimeError(
                 f"{len(self._queue)} jobs stranded in the queue at end of trace"
             )
-
         result = self._build_result()
         if self._obs is not None:
             self._obs.on_run_end(result)
         return result
 
-    # ------------------------------------------------------- external drive
-    # The streaming API lets an external driver (the batched engine in
-    # :mod:`repro.sim.batch`) own the arrival stream while this Simulation
-    # keeps every internal event (completions, node faults/repairs) on its
-    # own heap.  The per-event sequence — handler, then one lazy scheduling
-    # pass, then timeline/observer hooks — is identical to :meth:`run`'s
-    # loop, so a simulation driven as
-    # ``begin_stream(); {stream_arrival() | step_internal()}*; end_stream()``
-    # with events fed in the same global order produces a bit-identical
-    # :class:`SimResult`.  Internal-event seqs restart at 0 here (run()
-    # heapifies the arrivals first), but only the *relative* order of a
-    # lane's internal events matters and push order is unchanged.
-
-    def begin_stream(self, n_arrivals: int, first_submit: float) -> None:
-        """Start an externally-driven run expecting ``n_arrivals`` arrivals."""
-        if self._ran:
-            raise RuntimeError("Simulation objects are single-use; create a new one")
-        self._ran = True
-        self.cluster.reset()
-        self.estimator.bind(self.cluster.ladder)
-        if self._obs is not None:
-            self._obs.on_run_start(
-                RunMeta(
-                    workload=self.workload,
-                    cluster=self.cluster,
-                    estimator=self.estimator,
-                    policy=self.policy,
-                    n_jobs=len(self.workload),
-                    total_nodes=self.cluster.total_nodes,
-                )
-            )
-        self._arrivals_pending = n_arrivals
-        if self.fault_injector is not None and n_arrivals:
-            self._schedule_next_failure(first_submit)
-
-    def stream_arrival(self, now: float, job: Job) -> None:
-        """Deliver one arrival (in global event order) and settle its effects."""
-        self._arrivals_pending -= 1
-        self._on_arrival(now, job)
-        self._after_event(now)
-
-    def step_internal(self) -> bool:
-        """Pop and process the earliest internal event.
-
-        Returns ``False`` when the popped event was the stale completion of
-        a fault-killed execution (discarded with no scheduling pass, exactly
-        as :meth:`run` does), ``True`` otherwise.
-        """
-        now, kind, _seq, payload = _heappop(self._events.raw_heap)
-        if kind == 0:  # EventKind.COMPLETION
-            if payload in self._cancelled:
-                self._cancelled.discard(payload)
-                return False
-            self._on_completion(now, payload)
-        elif kind == 3:  # EventKind.NODE_FAILURE
-            self._on_node_failure(now)
-        elif kind == 1:  # EventKind.NODE_REPAIR
-            self._on_node_repair(now, payload)
-        else:  # pragma: no cover - arrivals never enter the heap in stream mode
-            raise RuntimeError(f"unexpected internal event kind {kind}")
-        self._after_event(now)
-        return True
-
-    def end_stream(self) -> SimResult:
-        """Finish an externally-driven run (every event must have fired)."""
-        if self._queue:
-            raise RuntimeError(
-                f"{len(self._queue)} jobs stranded in the queue at end of trace"
-            )
-        result = self._build_result()
-        if self._obs is not None:
-            self._obs.on_run_end(result)
-        return result
-
-    def _after_event(self, now: float) -> None:
-        """run()'s post-event block: lazy scheduling pass + hooks."""
-        if self._sched_dirty:
-            n_started = self._schedule_pass(now)
-            self._sched_dirty = False
-        else:
-            n_started = 0
-        if self._obs is None and not self.record_timeline:
-            return
-        if self.record_timeline:
-            self._timeline.append(
-                TimelineSample(
-                    time=now,
-                    queue_length=len(self._queue),
-                    busy_nodes=self.cluster.busy_nodes,
-                    down_nodes=self.cluster.down_nodes,
-                )
-            )
-        if self._obs is not None:
-            self._obs.on_scheduling_pass(
-                now,
-                n_started,
-                len(self._queue),
-                self.cluster.busy_nodes,
-                self.cluster.down_nodes,
-            )
+    # The e2e tracer times this name as engine.result_build; run() skips it.
+    end_stream = _finish
 
     # -------------------------------------------------------------- events
     def _on_arrival(self, now: float, job: Job) -> None:
@@ -897,6 +805,26 @@ def _simulate_scalar(
     """:func:`simulate` on the scalar :class:`Simulation`, whatever the
     configuration — its fallback, and the sweep executor's per-spec oracle
     path."""
+    return _scalar_simulation(
+        workload, cluster, estimator, policy, seed, spurious_failure_prob,
+        fault_config, collect_attempts, observer,
+    ).run()
+
+
+def _scalar_simulation(
+    workload: Workload,
+    cluster: Cluster,
+    estimator: Optional[Estimator],
+    policy: Optional[Policy],
+    seed: RngStream,
+    spurious_failure_prob: float,
+    fault_config: Optional[FaultConfig],
+    collect_attempts: bool,
+    observer: Optional[SimObserver],
+    record_timeline: bool = False,
+) -> Simulation:
+    """The scalar :class:`Simulation` for one run configuration: its
+    failure model and fault injector both draw from ``seed``."""
     injector = None
     if fault_config is not None and fault_config.enabled:
         injector = NodeFaultInjector(fault_config, rng=fault_rng(seed))
@@ -909,5 +837,6 @@ def _simulate_scalar(
         fault_injector=injector,
         seed=seed,
         collect_attempts=collect_attempts,
+        record_timeline=record_timeline,
         observer=observer,
-    ).run()
+    )

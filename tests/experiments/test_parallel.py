@@ -138,11 +138,12 @@ class TestSweepCache:
         assert second.n_cache_hits == len(specs)
         assert first.points() == second.points()
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("content", ["{not json", "null", "[1]", "42"])
+    def test_corrupt_entry_is_a_miss(self, tmp_path, content):
         spec = small_specs("none")[0]
         cache = SweepCache(tmp_path)
         run_sweep([spec], cache=cache)
-        (tmp_path / f"{spec.cache_key()}.json").write_text("{not json")
+        (tmp_path / f"{spec.cache_key()}.json").write_text(content)
         fresh = SweepCache(tmp_path)
         report = run_sweep([spec], cache=fresh)
         assert fresh.misses == 1 and report.n_cache_hits == 0

@@ -261,6 +261,8 @@ class TestCheckpoint:
         run_sweep([s], checkpoint=manifest)
         with open(path, "a") as fh:
             fh.write('{"version": 99, "key": "other-schema"}\n')
+            fh.write("null\n")
+            fh.write("[1, 2]\n")
             fh.write('{"version": 1, "key": "torn", "point": {"loa')  # no \n
         assert list(manifest.load()) == [s.cache_key()]
 

@@ -78,7 +78,7 @@ class TestQueueStats:
     def test_requires_timeline(self):
         w = make_workload([make_job()])
         result = simulate(w, Cluster([(8, 32.0)]))
-        with pytest.raises(ValueError, match="record_timeline"):
+        with pytest.raises(ValueError, match="record_timeline.*TimelineSampler"):
             queue_stats(result)
 
     def test_contention_visible(self):

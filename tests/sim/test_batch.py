@@ -40,6 +40,7 @@ from repro.core import (
 from repro.core import persistence
 from repro.core.base import Estimator
 from repro.similarity.keys import by_user_app
+from repro.obs import RecordingObserver
 from repro.sim import FaultConfig, simulate
 from repro.sim.batch import (
     BatchConfig,
@@ -49,6 +50,9 @@ from repro.sim.batch import (
     simulate_batch,
     _SharedTrace,
 )
+from repro.sim.engine import Simulation
+from repro.sim.failure import FailureModel
+from repro.sim.faults import NodeFaultInjector, fault_rng
 from repro.sim.policies import EasyBackfilling, Fcfs, ShortestJobFirst
 from repro.workload import (
     Job,
@@ -1260,6 +1264,38 @@ def test_engine_lanes_sharing_one_faulted_cluster_match_scalar(workload):
         fault_config=faults,
     )
     assert [r.fingerprint() for r in results] == [expected, expected]
+
+
+@pytest.mark.parametrize("policy", [Fcfs, EasyBackfilling])
+def test_engine_lane_replays_the_scalar_hook_transcript(workload, policy):
+    """An observed, faulted engine lane fires every observer hook — each
+    scheduling pass included — in the order an explicit scalar run does,
+    and yields the same result."""
+    faults = FaultConfig(node_mtbf=2.0e7, node_mttr=3600.0)
+    seed, spurious = 2, 0.02
+    lane_obs = RecordingObserver(record_scheduling=True)
+    config = BatchConfig(
+        cluster=paper_cluster(24.0), estimator=SuccessiveApproximation(),
+        policy=policy(), seed=seed, spurious_failure_prob=spurious,
+        fault_config=faults, observer=lane_obs,
+    )
+    assert not fast_lane_eligible(config)
+    (lane,) = simulate_batch(workload, [config])
+    scalar_obs = RecordingObserver(record_scheduling=True)
+    scalar = Simulation(
+        workload=workload,
+        cluster=paper_cluster(24.0),
+        estimator=SuccessiveApproximation(),
+        policy=policy(),
+        failure_model=FailureModel(rng=seed, spurious_failure_prob=spurious),
+        fault_injector=NodeFaultInjector(faults, rng=fault_rng(seed)),
+        seed=seed,
+        observer=scalar_obs,
+    ).run()
+    kinds = set(scalar_obs.kinds())
+    assert {"node_failed", "killed", "failed", "sched"} <= kinds
+    assert lane_obs.events == scalar_obs.events
+    assert lane.fingerprint() == scalar.fingerprint()
 
 
 def test_finished_lanes_are_freed_by_refcount(monkeypatch, workload):
