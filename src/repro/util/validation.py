@@ -7,6 +7,7 @@ constructor bodies readable across the library.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Optional
 
 
@@ -30,6 +31,15 @@ def check_non_negative(name: str, value: float) -> float:
     check_finite(name, value)
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+def check_integer(name: str, value: int, minimum: Optional[int] = None) -> int:
+    """Require ``value`` to be an integer (not a bool), optionally >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return value
 
 

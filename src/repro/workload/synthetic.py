@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.util.rng import RngStream, as_generator
 from repro.util.units import SECONDS_PER_DAY, SECONDS_PER_YEAR
-from repro.util.validation import check_in_range, check_positive
+from repro.util.validation import check_in_range, check_integer, check_positive
 from repro.workload.columns import JobColumns
 from repro.workload.job import Job, Workload
 from repro.workload.lanl_cm5 import LANL_CM5
@@ -154,11 +154,25 @@ class SyntheticTraceConfig:
     name: str = "synthetic-lanl-cm5"
 
     def __post_init__(self) -> None:
-        check_positive("n_jobs", self.n_jobs)
+        check_integer("n_jobs", self.n_jobs, 1)
+        check_integer("max_group_size", self.max_group_size, 1)
+        check_integer("n_users", self.n_users, 1)
+        check_integer("n_apps", self.n_apps, 1)
+        check_integer("total_nodes", self.total_nodes, 1)
+        check_integer("n_full_machine_jobs", self.n_full_machine_jobs, 0)
         check_positive("duration", self.duration)
-        check_positive("total_nodes", self.total_nodes)
         check_positive("node_mem", self.node_mem)
         check_in_range("p_large_group", self.p_large_group, 0.0, 1.0)
+        check_in_range("p_loose_group", self.p_loose_group, 0.0, 1.0)
+        check_in_range("small_group_mean", self.small_group_mean, 1.0)
+        check_in_range("group_range_cap", self.group_range_cap, 1.0)
+        check_in_range("req_time_overestimate_max", self.req_time_overestimate_max, 1.0)
+        check_positive("runtime_min", self.runtime_min)
+        if not self.runtime_max >= self.runtime_min:
+            raise ValueError(
+                f"runtime_max must be >= runtime_min ({self.runtime_min}), "
+                f"got {self.runtime_max}"
+            )
         check_in_range("ratio_full_mix_w", self.ratio_full_mix_w, 0.0, 1.0)
         if self.ratio_full_floor < 1.0:
             raise ValueError(
@@ -169,6 +183,10 @@ class SyntheticTraceConfig:
             raise ValueError("req_mem_levels and req_mem_weights must have equal length")
         if len(self.proc_levels) != len(self.proc_weights):
             raise ValueError("proc_levels and proc_weights must have equal length")
+        for knob in ("req_mem_weights", "proc_weights"):
+            weights = getattr(self, knob)
+            if not all(w >= 0 for w in weights):
+                raise ValueError(f"{knob} must be non-negative, got {weights}")
         if abs(sum(self.req_mem_weights) - 1.0) > 1e-9:
             raise ValueError("req_mem_weights must sum to 1")
         if abs(sum(self.proc_weights) - 1.0) > 1e-9:
@@ -356,9 +374,8 @@ def generate_trace(
 
     sizes = _draw_group_sizes(cfg, gen)
     keys = _draw_group_keys(len(sizes), cfg, gen)
-    ratios = _draw_overprovisioning_ratio(
-        np.array([k[2] for k in keys]), cfg, gen
-    )
+    group_req_mems = np.array([k[2] for k in keys], dtype=np.float64)
+    ratios = _draw_overprovisioning_ratio(group_req_mems, cfg, gen)
 
     # Per-group similarity range (Fig 4): mostly tight, a few loose groups.
     loose = gen.random(len(sizes)) < cfg.p_loose_group
@@ -371,55 +388,70 @@ def generate_trace(
     # application runs at different partition sizes in real traces, and a
     # per-group constant would let single groups dominate total work).
     runtime_scales = gen.lognormal(cfg.runtime_mu, cfg.runtime_sigma, size=len(sizes))
+
+    # The procs draw is ``gen.choice(proc_levels, size, p=proc_weights)``
+    # unrolled: choice turns ``p`` into this normalized CDF and searches it
+    # with one ``gen.random`` double per job.
     proc_levels_arr = np.array(cfg.proc_levels)
-    proc_weights_arr = np.array(cfg.proc_weights)
+    proc_cdf = np.array(cfg.proc_weights, dtype=np.float64).cumsum()
+    proc_cdf /= proc_cdf[-1]
 
-    # Columnar assembly: the RNG draws below are call-for-call identical to
-    # the historical per-job construction loop (same distributions, sizes,
-    # and order), so a given seed yields the bit-identical trace — only the
-    # assembly of the drawn values into records is batched.
-    submit_parts: List[np.ndarray] = []
-    runtime_parts: List[np.ndarray] = []
-    reqtime_parts: List[np.ndarray] = []
-    used_parts: List[np.ndarray] = []
-    procs_parts: List[np.ndarray] = []
-    req_mem_parts: List[np.ndarray] = []
-    user_parts: List[np.ndarray] = []
-    app_parts: List[np.ndarray] = []
-    for gi, (size, key, ratio) in enumerate(zip(sizes, keys, ratios)):
-        user_id, app_id, req_mem = key
-        # min used memory in the group; intra-group spread up to the range.
-        base_used = max(req_mem / ratio, cfg.min_used_mem)
-        rho = group_ranges[gi]
-        # Per-job used memory log-uniform in [base, base*rho], never above req.
-        log_spread = gen.uniform(0.0, np.log(rho), size=size)
-        used = np.minimum(base_used * np.exp(log_spread), req_mem)
-
-        runtimes = np.clip(
-            runtime_scales[gi]
-            * gen.lognormal(0.0, cfg.runtime_jitter_sigma, size=size),
-            cfg.runtime_min,
-            cfg.runtime_max,
+    # Columnar assembly.  The draw-order rule: the loop below makes only the
+    # RNG calls, group by group, with the same distributions, sizes and order
+    # as the historical per-job construction loop, so a given seed yields the
+    # bit-identical trace.  All arithmetic on the draws then runs once over
+    # the whole trace, with per-group values spread over their rows by
+    # ``np.repeat``.  ``tests/workload/synthetic_reference.py`` keeps the
+    # per-group loop as the oracle.
+    log_ranges = np.log(group_ranges)
+    starts = np.zeros(len(sizes))
+    spread_draws: List[np.ndarray] = []
+    jitter_draws: List[np.ndarray] = []
+    overestimate_draws: List[np.ndarray] = []
+    offset_draws: List[np.ndarray] = []
+    proc_draws: List[np.ndarray] = []
+    for gi, size in enumerate(sizes):
+        spread_draws.append(gen.uniform(0.0, log_ranges[gi], size=size))
+        jitter_draws.append(gen.lognormal(0.0, cfg.runtime_jitter_sigma, size=size))
+        overestimate_draws.append(
+            gen.uniform(1.0, cfg.req_time_overestimate_max, size=size)
         )
-        req_times = runtimes * gen.uniform(1.0, cfg.req_time_overestimate_max, size=size)
-
         if cfg.cluster_in_time:
             window = min(gen.exponential(cfg.group_window_mean), cfg.duration)
-            start = gen.uniform(0.0, max(cfg.duration - window, 1.0))
-            submits = start + gen.uniform(0.0, window, size=size)
+            starts[gi] = gen.uniform(0.0, max(cfg.duration - window, 1.0))
+            offset_draws.append(gen.uniform(0.0, window, size=size))
         else:
-            submits = gen.uniform(0.0, cfg.duration, size=size)
-        submits = np.clip(submits, 0.0, cfg.duration)
+            offset_draws.append(gen.uniform(0.0, cfg.duration, size=size))
+        proc_draws.append(gen.random(size))
 
-        procs_per_job = gen.choice(proc_levels_arr, size=size, p=proc_weights_arr)
-        submit_parts.append(submits)
-        runtime_parts.append(runtimes)
-        reqtime_parts.append(req_times)
-        used_parts.append(used)
-        procs_parts.append(procs_per_job)
-        req_mem_parts.append(np.full(size, req_mem, dtype=np.float64))
-        user_parts.append(np.full(size, user_id, dtype=np.int64))
-        app_parts.append(np.full(size, app_id, dtype=np.int64))
+    # Min used memory per group; per-job used memory is log-uniform in
+    # [base, base * rho], never above the request.
+    req_mem = np.repeat(group_req_mems, sizes)
+    base_used = np.repeat(np.maximum(group_req_mems / ratios, cfg.min_used_mem), sizes)
+    used = np.minimum(base_used * np.exp(np.concatenate(spread_draws)), req_mem)
+    runtimes = np.minimum(
+        np.maximum(
+            np.repeat(runtime_scales, sizes) * np.concatenate(jitter_draws),
+            cfg.runtime_min,
+        ),
+        cfg.runtime_max,
+    )
+    submits = np.minimum(
+        np.maximum(np.repeat(starts, sizes) + np.concatenate(offset_draws), 0.0),
+        cfg.duration,
+    )
+    procs = proc_levels_arr[
+        proc_cdf.searchsorted(np.concatenate(proc_draws), side="right")
+    ]
+
+    submit_parts = [submits]
+    runtime_parts = [runtimes]
+    reqtime_parts = [runtimes * np.concatenate(overestimate_draws)]
+    used_parts = [used]
+    procs_parts = [procs]
+    req_mem_parts = [req_mem]
+    user_parts = [np.repeat(np.array([k[0] for k in keys], dtype=np.int64), sizes)]
+    app_parts = [np.repeat(np.array([k[1] for k in keys], dtype=np.int64), sizes)]
 
     # The six full-machine jobs §3.1 removes for the heterogeneous runs.
     for _ in range(cfg.n_full_machine_jobs):
@@ -436,14 +468,14 @@ def generate_trace(
         user_parts.append(np.zeros(1, dtype=np.int64))
         app_parts.append(np.zeros(1, dtype=np.int64))
 
-    submit_times = np.concatenate(submit_parts) if submit_parts else np.empty(0)
+    submit_times = np.concatenate(submit_parts)
     n_total = submit_times.shape[0]
     if cfg.diurnal:
         submit_times = _diurnal_warp(
             submit_times, cfg.duration, cfg.day_night_ratio, cfg.weekend_factor
         )
 
-    user_ids = np.concatenate(user_parts) if user_parts else np.empty(0, np.int64)
+    user_ids = np.concatenate(user_parts)
     columns = JobColumns(
         job_id=np.arange(1, n_total + 1, dtype=np.int64),
         submit_time=submit_times,

@@ -132,6 +132,33 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="ratio_full_floor"):
             dataclasses.replace(SyntheticTraceConfig(), ratio_full_floor=0.9)
 
+    @pytest.mark.parametrize(
+        "changes, knob",
+        [
+            ({"n_jobs": 500.5}, "n_jobs"),
+            ({"max_group_size": 2.5}, "max_group_size"),
+            ({"n_users": 0}, "n_users"),
+            ({"n_apps": 12.0}, "n_apps"),
+            ({"total_nodes": True}, "total_nodes"),
+            ({"n_full_machine_jobs": -1}, "n_full_machine_jobs"),
+            ({"proc_weights": (1.2, -0.2, 0.0, 0.0, 0.0)}, "proc_weights"),
+            ({"req_mem_weights": (0.9, 0.2, -0.1, 0.0, 0.0)}, "req_mem_weights"),
+            ({"p_loose_group": 1.5}, "p_loose_group"),
+            ({"p_loose_group": -0.1}, "p_loose_group"),
+            ({"small_group_mean": 0.0}, "small_group_mean"),
+            ({"group_range_cap": 0.5}, "group_range_cap"),
+            ({"req_time_overestimate_max": 0.5}, "req_time_overestimate_max"),
+            ({"runtime_min": 0.0}, "runtime_min"),
+            ({"runtime_min": 10.0, "runtime_max": 5.0}, "runtime_max"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()),
+    )
+    def test_bad_knob_rejected_by_name(self, changes, knob):
+        # Each of these used to build a broken trace (extra jobs, every
+        # runtime pinned to runtime_max) or fail deep inside NumPy.
+        with pytest.raises(ValueError, match=knob):
+            dataclasses.replace(SyntheticTraceConfig.lanl_cm5(n_jobs=500), **changes)
+
     def test_tiny_trace_still_generates(self):
         cfg = SyntheticTraceConfig.lanl_cm5(n_jobs=10)
         w = generate_trace(cfg, rng=0)
