@@ -28,16 +28,18 @@ log space the residuals are homoscedastic and the margin is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.cluster.ladder import CapacityLadder
 from repro.core.base import Estimator, Feedback, clamp_to_request
 from repro.util.validation import check_non_negative, check_positive
 from repro.workload.job import Job, Workload
 
-#: Maps a job's request parameters to a feature vector.
+#: Maps a job's request parameters to a feature vector.  Must be a pure
+#: function of the job's request fields: the estimator memoizes it per job.
 FeatureFunction = Callable[[Job], np.ndarray]
 
 
@@ -60,18 +62,29 @@ def default_features(job: Job) -> np.ndarray:
 
 @dataclass
 class _RlsState:
-    """Recursive-least-squares state: P = (X'X + lambda I)^-1 and weights."""
+    """Recursive-least-squares state: P = (X'X + lambda I)^-1 and weights.
+
+    ``residual_std`` follows from ``n_samples`` and ``residual_sq_sum``; it
+    is set at construction and by :meth:`update_residual_std`, so that
+    ``estimate`` reads it instead of taking a square root per call.
+    """
 
     p_matrix: np.ndarray
     weights: np.ndarray
     n_samples: int = 0
     residual_sq_sum: float = 0.0
+    residual_std: float = field(init=False, default=0.0)
 
-    @property
-    def residual_std(self) -> float:
+    def __post_init__(self) -> None:
+        self.update_residual_std()
+
+    def update_residual_std(self) -> None:
         if self.n_samples < 2:
-            return 0.0
-        return float(np.sqrt(self.residual_sq_sum / (self.n_samples - 1)))
+            self.residual_std = 0.0
+        else:
+            self.residual_std = float(
+                np.sqrt(self.residual_sq_sum / (self.n_samples - 1))
+            )
 
 
 class RegressionEstimator(Estimator):
@@ -104,6 +117,15 @@ class RegressionEstimator(Estimator):
         self.max_reduced_attempts = max_reduced_attempts
         self.log_target = log_target
         self._state: Optional[_RlsState] = None
+        #: ``feature_fn`` memo per job, cleared by :meth:`bind` and
+        #: :meth:`reset`: a job is estimated and observed many times a run.
+        self._features: Dict[Job, np.ndarray] = {}
+
+    def _x(self, job: Job) -> np.ndarray:
+        x = self._features.get(job)
+        if x is None:
+            x = self._features[job] = self.feature_fn(job)
+        return x
 
     def _target(self, used: float) -> float:
         return float(np.log(max(used, 1e-9))) if self.log_target else float(used)
@@ -125,9 +147,10 @@ class RegressionEstimator(Estimator):
         gain = px / (1.0 + x @ px)
         error = y - float(state.weights @ x)
         state.weights = state.weights + gain * error
-        state.p_matrix = p - np.outer(gain, px)
+        state.p_matrix = p - gain[:, None] * px  # np.outer's products, less overhead
         state.n_samples += 1
         state.residual_sq_sum += error * error
+        state.update_residual_std()
 
     # ------------------------------------------------------------- protocol
     def estimate(self, job: Job, attempt: int = 0) -> float:
@@ -136,7 +159,7 @@ class RegressionEstimator(Estimator):
         state = self._state
         if state is None or state.n_samples < self.min_samples:
             return job.req_mem
-        x = self.feature_fn(job)
+        x = self._x(job)
         prediction = float(state.weights @ x)
         requirement = prediction + self.safety_sigmas * state.residual_std
         if self.log_target:
@@ -156,7 +179,7 @@ class RegressionEstimator(Estimator):
             # bias the model downward.  Skip (the resubmission will report
             # a clean sample).
             return
-        self._update(self.feature_fn(feedback.job), self._target(feedback.used))
+        self._update(self._x(feedback.job), self._target(feedback.used))
 
     def fit(self, workload: Workload) -> "RegressionEstimator":
         """Warm-start offline from a historical trace with known usage."""
@@ -164,8 +187,13 @@ class RegressionEstimator(Estimator):
             self._update(self.feature_fn(job), self._target(job.used_mem))
         return self
 
+    def bind(self, ladder: CapacityLadder) -> None:
+        super().bind(ladder)
+        self._features.clear()
+
     def reset(self) -> None:
         self._state = None
+        self._features.clear()
 
     # -------------------------------------------------------- introspection
     @property

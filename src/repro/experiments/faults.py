@@ -46,7 +46,7 @@ from repro.experiments.specs import (
     RunSpec,
     WorkloadSpec,
 )
-from repro.sim import FailureModel, FaultConfig, NodeFaultInjector, Simulation, fault_rng, utilization
+from repro.sim import FaultConfig, simulate, utilization
 from repro.sim.policies import Fcfs
 from repro.workload.transforms import scale_load
 
@@ -228,20 +228,15 @@ def run(
     for mtbf in mtbfs:
         fault_config = FaultConfig(node_mtbf=mtbf, node_mttr=node_mttr)
         for name, factory in variants:
-            injector = (
-                NodeFaultInjector(fault_config, rng=fault_rng(cfg.seed))
-                if fault_config.enabled
-                else None
-            )
-            result = Simulation(
+            result = simulate(
                 workload,
                 cfg.make_cluster(),
                 estimator=factory(),
                 policy=Fcfs(),
-                failure_model=FailureModel(rng=cfg.seed),
-                fault_injector=injector,
+                seed=cfg.seed,
+                fault_config=fault_config,
                 collect_attempts=False,
-            ).run()
+            )
             points.append(
                 FaultPoint(
                     node_mtbf=float(mtbf),

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -377,10 +378,13 @@ class FaultSpec:
     spurious: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.node_mtbf < 0:
+        # Negated comparisons, so a NaN knob fails them too.
+        if not self.node_mtbf >= 0:
             raise ValueError(f"node_mtbf must be >= 0, got {self.node_mtbf}")
-        if self.node_mttr <= 0:
-            raise ValueError(f"node_mttr must be positive, got {self.node_mttr}")
+        if not 0 < self.node_mttr < math.inf:
+            raise ValueError(
+                f"node_mttr must be positive and finite, got {self.node_mttr}"
+            )
         if not 0.0 <= self.spurious <= 1.0:
             raise ValueError(f"spurious must be in [0, 1], got {self.spurious}")
 

@@ -14,8 +14,8 @@ per-event object graph.
 Two lane implementations sit behind one driver:
 
 * **Fast lane** — FCFS, SJF or EASY backfilling over a best-fit or
-  first-fit cluster with any estimator, spurious failures allowed, no fault
-  injection / observer / timeline.  Queue entries are small mutable lists
+  first-fit cluster with any estimator, spurious failures and node faults
+  allowed, no observer / timeline.  Queue entries are small mutable lists
   over row indices, allocation is a free-count list per capacity level with
   a precomputed fill-order table per (strategy, ladder index), completions
   are raw heap tuples, and results are assembled after the run, their
@@ -38,19 +38,27 @@ Two lane implementations sit behind one driver:
     ``observe`` methods with the arguments and in the order the scalar
     engine uses, so the estimator learns in place exactly as in a scalar
     run.
+
+  A lane with node faults runs its own event loop
+  (:mod:`repro.sim.fault_lane`) in any estimation mode: node failures
+  and repairs join its heap, and the victim draws are the
+  :class:`~repro.sim.faults.NodeFaultInjector` methods the scalar engine
+  calls.
 * **Engine lane** — every other configuration (other policies/strategies,
-  fault injection, observers, timeline recording) is a scalar
+  observers, timeline recording) is a scalar
   :class:`~repro.sim.engine.Simulation` replayed on its own event loop, the
   one ``run()`` uses.  Slower, but the bit-identical guarantee holds for
   the *whole* configuration space.
 
 Lanes run one after another, each built just before it runs, and share
 only read-only state: one decoded trace and its group resolution.  A fast
-lane's run loop preserves the scalar event order: its heap holds only
-completions, keyed ``(time, kind)`` as the scalar heap orders them, and a
-completion beats an arrival at the same instant (``EventKind.COMPLETION``
-sorts before ``EventKind.ARRIVAL``, the scalar tie-break), so its arrival
-check reduces to ``heap[0][0] <= t_arrival``.
+lane's run loop preserves the scalar event order: its heap entries are
+keyed ``(time, kind)`` as the scalar heap orders them.  Without faults
+the heap holds only completions, and a completion beats an arrival at the
+same instant (``EventKind.COMPLETION`` sorts before
+``EventKind.ARRIVAL``, the scalar tie-break), so the arrival check reduces
+to ``heap[0][0] <= t_arrival``; with faults, repairs also beat a
+same-instant arrival and failures follow it.
 
 :func:`simulate_batch` runs with the cyclic garbage collector paused.  The
 lanes allocate heap tuples, queue entries and result records fast, and
@@ -95,7 +103,7 @@ from repro.core.baselines import NoEstimation
 from repro.core.successive import GroupState, SuccessiveApproximation
 from repro.obs.base import SimObserver
 from repro.sim.engine import _scalar_simulation
-from repro.sim.faults import FaultConfig
+from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
 from repro.sim.policies import EasyBackfilling, Fcfs, Policy, ShortestJobFirst
 from repro.sim.records import LazyAttempts, LazySummaries, SimResult
 from repro.similarity.keys import by_user_app_reqmem
@@ -457,7 +465,9 @@ class _FastLane:
     req_version, req_idx]`` lists; completions are raw heap tuples.  FCFS
     runs the inlined :meth:`_run_fcfs` driver; SJF and backfilling run the
     generic :meth:`_run_events` loop, which dispatches the scheduling pass
-    through ``self.sched``.  All three share the same
+    through ``self.sched``, and a lane with node faults runs the generic
+    loop plus failure and repair events (:mod:`repro.sim.fault_lane`).
+    All the policies share the same
     refresh/allocate/outcome blocks, inlined with the scalar float-op
     order.  A completion appends one raw attempt tuple, its allocation the
     unsorted ``(ladder index, take)`` pairs the lane filled, and job
@@ -488,7 +498,8 @@ class _FastLane:
         "final_req", "final_granted", "final_reduced", "completed", "dead",
         "rejected_rows", "raw_attempts", "collect",
         "n_attempts", "n_resource_failures", "n_spurious", "n_reduced",
-        "useful", "wasted", "t_last_end", "__weakref__",
+        "useful", "wasted", "t_last_end", "faults", "down_intervals",
+        "n_kills", "__weakref__",
     )
 
     def __init__(
@@ -502,6 +513,13 @@ class _FastLane:
         self.cluster = config.cluster
         self.est = estimator
         self.spurious = config.spurious_failure_prob
+        fault_config = config.fault_config
+        self.faults: Optional[NodeFaultInjector] = None
+        if fault_config is not None and fault_config.enabled:
+            # Drawn from its own stream, as the scalar engine's injector.
+            self.faults = NodeFaultInjector(
+                fault_config, rng=fault_rng(config.seed)
+            )
         rng = as_generator(config.seed)
         self.uniform = rng.uniform
         self.random = rng.random
@@ -555,15 +573,17 @@ class _FastLane:
         kind = type(policy)
         self.policy_name = policy.name
         self.wake = bool(policy.tail_wakes)
-        self.track_running = kind is EasyBackfilling
+        # Backfilling plans against the running set, and a node failure
+        # picks its victim from it; both read it in start order.
+        self.track_running = kind is EasyBackfilling or self.faults is not None
         self.running: Dict[int, tuple] = {}
         self.is_fcfs = kind is Fcfs
-        # The scheduling pass of the generic _run_events loop; FCFS lanes
-        # run _run_fcfs instead.  A bound method held by its own lane is a
+        # The scheduling pass of the generic loops (the inlined FCFS lanes'
+        # _run_fcfs has its own).  A bound method held by its own lane is a
         # reference cycle: finish() drops it so a finished lane is freed by
         # refcount.
         if kind is Fcfs:
-            self.sched = None
+            self.sched = self._sched_fcfs
             self.c_rte = None
         else:
             self.sched = (
@@ -594,6 +614,12 @@ class _FastLane:
         self.useful = 0.0
         self.wasted = 0.0
         self.t_last_end = 0.0
+
+        # What a faulted run (repro.sim.fault_lane) reports: one (fail
+        # time, scheduled repair time) interval per failed node, and the
+        # executions killed.
+        self.down_intervals: List[Tuple[float, float]] = []
+        self.n_kills = 0
 
     def _setup_estimator(self, estimator: Estimator) -> None:
         """Estimator state for the none and inlined Algorithm 1 modes:
@@ -949,17 +975,36 @@ class _FastLane:
         if requirement < self.c_req_mem[i]:
             self.n_reduced += 1
         seq = self.seq
-        _heappush(
-            self.heap,
-            (end_time, 0, seq, i, entry[1], requirement, entry[3],
-             now, granted, counts, succeeded, resource_related),
-        )
+        event = (end_time, 0, seq, i, entry[1], requirement, entry[3],
+                 now, granted, counts, succeeded, resource_related)
+        _heappush(self.heap, event)
         self.seq = seq + 1
         if self.track_running:
-            rec = (end_time, counts, procs)
+            rec = (end_time, counts, procs, event)
             self.running[seq] = rec
             return rec
         return None
+
+    def _sched_fcfs(self, now: float) -> None:
+        """The FCFS pass of the generic loops (inlined FCFS lanes without
+        faults take :meth:`_run_fcfs` instead): refresh the head, start it
+        if it fits (``Fcfs.select``), repeat."""
+        queue = self.queue
+        free = self.free
+        nlev = self.nlev
+        c_procs = self.c_procs
+        refresh = self.refresh
+        while queue:
+            head = queue[0]
+            if refresh:
+                self._refresh_head(head)
+            available = 0
+            for j in range(head[5], nlev):
+                available += free[j]
+            if available < c_procs[head[0]]:
+                return
+            queue.popleft()
+            self._start_entry(now, head)
 
     def _sched_sjf(self, now: float) -> None:
         queue = self.queue
@@ -1147,22 +1192,33 @@ class _FastLane:
     def run(self) -> None:
         """Replay the whole trace through this lane.
 
-        The lane's heap holds completions only (kind 0), which sort before
-        an arrival (kind 2) at the same instant — so the scalar tie-break
-        reduces to ``heap[0][0] <= t_arrival``.
+        Without node faults the lane's heap holds completions only (kind
+        0), which sort before an arrival (kind 2) at the same instant — so
+        the scalar tie-break reduces to ``heap[0][0] <= t_arrival``.
 
         FCFS — the paper's discipline and the bulk of every sweep — takes
         the fully inlined :meth:`_run_fcfs` driver; SJF/backfilling use the
-        generic method-dispatched :meth:`_run_events` loop.
+        generic method-dispatched :meth:`_run_events` loop.  A lane with
+        node faults, whatever its policy, runs
+        :func:`repro.sim.fault_lane.run_faulted`.
         """
         self.trace.check_submit_times()
+        if self.faults is not None:
+            # Imported here: a batch without faults never loads the loop.
+            from repro.sim.fault_lane import run_faulted
+
+            run_faulted(self)
+        else:
+            self._run_fault_free()
+
+    def _run_fault_free(self) -> None:
         if self.is_fcfs:
             self._run_fcfs()
         else:
             self._run_events()
 
     def _run_events(self) -> None:
-        """The generic loop: arrivals through :meth:`feed_arrival`,
+        """The generic fault-free loop: arrivals through :meth:`feed_arrival`,
         completions through :meth:`step`, each followed by the policy's
         pass (``self.sched``) exactly where the scalar engine runs one."""
         heap = self.heap
@@ -1612,6 +1668,13 @@ class _FastLane:
         t_first_submit = 0.0
         if end:
             t_first_submit = trace.submit[0 if rows is None else int(rows[0])]
+        # Each failed node's downtime, clamped to the observed trace, in
+        # failure order (an int 0 without faults, like the scalar's sum).
+        t_last_end = self.t_last_end
+        downtime = sum(
+            max(0.0, min(stop, t_last_end) - max(start, t_first_submit))
+            for start, stop in self.down_intervals
+        )
         summaries = LazySummaries(trace.workload, rows, *fields)
         # The lane is done with its per-row lists (the summaries own them
         # now) and with the bound scheduling pass, a lane -> method -> lane
@@ -1636,9 +1699,9 @@ class _FastLane:
             n_attempts=self.n_attempts,
             n_resource_failures=self.n_resource_failures,
             n_spurious_failures=self.n_spurious,
-            n_fault_kills=0,
-            n_node_failures=0,
-            node_downtime_seconds=0,  # int, like sum([]) in _build_result
+            n_fault_kills=self.n_kills,
+            n_node_failures=len(self.down_intervals),
+            node_downtime_seconds=downtime,
             n_reduced_submissions=self.n_reduced,
             useful_node_seconds=self.useful,
             wasted_node_seconds=self.wasted,
@@ -1685,9 +1748,9 @@ class _EngineLane:
     """Generic lane: a scalar Simulation replaying the trace on its own
     event loop.
 
-    Serves only what the fast lane does not model: fault injection,
-    observers, timeline recording, other cluster strategies and other
-    policies (plus job lists holding ints)."""
+    Serves only what the fast lane does not model: observers, timeline
+    recording, other cluster strategies and other policies (plus job lists
+    holding ints)."""
 
     __slots__ = ("sim",)
 
@@ -1715,8 +1778,8 @@ def fast_lane_eligible(config: BatchConfig) -> bool:
     """Whether a config runs on the array fast lane (vs the engine lane).
 
     The fast lane covers FCFS, shortest-job-first or EASY backfilling over
-    a best-fit or first-fit cluster with optional spurious failures — no
-    fault injection, observer, or timeline.  Exact-type policy checks, so a
+    a best-fit or first-fit cluster with optional spurious failures and
+    node faults — no observer or timeline.  Exact-type policy checks, so a
     subclass with overridden behavior falls back to the (always-correct)
     engine lane.  The estimator does not matter: no-estimation and
     default-keyed successive approximation run inlined, every other
@@ -1726,8 +1789,6 @@ def fast_lane_eligible(config: BatchConfig) -> bool:
     ``_SharedTrace.float_typed``).
     """
     if config.record_timeline or config.observer is not None:
-        return False
-    if config.fault_config is not None and config.fault_config.enabled:
         return False
     policy = config.policy
     if policy is not None and type(policy) not in (

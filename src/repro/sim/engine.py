@@ -417,18 +417,15 @@ class Simulation:
         # *later*, opening a backfill window — so the verdict of the last
         # pass is void.
         self._sched_dirty = True
+        cluster = self.cluster
         for _ in range(injector.n_victims()):
-            level = injector.choose_level(self.cluster.in_service_by_level())
+            level = injector.choose_level(cluster.in_service_by_level())
             if level is None:
                 break  # every node is already down; the failure is a no-op
-            free = self.cluster.free_at_level(level)
-            in_service = self.cluster.total_at_level(level) - self.cluster.down_at_level(level)
-            busy = in_service - free
-            # The victim is uniform over in-service nodes at the level: busy
-            # with probability busy/(busy+free).
-            if busy > 0 and (free == 0 or injector.rng.random() < busy / in_service):
+            in_service = cluster.total_at_level(level) - cluster.down_at_level(level)
+            if injector.victim_is_busy(cluster.free_at_level(level), in_service):
                 self._kill_execution_at_level(now, level)
-            self.cluster.fail_node(level)
+            cluster.fail_node(level)
             repair = injector.repair_delay()
             injector.stats.n_nodes_failed += 1
             # Downtime is *not* credited here: the full repair interval may
@@ -460,41 +457,16 @@ class Simulation:
         cannot tell it apart from a genuine under-allocation unless explicit
         feedback (granted vs used) is available.
         """
-        # Single scan with a lazy fallback: the common case is exactly one
-        # execution holding nodes at the level, which needs no candidate
-        # list, no weight vector, and — crucially for reproducibility — no
-        # RNG draw (the seed engine's single-candidate branch drew nothing
-        # either).  Only on finding a second candidate is the full weighted
-        # draw built, byte-identical to the eager version's RNG usage.
-        injector = self.fault_injector
-        first: Optional[Tuple[int, _Execution]] = None
-        multiple = False
-        for exec_id, execution in self._running.items():
-            if execution.allocation.counts.get(level, 0) > 0:
-                if first is None:
-                    first = (exec_id, execution)
-                else:
-                    multiple = True
-                    break
-        assert first is not None, (
-            "busy count at level > 0 but no execution holds it"
-        )
-        if not multiple:
-            exec_id, execution = first
-        else:
-            candidates = [
-                (exec_id, execution)
-                for exec_id, execution in self._running.items()
-                if execution.allocation.counts.get(level, 0) > 0
-            ]
-            weights = [e.allocation.counts[level] for _, e in candidates]
-            total = float(sum(weights))
-            idx = int(
-                injector.rng.choice(
-                    len(candidates), p=[w / total for w in weights]
-                )
-            )
-            exec_id, execution = candidates[idx]
+        # Allocations hold only levels they took nodes from.
+        holders = [
+            (exec_id, execution)
+            for exec_id, execution in self._running.items()
+            if level in execution.allocation.counts
+        ]
+        assert holders, "busy count at level > 0 but no execution holds it"
+        exec_id, execution = holders[self.fault_injector.pick_victim(
+            [held.allocation.counts[level] for _, held in holders]
+        )]
 
         del self._running[exec_id]
         self._cancelled.add(exec_id)
@@ -535,7 +507,7 @@ class Simulation:
                 )
             )
         self._n_fault_kills += 1
-        injector.stats.n_jobs_killed += 1
+        self.fault_injector.stats.n_jobs_killed += 1
         progress.wasted_node_seconds += record.node_seconds
         self._wasted_node_seconds += record.node_seconds
         if self._obs is not None:
@@ -762,8 +734,8 @@ def simulate(
 
     Configurations :func:`repro.sim.batch.fast_lane_eligible` accepts —
     FCFS/SJF/EASY over a best- or first-fit cluster, whatever the
-    estimator — run on the array fast lane as a one-lane
-    :func:`~repro.sim.batch.simulate_batch`; every other one (faults, an
+    estimator, with or without faults — run on the array fast lane as a
+    one-lane :func:`~repro.sim.batch.simulate_batch`; every other one (an
     observer, other policies or strategies) runs a :class:`Simulation`
     (see its docstring).  Both give bit-identical results and leave
     ``estimator`` in the same learned state.

@@ -40,7 +40,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from repro.util.rng import RngStream, as_generator
-from repro.util.validation import check_in_range, check_positive
+from repro.util.validation import check_in_range, check_integer, check_positive
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,8 @@ class FaultConfig:
     def __post_init__(self) -> None:
         if math.isnan(self.node_mtbf) or self.node_mtbf <= 0:
             raise ValueError(f"node_mtbf must be positive, got {self.node_mtbf!r}")
-        check_positive("node_mttr", self.node_mttr)
-        if not math.isfinite(self.node_mttr):
-            raise ValueError("node_mttr must be finite (a node must come back)")
-        if self.burst_size < 1:
-            raise ValueError(f"burst_size must be >= 1, got {self.burst_size}")
+        check_positive("node_mttr", self.node_mttr)  # finite: nodes come back
+        check_integer("burst_size", self.burst_size, minimum=1)
         check_in_range("burst_prob", self.burst_prob, 0.0, 1.0)
 
     @property
@@ -101,11 +98,18 @@ def fault_rng(seed: RngStream) -> np.random.Generator:
 class NodeFaultInjector:
     """Samples the failure/repair process; the engine turns draws into events.
 
-    The injector owns the timing (exponential inter-failure and repair
-    delays), the burst-size draw, and victim-level selection; the engine owns
-    the consequences (taking nodes out of the
-    :class:`~repro.cluster.cluster.Cluster`, killing executions, scheduling
-    repair events).  ``stats`` accumulates across one simulation run.
+    The injector owns every draw: the timing (exponential inter-failure and
+    repair delays), the burst size, the victim's level, whether the victim
+    node is busy, and which execution on that level it kills.  The engines
+    own the consequences (taking nodes out of service, killing executions,
+    scheduling repair events).  The scalar
+    :class:`~repro.sim.engine.Simulation` and the fast lane
+    (:mod:`repro.sim.fault_lane`) both call these methods in the same
+    order per failure event — :meth:`n_victims`, then per victim
+    :meth:`choose_level`, :meth:`victim_is_busy`, :meth:`pick_victim` (on
+    a kill) and :meth:`repair_delay`, then :meth:`next_failure_delay` — so
+    both consume the stream identically.  ``stats`` accumulates across one
+    scalar run.
     """
 
     def __init__(self, config: FaultConfig, rng: RngStream = None) -> None:
@@ -149,3 +153,27 @@ class NodeFaultInjector:
         weights = np.array([in_service[lvl] for lvl in levels], dtype=float)
         idx = int(self.rng.choice(len(levels), p=weights / weights.sum()))
         return levels[idx]
+
+    def victim_is_busy(self, free: int, in_service: int) -> bool:
+        """Whether the failed node at a level with ``in_service`` nodes, of
+        which ``free`` are free, is a busy one.
+
+        The victim is uniform over the level's in-service nodes, so it is
+        busy with probability ``busy / in_service``.  A level with no busy
+        or no free node decides without a draw.
+        """
+        busy = in_service - free
+        return busy > 0 and (free == 0 or self.rng.random() < busy / in_service)
+
+    def pick_victim(self, weights: Sequence[int]) -> int:
+        """Index of the execution a busy victim node belongs to.
+
+        ``weights`` are the nodes each candidate execution holds at the
+        failed level, in the engine's start order: a uniformly random busy
+        node there belongs to each with probability proportional to its
+        weight.  A single candidate is chosen without a draw.
+        """
+        if len(weights) == 1:
+            return 0
+        total = float(sum(weights))
+        return int(self.rng.choice(len(weights), p=[w / total for w in weights]))

@@ -37,7 +37,8 @@ class ProtocolLane(_FastLane):
     call sequence.  The estimator is bound at lane start, as
     :meth:`Simulation.run` binds it, and learns in place: there is nothing
     to write back.  Every policy, FCFS included, runs the generic
-    :meth:`_run_events` loop.
+    :meth:`_run_events` loop, or with node faults
+    :func:`~repro.sim.fault_lane.run_faulted`.
     """
 
     __slots__ = ("jobs", "est_estimate", "est_version", "est_observe")
@@ -59,31 +60,11 @@ class ProtocolLane(_FastLane):
 
     def run(self) -> None:
         self.est.bind(self.cluster.ladder)
-        self.trace.check_submit_times()
-        if self.is_fcfs:
-            self.sched = self._sched_fcfs
-        self._run_events()
+        super().run()
 
-    def _sched_fcfs(self, now: float) -> None:
-        """The FCFS pass of the generic :meth:`_run_events` loop (inlined
-        FCFS lanes take :meth:`_run_fcfs` instead): refresh the head, start
-        it if it fits (``Fcfs.select``), repeat."""
-        queue = self.queue
-        free = self.free
-        nlev = self.nlev
-        c_procs = self.c_procs
-        refresh = self.refresh
-        while queue:
-            head = queue[0]
-            if refresh:
-                self._refresh_head(head)
-            available = 0
-            for j in range(head[5], nlev):
-                available += free[j]
-            if available < c_procs[head[0]]:
-                return
-            queue.popleft()
-            self._start_entry(now, head)
+    def _run_fault_free(self) -> None:
+        # FCFS included: the inlined _run_fcfs hard-codes Algorithm 1.
+        self._run_events()
 
     def _write_back(self) -> None:
         """Nothing to write: the estimator learned in place."""

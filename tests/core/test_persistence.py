@@ -109,6 +109,30 @@ class TestRegressionRoundTrip:
         assert fresh.estimate(probe) == pytest.approx(before)
         assert fresh.n_samples == 30
 
+    def test_default_margin_survives(self):
+        """With the default one-sigma margin, a reloaded model estimates
+        exactly as the trained one: the residual spread travels with the
+        model state."""
+        def job(i):
+            return make_job(job_id=i, req_mem=(8.0, 16.0, 32.0)[i % 3],
+                            procs=1 + i % 7, run_time=60.0 * (1 + i % 5),
+                            used_mem=(2.0, 5.0, 7.5, 12.0)[i % 4])
+
+        est = RegressionEstimator(min_samples=5)
+        est.bind(ladder())
+        for i in range(40):
+            j = job(i)
+            est.observe(Feedback(job=j, succeeded=True, requirement=j.req_mem,
+                                 granted=j.req_mem, used=j.used_mem))
+        assert est.residual_std > 0
+        probes = [job(i) for i in range(100, 160)]
+        before = [est.estimate(p) for p in probes]
+        assert len(set(before)) > 1
+        fresh = RegressionEstimator(min_samples=5)
+        fresh.bind(ladder())
+        loads(fresh, dumps(est))
+        assert [fresh.estimate(p) for p in probes] == before
+
     def test_cold_model_round_trips(self):
         est = RegressionEstimator()
         fresh = RegressionEstimator()

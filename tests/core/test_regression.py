@@ -140,3 +140,43 @@ class TestGuards:
         assert x[0] == 1.0
         assert x[1] == 32.0
         assert len(x) == 5
+
+
+class TestFeatureMemo:
+    def test_features_computed_once_per_job_until_rebound(self):
+        calls = []
+
+        def features(job):
+            calls.append(job.job_id)
+            return default_features(job)
+
+        est = bound(RegressionEstimator(feature_fn=features, min_samples=1))
+        job = make_job(job_id=7, req_mem=32.0)
+        feed(est, job, used=4.0)
+        feed(est, job, used=4.0)
+        est.estimate(job)
+        est.estimate(make_job(job_id=8, req_mem=16.0))
+        assert calls == [7, 8]
+        bound(est)  # a new run: the memo starts empty
+        est.estimate(job)
+        est.reset()
+        feed(est, job, used=4.0)
+        assert calls == [7, 8, 7, 7]
+
+    def test_memo_and_cached_spread_leave_estimates_unchanged(self):
+        """The memo and the residual spread kept on the model state give
+        the estimates a direct computation gives."""
+        est = bound(RegressionEstimator(min_samples=3))
+        jobs = [make_job(job_id=i, req_mem=(8.0, 16.0, 32.0)[i % 3],
+                         procs=1 + i % 5) for i in range(30)]
+        for i, job in enumerate(jobs):
+            feed(est, job, used=job.req_mem * (0.2, 0.5, 0.9)[i % 3])
+        state = est._state
+        assert state.residual_std == float(
+            np.sqrt(state.residual_sq_sum / (state.n_samples - 1))
+        )
+        for job in jobs:
+            x = default_features(job)
+            expected = float(np.exp(float(state.weights @ x)
+                                    + state.residual_std))
+            assert est.estimate(job) == min(expected, job.req_mem)

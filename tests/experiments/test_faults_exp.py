@@ -4,8 +4,19 @@ import math
 
 import pytest
 
+from repro.core import NoEstimation, SuccessiveApproximation
 from repro.experiments import faults
 from repro.experiments.config import ExperimentConfig
+from repro.sim import (
+    FailureModel,
+    FaultConfig,
+    NodeFaultInjector,
+    Simulation,
+    fault_rng,
+    utilization,
+)
+from repro.sim.policies import Fcfs
+from repro.workload.transforms import scale_load
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +123,49 @@ class TestCli:
         assert manifest.exists()
         # Resuming from the manifest: the whole grid restores without rerun.
         assert len(parallel_mod.SweepCheckpoint(manifest)) > 0
+
+
+def test_points_match_explicit_scalar_runs():
+    """run() simulates through simulate(), so its faulted points take the
+    fast lane; each must equal an explicit scalar Simulation of the same
+    cell."""
+    cfg = ExperimentConfig(n_jobs=600)
+    mtbfs, mttr, load = (math.inf, 2e6), 1800.0, 0.9
+    result = faults.run(cfg, mtbfs=mtbfs, node_mttr=mttr, load=load)
+    workload = scale_load(cfg.make_sim_workload(), load)
+    estimators = {
+        "implicit": lambda: SuccessiveApproximation(alpha=cfg.alpha, beta=0.0),
+        "implicit-decay": lambda: SuccessiveApproximation(
+            alpha=cfg.alpha, beta=0.75
+        ),
+        "explicit-guard": lambda: SuccessiveApproximation(
+            alpha=cfg.alpha, beta=0.0, explicit_guard=True
+        ),
+        "no-estimation": NoEstimation,
+    }
+    twins = []
+    for mtbf in mtbfs:
+        config = FaultConfig(node_mtbf=mtbf, node_mttr=mttr)
+        for name, factory in estimators.items():
+            twin = Simulation(
+                workload,
+                cfg.make_cluster(),
+                estimator=factory(),
+                policy=Fcfs(),
+                failure_model=FailureModel(rng=cfg.seed),
+                fault_injector=(
+                    NodeFaultInjector(config, rng=fault_rng(cfg.seed))
+                    if config.enabled else None
+                ),
+                collect_attempts=False,
+            ).run()
+            twins.append(faults.FaultPoint(
+                node_mtbf=float(mtbf),
+                variant=name,
+                utilization=utilization(twin),
+                frac_reduced=twin.frac_reduced_submissions,
+                n_node_failures=twin.n_node_failures,
+                n_fault_kills=twin.n_fault_kills,
+            ))
+    assert result.points == twins
+    assert any(p.n_fault_kills > 0 for p in twins)

@@ -43,18 +43,18 @@ CONFIGS = (
         "estimator": EstimatorSpec(name="successive"),
         "policy": PolicySpec(name="easy-backfilling"),
     }),
-    # No fast lane covers worst-fit or node faults: the scalar engine runs.
-    ("worst-fit", {
-        "estimator": EstimatorSpec(name="successive"),
-        "cluster": ClusterSpec(strategy="worst_fit"),
-    }),
     ("faulted", {
         "estimator": EstimatorSpec(name="successive"),
         "faults": FaultSpec(node_mtbf=2.0e6, node_mttr=3600.0),
     }),
+    # No fast lane covers worst-fit: the scalar engine runs.
+    ("worst-fit", {
+        "estimator": EstimatorSpec(name="successive"),
+        "cluster": ClusterSpec(strategy="worst_fit"),
+    }),
 )
 
-SCALAR_ONLY = {"worst-fit", "faulted"}
+SCALAR_ONLY = {"worst-fit"}
 
 
 def grid(configs=CONFIGS, loads=LOADS):
@@ -110,7 +110,7 @@ class TestOracleMatch:
 
     def test_faulted_point_reflects_the_faults(self, specs, oracle):
         # Guards the grid itself: the faulted spec must differ from its
-        # fault-free twin, or the scalar-only row would prove nothing.
+        # fault-free twin, or the faulted row would prove nothing.
         labels = [spec.label for spec in specs]
         assert oracle[labels.index("faulted@0.9")] != oracle[
             labels.index("successive@0.9")

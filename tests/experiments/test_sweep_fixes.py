@@ -230,6 +230,19 @@ class TestFaultSpecs:
         assert FaultSpec(node_mtbf=1e7).enabled
         assert FaultSpec(spurious=0.1).enabled
 
+    @pytest.mark.parametrize("knobs, name", [
+        # NaN passed every comparison: a NaN MTBF ran fault-free under a
+        # cache key of its own, and a non-finite MTTR failed only inside
+        # the worker, as a per-point error.
+        ({"node_mtbf": math.nan}, "node_mtbf"),
+        ({"node_mtbf": 1e7, "node_mttr": math.inf}, "node_mttr"),
+        ({"node_mtbf": 1e7, "node_mttr": math.nan}, "node_mttr"),
+        ({"spurious": math.nan}, "spurious"),
+    ])
+    def test_fault_spec_rejects_non_finite_knobs(self, knobs, name):
+        with pytest.raises(ValueError, match=name):
+            FaultSpec(**knobs)
+
     def test_faults_experiment_grid(self):
         cfg = ExperimentConfig(n_jobs=200)
         specs = faults_sweep_specs(cfg, mtbfs=(math.inf, 2e7))

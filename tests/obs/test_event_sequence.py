@@ -14,6 +14,7 @@ from repro.core import SuccessiveApproximation
 from repro.obs import RecordingObserver
 from repro.sim import FaultStats, Simulation
 from repro.sim.failure import FailureModel
+from repro.sim.faults import NodeFaultInjector
 from tests.conftest import make_job, make_workload
 
 
@@ -21,8 +22,9 @@ class ScriptedInjector:
     """A fault injector that fires exactly once, at a scripted time.
 
     Implements the duck interface the engine consumes (``enabled``,
-    ``stats``, ``rng``, and the four draw methods) with deterministic
-    values, so event-sequence tests need no RNG archaeology.
+    ``stats``, ``rng``, and the draw methods) with deterministic values, so
+    event-sequence tests need no RNG archaeology.  The victim draws are the
+    real injector's, fed by the scripted ``rng``.
     """
 
     class _Rng:
@@ -51,6 +53,9 @@ class ScriptedInjector:
 
     def choose_level(self, in_service):
         return self.level
+
+    victim_is_busy = NodeFaultInjector.victim_is_busy
+    pick_victim = NodeFaultInjector.pick_victim
 
 
 @pytest.fixture()

@@ -50,7 +50,7 @@ from repro.sim.batch import (
     simulate_batch,
     _SharedTrace,
 )
-from repro.sim.engine import Simulation
+from repro.sim.engine import Simulation, _scalar_simulation
 from repro.sim.failure import FailureModel
 from repro.sim.faults import NodeFaultInjector, fault_rng
 from repro.sim.policies import EasyBackfilling, Fcfs, ShortestJobFirst
@@ -369,6 +369,17 @@ def test_fast_lane_routing():
             estimator=SuccessiveApproximation(record_trajectories=True),
         )
     )
+    # Node faults ride it too, whatever the policy and estimator.
+    for policy in (Fcfs(), ShortestJobFirst(), EasyBackfilling()):
+        for estimator in (None, SuccessiveApproximation(), LastInstance()):
+            assert fast_lane_eligible(
+                BatchConfig(
+                    cluster=cluster,
+                    estimator=estimator,
+                    policy=policy,
+                    fault_config=FaultConfig(node_mtbf=1e6, node_mttr=3600.0),
+                )
+            )
     assert fast_lane_eligible(
         BatchConfig(
             cluster=cluster,
@@ -393,7 +404,7 @@ def test_fast_lane_routing():
         )
         assert not fast_lane_eligible(
             BatchConfig(
-                cluster=cluster,
+                cluster=paper_cluster(24.0, strategy="worst_fit"),
                 estimator=estimator,
                 fault_config=FaultConfig(node_mtbf=1e6, node_mttr=3600.0),
             )
@@ -953,14 +964,17 @@ def test_null_observer_takes_the_fast_lane(monkeypatch, workload):
 
 
 def test_ineligible_config_takes_the_scalar_path(monkeypatch, workload):
+    """A worst-fit cluster is outside the fast lane: simulate() runs the
+    scalar engine, faults included."""
     faults = FaultConfig(node_mtbf=5.0e5, node_mttr=3600.0)
     calls = _spy_on_simulate_batch(monkeypatch)
-    result = simulate(workload, paper_cluster(24.0), SuccessiveApproximation(),
-                      fault_config=faults)
+    result = simulate(workload, paper_cluster(24.0, strategy="worst_fit"),
+                      SuccessiveApproximation(), fault_config=faults)
     assert calls == []
-    assert result.fingerprint() == scalar_fingerprint(
-        workload, estimator=SuccessiveApproximation(), fault_config=faults
-    )
+    assert result.fingerprint() == scalar_run(
+        workload, paper_cluster(24.0, strategy="worst_fit"),
+        SuccessiveApproximation(), fault_config=faults,
+    ).fingerprint()
     assert result.n_node_failures > 0
 
 
@@ -1248,21 +1262,24 @@ def test_protocol_resubmission_that_fits_nowhere_falls_back_to_the_request(
 
 
 def test_engine_lanes_sharing_one_faulted_cluster_match_scalar(workload):
-    """Engine lanes (here: fault injection) handed the *same* cluster
-    instance run one after another, each resetting it."""
+    """Engine lanes (here: timeline recording) handed the *same* cluster
+    instance run one after another, each resetting it, though fault
+    injection took nodes down in the first."""
     faults = FaultConfig(node_mtbf=5.0e5, node_mttr=3600.0)
     shared = paper_cluster(24.0)
     configs = [
         BatchConfig(cluster=shared, estimator=LastInstance(),
-                    policy=ShortestJobFirst(), fault_config=faults)
+                    policy=ShortestJobFirst(), fault_config=faults,
+                    record_timeline=True)
         for _ in range(2)
     ]
     assert not any(fast_lane_eligible(config) for config in configs)
     results = simulate_batch(workload, configs)
-    expected = scalar_fingerprint(
-        workload, estimator=LastInstance(), policy=ShortestJobFirst(),
-        fault_config=faults,
-    )
+    assert results[0].n_node_failures > 0
+    expected = _scalar_simulation(
+        workload, paper_cluster(24.0), LastInstance(), ShortestJobFirst(),
+        0, 0.0, faults, True, None, record_timeline=True,
+    ).run().fingerprint()
     assert [r.fingerprint() for r in results] == [expected, expected]
 
 

@@ -42,6 +42,20 @@ class TestFaultConfig:
         with pytest.raises(ValueError):
             FaultConfig(burst_prob=1.5)
 
+    @pytest.mark.parametrize("knobs, name", [
+        # A fractional or boolean burst used to be accepted, and the first
+        # burst then died in range() (or burst a single node).
+        ({"burst_size": 2.5}, "burst_size"),
+        ({"burst_size": True}, "burst_size"),
+        ({"burst_size": 2.0}, "burst_size"),
+        ({"burst_prob": math.nan}, "burst_prob"),
+        ({"node_mttr": math.nan}, "node_mttr"),
+    ])
+    def test_bad_knob_rejected_by_name(self, knobs, name):
+        with pytest.raises(ValueError, match=name):
+            FaultConfig(**{"node_mtbf": 2e5, "burst_size": 2,
+                           "burst_prob": 0.9, **knobs})
+
 
 class TestInjector:
     def test_disabled_injector_never_fires(self):

@@ -258,10 +258,6 @@ _FAST_ESTIMATORS = {
 _FAULTS = FaultConfig(node_mtbf=5.0e5, node_mttr=3600.0)
 
 _ENGINE_CASES = {
-    "faults": lambda: BatchConfig(
-        cluster=paper_cluster(24.0), estimator=SuccessiveApproximation(),
-        fault_config=_FAULTS, spurious_failure_prob=0.01,
-    ),
     "timeline": lambda: BatchConfig(
         cluster=paper_cluster(24.0), estimator=SuccessiveApproximation(),
         record_timeline=True,
@@ -282,6 +278,8 @@ def _assert_run_leaves_no_cycles(workload, config):
     gc.collect()  # clear what came before: count only this run's garbage
     results = simulate_batch(workload, [config])
     assert results[0].n_attempts > 0
+    if config.fault_config is not None:
+        assert results[0].n_fault_kills > 0  # the kill path ran too
     del results
     assert gc.collect() == 0
 
@@ -295,6 +293,20 @@ def test_fast_lanes_leave_no_cyclic_garbage(workload, estimator, policy):
         policy=policy(),
         seed=2,
         spurious_failure_prob=0.02,
+    )
+    assert fast_lane_eligible(config)
+    _assert_run_leaves_no_cycles(workload, config)
+
+
+@pytest.mark.parametrize("policy", [Fcfs, ShortestJobFirst, EasyBackfilling])
+@pytest.mark.parametrize("estimator", ["successive", "last-instance"])
+def test_faulted_fast_lanes_leave_no_cyclic_garbage(workload, estimator, policy):
+    config = BatchConfig(
+        cluster=paper_cluster(24.0),
+        estimator=_FAST_ESTIMATORS[estimator](),
+        policy=policy(),
+        fault_config=_FAULTS,
+        spurious_failure_prob=0.01,
     )
     assert fast_lane_eligible(config)
     _assert_run_leaves_no_cycles(workload, config)
