@@ -19,9 +19,11 @@ Two lane implementations sit behind one driver:
   over row indices, allocation is a free-count list per capacity level with
   a precomputed fill-order table per (strategy, ladder index), completions
   are raw heap tuples, and results are assembled after the run, their
-  attempt records left raw (:class:`~repro.sim.records.LazyAttempts`) and
-  their job summaries columnar (:class:`~repro.sim.records.LazySummaries`)
-  until someone reads one.  Estimation takes one of three modes:
+  attempt records left a chunked log of plain numbers
+  (:class:`~repro.sim.records.AttemptLog`, decoded by
+  :class:`~repro.sim.records.LazyAttempts`) and their job summaries
+  columnar (:class:`~repro.sim.records.LazySummaries`) until someone reads
+  one.  Estimation takes one of three modes:
 
   - :class:`~repro.core.baselines.NoEstimation` — the request, verbatim;
   - default-keyed :class:`~repro.core.successive.SuccessiveApproximation`
@@ -68,7 +70,11 @@ about 30% of a ``simulate()`` call, to free nothing: the lanes make no
 reference cycles (``tests/sim/test_gc_pause.py`` checks every lane kind).
 The pause is refcounted across threads under a module lock, and a fork
 hook ends it in a child forked mid-pause (a sweep pool forked from one
-service thread while another simulates).  The scalar
+service thread while another simulates).  What a lane leaves behind is
+collector-cheap too: its attempt log and per-row lists hold only ints,
+floats and bools, which the collector does not track, so the first
+collection after the pause scans a few hundred lists rather than one
+tuple per attempt.  The scalar
 :meth:`Simulation.run` stays unpaused: it is the oracle, and runs user
 observers.
 
@@ -105,7 +111,9 @@ from repro.obs.base import SimObserver
 from repro.sim.engine import _scalar_simulation
 from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
 from repro.sim.policies import EasyBackfilling, Fcfs, Policy, ShortestJobFirst
-from repro.sim.records import LazyAttempts, LazySummaries, SimResult
+from repro.sim.records import (
+    LOG_CHUNK_FIELDS, AttemptLog, LazyAttempts, LazySummaries, SimResult,
+)
 from repro.similarity.keys import by_user_app_reqmem
 from repro.util.rng import RngStream, as_generator
 from repro.workload.job import LazyJobs, Workload
@@ -195,9 +203,11 @@ class BatchConfig:
 
     ``collect_attempts`` keeps the lane's per-attempt trace, as in
     :func:`simulate`; sweeps and the service, which only aggregate, turn it
-    off.  A fast lane keeps the trace as raw tuples, and its result's
-    ``attempts`` (a :class:`~repro.sim.records.LazyAttempts`) builds the
-    :class:`~repro.sim.records.AttemptRecord` list on first read.
+    off.  A fast lane keeps the trace as a chunked log of plain numbers
+    (:class:`~repro.sim.records.AttemptLog`), and its result's
+    ``attempts`` (a :class:`~repro.sim.records.LazyAttempts`) decodes it
+    into the :class:`~repro.sim.records.AttemptRecord` list on first
+    read.
     """
 
     cluster: Cluster
@@ -469,8 +479,10 @@ class _FastLane:
     loop plus failure and repair events (:mod:`repro.sim.fault_lane`).
     All the policies share the same
     refresh/allocate/outcome blocks, inlined with the scalar float-op
-    order.  A completion appends one raw attempt tuple, its allocation the
-    unsorted ``(ladder index, take)`` pairs the lane filled, and job
+    order.  A completion appends one record of twelve plain numbers to
+    the lane's :class:`~repro.sim.records.AttemptLog` (inlined in
+    :meth:`_run_fcfs`), its allocation the unsorted ``(ladder index,
+    take)`` pairs the lane filled, flattened into the companion chunk; job
     summaries stay the per-row lists they were accumulated in: records of
     either kind are built only when a reader asks, so the per-event path
     allocates almost nothing.
@@ -496,7 +508,7 @@ class _FastLane:
         "max_reduced", "mixed_threshold",
         "n_att", "n_resfail", "wasted_job", "final_start", "final_end",
         "final_req", "final_granted", "final_reduced", "completed", "dead",
-        "rejected_rows", "raw_attempts", "collect",
+        "rejected_rows", "log", "collect",
         "n_attempts", "n_resource_failures", "n_spurious", "n_reduced",
         "useful", "wasted", "t_last_end", "faults", "down_intervals",
         "n_kills", "__weakref__",
@@ -605,7 +617,7 @@ class _FastLane:
         self.completed = [False] * n
         self.dead = [False] * n
         self.rejected_rows: List[int] = []
-        self.raw_attempts: List[tuple] = []
+        self.log = AttemptLog()
 
         self.n_attempts = 0
         self.n_resource_failures = 0
@@ -809,12 +821,14 @@ class _FastLane:
         gver = self.gver
         gver[g] += 1
         gprobe = self.gprobe
-        if gprobe[g] == (job_id, attempt):
+        probe = gprobe[g]
+        if probe is not None and probe == (job_id, attempt):
             gprobe[g] = None
         guard = self.explicit_guard and granted >= self.c_used_mem[i]
         failed_at = self.failed_at
         if succeeded:
-            failed_at.pop(job_id, None)
+            if failed_at:
+                failed_at.pop(job_id, None)
         elif not guard:
             prev = failed_at.get(job_id, 0.0)
             failed_at[job_id] = prev if prev >= requirement else requirement
@@ -1158,10 +1172,10 @@ class _FastLane:
         reduced = requirement < self.c_req_mem[i]
         node_seconds = (now - start) * procs
         if self.collect:
-            self.raw_attempts.append(
+            self.log.append(
                 (self.c_job_id[i], attempt, enqueue_time, start, now, procs,
-                 requirement, granted, succeeded, resource_related, reduced,
-                 tuple(counts))
+                 requirement, granted, succeeded, resource_related, reduced),
+                counts,
             )
         if now > self.t_last_end:
             self.t_last_end = now
@@ -1283,7 +1297,10 @@ class _FastLane:
         final_granted = self.final_granted
         final_reduced = self.final_reduced
         completed = self.completed
-        raw_attempts = self.raw_attempts
+        log_recs = self.log.records
+        log_pairs = self.log.pairs
+        log_rec = log_recs[-1]
+        log_pair = log_pairs[-1]
         heappush = _heappush
         heappop = _heappop
         isfinite = _isfinite
@@ -1345,11 +1362,19 @@ class _FastLane:
                 node_seconds = (now - start) * procs
                 reduced = requirement < c_req_mem[i]
                 if collect:
-                    raw_attempts.append(
-                        (c_job_id[i], attempt, enqueue_time, start, now,
-                         procs, requirement, granted, succeeded,
-                         resource_related, reduced, tuple(counts))
+                    # ---- AttemptLog.append, inlined
+                    log_rec += (
+                        c_job_id[i], attempt, enqueue_time, start, now,
+                        procs, requirement, granted, succeeded,
+                        resource_related, reduced, len(counts),
                     )
+                    for pair in counts:
+                        log_pair += pair
+                    if len(log_rec) >= LOG_CHUNK_FIELDS:
+                        log_rec = []
+                        log_pair = []
+                        log_recs.append(log_rec)
+                        log_pairs.append(log_pair)
                 if now > t_last_end:
                     t_last_end = now
                 if not mode_none:
@@ -1357,11 +1382,13 @@ class _FastLane:
                     g = gid[i]
                     job_id = c_job_id[i]
                     gver[g] += 1
-                    if gprobe[g] == (job_id, attempt):
+                    probe = gprobe[g]
+                    if probe is not None and probe == (job_id, attempt):
                         gprobe[g] = None
                     guard = explicit_guard and granted >= c_used_mem[i]
                     if succeeded:
-                        failed_at.pop(job_id, None)
+                        if failed_at:
+                            failed_at.pop(job_id, None)
                     elif not guard:
                         prev = failed_at.get(job_id, 0.0)
                         failed_at[job_id] = (
@@ -1636,10 +1663,10 @@ class _FastLane:
                 f"{len(self.queue)} jobs stranded in the queue at end of trace"
             )
         trace = self.trace
-        # The attempts stay raw: a LazyAttempts turns them into records,
-        # in place, only if someone reads one.
-        attempts = LazyAttempts(self.raw_attempts, self.levels)
-        self.raw_attempts = None
+        # The attempts stay a log of plain numbers: a LazyAttempts decodes
+        # it into records only if someone reads one.
+        attempts = LazyAttempts(self.log, self.levels)
+        self.log = None
         # The summaries stay columnar: the per-row lists, in JobSummary
         # field order, go to a LazySummaries that builds the records only
         # if someone reads one.  Rows are sorted by (submit_time, job_id) —

@@ -154,10 +154,11 @@ class _FaultedRun:
         procs = lane.c_procs[i]
         node_seconds = (now - start) * procs
         if lane.collect:
-            lane.raw_attempts.append(
+            lane.log.append(
                 (lane.c_job_id[i], attempt, enqueue_time, start, now, procs,
                  requirement, granted, False, False,
-                 requirement < lane.c_req_mem[i], tuple(counts))
+                 requirement < lane.c_req_mem[i]),
+                counts,
             )
         if now > lane.t_last_end:
             lane.t_last_end = now

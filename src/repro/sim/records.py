@@ -324,63 +324,142 @@ class LazySummaries(_LazySequence):
         return self._jobs() == other._jobs()
 
 
-def _attempt_record(raw: tuple, levels: Tuple[float, ...]) -> AttemptRecord:
-    """The :class:`AttemptRecord` of one raw fast-lane attempt: its first
+#: Fields per record of an :class:`AttemptLog`: the eleven leading
+#: :class:`AttemptRecord` fields, then the allocation's pair count.
+LOG_FIELDS = 12
+
+#: Records per chunk of an :class:`AttemptLog`.
+LOG_CHUNK = 512
+
+#: Length of a full record chunk.
+LOG_CHUNK_FIELDS = LOG_FIELDS * LOG_CHUNK
+
+
+class AttemptLog:
+    """A fast lane's attempt trace, kept as plain numbers.
+
+    ``records`` is a list of chunks, each a flat list of up to
+    :data:`LOG_CHUNK` records of :data:`LOG_FIELDS` fields: the eleven
+    leading :class:`AttemptRecord` fields verbatim, then how many
+    ``(ladder index, take)`` pairs the allocation holds.  ``pairs`` holds
+    one companion chunk per record chunk, those pairs flattened to ints in
+    the order the lane filled them.  Every element is an int, a float or a
+    bool, none of which the cyclic collector tracks, so a log of any length
+    adds only its chunk lists to a collection.  The chunks are bounded so
+    that the log grows without reallocating one large list, and so that
+    :class:`LazyAttempts` can free it a chunk at a time.  The last chunk of
+    each list is the one being written; :meth:`append` and the inlined
+    FCFS loop of :class:`repro.sim.batch._FastLane` start a new one when
+    it is full.
+    """
+
+    __slots__ = ("records", "pairs")
+
+    def __init__(self) -> None:
+        self.records: List[list] = [[]]
+        self.pairs: List[list] = [[]]
+
+    def append(self, record: tuple, counts: Sequence[Tuple[int, int]]) -> None:
+        """Log one attempt: ``record`` its eleven leading
+        :class:`AttemptRecord` fields, ``counts`` its allocation as
+        ``(ladder index, take)`` pairs in fill order."""
+        rec = self.records[-1]
+        rec += record
+        rec.append(len(counts))
+        pairs = self.pairs[-1]
+        for pair in counts:
+            pairs += pair
+        if len(rec) >= LOG_CHUNK_FIELDS:
+            self.records.append([])
+            self.pairs.append([])
+
+    def __len__(self) -> int:
+        records = self.records
+        return (len(records) - 1) * LOG_CHUNK + len(records[-1]) // LOG_FIELDS
+
+
+def _decode(
+    chunk: list, pairs: list, levels: Tuple[float, ...]
+) -> List[AttemptRecord]:
+    """The records of one :class:`AttemptLog` chunk: each record's first
     eleven fields verbatim, its ``(ladder index, take)`` pairs mapped to
     ``(level, take)`` and sorted by level, as the scalar engine records
     them."""
-    return AttemptRecord._make(
-        raw[:11] + (tuple(sorted([(levels[j], take) for j, take in raw[11]])),)
-    )
+    make = AttemptRecord._make
+    out = []
+    p = 0
+    for fields in zip(*(iter(chunk),) * LOG_FIELDS):
+        n_pairs = fields[11]
+        if n_pairs == 1:
+            allocation = ((levels[pairs[p]], pairs[p + 1]),)
+        else:
+            allocation = tuple(sorted([
+                (levels[pairs[k]], pairs[k + 1])
+                for k in range(p, p + 2 * n_pairs, 2)
+            ]))
+        p += 2 * n_pairs
+        out.append(make(fields[:11] + (allocation,)))
+    return out
 
 
 class LazyAttempts(_LazySequence):
     """A fast-lane result's :class:`AttemptRecord` sequence, built on demand.
 
-    Holds the lane's raw attempt tuples, in completion order: the eleven
-    leading :class:`AttemptRecord` fields, then the allocation as the lane
-    filled it, ``(ladder index, take)`` pairs in fill order, plus the
-    capacity ladder those indices point into.  ``len()`` and ``bool()``
-    read the raw list.  The first element access or iteration converts
-    every raw tuple in place into the exact record a scalar run holds, so
-    the raw and the built list are one list and never exist side by side.
-    Pickles and deep-copies as the built list.
+    Holds the lane's :class:`AttemptLog`, in completion order, plus the
+    capacity ladder its pair indices point into.  ``len()`` and ``bool()``
+    read the record count.  The first element access or iteration builds
+    the exact records a scalar run holds, chunk by chunk from the back,
+    dropping each log chunk once decoded, so the whole log and the whole
+    record list never exist side by side.  Pickles and deep-copies as the
+    built list.
     """
 
-    __slots__ = ("_raw", "_levels")
+    __slots__ = ("_log", "_levels", "_n")
 
     _noun = "attempts"
 
-    def __init__(self, raw: list, levels: Tuple[float, ...]) -> None:
-        self._raw = raw
+    def __init__(self, log: AttemptLog, levels: Tuple[float, ...]) -> None:
+        self._log: Optional[AttemptLog] = log
         self._levels = levels
+        self._n = len(log)
         self._list: Optional[List[AttemptRecord]] = None
 
     def _build(self) -> Iterator[AttemptRecord]:
         levels = self._levels
-        return (_attempt_record(raw, levels) for raw in self._raw)
+        log = self._log
+        for chunk, pairs in zip(log.records, log.pairs):
+            yield from _decode(chunk, pairs, levels)
 
     def _make_list(self) -> List[AttemptRecord]:
-        raw, levels = self._raw, self._levels
-        for k, item in enumerate(raw):
-            raw[k] = _attempt_record(item, levels)
-        return raw
+        records, pairs = self._log.records, self._log.pairs
+        self._log = None
+        levels = self._levels
+        out: list = [None] * self._n
+        end = self._n
+        while records:
+            built = _decode(records.pop(), pairs.pop(), levels)
+            out[end - len(built):end] = built
+            end -= len(built)
+        return out
 
     def __len__(self) -> int:
-        return len(self._raw)
+        return self._n
 
     def _records(self) -> Iterator[AttemptRecord]:
         return iter(self._list) if self._list is not None else self._build()
 
     def _same(self, other: "LazyAttempts") -> bool:
-        # Identical raw tuples on one ladder build identical records; raw
-        # tuples that differ only in fill order build equal ones.
-        if (
-            self._list is None and other._list is None
-            and self._levels == other._levels and self._raw == other._raw
-        ):
-            return True
-        return len(self) == len(other) and all(
+        # Identical logs on one ladder build identical records; logs that
+        # differ only in fill order build equal ones.
+        if self._list is None and other._list is None:
+            log, other_log = self._log, other._log
+            if (
+                self._levels == other._levels
+                and log.records == other_log.records
+                and log.pairs == other_log.pairs
+            ):
+                return True
+        return self._n == other._n and all(
             map(_eq, self._records(), other._records())
         )
 

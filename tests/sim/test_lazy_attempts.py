@@ -1,9 +1,11 @@
-"""Fast-lane results keep their attempt records raw until read.
+"""Fast-lane results keep their attempt records as a log of numbers until read.
 
 :class:`repro.sim.records.LazyAttempts` stands in for the fast lane's
-:class:`AttemptRecord` list.  A completion appends a raw tuple whose
-allocation is the unsorted ``(ladder index, take)`` pairs the lane filled;
-the first read maps them to ``(level, take)`` and sorts them.  These tests
+:class:`AttemptRecord` list.  A completion appends one record of plain
+numbers to the lane's :class:`AttemptLog`, its allocation the unsorted
+``(ladder index, take)`` pairs the lane filled, flattened into a companion
+chunk; the first read maps them to ``(level, take)`` and sorts them,
+freeing the log a chunk at a time.  These tests
 pin that the lazy list answers exactly what the scalar engine's eager list
 answers — records, equality, fingerprint, pickling, per-tier occupancy —
 for every estimation mode, fast-lane policy and allocation strategy, on a
@@ -13,7 +15,10 @@ for lack of memory.  The oracle is an explicit scalar ``Simulation`` run
 """
 
 import copy
+import gc
 import pickle
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +27,11 @@ from repro.cluster import Cluster
 from repro.core import LastInstance, NoEstimation, SuccessiveApproximation
 from repro.sim import simulate
 from repro.sim.analysis import tier_utilization
+from repro.sim.faults import FaultConfig
 from repro.sim.policies import EasyBackfilling, Fcfs, ShortestJobFirst
-from repro.sim.records import AttemptRecord, LazyAttempts
+from repro.sim.records import (
+    LOG_CHUNK, LOG_FIELDS, AttemptLog, AttemptRecord, LazyAttempts,
+)
 from repro.workload import Workload
 from repro.workload.columns import JobColumns
 
@@ -122,14 +130,29 @@ def test_lazy_attempts_equal_the_scalar_records(mode, policy, strategy):
     )
 
 
+def _logged_allocations(log: AttemptLog) -> list:
+    """Each logged attempt's ``(ladder index, take)`` pairs, in fill
+    order."""
+    out = []
+    for chunk, pairs in zip(log.records, log.pairs):
+        p = 0
+        for k in range(LOG_FIELDS - 1, len(chunk), LOG_FIELDS):
+            end = p + 2 * chunk[k]
+            out.append(list(zip(pairs[p:end:2], pairs[p + 1:end:2])))
+            p = end
+        assert p == len(pairs)
+    return out
+
+
 def test_first_fit_fills_out_of_level_order():
-    """The raw allocation really is unsorted on a first-fit lane; the
+    """The logged allocation really is unsorted on a first-fit lane; the
     built record is sorted by level, as the scalar engine records it."""
     result, twin = _run("none", "fcfs", "first_fit")
-    raw = result.attempts._raw
+    allocations = _logged_allocations(result.attempts._log)
+    assert len(allocations) == result.n_attempts
     assert any(
         [j for j, _ in pairs] != sorted(j for j, _ in pairs)
-        for *_, pairs in raw
+        for pairs in allocations
     )
     assert result.attempts == twin.attempts
 
@@ -170,12 +193,15 @@ def test_lazy_attempts_compare_with_each_other():
 
 def test_fill_order_alone_does_not_make_records_differ():
     """Best fit and first fit may fill the same nodes in another order:
-    raw tuples then differ while the built records agree, and == follows
+    the logs then differ while the built records agree, and == follows
     the records."""
     levels = (16.0, 24.0, 32.0)
     head = (1, 0, 0.0, 0.0, 10.0, 3, 16.0, 16.0, True, False, True)
-    filled = LazyAttempts([head + (((0, 1), (2, 2)),)], levels)
-    reversed_fill = LazyAttempts([head + (((2, 2), (0, 1)),)], levels)
+    logs = [AttemptLog(), AttemptLog()]
+    logs[0].append(head, [(0, 1), (2, 2)])
+    logs[1].append(head, [(2, 2), (0, 1)])
+    assert logs[0].pairs != logs[1].pairs
+    filled, reversed_fill = (LazyAttempts(log, levels) for log in logs)
     assert filled == reversed_fill
     assert filled[0].allocation == ((16.0, 1), (32.0, 2))
     assert repr(reversed_fill) == "LazyAttempts(1 attempts, lazy)"
@@ -190,3 +216,87 @@ def test_no_collection_still_yields_empty_attempts(mode):
     assert result.fingerprint() == twin.fingerprint()
     with pytest.raises(ValueError, match="collect_attempts=True"):
         tier_utilization(result, _cluster("first_fit"))
+
+
+#: One collected run per fast-lane kind: the inlined FCFS driver (both
+#: inlined estimation modes), the generic loop (SJF, EASY), the faulted
+#: loop, whose kills log attempts of their own, and protocol mode.
+LANE_KINDS = {
+    "fcfs-none": ("none", "fcfs", {}),
+    "fcfs-successive": ("successive", "fcfs", {}),
+    "sjf": ("successive", "sjf", {}),
+    "easy": ("successive", "easy", {}),
+    "faulted": ("successive", "easy", {
+        "fault_config": FaultConfig(node_mtbf=2.0e4, node_mttr=600.0),
+    }),
+    "protocol": ("protocol", "fcfs", {}),
+}
+
+
+def _tracked_reachable(*roots) -> list:
+    """Every GC-tracked object reachable from ``roots``, roots included."""
+    seen = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return [obj for obj in seen.values() if gc.is_tracked(obj)]
+
+
+@pytest.mark.parametrize("kind", sorted(LANE_KINDS))
+def test_log_holds_no_per_attempt_tracked_objects(kind):
+    """A collected result's log is its chunk lists and plain numbers: the
+    collector scans a handful of lists, not one object per attempt."""
+    mode, policy, kwargs = LANE_KINDS[kind]
+    workload = _trace(n=600)
+    result = simulate(workload, _cluster("first_fit"), MODES[mode](),
+                      POLICIES[policy](), seed=4,
+                      spurious_failure_prob=SPURIOUS, **kwargs)
+    if kind == "faulted":
+        assert result.n_fault_kills > 0
+    log = result.attempts._log
+    assert len(result.attempts) == len(log) == result.n_attempts > LOG_CHUNK
+    n_chunks = result.n_attempts // LOG_CHUNK + 1
+    assert len(log.records) == len(log.pairs) == n_chunks
+    assert all(len(c) == LOG_CHUNK * LOG_FIELDS for c in log.records[:-1])
+    chunks = log.records + log.pairs
+    assert all(type(x) in (int, float, bool) for c in chunks for x in c)
+    tracked = _tracked_reachable(log.records, log.pairs)
+    assert sorted(map(id, tracked)) == sorted(
+        map(id, [log.records, log.pairs, *chunks])
+    )
+    twin = scalar_run(workload, _cluster("first_fit"), MODES[mode](),
+                      POLICIES[policy](), seed=4,
+                      spurious_failure_prob=SPURIOUS, **kwargs)
+    assert result.fingerprint() == twin.fingerprint()
+
+
+def test_first_read_frees_the_log_as_it_builds():
+    """The build decodes the log a chunk at a time and drops each chunk
+    once decoded, so memory never holds the whole log beside the whole
+    record list: the build's peak stays within a chunk or two of what it
+    leaves behind."""
+    tracemalloc.start()
+    try:
+        result = simulate(_trace(n=6000), _cluster("first_fit"),
+                          NoEstimation(), Fcfs(), seed=4,
+                          spurious_failure_prob=SPURIOUS)
+        log = result.attempts._log
+        assert len(log.records) > 10
+        log_bytes = sum(
+            sys.getsizeof(c)
+            for c in [log.records, log.pairs, *log.records, *log.pairs]
+        )
+        del log
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result.attempts[0]
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.attempts.built() and result.attempts._log is None
+    # Kept until the list was complete, the log would add all its bytes
+    # to the peak.
+    assert peak - after < log_bytes / 4, (before, after, peak, log_bytes)
