@@ -19,7 +19,7 @@ estimate should not back off.
 from __future__ import annotations
 
 import abc
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.cluster.ladder import CapacityLadder
 from repro.workload.job import Job
@@ -117,7 +117,9 @@ class Estimator(abc.ABC):
         invocation whenever the token equals the one from that invocation.
         Return ``None`` (the default) to disable memoization — every refresh
         then calls :meth:`estimate`.  Implementations must be much cheaper
-        than :meth:`estimate` itself to be worthwhile.
+        than :meth:`estimate` itself to be worthwhile.  Schedulers resolve
+        the token through :func:`version_token_fn`, which drops this
+        default.
         """
         return None
 
@@ -144,6 +146,20 @@ class Estimator(abc.ABC):
         expose mutable internals.
         """
         return {"name": self.name}
+
+
+def version_token_fn(
+    estimator: Estimator,
+) -> Optional[Callable[[Job, int], Optional[int]]]:
+    """``estimator.estimate_version``, or ``None`` when its class inherits
+    the base method, which always returns ``None``: a scheduler then skips
+    the call and re-estimates on every refresh, exactly as a ``None`` token
+    would make it.  Keyed on method identity, like the engines' check for
+    the no-op ``observe``, so a subclass that overrides the method (a
+    recording wrapper, say) is still asked every time."""
+    if type(estimator).estimate_version is Estimator.estimate_version:
+        return None
+    return estimator.estimate_version
 
 
 def clamp_to_request(value: float, job: Job) -> float:

@@ -28,6 +28,7 @@ log space the residuals are homoscedastic and the margin is a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -41,6 +42,9 @@ from repro.workload.job import Job, Workload
 #: Maps a job's request parameters to a feature vector.  Must be a pure
 #: function of the job's request fields: the estimator memoizes it per job.
 FeatureFunction = Callable[[Job], np.ndarray]
+
+
+_outer = np.multiply.outer
 
 
 def default_features(job: Job) -> np.ndarray:
@@ -60,13 +64,22 @@ def default_features(job: Job) -> np.ndarray:
     )
 
 
+def _residual_std(residual_sq_sum: float, n_samples: int) -> float:
+    """Sample standard deviation of the residuals (0 below two samples).
+    ``math.sqrt`` is correctly rounded, as ``np.sqrt`` is, and cheaper on
+    one Python float."""
+    if n_samples < 2:
+        return 0.0
+    return math.sqrt(residual_sq_sum / (n_samples - 1))
+
+
 @dataclass
 class _RlsState:
     """Recursive-least-squares state: P = (X'X + lambda I)^-1 and weights.
 
     ``residual_std`` follows from ``n_samples`` and ``residual_sq_sum``; it
-    is set at construction and by :meth:`update_residual_std`, so that
-    ``estimate`` reads it instead of taking a square root per call.
+    is set at construction and by every update, so that ``estimate`` reads
+    it instead of taking a square root per call.
     """
 
     p_matrix: np.ndarray
@@ -76,15 +89,7 @@ class _RlsState:
     residual_std: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
-        self.update_residual_std()
-
-    def update_residual_std(self) -> None:
-        if self.n_samples < 2:
-            self.residual_std = 0.0
-        else:
-            self.residual_std = float(
-                np.sqrt(self.residual_sq_sum / (self.n_samples - 1))
-            )
+        self.residual_std = _residual_std(self.residual_sq_sum, self.n_samples)
 
 
 class RegressionEstimator(Estimator):
@@ -140,17 +145,22 @@ class RegressionEstimator(Estimator):
         return self._state
 
     def _update(self, x: np.ndarray, y: float) -> None:
-        """One RLS step: O(d^2), no matrix inversion."""
+        """One RLS step: O(d^2), no matrix inversion.
+
+        ``ndarray.dot`` runs the BLAS kernels ``@`` runs (dgemv, ddot)
+        with less dispatch, and ``np.multiply.outer`` forms the products of
+        ``gain[:, None] * px`` with less overhead: the result is
+        bit-identical to that formulation."""
         state = self._ensure_state(x.size)
         p = state.p_matrix
-        px = p @ x
-        gain = px / (1.0 + x @ px)
-        error = y - float(state.weights @ x)
+        px = p.dot(x)
+        gain = px / (1.0 + float(x.dot(px)))
+        error = y - float(state.weights.dot(x))
         state.weights = state.weights + gain * error
-        state.p_matrix = p - gain[:, None] * px  # np.outer's products, less overhead
+        state.p_matrix = p - _outer(gain, px)
         state.n_samples += 1
         state.residual_sq_sum += error * error
-        state.update_residual_std()
+        state.residual_std = _residual_std(state.residual_sq_sum, state.n_samples)
 
     # ------------------------------------------------------------- protocol
     def estimate(self, job: Job, attempt: int = 0) -> float:
@@ -159,8 +169,10 @@ class RegressionEstimator(Estimator):
         state = self._state
         if state is None or state.n_samples < self.min_samples:
             return job.req_mem
-        x = self._x(job)
-        prediction = float(state.weights @ x)
+        x = self._features.get(job)
+        if x is None:
+            x = self._x(job)
+        prediction = float(state.weights.dot(x))
         requirement = prediction + self.safety_sigmas * state.residual_std
         if self.log_target:
             requirement = float(np.exp(requirement))

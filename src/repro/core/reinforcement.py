@@ -53,6 +53,12 @@ class _ArmStats:
     pulls: int = 0
 
 
+def _greedy_factor(arms: Dict[float, _ArmStats]) -> float:
+    """The arm with the highest Q-value; ties broken toward deeper cuts
+    (more utilization upside)."""
+    return max(arms.items(), key=lambda kv: (kv[1].q_value, -kv[0]))[0]
+
+
 class ReinforcementLearning(Estimator):
     """Epsilon-greedy bandit over request-reduction factors.
 
@@ -113,6 +119,9 @@ class ReinforcementLearning(Estimator):
         self._rng_source: RngStream = rng
         self._q: Dict[Hashable, Dict[float, _ArmStats]] = {}
         self._visits: Dict[Hashable, int] = {}
+        #: Greedy factor per state, computed on first use and dropped when
+        #: one of the state's arms learns (observe) or on reset.
+        self._greedy: Dict[Hashable, float] = {}
         #: factor chosen per in-flight (job_id, attempt); consumed at feedback.
         self._pending: Dict[Tuple[int, int], Tuple[Hashable, float]] = {}
 
@@ -133,16 +142,14 @@ class ReinforcementLearning(Estimator):
         eps = self.epsilon / (1.0 + visits / self.epsilon_decay)
         if self._rng.random() < eps:
             return float(self._rng.choice(self.factors))
-        # Greedy; ties broken toward deeper cuts (more utilization upside).
-        best = max(arms.items(), key=lambda kv: (kv[1].q_value, -kv[0]))
-        return best[0]
+        best = self._greedy.get(state)
+        if best is None:
+            best = self._greedy[state] = _greedy_factor(arms)
+        return best
 
     def policy(self) -> Dict[Hashable, float]:
         """Greedy factor per state — the learnt global policy (§4's outcome)."""
-        out: Dict[Hashable, float] = {}
-        for state, arms in self._q.items():
-            out[state] = max(arms.items(), key=lambda kv: (kv[1].q_value, -kv[0]))[0]
-        return out
+        return {state: _greedy_factor(arms) for state, arms in self._q.items()}
 
     # ------------------------------------------------------------- protocol
     def estimate(self, job: Job, attempt: int = 0) -> float:
@@ -165,10 +172,12 @@ class ReinforcementLearning(Estimator):
         arm = self._arms(state)[factor]
         arm.q_value += self.learning_rate * (reward - arm.q_value)
         arm.pulls += 1
+        self._greedy.pop(state, None)
 
     def reset(self) -> None:
         self._q.clear()
         self._visits.clear()
+        self._greedy.clear()
         self._pending.clear()
         self._rng = as_generator(self._rng_source)
 

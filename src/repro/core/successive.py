@@ -152,12 +152,15 @@ class SuccessiveApproximation(Estimator):
         self._failed_at: Dict[int, float] = {}
         self._groups: Dict[GroupKey, GroupState] = {}
         self._trajectories: Dict[GroupKey, List[Tuple[float, float]]] = {}
-        # job_id -> resolved group.  A job's key is a pure function of the
-        # (immutable) job and GroupState objects are stable for the life of
-        # the run, so resolving the key tuple + dict probe once per job (and
-        # once per estimate/observe thereafter via a single int-keyed get)
-        # is safe.  The engine alternates observe/estimate across many jobs,
-        # which defeats a single-entry memo.
+        # job_id -> the group the job first resolved to; every later
+        # estimate/observe of the job is one int-keyed get instead of a key
+        # tuple + dict probe (the engine alternates observe/estimate across
+        # many jobs, which defeats a single-entry memo).  This is exact only
+        # for key functions that are pure functions of the job.  A stateful
+        # key is not: OnlineSimilarityEstimator's AdaptiveKey re-keys jobs
+        # when their coarse group splits, yet a job seen before the split
+        # stays pinned here to the coarse group, while group_state_for
+        # resolves the refined one (a known divergence; see ROADMAP).
         self._job_group: Dict[int, GroupState] = {}
 
     # ------------------------------------------------------------- protocol
@@ -315,6 +318,14 @@ class SuccessiveApproximation(Estimator):
         return self._groups.get(key)
 
     def group_state_for(self, job: Job) -> Optional[GroupState]:
+        """State of the group ``job`` keys into now (None if never seen).
+
+        Resolves the key afresh, bypassing the per-job memo that
+        :meth:`estimate` and :meth:`observe` use.  For a stateful key (an
+        :class:`~repro.similarity.online.AdaptiveKey` after a split) the two
+        can disagree: a job first resolved before the split keeps its coarse
+        group in estimate/observe, while this returns the refined group.
+        """
         return self._groups.get(self.key_fn(job))
 
     @property

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import Allocation, Cluster
-from repro.core.base import Estimator, Feedback
+from repro.core.base import Estimator, Feedback, version_token_fn
 from repro.core.baselines import NoEstimation
 from repro.obs.base import NullObserver, RunMeta, SimObserver
 from repro.sim.events import EventKind, EventQueue
@@ -159,8 +159,12 @@ class Simulation:
         self._refresh = self.late_binding and not self.estimator.never_reduces()
         #: Estimator memoization hook (see Estimator.estimate_version): the
         #: late-binding refresh skips re-estimating a queue entry whose
-        #: requirement was computed at the entry's current token.
-        self._est_version_fn = self.estimator.estimate_version
+        #: requirement was computed at the entry's current token.  ``None``
+        #: without late binding, or when the estimator inherits the base
+        #: method (its token is always ``None``): no call is made then.
+        self._est_version_fn = (
+            version_token_fn(self.estimator) if self._refresh else None
+        )
         #: Lazy-scheduling dirty flag.  A completed scheduling pass ends with
         #: "nothing startable"; that verdict stays valid until something it
         #: depends on changes — see the invariant in :meth:`_schedule_pass`.
@@ -303,7 +307,8 @@ class Simulation:
 
     def _enqueue(self, now: float, job: Job, attempt: int, at_head: bool) -> None:
         requirement = self.estimator.estimate(job, attempt=attempt)
-        version = self._est_version_fn(job, attempt) if self._refresh else None
+        est_version = self._est_version_fn
+        version = None if est_version is None else est_version(job, attempt)
         if attempt > 0 and not self.cluster.fits(job.procs, requirement):
             # A *resubmission* whose refreshed estimate no machine class can
             # hold.  The job already ran (and burned node-seconds); rejecting
@@ -571,9 +576,15 @@ class Simulation:
                 # Estimator.estimate_version): while the token is unchanged,
                 # re-estimating the same entry provably returns the same
                 # value, so the call — and its group resolution and ladder
-                # rounding — is skipped.
+                # rounding — is skipped.  An estimator that inherits the
+                # base method has no token to ask for (version_token_fn
+                # gives None): it is re-estimated on every pass, with no
+                # token call, exactly as a None token would have it.
                 head = queue[0]
-                version = est_version(head.job, head.attempt)
+                version = (
+                    None if est_version is None
+                    else est_version(head.job, head.attempt)
+                )
                 if version is None or version != head.req_version:
                     if version is not None:
                         head.req_version = version

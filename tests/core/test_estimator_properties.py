@@ -24,7 +24,7 @@ from repro.core import (
     RobustLineSearch,
     SuccessiveApproximation,
 )
-from repro.core.base import Feedback
+from repro.core.base import Feedback, version_token_fn
 from repro.core.online import OnlineSimilarityEstimator
 from tests.conftest import make_job
 
@@ -163,3 +163,19 @@ class TestAlgorithmSpecificInvariants:
     def test_oracle_never_fails(self, specs):
         history = drive(OracleEstimator(), specs)
         assert all(ok for _, _, ok in history)
+
+
+@pytest.mark.parametrize("factory", [
+    LastInstance, ReinforcementLearning, RegressionEstimator,
+    RobustLineSearch, OnlineSimilarityEstimator, HybridEstimator,
+    OracleEstimator,
+])
+def test_estimators_without_a_version_token_resolve_to_none(factory):
+    """Estimators that inherit the base ``estimate_version`` offer no token:
+    schedulers skip the call, which could only return ``None``."""
+    assert version_token_fn(factory()) is None
+
+
+def test_a_version_token_resolves_to_the_bound_method():
+    est = SuccessiveApproximation()
+    assert version_token_fn(est) == est.estimate_version

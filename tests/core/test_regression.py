@@ -1,11 +1,16 @@
 """Regression estimator (explicit feedback, no similarity)."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.ladder import CapacityLadder
 from repro.core.base import Feedback
+from repro.core.persistence import dumps, loads
 from repro.core.regression import RegressionEstimator, default_features
+from repro.workload.job import Job, Workload
 from tests.conftest import make_job
 
 
@@ -180,3 +185,95 @@ class TestFeatureMemo:
             expected = float(np.exp(float(state.weights @ x)
                                     + state.residual_std))
             assert est.estimate(job) == min(expected, job.req_mem)
+
+
+# ------------------------------------------------ RLS reference differential
+def _reference_update(est, x, y):
+    """One RLS step in the formulation the estimator's trimmed update must
+    reproduce bit for bit: ``@`` products, the broadcast outer product and
+    ``np.sqrt`` for the residual spread."""
+    state = est._ensure_state(x.size)
+    p = state.p_matrix
+    px = p @ x
+    gain = px / (1.0 + x @ px)
+    error = y - float(state.weights @ x)
+    state.weights = state.weights + gain * error
+    state.p_matrix = p - gain[:, None] * px
+    state.n_samples += 1
+    state.residual_sq_sum += error * error
+    state.residual_std = (
+        0.0 if state.n_samples < 2
+        else float(np.sqrt(state.residual_sq_sum / (state.n_samples - 1)))
+    )
+
+
+def _reference_estimate(est, job):
+    """``estimate`` with the ``@`` prediction (past ``min_samples``)."""
+    state = est._state
+    requirement = (float(state.weights @ default_features(job))
+                   + est.safety_sigmas * state.residual_std)
+    if est.log_target:
+        requirement = float(np.exp(requirement))
+    if requirement <= 0:
+        return job.req_mem
+    return min(requirement, job.req_mem)
+
+
+def _bits(est):
+    state = est._state
+    return (state.weights.tobytes(), state.p_matrix.tobytes(),
+            struct.pack("<d", state.residual_std), state.n_samples,
+            struct.pack("<d", state.residual_sq_sum))
+
+
+_rls_jobs = st.lists(
+    st.tuples(
+        st.floats(0.5, 64.0),
+        st.integers(1, 1024),
+        st.one_of(st.just(-1.0), st.floats(1.0, 1e6)),
+        st.floats(0.01, 1.0),
+    ),
+    min_size=1,
+    max_size=30,
+).map(lambda rows: [
+    Job(job_id=i, submit_time=0.0, run_time=100.0, procs=procs, req_mem=req,
+        used_mem=req * frac, req_time=req_time)
+    for i, (req, procs, req_time, frac) in enumerate(rows)
+])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_rls_jobs, _rls_jobs, st.sampled_from((0.01, 1.0, 25.0)), st.booleans())
+def test_rls_update_is_bit_identical_to_the_reference(
+    history, live, ridge, log_target
+):
+    """The trimmed RLS step (``ndarray.dot``, ``np.multiply.outer``,
+    ``math.sqrt``) gives the reference formulation's weights, P and residual
+    spread to the bit: after an offline ``fit``, across a ``persistence``
+    round-trip, and after further online ``observe`` calls, with estimates
+    equal throughout."""
+    def make():
+        return bound(RegressionEstimator(ridge=ridge, min_samples=1,
+                                         log_target=log_target))
+
+    trimmed, reference = make(), make()
+    workload = Workload(history)
+    trimmed.fit(workload)
+    for job in workload:  # fit's order: (submit_time, job_id)
+        _reference_update(reference, default_features(job),
+                          reference._target(job.used_mem))
+    assert _bits(trimmed) == _bits(reference)
+
+    restored, restored_ref = make(), make()
+    loads(restored, dumps(trimmed))
+    loads(restored_ref, dumps(reference))
+    assert _bits(restored) == _bits(reference)
+    assert _bits(restored_ref) == _bits(reference)
+
+    for job in live:
+        feed(restored, job, used=job.used_mem, granted=job.req_mem)
+        _reference_update(restored_ref, default_features(job),
+                          restored_ref._target(job.used_mem))
+    assert _bits(restored) == _bits(restored_ref)
+    for job in history + live:
+        assert restored.estimate(job) == _reference_estimate(restored_ref, job)

@@ -1,6 +1,7 @@
 """Reinforcement-learning estimator (implicit feedback, no similarity)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.ladder import CapacityLadder
 from repro.core.base import Feedback
@@ -136,3 +137,51 @@ class TestMechanics:
             run_cycle(est, job)
         q = est.q_values(32.0)
         assert q[1.0] > q[0.25]
+
+
+class _Uncached(ReinforcementLearning):
+    """Recomputes the greedy arm at every choice: the cache is emptied first."""
+
+    def _choose_factor(self, state):
+        self._greedy.clear()
+        return super()._choose_factor(state)
+
+
+_rl_steps = st.lists(
+    st.tuples(
+        st.sampled_from((8.0, 16.0, 32.0)),  # request, hence bandit state
+        st.integers(0, 3),  # attempt; from 2 on the bandit is bypassed
+        st.floats(0.05, 1.0),  # used / requested
+        st.booleans(),  # report the outcome (else it stays pending)
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rl_steps, st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.3)),
+       st.booleans())
+def test_cached_greedy_arm_is_the_policy(steps, seed, epsilon, reset_midway):
+    """After any estimate/observe sequence every cached greedy factor equals
+    ``policy()[state]``, and the estimates (so the RNG draws) are those of an
+    estimator that recomputes the greedy arm at every choice."""
+    est = bound(ReinforcementLearning(epsilon=epsilon, rng=seed))
+    ref = bound(_Uncached(epsilon=epsilon, rng=seed))
+    for n, (req, attempt, frac, report) in enumerate(steps):
+        job = make_job(job_id=n, req_mem=req, used_mem=req * frac)
+        requirement = est.estimate(job, attempt=attempt)
+        assert requirement == ref.estimate(job, attempt=attempt)
+        if report:
+            feedback = Feedback(job=job, succeeded=requirement >= job.used_mem,
+                                requirement=requirement, granted=requirement,
+                                attempt=attempt)
+            est.observe(feedback)
+            ref.observe(feedback)
+        policy = est.policy()
+        assert all(factor == policy[state]
+                   for state, factor in est._greedy.items())
+        if reset_midway and n == len(steps) // 2:
+            est.reset()
+            ref.reset()
+            assert est._greedy == {}
+    assert est.policy() == ref.policy()

@@ -38,7 +38,7 @@ from repro.core import (
     SuccessiveApproximation,
 )
 from repro.core import persistence
-from repro.core.base import Estimator
+from repro.core.base import Estimator, version_token_fn
 from repro.similarity.keys import by_user_app
 from repro.obs import RecordingObserver
 from repro.sim import FaultConfig, simulate
@@ -1104,6 +1104,48 @@ def test_protocol_lane_replays_the_scalar_call_sequence(
     # Late binding re-asks at the head: more estimates than submissions.
     assert calls.count("estimate") > fast.n_attempts
     assert calls.count("observe") == fast.n_attempts
+
+
+class _CountingLastInstance(LastInstance):
+    """Counts its estimate calls; inherits the base estimate_version."""
+
+    def __init__(self):
+        super().__init__()
+        self.n_estimates = 0
+
+    def estimate(self, job, attempt=0):
+        self.n_estimates += 1
+        return super().estimate(job, attempt=attempt)
+
+
+@pytest.mark.parametrize("policy", [Fcfs, EasyBackfilling])
+def test_engines_never_ask_for_the_base_version_token(
+    monkeypatch, workload, policy
+):
+    """An estimator that inherits the base ``estimate_version`` (always
+    ``None``) is never asked for a token by either engine: both re-estimate
+    the head at every refresh instead, with equal estimate counts and
+    fingerprints."""
+    token_calls = []
+
+    def counting_token(self, job, attempt=0):
+        token_calls.append((job.job_id, attempt))
+        return None
+
+    # Still the base method, so method identity still says "inherited".
+    monkeypatch.setattr(Estimator, "estimate_version", counting_token)
+    fast_est, scalar_est = _CountingLastInstance(), _CountingLastInstance()
+    assert version_token_fn(fast_est) is None
+    config = BatchConfig(cluster=paper_cluster(24.0), estimator=fast_est,
+                         policy=policy(), seed=2)
+    assert fast_lane_eligible(config)
+    fast = simulate_batch(workload, [config])[0]
+    scalar = scalar_run(workload, paper_cluster(24.0), scalar_est, policy(),
+                        seed=2)
+    assert token_calls == []
+    assert fast.fingerprint() == scalar.fingerprint()
+    # Late binding re-estimates at the head: more estimates than attempts.
+    assert fast_est.n_estimates == scalar_est.n_estimates > fast.n_attempts
 
 
 #: Estimators outside the inlined paths, each built fresh per run.

@@ -142,3 +142,31 @@ class TestOnlineSimilarityEstimator:
         est.estimate(job)
         est.reset()
         assert est.adaptive_key.n_groups == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="SuccessiveApproximation._job_group pins a job to the group "
+        "it first resolved to, but an AdaptiveKey re-keys jobs when their "
+        "coarse group splits (see ROADMAP)",
+    )
+    def test_a_job_seen_before_a_split_follows_its_refined_group(self):
+        """After a split, a job estimates from the group its key resolves to
+        now: the same group a never-seen twin of it (same user, app and
+        request) resolves to, and the one ``group_state_for`` returns."""
+        est = OnlineSimilarityEstimator(
+            adaptive_key=AdaptiveKey(split_range=1.5, min_observations=4)
+        )
+        est.bind(CapacityLadder([4.0, 8.0, 16.0, 32.0]))
+        early = make_job(job_id=100, user_id=1, app_id=1, req_mem=32.0)
+        est.estimate(early)  # resolved while (user, app) is still one group
+        for i, used in enumerate((2.0, 30.0, 2.5, 28.0)):
+            job = make_job(job_id=i, user_id=1, app_id=1, req_mem=32.0,
+                           used_mem=used)
+            est.observe(Feedback(job=job, succeeded=True,
+                                 requirement=est.estimate(job),
+                                 granted=32.0, used=used))
+        assert est.adaptive_key.is_split(early)
+        twin = early._replace(job_id=101)
+        inner = est.inner
+        assert inner._group_for(early) is inner.group_state_for(early)
+        assert est.estimate(early) == est.estimate(twin)
