@@ -33,22 +33,31 @@ Package map
 - :mod:`repro.cluster` -- heterogeneous cluster model and capacity ladders
 - :mod:`repro.sim` -- the discrete-event scheduler simulator and metrics
 - :mod:`repro.experiments` -- one module per paper figure/table
+
+Exports load on first access (:func:`repro._lazy.lazy_exports`): ``from
+repro import simulate`` imports :mod:`repro.sim.engine` and what it needs,
+not the whole package. Library code imports a name from the submodule that
+defines it.
 """
 
-from repro.core import (
-    Estimator,
-    Feedback,
-    LastInstance,
-    NoEstimation,
-    OracleEstimator,
-    RegressionEstimator,
-    ReinforcementLearning,
-    RobustLineSearch,
-    SuccessiveApproximation,
-)
-from repro.cluster import Cluster, CapacityLadder, paper_cluster
-from repro.sim import Simulation, simulate, utilization, mean_slowdown
-from repro.workload import Workload, Job, lanl_cm5_like
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "cluster.builder": ("paper_cluster",),
+    "cluster.cluster": ("Cluster",),
+    "cluster.ladder": ("CapacityLadder",),
+    "core.base": ("Estimator", "Feedback"),
+    "core.baselines": ("NoEstimation", "OracleEstimator"),
+    "core.last_instance": ("LastInstance",),
+    "core.linesearch": ("RobustLineSearch",),
+    "core.regression": ("RegressionEstimator",),
+    "core.reinforcement": ("ReinforcementLearning",),
+    "core.successive": ("SuccessiveApproximation",),
+    "sim.engine": ("Simulation", "simulate"),
+    "sim.metrics": ("mean_slowdown", "utilization"),
+    "workload.job": ("Job", "Workload"),
+    "workload.lanl_cm5": ("lanl_cm5_like",),
+})
 
 __version__ = "1.0.0"
 
@@ -79,7 +88,13 @@ __all__ = [
 
 def quickstart(n_jobs: int = 5000, load: float = 0.8, seed: int = 0) -> str:
     """Run a miniature end-to-end comparison and return a report string."""
-    from repro.workload import drop_full_machine_jobs, scale_load
+    from repro.cluster.builder import paper_cluster
+    from repro.core.baselines import NoEstimation
+    from repro.core.successive import SuccessiveApproximation
+    from repro.sim.engine import simulate
+    from repro.sim.metrics import mean_slowdown, utilization
+    from repro.workload.lanl_cm5 import lanl_cm5_like
+    from repro.workload.transforms import drop_full_machine_jobs, scale_load
 
     trace = scale_load(
         drop_full_machine_jobs(lanl_cm5_like(n_jobs=n_jobs, seed=seed)), load

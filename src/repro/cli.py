@@ -37,58 +37,35 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
-from repro.cluster import design_ladder, design_second_tier, paper_cluster
-from repro.core import (
-    Estimator,
-    HybridEstimator,
-    LastInstance,
-    NoEstimation,
-    OnlineSimilarityEstimator,
-    OracleEstimator,
-    RegressionEstimator,
-    ReinforcementLearning,
-    RobustLineSearch,
-    SuccessiveApproximation,
-)
-from repro.experiments.config import ExperimentConfig
-from repro.sim import (
-    EasyBackfilling,
-    Fcfs,
-    Policy,
-    ShortestJobFirst,
-    mean_slowdown,
-    simulate,
-    utilization,
-)
-from repro.workload import (
-    Workload,
-    drop_full_machine_jobs,
-    lanl_cm5_like,
-    overprovisioning_stats,
-    read_swf,
-    scale_load,
-    write_swf,
-)
+import repro.core as core
+import repro.sim as sim
 
-#: Estimators constructible from the command line.
+if TYPE_CHECKING:
+    from repro.core.base import Estimator
+    from repro.sim.policies import Policy
+    from repro.workload.job import Workload
+
+#: Estimators constructible from the command line.  Each class resolves
+#: through the lazy :mod:`repro.core` when its factory is called, so
+#: building the parser (``repro --help``) imports no estimator.
 ESTIMATORS: Dict[str, Callable[[int], Estimator]] = {
-    "none": lambda seed: NoEstimation(),
-    "successive": lambda seed: SuccessiveApproximation(),
-    "last-instance": lambda seed: LastInstance(),
-    "rl": lambda seed: ReinforcementLearning(rng=seed),
-    "regression": lambda seed: RegressionEstimator(),
-    "line-search": lambda seed: RobustLineSearch(),
-    "online": lambda seed: OnlineSimilarityEstimator(),
-    "hybrid": lambda seed: HybridEstimator(),
-    "oracle": lambda seed: OracleEstimator(),
+    "none": lambda seed: core.NoEstimation(),
+    "successive": lambda seed: core.SuccessiveApproximation(),
+    "last-instance": lambda seed: core.LastInstance(),
+    "rl": lambda seed: core.ReinforcementLearning(rng=seed),
+    "regression": lambda seed: core.RegressionEstimator(),
+    "line-search": lambda seed: core.RobustLineSearch(),
+    "online": lambda seed: core.OnlineSimilarityEstimator(),
+    "hybrid": lambda seed: core.HybridEstimator(),
+    "oracle": lambda seed: core.OracleEstimator(),
 }
 
 POLICIES: Dict[str, Callable[[], Policy]] = {
-    "fcfs": Fcfs,
-    "sjf": ShortestJobFirst,
-    "easy": EasyBackfilling,
+    "fcfs": lambda: sim.Fcfs(),
+    "sjf": lambda: sim.ShortestJobFirst(),
+    "easy": lambda: sim.EasyBackfilling(),
 }
 
 EXPERIMENTS = (
@@ -109,6 +86,9 @@ EXPERIMENTS = (
 
 def _load_workload(args: argparse.Namespace) -> Workload:
     """Workload from --trace (SWF) or the calibrated synthetic generator."""
+    from repro.workload.lanl_cm5 import lanl_cm5_like
+    from repro.workload.swf import read_swf
+
     if getattr(args, "trace", None):
         workload, report = read_swf(args.trace)
         print(report.summary(), file=sys.stderr)
@@ -131,6 +111,9 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from repro.workload.lanl_cm5 import lanl_cm5_like
+    from repro.workload.swf import write_swf
+
     workload = lanl_cm5_like(n_jobs=args.jobs, seed=args.seed)
     write_swf(
         workload,
@@ -144,8 +127,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.similarity import similarity_report
+    from repro.similarity.analysis import similarity_report
     from repro.workload.report import characterize
+    from repro.workload.stats import overprovisioning_stats
 
     workload = _load_workload(args)
     print("== trace characterization ==")
@@ -162,7 +146,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _simulation_inputs(args: argparse.Namespace):
     """Shared ``simulate``/``stats`` setup: workload, cluster, estimator,
     fault config — all from the common CLI flags."""
-    from repro.sim import FaultConfig
+    from repro.cluster.builder import paper_cluster
+    from repro.sim.faults import FaultConfig
+    from repro.workload.transforms import drop_full_machine_jobs, scale_load
 
     workload = drop_full_machine_jobs(_load_workload(args))
     workload = scale_load(workload, args.load)
@@ -186,7 +172,10 @@ def _write_prometheus(destination: str, text: str) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.obs import JsonlTraceObserver, prometheus_text
+    from repro.obs.export import prometheus_text
+    from repro.obs.trace import JsonlTraceObserver
+    from repro.sim.engine import simulate
+    from repro.sim.metrics import mean_slowdown, utilization
 
     workload, cluster, estimator, fault_config = _simulation_inputs(args)
     observer = None
@@ -232,14 +221,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        CompositeObserver,
-        CounterObserver,
-        EstimatorTelemetryObserver,
-        TimelineSampler,
-        prometheus_text,
-    )
+    from repro.obs.base import CompositeObserver
+    from repro.obs.counters import CounterObserver
+    from repro.obs.export import prometheus_text
+    from repro.obs.sampler import TimelineSampler
+    from repro.obs.telemetry import EstimatorTelemetryObserver
     from repro.sim.analysis import capacity_decomposition, queue_stats
+    from repro.sim.engine import simulate
+    from repro.sim.metrics import mean_slowdown, utilization
 
     workload, cluster, estimator, fault_config = _simulation_inputs(args)
     counters = CounterObserver()
@@ -291,7 +280,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import group_trajectories, read_trace, trace_counts
+    from repro.obs.trace import group_trajectories, read_trace, trace_counts
 
     try:
         events = list(read_trace(args.file))
@@ -327,6 +316,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     import logging
 
     from repro.experiments.cache import resolve_cache
+    from repro.experiments.config import ExperimentConfig
     from repro.experiments.parallel import (
         ResilienceConfig,
         set_default_resilience,
@@ -366,7 +356,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.experiments.cache import resolve_cache
-    from repro.service import ServiceConfig, serve
+    from repro.service.app import ServiceConfig, serve
 
     serve(
         ServiceConfig(
@@ -383,6 +373,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_design(args: argparse.Namespace) -> int:
+    from repro.cluster.builder import design_ladder, design_second_tier
+    from repro.workload.transforms import drop_full_machine_jobs
+
     workload = drop_full_machine_jobs(_load_workload(args))
     candidates = [float(m) for m in args.candidates]
     if args.tiers > 1:

@@ -12,22 +12,31 @@ The paper's clusters are sets of machines differing in memory capacity (e.g.
   interchangeable, so the hot path never touches individual machines),
 * :mod:`repro.cluster.builder` — convenience constructors for the paper's
   cluster configurations and the cluster-design tool derived from Figure 8.
+
+Exports load on first access (:func:`repro._lazy.lazy_exports`): ``from
+repro.cluster import Cluster`` imports :mod:`repro.cluster.cluster` and what
+it needs, not the whole package. Library code imports a name from the
+submodule that defines it.
 """
 
-from repro.cluster.machine import Machine
-from repro.cluster.ladder import CapacityLadder
-from repro.cluster.cluster import Allocation, AllocationStrategy, Cluster
-from repro.cluster.builder import (
-    DesignChoice,
-    LadderDesign,
-    design_ladder,
-    design_second_tier,
-    evaluate_ladder,
-    homogeneous,
-    paper_cluster,
-    stable_level,
-    two_tier,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "builder": (
+        "DesignChoice",
+        "LadderDesign",
+        "design_ladder",
+        "design_second_tier",
+        "evaluate_ladder",
+        "homogeneous",
+        "paper_cluster",
+        "stable_level",
+        "two_tier",
+    ),
+    "cluster": ("Allocation", "AllocationStrategy", "Cluster"),
+    "ladder": ("CapacityLadder",),
+    "machine": ("Machine",),
+})
 
 __all__ = [
     "Allocation",

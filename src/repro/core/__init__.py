@@ -22,23 +22,32 @@ All estimators speak the same protocol (:class:`Estimator`): the scheduler
 calls :meth:`~Estimator.estimate` at each submission to obtain the per-node
 capacity to request from the matcher, and :meth:`~Estimator.observe` with a
 :class:`Feedback` after each execution attempt.
+
+Exports load on first access (:func:`repro._lazy.lazy_exports`): ``from
+repro.core import LastInstance`` imports :mod:`repro.core.last_instance` and
+what it needs, not the whole package. Library code imports a name from the
+submodule that defines it.
 """
 
-from repro.core.base import Estimator, Feedback
-from repro.core.baselines import NoEstimation, OracleEstimator
-from repro.core.successive import GroupState, SuccessiveApproximation
-from repro.core.last_instance import LastInstance
-from repro.core.regression import RegressionEstimator
-from repro.core.reinforcement import ReinforcementLearning
-from repro.core.hybrid import HybridEstimator
-from repro.core.linesearch import RobustLineSearch
-from repro.core.online import OnlineSimilarityEstimator
-from repro.core.persistence import dump_state, dumps, load_state, loads
-from repro.core.multi_resource import (
-    CoordinateDescentEstimator,
-    MultiResourceTask,
-    ResourceVector,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "base": ("Estimator", "Feedback"),
+    "baselines": ("NoEstimation", "OracleEstimator"),
+    "hybrid": ("HybridEstimator",),
+    "last_instance": ("LastInstance",),
+    "linesearch": ("RobustLineSearch",),
+    "multi_resource": (
+        "CoordinateDescentEstimator",
+        "MultiResourceTask",
+        "ResourceVector",
+    ),
+    "online": ("OnlineSimilarityEstimator",),
+    "persistence": ("dump_state", "dumps", "load_state", "loads"),
+    "regression": ("RegressionEstimator",),
+    "reinforcement": ("ReinforcementLearning",),
+    "successive": ("GroupState", "SuccessiveApproximation"),
+})
 
 __all__ = [
     "CoordinateDescentEstimator",

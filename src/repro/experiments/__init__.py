@@ -23,8 +23,17 @@ FIG7   per-group estimate trajectory                       (fig7)
 FIG8   utilization ratio vs second-tier memory size        (fig8)
 TAB1   estimator taxonomy comparison                       (table1)
 ====== ======================================================================
+
+Exports load on first access (:func:`repro._lazy.lazy_exports`): ``from
+repro.experiments import ExperimentConfig`` imports
+:mod:`repro.experiments.config` and what it needs, not the whole package.
+Library code imports a name from the submodule that defines it.
 """
 
-from repro.experiments.config import ExperimentConfig
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "config": ("ExperimentConfig",),
+})
 
 __all__ = ["ExperimentConfig"]

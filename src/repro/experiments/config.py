@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
-from repro.cluster import Cluster, paper_cluster
+from repro.cluster.builder import paper_cluster
+from repro.cluster.cluster import Cluster
 from repro.util.validation import check_positive
-from repro.workload import (
-    Workload,
-    drop_full_machine_jobs,
-    lanl_cm5_like,
-)
+from repro.workload.job import Workload
+from repro.workload.lanl_cm5 import lanl_cm5_like
+from repro.workload.transforms import drop_full_machine_jobs
 
 
 @dataclass(frozen=True)

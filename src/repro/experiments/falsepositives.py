@@ -25,11 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core import NoEstimation, SuccessiveApproximation
 from repro.core.base import Estimator
+from repro.core.baselines import NoEstimation
+from repro.core.successive import SuccessiveApproximation
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.render import ascii_chart, format_table
-from repro.sim import FailureModel, Simulation, utilization
+from repro.sim.engine import Simulation
+from repro.sim.failure import FailureModel
+from repro.sim.metrics import utilization
 from repro.sim.policies import Fcfs
 from repro.workload.transforms import scale_load
 

@@ -35,8 +35,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core import NoEstimation, SuccessiveApproximation
 from repro.core.base import Estimator
+from repro.core.baselines import NoEstimation
+from repro.core.successive import SuccessiveApproximation
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.render import ascii_chart, format_table
 from repro.experiments.specs import (
@@ -46,7 +47,9 @@ from repro.experiments.specs import (
     RunSpec,
     WorkloadSpec,
 )
-from repro.sim import FaultConfig, simulate, utilization
+from repro.sim.engine import simulate
+from repro.sim.faults import FaultConfig
+from repro.sim.metrics import utilization
 from repro.sim.policies import Fcfs
 from repro.workload.transforms import scale_load
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.cluster import CapacityLadder, Cluster
-from repro.core import SuccessiveApproximation
+from repro.cluster.cluster import Cluster
+from repro.cluster.ladder import CapacityLadder
 from repro.core.base import Feedback
+from repro.core.successive import SuccessiveApproximation
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.render import ascii_chart, format_table
 from repro.workload.job import Job

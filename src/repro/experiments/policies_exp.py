@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.core import NoEstimation, SuccessiveApproximation
+from repro.core.baselines import NoEstimation
+from repro.core.successive import SuccessiveApproximation
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.render import format_table
 from repro.experiments.runner import run_point

@@ -22,11 +22,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster import Cluster
+from repro.cluster.cluster import Cluster
 from repro.core.base import Estimator
-from repro.sim import Policy, SimResult, mean_slowdown, simulate, utilization
+from repro.sim.engine import simulate
 from repro.sim.faults import FaultConfig
-from repro.workload import Workload, scale_load
+from repro.sim.metrics import mean_slowdown, utilization
+from repro.sim.policies import Policy
+from repro.sim.records import SimResult
+from repro.workload.job import Workload
+from repro.workload.transforms import scale_load
 
 EstimatorFactory = Callable[[], Estimator]
 ClusterFactory = Callable[[], Cluster]

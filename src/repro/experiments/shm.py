@@ -35,7 +35,8 @@ import logging
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.workload import JobColumns, Workload
+from repro.workload.columns import JobColumns
+from repro.workload.job import Workload
 
 logger = logging.getLogger("repro.sweep")
 

@@ -26,27 +26,22 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.cluster import Cluster, paper_cluster
-from repro.core import (
-    Estimator,
-    HybridEstimator,
-    LastInstance,
-    NoEstimation,
-    OnlineSimilarityEstimator,
-    OracleEstimator,
-    RegressionEstimator,
-    ReinforcementLearning,
-    RobustLineSearch,
-    SuccessiveApproximation,
-)
+from repro.cluster.builder import paper_cluster
+from repro.cluster.cluster import Cluster
+from repro.core.base import Estimator
+from repro.core.baselines import NoEstimation, OracleEstimator
+from repro.core.hybrid import HybridEstimator
+from repro.core.last_instance import LastInstance
+from repro.core.linesearch import RobustLineSearch
+from repro.core.online import OnlineSimilarityEstimator
+from repro.core.regression import RegressionEstimator
+from repro.core.reinforcement import ReinforcementLearning
+from repro.core.successive import SuccessiveApproximation
 from repro.sim.policies import EasyBackfilling, Fcfs, Policy, ShortestJobFirst
-from repro.workload import (
-    Workload,
-    drop_full_machine_jobs,
-    lanl_cm5_like,
-    read_swf,
-    scale_load,
-)
+from repro.workload.job import Workload
+from repro.workload.lanl_cm5 import lanl_cm5_like
+from repro.workload.swf import read_swf
+from repro.workload.transforms import drop_full_machine_jobs, scale_load
 
 #: Estimator factories constructible from a spec, by name.  Factories take
 #: the spec's keyword arguments; stateless names map straight to classes.

@@ -26,15 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core import (
-    Estimator,
-    LastInstance,
-    NoEstimation,
-    OracleEstimator,
-    RegressionEstimator,
-    ReinforcementLearning,
-    SuccessiveApproximation,
-)
+from repro.core.base import Estimator
+from repro.core.baselines import NoEstimation, OracleEstimator
+from repro.core.last_instance import LastInstance
+from repro.core.regression import RegressionEstimator
+from repro.core.reinforcement import ReinforcementLearning
+from repro.core.successive import SuccessiveApproximation
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.render import format_table
 from repro.experiments.runner import run_point

@@ -23,31 +23,36 @@ Built-in observers:
 :func:`prometheus_text` renders a finished run in the Prometheus text
 exposition format; the ``repro trace`` / ``repro stats`` CLI wraps all of
 this for the shell.
+
+Exports load on first access (:func:`repro._lazy.lazy_exports`): ``from
+repro.obs import CounterObserver`` imports :mod:`repro.obs.counters` and
+what it needs, not the whole package. Library code imports a name from the
+submodule that defines it.
 """
 
-from repro.obs.base import (
-    CompositeObserver,
-    NullObserver,
-    RecordingObserver,
-    RunMeta,
-    SimObserver,
-)
-from repro.obs.counters import CounterObserver
-from repro.obs.export import exposition, prometheus_text
-from repro.obs.sampler import TimelineSampler
-from repro.obs.telemetry import (
-    BackoffEvent,
-    EstimatorTelemetryObserver,
-    GroupTelemetry,
-)
-from repro.obs.trace import (
-    TRACE_SCHEMA_VERSION,
-    JsonlTraceObserver,
-    group_trajectories,
-    read_trace,
-    trace_counts,
-    trace_line,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "base": (
+        "CompositeObserver",
+        "NullObserver",
+        "RecordingObserver",
+        "RunMeta",
+        "SimObserver",
+    ),
+    "counters": ("CounterObserver",),
+    "export": ("exposition", "prometheus_text"),
+    "sampler": ("TimelineSampler",),
+    "telemetry": ("BackoffEvent", "EstimatorTelemetryObserver", "GroupTelemetry"),
+    "trace": (
+        "JsonlTraceObserver",
+        "TRACE_SCHEMA_VERSION",
+        "group_trajectories",
+        "read_trace",
+        "trace_counts",
+        "trace_line",
+    ),
+})
 
 __all__ = [
     "BackoffEvent",

@@ -27,7 +27,7 @@ import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.cache import SweepCache
-from repro.obs import read_trace
+from repro.obs.trace import read_trace
 from repro.service.app import ServiceConfig, ServiceThread
 
 SUBMISSION = {

@@ -15,43 +15,52 @@
 Entry points: :class:`repro.sim.engine.Simulation` (one run) and
 :func:`repro.sim.engine.simulate` (convenience), with metrics in
 :mod:`repro.sim.metrics`.
+
+Exports load on first access (:func:`repro._lazy.lazy_exports`): ``from
+repro.sim import utilization`` imports :mod:`repro.sim.metrics` and what it
+needs, not the whole package. Library code imports a name from the submodule
+that defines it.
 """
 
-from repro.sim.analysis import (
-    CapacityDecomposition,
-    QueueStats,
-    capacity_decomposition,
-    estimation_unlock_report,
-    queue_stats,
-    tier_utilization,
-)
-from repro.sim.events import EventKind, EventQueue
-from repro.sim.failure import ExecutionOutcome, FailureModel
-from repro.sim.faults import FaultConfig, FaultStats, NodeFaultInjector, fault_rng
-from repro.sim.multi import (
-    MachineClass,
-    MultiCluster,
-    MultiJob,
-    MultiSimResult,
-    MultiSimulation,
-)
-from repro.sim.records import AttemptRecord, JobSummary, SimResult, TimelineSample
-from repro.sim.policies import EasyBackfilling, Fcfs, Policy, ShortestJobFirst
-from repro.sim.engine import Simulation, simulate
-from repro.sim.batch import BatchConfig, simulate_batch
-from repro.sim.metrics import (
-    SaturationPoint,
-    bounded_slowdown,
-    capacity_node_seconds,
-    mean_slowdown,
-    mean_wait_time,
-    saturation_point,
-    saturation_utilization,
-    slowdown_percentile,
-    utilization,
-    wait_time_percentile,
-    wasted_fraction,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "analysis": (
+        "CapacityDecomposition",
+        "QueueStats",
+        "capacity_decomposition",
+        "estimation_unlock_report",
+        "queue_stats",
+        "tier_utilization",
+    ),
+    "batch": ("BatchConfig", "simulate_batch"),
+    "engine": ("Simulation", "simulate"),
+    "events": ("EventKind", "EventQueue"),
+    "failure": ("ExecutionOutcome", "FailureModel"),
+    "faults": ("FaultConfig", "FaultStats", "NodeFaultInjector", "fault_rng"),
+    "metrics": (
+        "SaturationPoint",
+        "bounded_slowdown",
+        "capacity_node_seconds",
+        "mean_slowdown",
+        "mean_wait_time",
+        "saturation_point",
+        "saturation_utilization",
+        "slowdown_percentile",
+        "utilization",
+        "wait_time_percentile",
+        "wasted_fraction",
+    ),
+    "multi": (
+        "MachineClass",
+        "MultiCluster",
+        "MultiJob",
+        "MultiSimResult",
+        "MultiSimulation",
+    ),
+    "policies": ("EasyBackfilling", "Fcfs", "Policy", "ShortestJobFirst"),
+    "records": ("AttemptRecord", "JobSummary", "SimResult", "TimelineSample"),
+})
 
 __all__ = [
     "AttemptRecord",

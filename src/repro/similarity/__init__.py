@@ -12,26 +12,35 @@ package provides
   one"), plus offline group construction from a full trace,
 * :mod:`repro.similarity.analysis` — the group-quality measurements of
   Figures 3 (group-size distribution) and 4 (gain vs. similarity range).
+
+Exports load on first access (:func:`repro._lazy.lazy_exports`): ``from
+repro.similarity import AdaptiveKey`` imports :mod:`repro.similarity.online`
+and what it needs, not the whole package. Library code imports a name from
+the submodule that defines it.
 """
 
-from repro.similarity.keys import (
-    GroupKey,
-    KeyFunction,
-    by_job_id,
-    by_user_app,
-    by_user_app_reqmem,
-    make_key_function,
-)
-from repro.similarity.groups import GroupStats, SimilarityIndex, build_groups
-from repro.similarity.online import AdaptiveKey
-from repro.similarity.analysis import (
-    GainRangePoint,
-    GroupSizeDistribution,
-    SimilarityReport,
-    gain_vs_range,
-    group_size_distribution,
-    similarity_report,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "analysis": (
+        "GainRangePoint",
+        "GroupSizeDistribution",
+        "SimilarityReport",
+        "gain_vs_range",
+        "group_size_distribution",
+        "similarity_report",
+    ),
+    "groups": ("GroupStats", "SimilarityIndex", "build_groups"),
+    "keys": (
+        "GroupKey",
+        "KeyFunction",
+        "by_job_id",
+        "by_user_app",
+        "by_user_app_reqmem",
+        "make_key_function",
+    ),
+    "online": ("AdaptiveKey",),
+})
 
 __all__ = [
     "AdaptiveKey",

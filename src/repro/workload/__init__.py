@@ -14,32 +14,41 @@ Workloads Archive.  This package provides
 * :mod:`repro.workload.transforms` — load rescaling, filtering, subsampling,
 * :mod:`repro.workload.stats` — the over-provisioning analyses behind
   Figure 1.
+
+Exports load on first access (:func:`repro._lazy.lazy_exports`): ``from
+repro.workload import scale_load`` imports :mod:`repro.workload.transforms`
+and what it needs, not the whole package. Library code imports a name from
+the submodule that defines it.
 """
 
-from repro.workload.arrivals import retime_diurnal, retime_poisson
-from repro.workload.cleaning import Flurry, detect_flurries, inject_flurry, remove_flurries
-from repro.workload.columns import COLUMN_FIELDS, JobColumns
-from repro.workload.job import Job, LazyJobs, Workload
-from repro.workload.lanl_cm5 import LANL_CM5, TraceProfile, lanl_cm5_like
-from repro.workload.report import TraceReport, characterize
-from repro.workload.splitting import split_by_time
-from repro.workload.swf import read_swf, read_swf_text, write_swf, write_swf_text
-from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
-from repro.workload.transforms import (
-    drop_full_machine_jobs,
-    head,
-    offered_load,
-    scale_load,
-    shift_to_zero,
-)
-from repro.workload.stats import (
-    OverprovisioningStats,
-    RegressionFit,
-    log_linear_fit,
-    overprovisioning_histogram,
-    overprovisioning_stats,
-    ratio_at_least,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "arrivals": ("retime_diurnal", "retime_poisson"),
+    "cleaning": ("Flurry", "detect_flurries", "inject_flurry", "remove_flurries"),
+    "columns": ("COLUMN_FIELDS", "JobColumns"),
+    "job": ("Job", "LazyJobs", "Workload"),
+    "lanl_cm5": ("LANL_CM5", "TraceProfile", "lanl_cm5_like"),
+    "report": ("TraceReport", "characterize"),
+    "splitting": ("split_by_time",),
+    "stats": (
+        "OverprovisioningStats",
+        "RegressionFit",
+        "log_linear_fit",
+        "overprovisioning_histogram",
+        "overprovisioning_stats",
+        "ratio_at_least",
+    ),
+    "swf": ("read_swf", "read_swf_text", "write_swf", "write_swf_text"),
+    "synthetic": ("SyntheticTraceConfig", "generate_trace"),
+    "transforms": (
+        "drop_full_machine_jobs",
+        "head",
+        "offered_load",
+        "scale_load",
+        "shift_to_zero",
+    ),
+})
 
 __all__ = [
     "COLUMN_FIELDS",

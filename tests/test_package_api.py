@@ -1,8 +1,15 @@
 """Public API surface: __all__ consistency and import hygiene."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 PACKAGES = [
     "repro",
@@ -13,6 +20,20 @@ PACKAGES = [
     "repro.sim",
     "repro.util",
 ]
+
+#: Packages whose ``__init__`` exports lazily (:mod:`repro._lazy`).
+LAZY_PACKAGES = [
+    "repro",
+    "repro.sim",
+    "repro.core",
+    "repro.workload",
+    "repro.obs",
+    "repro.similarity",
+    "repro.cluster",
+    "repro.experiments",
+]
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 
 @pytest.mark.parametrize("name", PACKAGES)
@@ -30,6 +51,92 @@ class TestPublicSurface:
     def test_module_has_docstring(self, name):
         module = importlib.import_module(name)
         assert module.__doc__ and len(module.__doc__) > 40
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+def test_lazy_exports_keep_the_public_api(name):
+    package = importlib.import_module(name)
+    listed = dir(package)
+    star = {}
+    exec(f"from {name} import *", star)
+    for symbol in package.__all__:
+        assert symbol in listed, f"dir({name}) omits {symbol}"
+        assert star[symbol] is getattr(package, symbol)
+    with pytest.raises(AttributeError, match="no_such_export"):
+        package.no_such_export
+    # Not imported as a submodule: repro/__main__.py would run the CLI.
+    assert not hasattr(package, "__main__")
+
+
+def fresh_modules(code: str) -> list:
+    """The ``repro`` modules a fresh interpreter holds after running ``code``."""
+    script = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+class TestImportFootprint:
+    """Fresh interpreters: this process has long since imported everything."""
+
+    def test_simulate_run_imports_only_its_path(self):
+        modules = fresh_modules(
+            "from repro.cluster import Cluster\n"
+            "from repro.core import SuccessiveApproximation\n"
+            "from repro.sim import simulate\n"
+            "from repro.workload import drop_full_machine_jobs, lanl_cm5_like, scale_load\n"
+            "trace = drop_full_machine_jobs(lanl_cm5_like(n_jobs=300, seed=0))\n"
+            "trace = scale_load(trace, 0.8)\n"
+            "result = simulate(trace, Cluster([(512, 32.0), (512, 24.0)]),\n"
+            "                  estimator=SuccessiveApproximation(), seed=0)\n"
+            "assert result.n_completed == len(trace)\n"
+        )
+        assert "repro.sim.engine" in modules
+        unused = {
+            "repro.sim.multi",
+            "repro.sim.analysis",
+            "repro.similarity.analysis",
+            "repro.core.multi_resource",
+            "repro.cluster.builder",
+            "repro.obs.trace",
+        }
+        assert not unused & set(modules)
+        assert not [m for m in modules if m.startswith(("repro.experiments", "repro.service"))]
+
+    def test_workload_package_imports_no_simulator(self):
+        modules = fresh_modules("import repro.workload")
+        assert not [m for m in modules if m.startswith("repro.sim")]
+
+    def test_submodule_resolves_as_attribute(self):
+        modules = fresh_modules(
+            "import repro.sim\n"
+            "assert callable(repro.sim.analysis.queue_stats)\n"
+            "import repro\n"
+            "assert repro.sim.engine.simulate is repro.simulate\n"
+        )
+        assert "repro.sim.analysis" in modules
+
+    def test_cli_help_imports_no_subcommand(self):
+        modules = fresh_modules(
+            "from repro.cli import main\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+        )
+        assert "repro.cli" in modules
+        assert not [
+            m for m in modules
+            if m.startswith(("repro.experiments", "repro.service"))
+            or m == "repro.cluster.builder"
+        ]
 
 
 class TestVersion:
