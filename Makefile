@@ -9,8 +9,9 @@ REPRO_BENCH_WORKERS ?= 4
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
+# Tier-1: the gate CI runs, and the one every change must keep green.
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -x -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -61,6 +62,8 @@ artifacts:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
+# Leaves benchmarks/results/ alone: its BENCH_*.json baselines and the
+# fig/table artifacts EXPERIMENTS.md cites are tracked files.
 clean:
-	rm -rf .pytest_cache .hypothesis benchmarks/results
+	rm -rf .pytest_cache .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -17,7 +17,7 @@ from conftest import run_once
 from repro.cluster import paper_cluster, two_tier
 from repro.core import NoEstimation, SuccessiveApproximation
 from repro.experiments.render import format_table
-from repro.experiments.runner import run_point
+from repro.sim.engine import simulate
 from repro.sim.metrics import utilization
 from repro.workload.transforms import scale_load
 
@@ -34,7 +34,8 @@ def test_ablation_allocation_strategy(benchmark, bench_config, save_artifact):
         rows = []
         for strategy in ("best_fit", "worst_fit", "first_fit"):
             cluster = two_tier(512, 32.0, 512, 24.0, strategy=strategy)
-            result = run_point(trace, cluster, SuccessiveApproximation(), seed=0)
+            result = simulate(trace, cluster, SuccessiveApproximation(), seed=0,
+                              collect_attempts=False)
             rows.append((strategy, utilization(result), result.frac_failed_executions))
         return rows
 
@@ -58,14 +59,16 @@ def test_ablation_alpha(benchmark, bench_config, save_artifact):
 
     def run():
         rows = []
-        base = run_point(trace, paper_cluster(24.0), NoEstimation(), seed=0)
+        base = simulate(trace, paper_cluster(24.0), NoEstimation(), seed=0,
+                        collect_attempts=False)
         rows.append(("none", utilization(base), 0.0, 0.0))
         for alpha in (1.2, 1.5, 2.0, 4.0, 8.0):
-            result = run_point(
+            result = simulate(
                 trace,
                 paper_cluster(24.0),
                 SuccessiveApproximation(alpha=alpha, beta=0.0),
                 seed=0,
+                collect_attempts=False,
             )
             rows.append(
                 (
@@ -104,11 +107,12 @@ def test_ablation_beta(benchmark, bench_config, save_artifact):
         for beta in (0.0, 0.5, 0.9):
             from repro.cluster.cluster import Cluster
 
-            result = run_point(
+            result = simulate(
                 trace,
                 Cluster(cluster_tiers, name="4tier"),
                 SuccessiveApproximation(alpha=2.0, beta=beta),
                 seed=0,
+                collect_attempts=False,
             )
             rows.append(
                 (beta, utilization(result), result.frac_failed_executions)
@@ -136,7 +140,8 @@ def test_engine_throughput(benchmark, bench_config, save_artifact):
     cluster_factory = lambda: paper_cluster(24.0)
 
     def run():
-        return run_point(trace, cluster_factory(), SuccessiveApproximation(), seed=0)
+        return simulate(trace, cluster_factory(), SuccessiveApproximation(),
+                        seed=0, collect_attempts=False)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.n_completed == len(trace)

@@ -158,8 +158,7 @@ def _result_to_point(spec: RunSpec, result: SimResult) -> SweepPoint:
 def _run_spec(spec: RunSpec, run: Callable[..., SimResult]) -> SweepPoint:
     """Materialize ``spec``, run it through ``run`` and fold the result.
 
-    The attempt trace is off, as in ``run_point``: a sweep point only
-    aggregates.
+    The attempt trace is off: a sweep point only aggregates.
     """
     result = run(
         spec.workload.materialize(),

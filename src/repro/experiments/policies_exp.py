@@ -18,7 +18,7 @@ from repro.core.baselines import NoEstimation
 from repro.core.successive import SuccessiveApproximation
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.render import format_table
-from repro.experiments.runner import run_point
+from repro.sim.engine import simulate
 from repro.sim.metrics import mean_slowdown, utilization
 from repro.sim.policies import EasyBackfilling, Fcfs, Policy, ShortestJobFirst
 from repro.workload.transforms import scale_load
@@ -103,15 +103,17 @@ def run(
     workload = scale_load(cfg.make_sim_workload(), load)
     rows: List[PolicyRow] = []
     for factory in POLICY_FACTORIES:
-        base = run_point(
-            workload, cfg.make_cluster(), NoEstimation(), policy=factory(), seed=cfg.seed
+        base = simulate(
+            workload, cfg.make_cluster(), NoEstimation(), policy=factory(),
+            seed=cfg.seed, collect_attempts=False,
         )
-        est = run_point(
+        est = simulate(
             workload,
             cfg.make_cluster(),
             SuccessiveApproximation(alpha=cfg.alpha, beta=cfg.beta),
             policy=factory(),
             seed=cfg.seed,
+            collect_attempts=False,
         )
         rows.append(
             PolicyRow(

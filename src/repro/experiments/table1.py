@@ -34,7 +34,7 @@ from repro.core.reinforcement import ReinforcementLearning
 from repro.core.successive import SuccessiveApproximation
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.render import format_table
-from repro.experiments.runner import run_point
+from repro.sim.engine import simulate
 from repro.sim.metrics import mean_slowdown, utilization
 from repro.workload.transforms import scale_load
 
@@ -130,7 +130,8 @@ def run(
     workload = scale_load(cfg.make_sim_workload(), load)
     rows: List[Table1Row] = []
     for name, (feedback, similarity, factory) in estimator_factories(cfg).items():
-        result = run_point(workload, cfg.make_cluster(), factory(), seed=cfg.seed)
+        result = simulate(workload, cfg.make_cluster(), factory(), seed=cfg.seed,
+                          collect_attempts=False)
         rows.append(
             Table1Row(
                 estimator=name,

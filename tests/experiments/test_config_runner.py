@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.core import NoEstimation, SuccessiveApproximation
+from repro.core import NoEstimation
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import LoadSweep, load_sweep, run_point
+from repro.experiments.fig5 import sweep_specs
+from repro.experiments.parallel import run_sweep, sweep_to_load_sweep
+from repro.experiments.specs import EstimatorSpec
+from repro.sim.engine import simulate
 
 
 class TestExperimentConfig:
@@ -46,14 +49,11 @@ class TestLoadSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
         cfg = ExperimentConfig(n_jobs=1500, loads=(0.4, 0.9))
-        return load_sweep(
-            cfg.make_sim_workload(),
-            cluster_factory=cfg.make_cluster,
-            estimator_factory=SuccessiveApproximation,
-            loads=cfg.loads,
-            label="est",
-            seed=0,
+        report = run_sweep(
+            sweep_specs(cfg, EstimatorSpec(name="successive")), max_workers=1
         )
+        assert report.n_errors == 0
+        return sweep_to_load_sweep("est", report.outcomes)
 
     def test_one_point_per_load(self, sweep):
         assert len(sweep.points) == 2
@@ -67,9 +67,10 @@ class TestLoadSweep:
         lo, hi = sweep.reduced_range
         assert 0 <= lo <= hi <= 1
 
-    def test_run_point_defaults(self):
+    def test_point_run_keeps_no_attempt_trace(self):
         cfg = ExperimentConfig(n_jobs=800)
-        result = run_point(cfg.make_sim_workload(), cfg.make_cluster(), NoEstimation())
+        result = simulate(cfg.make_sim_workload(), cfg.make_cluster(),
+                          NoEstimation(), collect_attempts=False)
         assert result.n_completed > 0
-        assert result.attempts == []  # trace collection off by default
+        assert result.attempts == []  # no attempt trace kept
         assert result.n_attempts > 0  # counters still filled

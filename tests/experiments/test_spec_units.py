@@ -93,6 +93,7 @@ class TestOracleMatch:
         report = run_sweep(
             specs, max_workers=workers, oversubscribe=True, timeout=timeout
         )
+        assert report.max_workers == workers  # no fallback to the serial path
         assert report.n_errors == 0
         assert report.points() == oracle
         assert report.profile().mean_batch_width == 1.0

@@ -14,7 +14,6 @@ from repro.experiments.parallel import (
     run_sweep,
     simulate_spec,
 )
-from repro.experiments.runner import run_point
 from repro.experiments.specs import (
     ClusterSpec,
     EstimatorSpec,
@@ -22,6 +21,7 @@ from repro.experiments.specs import (
     RunSpec,
     WorkloadSpec,
 )
+from repro.sim.engine import simulate
 
 
 def spec(load=0.5, estimator="none", n_jobs=300, seed=0, faults=None, **est_kwargs):
@@ -198,13 +198,14 @@ class TestFaultSpecs:
         from repro.sim import mean_slowdown, utilization
         from repro.sim.faults import FaultConfig
 
-        result = run_point(
+        result = simulate(
             s.workload.materialize(),
             s.cluster.materialize(),
             s.estimator.materialize(),
             policy=s.policy.materialize(),
             seed=s.seed,
             fault_config=FaultConfig(node_mtbf=2e7, node_mttr=3600.0),
+            collect_attempts=False,
         )
         assert point.utilization == utilization(result)
         assert point.mean_slowdown == mean_slowdown(result)

@@ -147,7 +147,8 @@ def test_pickle_round_trip_preserves_the_result():
 
 def test_summaries_survive_a_released_workload():
     """A sweep worker's trim releases the memoized workload's jobs after
-    every run; a result read afterwards rebuilds identical summaries."""
+    every run; a result read afterwards rebuilds identical summaries and
+    attempt records, and counting them builds neither."""
     clear_materialization_caches()
     try:
         workload = WorkloadSpec(n_jobs=400, seed=3, load=0.9).materialize()
@@ -157,8 +158,11 @@ def test_summaries_survive_a_released_workload():
         trim_materialized_workloads()
         assert not workload.jobs.materialized()
         assert not result.summaries.built()
+        assert len(result.attempts) == result.n_attempts == twin.n_attempts > 0
+        assert not result.attempts.built()
         assert result.summaries == twin.summaries
         assert result.fingerprint() == twin.fingerprint()
+        assert result.attempts.built() and result.attempts == twin.attempts
     finally:
         clear_materialization_caches()
 
