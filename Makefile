@@ -14,22 +14,22 @@ test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -x -q
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Full paper-scale regeneration (122,055-job trace; ~30 minutes).
 bench-full:
-	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	REPRO_BENCH_FULL=1 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Sweep throughput gate: the Figure 5 grid end-to-end through the pool
 # (shared-memory fan-out, one spec per unit), written machine-readably to
 # benchmarks/results/BENCH_sweep.json; fails if throughput drops >10% below
 # the recorded columnar-data-plane baseline.
 sweep-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/sweep_bench.py --workers $(REPRO_BENCH_WORKERS)
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) benchmarks/sweep_bench.py --workers $(REPRO_BENCH_WORKERS)
 
 # The sweep experiments through the multi-process executor + result cache.
 sweep-tests:
-	REPRO_BENCH_WORKERS=$(REPRO_BENCH_WORKERS) $(PYTHON) -m pytest \
+	REPRO_BENCH_WORKERS=$(REPRO_BENCH_WORKERS) PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest \
 		benchmarks/test_sweep_parallel.py \
 		benchmarks/test_fig5_utilization.py \
 		benchmarks/test_fig6_slowdown.py \
@@ -41,26 +41,26 @@ sweep-tests:
 # written machine-readably to benchmarks/results/BENCH_engine.json; fails
 # if throughput drops >10% below the recorded pre-optimization baseline.
 engine-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/engine_bench.py
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) benchmarks/engine_bench.py
 
 # The fault-injection study (§2.1 "faulty machines") plus the executor's
 # crash-resilience stress tests (worker SIGKILL, timeout, checkpoint resume).
 faults-bench:
-	$(PYTHON) -m pytest benchmarks/test_faults.py --benchmark-only
-	$(PYTHON) -m pytest tests/experiments/test_resilience.py tests/sim/test_faults.py -q
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest benchmarks/test_faults.py --benchmark-only
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest tests/experiments/test_resilience.py tests/sim/test_faults.py -q
 
 # Observer-overhead gate: fails if the null observer costs >5% over a bare
 # run (REPRO_OBS_TOLERANCE to adjust); also times the JSONL trace writer.
 obs-bench:
-	$(PYTHON) -m pytest benchmarks/test_obs_overhead.py -q -s
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest benchmarks/test_obs_overhead.py -q -s
 
 examples:
-	@for ex in examples/*.py; do echo "== $$ex =="; $(PYTHON) $$ex || exit 1; done
+	@for ex in examples/*.py; do echo "== $$ex =="; PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) $$ex || exit 1; done
 
 # The deliverable logs referenced by EXPERIMENTS.md.
 artifacts:
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 # Leaves benchmarks/results/ alone: its BENCH_*.json baselines and the
 # fig/table artifacts EXPERIMENTS.md cites are tracked files.

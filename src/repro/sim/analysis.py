@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.sim.records import SimResult
+from repro.sim.records import SimResult, iter_records
 
 
 def tier_utilization(result: SimResult, cluster: Cluster) -> Dict[float, float]:
@@ -27,7 +27,9 @@ def tier_utilization(result: SimResult, cluster: Cluster) -> Dict[float, float]:
 
     Requires the per-attempt trace (``collect_attempts=True``).  The paper's
     mechanism is visible here: without estimation the small tier of the
-    Figure 5 cluster sits nearly idle; with estimation it fills up.
+    Figure 5 cluster sits nearly idle; with estimation it fills up.  A
+    fast-lane result's attempts are read off its log a record at a time
+    (:func:`repro.sim.records.iter_records`); no record list is kept.
     """
     if not result.attempts and result.n_attempts:
         raise ValueError(
@@ -36,7 +38,7 @@ def tier_utilization(result: SimResult, cluster: Cluster) -> Dict[float, float]:
         )
     span = result.makespan
     busy: Dict[float, float] = {lvl: 0.0 for lvl in cluster.ladder.levels}
-    for attempt in result.attempts:
+    for attempt in iter_records(result.attempts):
         if not attempt.succeeded:
             continue
         for level, count in attempt.allocation:

@@ -183,10 +183,10 @@ class _LazySequence(_SequenceABC):
     list is (``__len__``) and how to make its records (:meth:`_build`, one
     at a time, keeping none).  ``len()`` and ``bool()`` build nothing; the
     first element access or iteration builds the list once
-    (:meth:`_make_list`) and keeps it.  ``==`` against a list compares one
-    record at a time and keeps nothing; against another lazy sequence of
-    the same class it asks :meth:`_same`.  Pickles and deep-copies as the
-    built list.
+    (:meth:`_make_list`) and keeps it.  :func:`iter_records` and ``==``
+    against a list go one record at a time and keep nothing; against
+    another lazy sequence of the same class ``==`` asks :meth:`_same`.
+    Pickles and deep-copies as the built list.
     """
 
     __slots__ = ("_list",)
@@ -203,6 +203,9 @@ class _LazySequence(_SequenceABC):
 
     def _make_list(self) -> list:
         return list(self._build())
+
+    def _records(self) -> Iterator:
+        return iter(self._list) if self._list is not None else self._build()
 
     def _materialize(self) -> list:
         if self._list is None:
@@ -241,6 +244,15 @@ class _LazySequence(_SequenceABC):
         return (list, (self._materialize(),))
 
 
+def iter_records(records: Sequence) -> Iterator:
+    """Iterate ``records`` one record at a time, building and keeping no
+    list: a lazy sequence not yet built decodes its records as they are
+    read, anything else iterates as usual."""
+    if isinstance(records, _LazySequence):
+        return records._records()
+    return iter(records)
+
+
 class LazySummaries(_LazySequence):
     """A fast-lane result's :class:`JobSummary` sequence, built on demand.
 
@@ -249,10 +261,11 @@ class LazySummaries(_LazySequence):
     workload, and the workload rows the summaries describe (``None`` when
     no job was rejected, so every row has one).  ``len()``, ``bool()``,
     ``==`` against another lazy sequence and :meth:`columns` read those
-    lists and the workload's columns; the first element access or iteration
-    builds the exact list a scalar run holds, once, reading the workload's
-    :class:`Job` objects (a released columnar workload rebuilds them
-    bit-identically).  Pickles and deep-copies as that plain list.
+    lists and the workload's columns, and so does :meth:`id_rows`, which
+    :meth:`SimResult.fingerprint` hashes.  The first element access or
+    iteration builds the exact list a scalar run holds, once, reading the
+    workload's :class:`Job` objects (a released columnar workload rebuilds
+    them bit-identically).  Pickles and deep-copies as that plain list.
     """
 
     __slots__ = ("_workload", "_rows", "_fields")
@@ -281,6 +294,23 @@ class LazySummaries(_LazySequence):
             JobSummary._make,
             zip(jobs, map(_SUBMIT_TIME, jobs), *self._fields),
         )
+
+    def id_rows(self) -> Iterator[tuple]:
+        """Each summary as a tuple with its job replaced by the job's id
+        (``job_id``, ``first_submit``, ``start_time``, ... in
+        :class:`JobSummary` field order), read off the workload's columns
+        and the lane's lists: no :class:`Job` is made and nothing is kept.
+
+        The columns decode to what the workload's jobs hold: a columnar
+        workload builds its jobs from them, and a fast lane runs a
+        hand-built job list only when its times are floats.
+        """
+        cols = self._workload.as_columns()
+        job_id, submit_time = cols.job_id, cols.submit_time
+        rows = self._rows
+        if rows is not None:
+            job_id, submit_time = job_id[rows], submit_time[rows]
+        return zip(job_id.tolist(), submit_time.tolist(), *self._fields)
 
     def columns(self) -> SummaryColumns:
         """The :class:`SummaryColumns` the built list would give, read
@@ -407,11 +437,14 @@ class LazyAttempts(_LazySequence):
 
     Holds the lane's :class:`AttemptLog`, in completion order, plus the
     capacity ladder its pair indices point into.  ``len()`` and ``bool()``
-    read the record count.  The first element access or iteration builds
-    the exact records a scalar run holds, chunk by chunk from the back,
-    dropping each log chunk once decoded, so the whole log and the whole
-    record list never exist side by side.  Pickles and deep-copies as the
-    built list.
+    read the record count.  :func:`iter_records` (which
+    :meth:`SimResult.fingerprint` and
+    :func:`repro.sim.analysis.tier_utilization` use) decodes the log one
+    chunk at a time and keeps no record.  The first element access or
+    iteration builds the exact records a scalar run holds, chunk by chunk
+    from the back, dropping each log chunk once decoded, so the whole log
+    and the whole record list never exist side by side.  Pickles and
+    deep-copies as the built list.
     """
 
     __slots__ = ("_log", "_levels", "_n")
@@ -445,9 +478,6 @@ class LazyAttempts(_LazySequence):
     def __len__(self) -> int:
         return self._n
 
-    def _records(self) -> Iterator[AttemptRecord]:
-        return iter(self._list) if self._list is not None else self._build()
-
     def _same(self, other: "LazyAttempts") -> bool:
         # Identical logs on one ladder build identical records; logs that
         # differ only in fill order build equal ones.
@@ -473,11 +503,13 @@ class SimResult:
     :class:`LazyAttempts` and a :class:`LazySummaries` instead.
     :attr:`n_jobs`, :attr:`n_completed`, :meth:`summary_columns` and the
     metrics built on it read the lane's columns, and ``len()``/``bool()``
-    of either sequence read the lane's lists.  The :class:`AttemptRecord`
-    and :class:`JobSummary` lists are built on the first element access or
-    iteration (:meth:`fingerprint`, ``for s in result.summaries``,
-    :func:`repro.sim.analysis.tier_utilization`).  Both kinds compare,
-    fingerprint and pickle alike.
+    of either sequence read the lane's lists.  :meth:`fingerprint` and
+    :func:`repro.sim.analysis.tier_utilization` read the attempt log and
+    the lane's columns a record at a time and keep nothing.  The
+    :class:`AttemptRecord` and :class:`JobSummary` lists are built on the
+    first element access or iteration (``for s in result.summaries``,
+    ``result.attempts[0]``).  Both kinds compare, fingerprint and pickle
+    alike.
     """
 
     workload_name: str
@@ -644,7 +676,7 @@ class SimResult:
             self.useful_node_seconds,
             self.wasted_node_seconds,
         )
-        for a in self.attempts:
+        for a in iter_records(self.attempts):
             put(
                 "attempt",
                 a.job_id,
@@ -660,21 +692,26 @@ class SimResult:
                 a.reduced,
                 a.allocation,
             )
-        for s in self.summaries:
-            put(
-                "summary",
-                s.job.job_id,
-                s.first_submit,
-                s.start_time,
-                s.end_time,
-                s.n_attempts,
-                s.n_resource_failures,
-                s.completed,
-                s.final_requirement,
-                s.final_granted,
-                s.reduced,
-                s.wasted_node_seconds,
-            )
+        summaries = self.summaries
+        if isinstance(summaries, LazySummaries) and not summaries.built():
+            for row in summaries.id_rows():
+                put("summary", *row)
+        else:
+            for s in summaries:
+                put(
+                    "summary",
+                    s.job.job_id,
+                    s.first_submit,
+                    s.start_time,
+                    s.end_time,
+                    s.n_attempts,
+                    s.n_resource_failures,
+                    s.completed,
+                    s.final_requirement,
+                    s.final_granted,
+                    s.reduced,
+                    s.wasted_node_seconds,
+                )
         for job in self.rejected_jobs:
             put("rejected", job.job_id)
         for t in self.timeline:

@@ -187,3 +187,23 @@ def scalar_run(
         seed=seed,
         collect_attempts=collect_attempts,
     ).run()
+
+
+def assert_fingerprint_keeps_nothing(result, twin, workload=None) -> None:
+    """A fast-lane ``result`` fingerprints like its scalar ``twin`` and
+    like itself once both record lists are built.  Taking the fingerprint
+    builds neither list and, when ``workload`` is given (a columnar trace
+    whose lane made no ``Job`` objects), materializes none of its jobs;
+    comparing with the twin builds neither list either."""
+    digest = result.fingerprint()
+    assert digest == twin.fingerprint()
+    assert not result.attempts.built() and not result.summaries.built()
+    if workload is not None:
+        assert not workload.jobs.materialized()
+    assert result == twin and twin == result
+    assert not result.attempts.built() and not result.summaries.built(), (
+        "== against a list keeps nothing"
+    )
+    list(result.attempts), list(result.summaries)
+    assert result.attempts.built() and result.summaries.built()
+    assert result.fingerprint() == digest

@@ -35,7 +35,9 @@ from repro.sim.records import (
 from repro.workload import Workload
 from repro.workload.columns import JobColumns
 
-from tests.sim.engine_reference import scalar_run
+from tests.sim.engine_reference import (
+    assert_fingerprint_keeps_nothing, scalar_run,
+)
 
 MODES = {
     "none": NoEstimation,
@@ -51,6 +53,9 @@ STRATEGIES = ("best_fit", "first_fit")
 TIERS = ((6, 32.0), (6, 16.0), (6, 24.0))
 
 SPURIOUS = 0.1
+
+#: Node faults frequent enough that a faulted lane kills running jobs.
+FAULTS = FaultConfig(node_mtbf=2.0e4, node_mttr=600.0)
 
 
 def _trace(n: int = 240, seed: int = 11) -> Workload:
@@ -82,24 +87,40 @@ def _cluster(strategy: str) -> Cluster:
     return Cluster(list(TIERS), strategy=strategy, name="three-tier")
 
 
-def _run(mode, policy, strategy, **kwargs):
-    """``simulate`` and its scalar twin, each with a fresh estimator (the
-    estimator learns in place)."""
-    workload = _trace()
+def _run(mode, policy, strategy, workload=None, **kwargs):
+    """``simulate`` (on ``workload``, by default a fresh trace) and its
+    scalar twin on a trace of its own (the scalar run materializes its
+    jobs), each with a fresh estimator (the estimator learns in place)."""
     kwargs.setdefault("seed", 4)
     kwargs.setdefault("spurious_failure_prob", SPURIOUS)
     return tuple(
-        run(workload, _cluster(strategy), MODES[mode](), POLICIES[policy](),
+        run(trace, _cluster(strategy), MODES[mode](), POLICIES[policy](),
             **kwargs)
-        for run in (simulate, scalar_run)
+        for run, trace in (
+            (simulate, _trace() if workload is None else workload),
+            (scalar_run, _trace()),
+        )
     )
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("policy", sorted(POLICIES))
-@pytest.mark.parametrize("mode", sorted(MODES))
-def test_lazy_attempts_equal_the_scalar_records(mode, policy, strategy):
-    result, twin = _run(mode, policy, strategy)
+#: Every mode x policy x strategy lane, then a faulted lane per mode,
+#: whose kills log attempts of their own.
+LANES = [
+    pytest.param(mode, policy, strategy, {}, id=f"{mode}-{policy}-{strategy}")
+    for mode in sorted(MODES)
+    for policy in sorted(POLICIES)
+    for strategy in STRATEGIES
+] + [
+    pytest.param(mode, "easy", "first_fit", {"fault_config": FAULTS},
+                 id=f"{mode}-easy-first_fit-faulted")
+    for mode in sorted(MODES)
+]
+
+
+@pytest.mark.parametrize("mode, policy, strategy, kwargs", LANES)
+def test_lazy_attempts_equal_the_scalar_records(mode, policy, strategy, kwargs):
+    workload = _trace()
+    result, twin = _run(mode, policy, strategy, workload, **kwargs)
     attempts = result.attempts
     assert isinstance(attempts, LazyAttempts)
     # The trace exercises what the build has to get right (without
@@ -108,6 +129,7 @@ def test_lazy_attempts_equal_the_scalar_records(mode, policy, strategy):
     assert twin.n_spurious_failures
     assert bool(twin.n_resource_failures) == (mode != "none")
     assert any(len(a.allocation) > 1 for a in twin.attempts)
+    assert bool(twin.n_fault_kills) == ("fault_config" in kwargs)
 
     # Counts and truthiness read the raw list.
     assert len(attempts) == result.n_attempts == twin.n_attempts
@@ -115,11 +137,12 @@ def test_lazy_attempts_equal_the_scalar_records(mode, policy, strategy):
     assert not attempts.built()
 
     assert attempts == twin.attempts and twin.attempts == attempts
-    assert result == twin and twin == result
     assert not attempts.built(), "== against a list keeps nothing"
 
-    assert result.fingerprint() == twin.fingerprint()
-    assert attempts.built()
+    # Protocol lanes hand the estimator Job objects.
+    assert_fingerprint_keeps_nothing(
+        result, twin, workload if mode != "protocol" else None
+    )
     assert attempts == twin.attempts and twin.attempts == attempts
     assert list(attempts) == twin.attempts
     assert all(type(a) is AttemptRecord for a in attempts)
@@ -163,7 +186,7 @@ def test_tier_utilization_builds_on_demand():
     assert tier_utilization(result, _cluster("first_fit")) == tier_utilization(
         twin, _cluster("first_fit")
     )
-    assert result.attempts.built()
+    assert not result.attempts.built(), "reads the log, keeps no records"
 
 
 @pytest.mark.parametrize("copier", [
@@ -226,9 +249,7 @@ LANE_KINDS = {
     "fcfs-successive": ("successive", "fcfs", {}),
     "sjf": ("successive", "sjf", {}),
     "easy": ("successive", "easy", {}),
-    "faulted": ("successive", "easy", {
-        "fault_config": FaultConfig(node_mtbf=2.0e4, node_mttr=600.0),
-    }),
+    "faulted": ("successive", "easy", {"fault_config": FAULTS}),
     "protocol": ("protocol", "fcfs", {}),
 }
 

@@ -28,12 +28,15 @@ from repro.experiments.specs import (
     trim_materialized_workloads,
 )
 from repro.sim import simulate
+from repro.sim.faults import FaultConfig
 from repro.sim.policies import EasyBackfilling, Fcfs, ShortestJobFirst
 from repro.sim.records import LazySummaries
 from repro.workload import Workload, lanl_cm5_like, scale_load
 from repro.workload.columns import COLUMN_FIELDS, JobColumns
 
-from tests.sim.engine_reference import scalar_run
+from tests.sim.engine_reference import (
+    assert_fingerprint_keeps_nothing, scalar_run,
+)
 
 MODES = {
     "none": NoEstimation,
@@ -82,14 +85,39 @@ def _loop_columns(summaries) -> tuple:
     return completed, first_submit, end_time, run_time, procs
 
 
-@pytest.mark.parametrize("policy", sorted(POLICIES))
-@pytest.mark.parametrize("mode", sorted(MODES))
-def test_lazy_result_equals_the_scalar_result(mode, policy):
+#: Every mode x policy lane on best fit, the same on first fit, then per
+#: mode a faulted lane and one that keeps no attempt trace.
+LANES = [
+    pytest.param(mode, policy, "best_fit", {}, id=f"{mode}-{policy}")
+    for mode in sorted(MODES)
+    for policy in sorted(POLICIES)
+] + [
+    pytest.param(mode, policy, "first_fit", {},
+                 id=f"{mode}-{policy}-first_fit")
+    for mode in sorted(MODES)
+    for policy in sorted(POLICIES)
+] + [
+    pytest.param(mode, "easy", "best_fit", {"fault_config": FaultConfig(
+        node_mtbf=2.0e5, node_mttr=600.0)}, id=f"{mode}-easy-faulted")
+    for mode in sorted(MODES)
+] + [
+    pytest.param(mode, "fcfs", "best_fit", {"collect_attempts": False},
+                 id=f"{mode}-fcfs-no_attempts")
+    for mode in sorted(MODES)
+]
+
+
+@pytest.mark.parametrize("mode, policy, strategy, kwargs", LANES)
+def test_lazy_result_equals_the_scalar_result(mode, policy, strategy, kwargs):
+    def run(engine, workload):
+        return engine(
+            workload, paper_cluster(24.0, strategy=strategy), MODES[mode](),
+            policy=POLICIES[policy](), **kwargs,
+        )
+
     workload = _columnar_trace()
     assert not workload.jobs.materialized()
-    result = simulate(
-        workload, paper_cluster(24.0), MODES[mode](), policy=POLICIES[policy]()
-    )
+    result = run(simulate, workload)
     summaries = result.summaries
     assert isinstance(summaries, LazySummaries)
     if mode != "protocol":  # protocol lanes hand the estimator Job objects
@@ -100,20 +128,20 @@ def test_lazy_result_equals_the_scalar_result(mode, policy):
     assert len(summaries) == n_jobs and bool(summaries)
     assert not summaries.built()
 
-    twin = scalar_run(
-        workload, paper_cluster(24.0), MODES[mode](), policy=POLICIES[policy]()
-    )
+    # On a trace of its own: the scalar run materializes its jobs.
+    twin = run(scalar_run, _columnar_trace())
     assert twin.rejected_jobs, "the trace must hold jobs no machine class holds"
+    assert bool(twin.n_fault_kills) == ("fault_config" in kwargs)
+    assert bool(twin.attempts) == kwargs.get("collect_attempts", True)
     assert result.rejected_jobs == twin.rejected_jobs
     assert (n_jobs, n_completed) == (twin.n_jobs, twin.n_completed)
     reference = _loop_columns(twin.summaries)
     for got, eager, want in zip(columns, twin.summary_columns(), reference):
         assert _bits(got) == _bits(want) and _bits(eager) == _bits(want)
-    assert result == twin and twin == result
-    assert not summaries.built(), "== against a list keeps nothing"
-
-    assert result.fingerprint() == twin.fingerprint()
-    assert summaries.built()
+    # Protocol lanes hand the estimator Job objects.
+    assert_fingerprint_keeps_nothing(
+        result, twin, workload if mode != "protocol" else None
+    )
     assert list(summaries) == twin.summaries
     assert summaries[0] == twin.summaries[0]
     assert summaries[-2:] == twin.summaries[-2:]
@@ -160,9 +188,9 @@ def test_summaries_survive_a_released_workload():
         assert not result.summaries.built()
         assert len(result.attempts) == result.n_attempts == twin.n_attempts > 0
         assert not result.attempts.built()
+        assert_fingerprint_keeps_nothing(result, twin, workload)
         assert result.summaries == twin.summaries
-        assert result.fingerprint() == twin.fingerprint()
-        assert result.attempts.built() and result.attempts == twin.attempts
+        assert result.attempts == twin.attempts
     finally:
         clear_materialization_caches()
 

@@ -1,0 +1,44 @@
+"""The Makefile's Python commands run from a plain checkout.
+
+Every recipe that starts Python on the repo's code (pytest, a
+``benchmarks/`` script, an example) must put ``src`` on ``PYTHONPATH``
+itself, keeping any path already set, so that it runs the same whether or
+not the package is pip-installed.
+"""
+
+import re
+from pathlib import Path
+
+MAKEFILE = Path(__file__).resolve().parent.parent / "Makefile"
+
+PREFIX = "PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} "
+
+#: ``$(PYTHON)`` running pytest, a benchmark script or an example.
+COMMAND = re.compile(r"\$\(PYTHON\) (?:-m pytest|benchmarks/|\$\$ex\b)")
+
+
+def _recipes(text: str) -> dict:
+    """Each target's recipe lines, backslash continuations joined."""
+    recipes: dict = {}
+    target = None
+    for line in text.replace("\\\n", " ").splitlines():
+        if line.startswith("\t"):
+            recipes.setdefault(target, []).append(line.strip())
+            continue
+        rule = re.match(r"([\w.-]+):(?!=)", line)
+        if rule:
+            target = rule.group(1)
+    return recipes
+
+
+def test_python_recipes_put_src_on_the_path():
+    recipes = _recipes(MAKEFILE.read_text())
+    checked, missing = set(), []
+    for target, lines in recipes.items():
+        for line in lines:
+            for command in COMMAND.finditer(line):
+                checked.add(target)
+                if not line[:command.start()].endswith(PREFIX):
+                    missing.append(f"{target}: {line}")
+    assert not missing, "recipes without " + PREFIX + ":\n" + "\n".join(missing)
+    assert {"test", "bench", "examples", "obs-bench", "faults-bench"} <= checked
