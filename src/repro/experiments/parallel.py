@@ -180,9 +180,13 @@ def simulate_spec(spec: RunSpec) -> SweepPoint:
     configuration.  The executor itself runs :func:`execute_spec`, which
     takes the fast lane whenever it can; tests and the e2e benchmark's
     cross-check compare sweep points against this function, so that check
-    is a fast-versus-scalar comparison.
+    is a fast-versus-scalar comparison.  Like :func:`execute_spec`, it
+    releases the materialized job lists when it returns.
     """
-    return _run_spec(spec, _simulate_scalar)
+    try:
+        return _run_spec(spec, _simulate_scalar)
+    finally:
+        trim_materialized_workloads()
 
 
 def _worker_init(shared_handles=None) -> None:

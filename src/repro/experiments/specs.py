@@ -216,15 +216,16 @@ def trim_materialized_workloads() -> None:
     """Release every memoized workload's materialized per-job objects.
 
     Inlined fast lanes (no estimation, Algorithm 1) read a columnar
-    workload's arrays and never materialize it.  Protocol-mode lanes, the
-    scalar engine and code that reads a fast-lane result's summaries
-    consume Python :class:`Job` objects, which a columnar workload
-    materializes on first iteration — several MB per 20k-job trace, and
-    the memos above would retain one such list per cached (base/scaled)
-    workload.  The sweep executor calls this after every run so a worker
-    keeps at most one materialized list live at a time; the columns stay
-    cached, making the next run's re-materialization a cheap bulk pass
-    rather than a re-parse (cache hit/miss counters unaffected).  A result
+    workload's arrays and never materialize it.  Protocol-mode lanes and
+    the scalar engine consume Python :class:`Job` objects, which a
+    columnar workload materializes on first iteration — several MB per
+    20k-job trace, and the memos above would retain one such list per
+    cached (base/scaled) workload.  The sweep executor calls this after
+    every run, and :func:`~repro.experiments.parallel.simulate_spec` after
+    each scalar run, so a process keeps at most one materialized list live
+    at a time; the columns stay cached, making the next run's
+    re-materialization a cheap bulk pass rather than a re-parse (cache
+    hit/miss counters unaffected).  A result
     still holding a released workload rebuilds bit-identical jobs from
     the columns if its summaries are read later.
     """

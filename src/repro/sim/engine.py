@@ -55,15 +55,13 @@ class _Execution:
 
 @dataclass(slots=True)
 class _JobProgress:
-    """Accumulated state of one job across attempts."""
+    """Accumulated state of one job across attempts, kept until it
+    succeeds (its :class:`JobSummary` is built then)."""
 
-    job: Job
     first_submit: float
     n_attempts: int = 0
     n_resource_failures: int = 0
     wasted_node_seconds: float = 0.0
-    completed: bool = False
-    final: Optional[AttemptRecord] = None
 
 
 class Simulation:
@@ -101,7 +99,9 @@ class Simulation:
             simulation bit-for-bit identical to the fault-free engine.
         collect_attempts:
             Keep the per-attempt trace (needed by trajectory analyses);
-            summaries and counters are always kept.
+            summaries and counters are always kept.  An
+            :class:`~repro.sim.records.AttemptRecord` is built only when it
+            is collected or an observer is attached to receive it.
         record_timeline:
             Append a :class:`~repro.sim.records.TimelineSample` (queue
             length, busy and down nodes) after every event — feeds the
@@ -136,6 +136,9 @@ class Simulation:
         if type(observer) is NullObserver:
             observer = None
         self._obs = observer
+        #: Whether an attempt's record is read by anyone: the trace or an
+        #: observer hook.  Otherwise only its node-seconds are.
+        self._keep_records = collect_attempts or observer is not None
         self._timeline: List[TimelineSample] = []
         #: (fail_time, scheduled_repair_time) per failed node; downtime is
         #: computed at the end of the run with each interval clamped to the
@@ -174,7 +177,9 @@ class Simulation:
         self._cancelled: Set[int] = set()
         self._next_exec_id = 0
         self._arrivals_pending = 0
+        #: Jobs that arrived and have not yet succeeded.
         self._progress: Dict[int, _JobProgress] = {}
+        self._summaries: List[JobSummary] = []
         self._attempts: List[AttemptRecord] = []
         self._rejected: List[Job] = []
         # Counters kept even when the attempt trace is disabled.  Plain
@@ -215,24 +220,23 @@ class Simulation:
                 )
             )
 
-        # Bulk-heapify the full arrival list (one O(n) heapify instead of
-        # n sift-ups; the paper's trace schedules 122k arrivals up front).
-        arrivals = [
+        # Bulk-heapify every arrival (one O(n) heapify instead of n
+        # sift-ups; the paper's trace schedules 122k arrivals up front).
+        self._events.extend(
             (job.submit_time, EventKind.ARRIVAL, job) for job in self.workload
-        ]
-        self._events.extend(arrivals)
-        self._arrivals_pending = len(arrivals)
-        first_submit = min((t for t, _, _ in arrivals), default=math.inf)
+        )
+        heap = self._events.raw_heap
+        self._arrivals_pending = len(heap)
 
-        if self.fault_injector is not None and self._arrivals_pending:
+        if self.fault_injector is not None and heap:
             # The failure process starts with the trace; the first failure
-            # lands one inter-failure time after the first arrival.
-            self._schedule_next_failure(first_submit)
+            # lands one inter-failure time after the first arrival, which
+            # the freshly heapified arrivals hold at their root.
+            self._schedule_next_failure(heap[0][0])
 
         # Hot loop: drains the raw heap with a local heappop — the wrapper's
         # method call and enum conversion per event are measurable at 100k+
         # events — and compares kinds as the ints the heap stores.
-        heap = self._events.raw_heap
         heappop = _heappop
         cancelled = self._cancelled
         plain = self._obs is None and not self.record_timeline
@@ -302,7 +306,7 @@ class Simulation:
 
     # -------------------------------------------------------------- events
     def _on_arrival(self, now: float, job: Job) -> None:
-        self._progress[job.job_id] = _JobProgress(job=job, first_submit=now)
+        self._progress[job.job_id] = _JobProgress(first_submit=now)
         self._enqueue(now, job, attempt=0, at_head=False)
 
     def _enqueue(self, now: float, job: Job, attempt: int, at_head: bool) -> None:
@@ -352,33 +356,28 @@ class Simulation:
         self._sched_dirty = True  # capacity freed: queued work may now start
         entry = execution.entry
         outcome = execution.outcome
+        succeeded = outcome.succeeded
         job = entry.job
-        progress = self._progress[job.job_id]
+        job_id = job.job_id
+        progress = self._progress[job_id]
 
         granted = execution.allocation.min_capacity
-        record = AttemptRecord(
-            job_id=job.job_id,
-            attempt=entry.attempt,
-            submit_time=entry.enqueue_time,
-            start_time=execution.start_time,
-            end_time=now,
-            procs=job.procs,
-            requirement=entry.requirement,
-            granted=granted,
-            succeeded=outcome.succeeded,
-            resource_failure=(not outcome.succeeded) and outcome.resource_related,
-            reduced=entry.requirement < job.req_mem,
-            allocation=tuple(sorted(execution.allocation.counts.items())),
+        # AttemptRecord.node_seconds, without building the record.
+        node_seconds = (now - execution.start_time) * job.procs
+        record = (
+            self._record(
+                now, execution, succeeded,
+                (not succeeded) and outcome.resource_related,
+            )
+            if self._keep_records else None
         )
-        if self.collect_attempts:
-            self._attempts.append(record)
         self._t_last_end = max(self._t_last_end, now)
 
         if not self._skip_feedback:
             self.estimator.observe(
                 Feedback(
                     job=job,
-                    succeeded=outcome.succeeded,
+                    succeeded=succeeded,
                     requirement=entry.requirement,
                     granted=granted,
                     used=job.used_mem,  # explicit estimators read it; others ignore
@@ -386,10 +385,24 @@ class Simulation:
                 )
             )
 
-        if outcome.succeeded:
-            progress.completed = True
-            progress.final = record
-            self._useful_node_seconds += record.node_seconds
+        if succeeded:
+            del self._progress[job_id]
+            self._summaries.append(
+                JobSummary(
+                    job=job,
+                    first_submit=progress.first_submit,
+                    start_time=execution.start_time,
+                    end_time=now,
+                    n_attempts=progress.n_attempts,
+                    n_resource_failures=progress.n_resource_failures,
+                    completed=True,
+                    final_requirement=entry.requirement,
+                    final_granted=granted,
+                    reduced=entry.requirement < job.req_mem,
+                    wasted_node_seconds=progress.wasted_node_seconds,
+                )
+            )
+            self._useful_node_seconds += node_seconds
             if self._obs is not None:
                 self._obs.on_job_completed(now, record)
         else:
@@ -398,8 +411,8 @@ class Simulation:
                 self._n_resource_failures += 1
             else:
                 self._n_spurious_failures += 1
-            progress.wasted_node_seconds += record.node_seconds
-            self._wasted_node_seconds += record.node_seconds
+            progress.wasted_node_seconds += node_seconds
+            self._wasted_node_seconds += node_seconds
             # The failed hook fires after the estimator observed the attempt
             # (telemetry samples the post-feedback state) and before the
             # resubmission's enqueued hook.
@@ -407,6 +420,35 @@ class Simulation:
                 self._obs.on_job_failed(now, record)
             # §3.1: "Once it fails, the job returns to the head of the queue."
             self._enqueue(now, job, attempt=entry.attempt + 1, at_head=True)
+
+    def _record(
+        self,
+        now: float,
+        execution: _Execution,
+        succeeded: bool,
+        resource_failure: bool,
+    ) -> AttemptRecord:
+        """The :class:`AttemptRecord` of ``execution`` ending at ``now``,
+        appended to the attempt trace when it is collected."""
+        entry = execution.entry
+        job = entry.job
+        record = AttemptRecord(
+            job_id=job.job_id,
+            attempt=entry.attempt,
+            submit_time=entry.enqueue_time,
+            start_time=execution.start_time,
+            end_time=now,
+            procs=job.procs,
+            requirement=entry.requirement,
+            granted=execution.allocation.min_capacity,
+            succeeded=succeeded,
+            resource_failure=resource_failure,
+            reduced=entry.requirement < job.req_mem,
+            allocation=tuple(sorted(execution.allocation.counts.items())),
+        )
+        if self.collect_attempts:
+            self._attempts.append(record)
+        return record
 
     # --------------------------------------------------------------- faults
     def _schedule_next_failure(self, now: float) -> None:
@@ -482,22 +524,11 @@ class Simulation:
         progress = self._progress[job.job_id]
 
         granted = execution.allocation.min_capacity
-        record = AttemptRecord(
-            job_id=job.job_id,
-            attempt=entry.attempt,
-            submit_time=entry.enqueue_time,
-            start_time=execution.start_time,
-            end_time=now,
-            procs=job.procs,
-            requirement=entry.requirement,
-            granted=granted,
-            succeeded=False,
-            resource_failure=False,
-            reduced=entry.requirement < job.req_mem,
-            allocation=tuple(sorted(execution.allocation.counts.items())),
+        node_seconds = (now - execution.start_time) * job.procs
+        record = (
+            self._record(now, execution, False, False)
+            if self._keep_records else None
         )
-        if self.collect_attempts:
-            self._attempts.append(record)
         self._t_last_end = max(self._t_last_end, now)
 
         if not self._skip_feedback:
@@ -513,8 +544,8 @@ class Simulation:
             )
         self._n_fault_kills += 1
         self.fault_injector.stats.n_jobs_killed += 1
-        progress.wasted_node_seconds += record.node_seconds
-        self._wasted_node_seconds += record.node_seconds
+        progress.wasted_node_seconds += node_seconds
+        self._wasted_node_seconds += node_seconds
         if self._obs is not None:
             self._obs.on_job_killed(now, record)
         # Like any failure, the job returns to the head of the queue (§3.1).
@@ -657,33 +688,16 @@ class Simulation:
 
     # -------------------------------------------------------------- result
     def _build_result(self) -> SimResult:
-        summaries: List[JobSummary] = []
-        for progress in self._progress.values():
-            final = progress.final
-            if final is None:
-                # A job whose every attempt failed cannot happen: the retry
-                # guard eventually resubmits with the original request, which
-                # is sufficient by the paper's assumption — unless spurious
-                # failures are unlucky forever, whose probability is zero in
-                # finite traces because each retry re-rolls.  Guarded anyway.
-                raise RuntimeError(
-                    f"job {progress.job.job_id} finished the trace incomplete"
-                )
-            summaries.append(
-                JobSummary(
-                    job=progress.job,
-                    first_submit=progress.first_submit,
-                    start_time=final.start_time,
-                    end_time=final.end_time,
-                    n_attempts=progress.n_attempts,
-                    n_resource_failures=progress.n_resource_failures,
-                    completed=progress.completed,
-                    final_requirement=final.requirement,
-                    final_granted=final.granted,
-                    reduced=final.reduced,
-                    wasted_node_seconds=progress.wasted_node_seconds,
-                )
+        if self._progress:
+            # A job whose every attempt failed cannot happen: the retry
+            # guard eventually resubmits with the original request, which
+            # is sufficient by the paper's assumption — unless spurious
+            # failures are unlucky forever, whose probability is zero in
+            # finite traces because each retry re-rolls.  Guarded anyway.
+            raise RuntimeError(
+                f"job {next(iter(self._progress))} finished the trace incomplete"
             )
+        summaries = self._summaries
         summaries.sort(key=lambda s: (s.first_submit, s.job.job_id))
         t_first = summaries[0].first_submit if summaries else 0.0
         # Downtime clamped to the observed trace: a repair scheduled past the

@@ -1,12 +1,12 @@
 """Simulation records: per-attempt traces, per-job summaries, run results.
 
 The simulator records one :class:`AttemptRecord` per execution attempt (a job
-that fails and is resubmitted produces several) and folds them into one
-:class:`JobSummary` per job at the end of the run.  :class:`SimResult` is the
-container every metric and experiment consumes.  The scalar engine builds its
-attempt records and summaries eagerly; the batched fast lane hands over a
-:class:`LazyAttempts` and a :class:`LazySummaries` sequence that build them
-only when someone reads one.
+that fails and is resubmitted produces several) and one :class:`JobSummary`
+per job.  :class:`SimResult` is the container every metric and experiment
+consumes.  The scalar engine builds a job's summary when the job succeeds, and
+its attempt records only when they are collected or observed; the batched
+fast lane hands over a :class:`LazyAttempts` and a :class:`LazySummaries`
+sequence that build them only when someone reads one.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.workload.job import Job
+from repro.workload.job import Job, LazyJobs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.job import Workload
@@ -61,7 +61,8 @@ class AttemptRecord(NamedTuple):
     """One execution attempt of one job.
 
     A ``NamedTuple`` rather than a frozen dataclass: the scalar engine
-    materializes one per attempt on the completion hot path, and tuple
+    builds one per attempt on the completion hot path when the attempt
+    trace is collected or an observer is attached, and tuple
     construction skips the per-field ``object.__setattr__`` a frozen
     dataclass pays.  Field access, equality and keyword construction are
     unchanged.  A fast-lane result builds them all on the first element
@@ -96,9 +97,10 @@ class JobSummary(NamedTuple):
     """Outcome of one job across all its attempts.
 
     A ``NamedTuple`` for the same reason as :class:`AttemptRecord`.  The
-    scalar engine builds one per job when it assembles its result; a
-    fast-lane result builds them all on the first element access or
-    iteration of its :class:`LazySummaries`.
+    scalar engine builds a job's summary when the job's attempt succeeds
+    and sorts them all by ``(first_submit, job_id)`` when it assembles its
+    result; a fast-lane result builds them all on the first element access
+    or iteration of its :class:`LazySummaries`.
     """
 
     job: Job
@@ -264,8 +266,9 @@ class LazySummaries(_LazySequence):
     lists and the workload's columns, and so does :meth:`id_rows`, which
     :meth:`SimResult.fingerprint` hashes.  The first element access or
     iteration builds the exact list a scalar run holds, once, reading the
-    workload's :class:`Job` objects (a released columnar workload rebuilds
-    them bit-identically).  Pickles and deep-copies as that plain list.
+    workload's :class:`Job` objects if it holds them; a columnar workload
+    that does not gets bit-identical ones built from its columns, and is
+    left without them.  Pickles and deep-copies as that plain list.
     """
 
     __slots__ = ("_workload", "_rows", "_fields")
@@ -284,6 +287,13 @@ class LazySummaries(_LazySequence):
 
     def _jobs(self) -> list:
         jobs = self._workload.jobs
+        if isinstance(jobs, LazyJobs) and not jobs.materialized():
+            # Built from the columns, not through the workload's view, so
+            # that a summary build leaves no Job list on the workload.
+            cols = jobs.columns
+            if self._rows is not None:
+                cols = cols.select(self._rows)
+            return cols.to_jobs()
         if self._rows is None:
             return list(jobs)
         return [jobs[i] for i in self._rows.tolist()]

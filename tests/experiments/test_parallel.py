@@ -16,6 +16,7 @@ from repro.experiments.parallel import (
     simulate_spec,
     sweep_to_load_sweep,
 )
+from repro.experiments import specs as spec_memo
 from repro.experiments.specs import (
     ClusterSpec,
     EstimatorSpec,
@@ -206,6 +207,22 @@ class TestWorkerMaterializationCache:
         assert info["scaled_workload_hits"] == 1
         # Re-using the materialized workload/cluster must not change results.
         assert first == again
+
+    def test_simulate_spec_releases_the_trace_like_execute_spec(self):
+        # The scalar engine iterates the memoized workload's jobs; both
+        # entry points leave only its columns behind.
+        clear_materialization_caches()
+        try:
+            spec = self._shared_workload_specs()[0]
+            for run in (simulate_spec, execute_spec, simulate_spec):
+                run(spec)
+                memoized = list(spec_memo._BASE_WORKLOADS.values()) + list(
+                    spec_memo._SCALED_WORKLOADS.values()
+                )
+                assert memoized
+                assert not any(w.jobs.materialized() for w in memoized), run
+        finally:
+            clear_materialization_caches()
 
     def test_pool_worker_parses_repeated_workload_exactly_once(self):
         # Pollute the parent's caches first: under the fork start method a

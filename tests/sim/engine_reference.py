@@ -192,18 +192,25 @@ def scalar_run(
 def assert_fingerprint_keeps_nothing(result, twin, workload=None) -> None:
     """A fast-lane ``result`` fingerprints like its scalar ``twin`` and
     like itself once both record lists are built.  Taking the fingerprint
-    builds neither list and, when ``workload`` is given (a columnar trace
-    whose lane made no ``Job`` objects), materializes none of its jobs;
-    comparing with the twin builds neither list either."""
+    builds neither list; comparing with the twin builds neither list
+    either.  When ``workload`` is given (a columnar trace whose lane made
+    no ``Job`` objects), none of the three, nor building the lists, leaves
+    its jobs materialized."""
+
+    def assert_no_jobs_on_the_workload(step):
+        if workload is not None:
+            assert not workload.jobs.materialized(), step
+
     digest = result.fingerprint()
     assert digest == twin.fingerprint()
     assert not result.attempts.built() and not result.summaries.built()
-    if workload is not None:
-        assert not workload.jobs.materialized()
+    assert_no_jobs_on_the_workload("fingerprint")
     assert result == twin and twin == result
     assert not result.attempts.built() and not result.summaries.built(), (
         "== against a list keeps nothing"
     )
+    assert_no_jobs_on_the_workload("== against the twin")
     list(result.attempts), list(result.summaries)
     assert result.attempts.built() and result.summaries.built()
+    assert_no_jobs_on_the_workload("building the records")
     assert result.fingerprint() == digest
