@@ -255,10 +255,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print()
     print("== capacity ==")
     print(capacity_decomposition(result).format_report())
-    if sampler.samples:
-        # queue_stats reads result.timeline; graft the sampler's series on
-        # (the run itself was made with the timeline off — observer-only).
-        result.timeline = list(sampler.samples)
+    if result.timeline:
         stats = queue_stats(result, total_nodes=result.total_nodes)
         print()
         print("== queue dynamics ==")

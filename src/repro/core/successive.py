@@ -31,7 +31,7 @@ the paper's own worked examples in ``tests/core/test_successive.py``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cluster.ladder import CapacityLadder
 from repro.core.base import Estimator, Feedback, clamp_to_request
@@ -89,9 +89,6 @@ class SuccessiveApproximation(Estimator):
         the paper's implicit-only simulations.
     max_reduced_attempts:
         Per-job termination guard (see module docstring).
-    record_trajectories:
-        When True, every group's (E_i, E') sequence is recorded —
-        Figure 7's data.  Costs memory proportional to the trace length.
     serial_probing:
         Algorithm 1 is sequential (submit, observe, submit...), but a busy
         cluster runs many jobs of one group concurrently; feedback for a
@@ -121,7 +118,6 @@ class SuccessiveApproximation(Estimator):
         key_fn: Optional[KeyFunction] = None,
         explicit_guard: bool = False,
         max_reduced_attempts: int = 2,
-        record_trajectories: bool = False,
         serial_probing: bool = True,
         mixed_group_threshold: int = 3,
     ) -> None:
@@ -139,7 +135,6 @@ class SuccessiveApproximation(Estimator):
         self.key_fn: KeyFunction = key_fn or by_user_app_reqmem
         self.explicit_guard = explicit_guard
         self.max_reduced_attempts = max_reduced_attempts
-        self.record_trajectories = record_trajectories
         self.serial_probing = serial_probing
         if mixed_group_threshold < 0:
             raise ValueError(
@@ -151,7 +146,6 @@ class SuccessiveApproximation(Estimator):
         #: repeat failure under the simulator's (and reality's) semantics.
         self._failed_at: Dict[int, float] = {}
         self._groups: Dict[GroupKey, GroupState] = {}
-        self._trajectories: Dict[GroupKey, List[Tuple[float, float]]] = {}
         # job_id -> the group the job first resolved to; every later
         # estimate/observe of the job is one int-keyed get instead of a key
         # tuple + dict probe (the engine alternates observe/estimate across
@@ -202,13 +196,9 @@ class SuccessiveApproximation(Estimator):
             e_prime = clamp_to_request(max(bumped, failed_floor), job)
             if e_prime <= failed_floor:
                 e_prime = job.req_mem
-        if self.record_trajectories:
-            self._trajectories.setdefault(self.key_fn(job), []).append(
-                (group.estimate, e_prime)
-            )
         return e_prime
 
-    def estimate_version(self, job: Job, attempt: int = 0) -> Optional[int]:
+    def estimate_version(self, job: Job, attempt: int = 0) -> int:
         """Memoization token for the engine's late-binding refresh.
 
         While this value is unchanged, :meth:`estimate` for ``job`` provably
@@ -217,12 +207,8 @@ class SuccessiveApproximation(Estimator):
         exclusively by :meth:`observe` — which bumps the group's version.
         (Probe tickets are assigned *inside* estimate, but first-taker-wins
         and only observe releases them, so per-entry results stay stable
-        within a version.)  Returns ``None`` — "never memoize" — when
-        trajectory recording is on, so every refresh keeps appending its
-        (E_i, E') sample.
+        within a version.)
         """
-        if self.record_trajectories:
-            return None
         return self._group_for(job).version
 
     def observe(self, feedback: Feedback) -> None:
@@ -295,7 +281,6 @@ class SuccessiveApproximation(Estimator):
 
     def reset(self) -> None:
         self._groups.clear()
-        self._trajectories.clear()
         self._failed_at.clear()
         self._job_group.clear()
 
@@ -331,13 +316,6 @@ class SuccessiveApproximation(Estimator):
     @property
     def n_groups(self) -> int:
         return len(self._groups)
-
-    def trajectory(self, key: GroupKey) -> List[Tuple[float, float]]:
-        """The recorded (E_i, E') sequence of one group (Figure 7's series).
-
-        Empty unless ``record_trajectories=True`` was set before the run.
-        """
-        return list(self._trajectories.get(key, []))
 
     def telemetry(self) -> dict:
         """Per-group (E_i, alpha_i) snapshot for the observability layer.

@@ -96,9 +96,7 @@ def run(
     """
     cfg = config or ExperimentConfig()
     ladder = CapacityLadder(levels)
-    estimator = SuccessiveApproximation(
-        alpha=cfg.alpha, beta=cfg.beta, record_trajectories=True
-    )
+    estimator = SuccessiveApproximation(alpha=cfg.alpha, beta=cfg.beta)
     estimator.bind(ladder)
 
     job = Job(

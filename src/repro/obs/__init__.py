@@ -15,7 +15,8 @@ Built-in observers:
 * :class:`EstimatorTelemetryObserver` — per-similarity-group estimate
   trajectories and backoff events, sampled from
   :meth:`~repro.core.base.Estimator.telemetry`,
-* :class:`TimelineSampler` — the queue/utilization time series behind
+* :class:`TimelineSampler` — the queue/utilization time series, set on
+  the result as ``result.timeline`` for
   :func:`repro.sim.analysis.queue_stats`,
 * :class:`RecordingObserver` — full hook transcript (tests, debugging),
 * :class:`CompositeObserver` — fan out to several of the above.

@@ -1,11 +1,11 @@
 """Queue/utilization time-series sampling.
 
-:class:`TimelineSampler` is the observer-layer successor of the engine's
-``record_timeline`` flag: it collects the same
-:class:`~repro.sim.records.TimelineSample` records (now carrying
-``down_nodes``, so fault runs can tell idle capacity from failed capacity)
-off the scheduling-pass hook, with an optional stride for long runs, and
-feeds the same :func:`repro.sim.analysis.queue_stats` consumer.
+:class:`TimelineSampler` records a
+:class:`~repro.sim.records.TimelineSample` (queue length, busy and down
+nodes, so fault runs can tell idle capacity from failed capacity) after
+every simulation event, off the scheduling-pass hook, and hands the series
+to the run's result as ``result.timeline`` — the input of
+:func:`repro.sim.analysis.queue_stats`.
 """
 
 from __future__ import annotations
@@ -17,27 +17,29 @@ from repro.sim.records import TimelineSample
 
 
 class TimelineSampler(SimObserver):
-    """Records a :class:`TimelineSample` every ``stride``-th scheduling pass.
+    """Records a :class:`TimelineSample` on every scheduling pass, one per
+    simulation event, and sets ``result.timeline`` when the run ends.
 
-    ``stride=1`` (default) reproduces ``record_timeline=True`` exactly —
-    one sample per simulation event.
+    Each run starts a fresh series, so one sampler can watch consecutive
+    runs.
     """
 
-    def __init__(self, stride: int = 1) -> None:
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        self.stride = stride
+    def __init__(self) -> None:
         self.samples: List[TimelineSample] = []
-        self._n_passes = 0
+
+    def on_run_start(self, meta) -> None:
+        # A new list, not clear(): the last run's result holds the old one.
+        self.samples = []
+
+    def on_run_end(self, result) -> None:
+        result.timeline = self.samples
 
     def on_scheduling_pass(self, now, n_started, queue_length, busy_nodes, down_nodes):
-        self._n_passes += 1
-        if (self._n_passes - 1) % self.stride == 0:
-            self.samples.append(
-                TimelineSample(
-                    time=now,
-                    queue_length=queue_length,
-                    busy_nodes=busy_nodes,
-                    down_nodes=down_nodes,
-                )
+        self.samples.append(
+            TimelineSample(
+                time=now,
+                queue_length=queue_length,
+                busy_nodes=busy_nodes,
+                down_nodes=down_nodes,
             )
+        )

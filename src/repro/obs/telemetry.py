@@ -12,12 +12,11 @@ keeps, per group:
   which is the estimator-side signature of §2.1 false positives and §2.3
   mixed groups.
 
-This is the run-time counterpart of ``record_trajectories=True`` on
-:class:`~repro.core.core.SuccessiveApproximation`: it needs no estimator
-cooperation beyond the generic ``telemetry()`` snapshot, works with any
-estimator that reports per-group state, and timestamps every sample with
-simulation time (Figure 7's x-axis is estimation *cycles*; production
-monitoring wants wall time).
+It needs no estimator cooperation beyond the generic ``telemetry()``
+snapshot (:class:`~repro.core.successive.SuccessiveApproximation` reports
+one), works with any estimator that reports per-group state, and
+timestamps every sample with simulation time (Figure 7's x-axis is
+estimation *cycles*; production monitoring wants wall time).
 """
 
 from __future__ import annotations
@@ -62,21 +61,16 @@ class EstimatorTelemetryObserver(SimObserver):
     attach to any run.
     """
 
-    def __init__(self, sample_every: int = 1) -> None:
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-        self.sample_every = sample_every
+    def __init__(self) -> None:
         self.groups: Dict[str, GroupTelemetry] = {}
         self.backoffs: List[BackoffEvent] = []
         self._estimator = None
-        self._n_feedbacks = 0
 
     # --------------------------------------------------------------- hooks
     def on_run_start(self, meta: RunMeta) -> None:
         self._estimator = meta.estimator
         self.groups.clear()
         self.backoffs.clear()
-        self._n_feedbacks = 0
 
     def on_job_completed(self, now, record):
         self._sample(now)
@@ -88,14 +82,11 @@ class EstimatorTelemetryObserver(SimObserver):
         self._sample(now)
 
     def on_run_end(self, result) -> None:
-        self._sample(result.t_last_end, force=True)
+        self._sample(result.t_last_end)
 
     # ------------------------------------------------------------ sampling
-    def _sample(self, now: float, force: bool = False) -> None:
+    def _sample(self, now: float) -> None:
         if self._estimator is None:
-            return
-        self._n_feedbacks += 1
-        if not force and (self._n_feedbacks - 1) % self.sample_every != 0:
             return
         snapshot = self._estimator.telemetry()
         groups = snapshot.get("groups")

@@ -102,16 +102,15 @@ class QueueStats:
 
 
 def queue_stats(result: SimResult, total_nodes: Optional[int] = None) -> QueueStats:
-    """Summarize the queue/busy-node timeline (``record_timeline=True``).
+    """Summarize the queue/busy-node timeline a
+    :class:`~repro.obs.sampler.TimelineSampler` recorded on the run.
 
     Samples are weighted by the time until the next event, so long quiet
     stretches count proportionally.
     """
     if not result.timeline:
         raise ValueError(
-            "no timeline recorded; run Simulation(..., record_timeline=True), "
-            "or pass observer=repro.obs.TimelineSampler() and set "
-            "result.timeline = list(sampler.samples)"
+            "no timeline recorded; run with observer=repro.obs.TimelineSampler()"
         )
     nodes = total_nodes if total_nodes is not None else result.total_nodes
     times = np.array([s.time for s in result.timeline])

@@ -15,7 +15,7 @@ Two lane implementations sit behind one driver:
 
 * **Fast lane** — FCFS, SJF or EASY backfilling over a best-fit or
   first-fit cluster with any estimator, spurious failures and node faults
-  allowed, no observer / timeline.  Queue entries are small mutable lists
+  allowed, no observer.  Queue entries are small mutable lists
   over row indices, allocation is a free-count list per capacity level with
   a precomputed fill-order table per (strategy, ladder index), completions
   are raw heap tuples, and results are assembled after the run, their
@@ -27,11 +27,11 @@ Two lane implementations sit behind one driver:
 
   - :class:`~repro.core.baselines.NoEstimation` — the request, verbatim;
   - default-keyed :class:`~repro.core.successive.SuccessiveApproximation`
-    without trajectory recording — Algorithm 1 inlined with the exact
-    float-op order of the scalar code, its arrival-time estimates served
-    from a per-group cache memoized on the group's observe-version, and
-    the learned group state written back into the caller's estimator when
-    the lane finishes.  A lane seeds its groups in closed form
+    — Algorithm 1 inlined with the exact float-op order of the scalar
+    code, its arrival-time estimates served from a per-group cache
+    memoized on the group's observe-version, and the learned group state
+    written back into the caller's estimator when the lane finishes.  A
+    lane seeds its groups in closed form
     (:func:`seed_group_arrays`, :func:`seed_arrival_caches`): Algorithm 1
     opens a group with ``E_i = R``, so a fresh group's first estimate is
     its request and it never probes;
@@ -47,7 +47,7 @@ Two lane implementations sit behind one driver:
   :class:`~repro.sim.faults.NodeFaultInjector` methods the scalar engine
   calls.
 * **Engine lane** — every other configuration (other policies/strategies,
-  observers, timeline recording) is a scalar
+  observers) is a scalar
   :class:`~repro.sim.engine.Simulation` replayed on its own event loop, the
   one ``run()`` uses.  Slower, but the bit-identical guarantee holds for
   the *whole* configuration space.
@@ -198,8 +198,8 @@ _os.register_at_fork(after_in_child=_gc_after_fork_in_child)
 class BatchConfig:
     """One lane of a batched run: everything :func:`simulate` takes except
     the workload, which all lanes of a batch share.
-    ``record_timeline``/``observer`` force the lane onto the engine path;
-    the defaults keep it eligible for the fast lane.
+    An ``observer`` forces the lane onto the engine path; the defaults keep
+    it eligible for the fast lane.
 
     ``collect_attempts`` keeps the lane's per-attempt trace, as in
     :func:`simulate`; sweeps and the service, which only aggregate, turn it
@@ -216,7 +216,6 @@ class BatchConfig:
     seed: RngStream = 0
     spurious_failure_prob: float = 0.0
     fault_config: Optional[FaultConfig] = None
-    record_timeline: bool = False
     observer: Optional[SimObserver] = None
     collect_attempts: bool = True
 
@@ -239,6 +238,8 @@ class _SharedTrace:
     whose jobs exist (a job list, or columns some earlier consumer already
     materialized) decodes from the jobs, one ``itemgetter`` pass per
     column, so the lists share their numbers instead of holding copies.
+    Either way the time and memory columns hold floats, as the scalar
+    engine's jobs do: ``Job(...)`` stores them as floats.
     :attr:`jobs` is built on first use: only protocol lanes and engine
     lanes ask for it.
 
@@ -251,7 +252,7 @@ class _SharedTrace:
 
     __slots__ = (
         "workload", "columns", "n", "_jobs", "submit", "run_time", "procs",
-        "req_mem", "used_mem", "job_id", "float_typed", "_groups",
+        "req_mem", "used_mem", "job_id", "_groups",
         "_group_first", "_group_keys", "_ladders", "_rte",
     )
 
@@ -267,7 +268,6 @@ class _SharedTrace:
             self.procs: List[int] = cols.procs.tolist()
             self.req_mem: List[float] = cols.req_mem.tolist()
             self.used_mem: List[float] = cols.used_mem.tolist()
-            self.float_typed = True
         else:
             # Kept for materialized columnar workloads too: decoding those
             # from the arrays would hold a second copy of every float while
@@ -280,16 +280,6 @@ class _SharedTrace:
             self.procs = list(map(_itemgetter(3), jobs))
             self.req_mem = list(map(_itemgetter(4), jobs))
             self.used_mem = list(map(_itemgetter(5), jobs))
-            # Columnar traces decode to floats.  A hand-built job list may
-            # hold ints, which the scalar engine carries into its results
-            # as ints while the fast lane seeds its estimates from a
-            # float64 group-request array: such a trace runs every lane on
-            # the engine lane.
-            self.float_typed = isinstance(workload.jobs, LazyJobs) or all(
-                set(map(type, column)) <= {float}
-                for column in (self.submit, self.run_time, self.req_mem,
-                               self.used_mem)
-            )
         self._groups = None
         self._group_first = None
         self._group_keys = None
@@ -1732,7 +1722,6 @@ class _FastLane:
             n_reduced_submissions=self.n_reduced,
             useful_node_seconds=self.useful,
             wasted_node_seconds=self.wasted,
-            timeline=[],
         )
 
     def _write_back(self) -> None:
@@ -1775,9 +1764,8 @@ class _EngineLane:
     """Generic lane: a scalar Simulation replaying the trace on its own
     event loop.
 
-    Serves only what the fast lane does not model: observers, timeline
-    recording, other cluster strategies and other policies (plus job lists
-    holding ints)."""
+    Serves only what the fast lane does not model: observers, other
+    cluster strategies and other policies."""
 
     __slots__ = ("sim",)
 
@@ -1791,7 +1779,7 @@ class _EngineLane:
         self.sim = _scalar_simulation(
             trace.workload, config.cluster, estimator, policy, config.seed,
             config.spurious_failure_prob, config.fault_config,
-            config.collect_attempts, config.observer, config.record_timeline,
+            config.collect_attempts, config.observer,
         )
 
     def run(self) -> None:
@@ -1806,16 +1794,14 @@ def fast_lane_eligible(config: BatchConfig) -> bool:
 
     The fast lane covers FCFS, shortest-job-first or EASY backfilling over
     a best-fit or first-fit cluster with optional spurious failures and
-    node faults — no observer or timeline.  Exact-type policy checks, so a
+    node faults — no observer.  Exact-type policy checks, so a
     subclass with overridden behavior falls back to the (always-correct)
     engine lane.  The estimator does not matter: no-estimation and
     default-keyed successive approximation run inlined, every other
     estimator in protocol mode (:mod:`repro.sim.protocol_lane`), and
-    learned state carries over either way.  :func:`simulate_batch` also
-    keeps the engine lane for a job list holding ints (see
-    ``_SharedTrace.float_typed``).
+    learned state carries over either way.
     """
-    if config.record_timeline or config.observer is not None:
+    if config.observer is not None:
         return False
     policy = config.policy
     if policy is not None and type(policy) not in (
@@ -1827,13 +1813,11 @@ def fast_lane_eligible(config: BatchConfig) -> bool:
 
 def _inlined_successive(estimator: Optional[Estimator]) -> bool:
     """Whether a fast lane runs ``estimator`` on its inlined Algorithm 1
-    path: a default-keyed :class:`SuccessiveApproximation` that records no
-    trajectories.  Only these lanes seed the per-group state and the
-    arrival-estimate cache; any other estimator but :class:`NoEstimation`
-    runs in protocol mode."""
+    path: a default-keyed :class:`SuccessiveApproximation`.  Only these
+    lanes seed the per-group state and the arrival-estimate cache; any
+    other estimator but :class:`NoEstimation` runs in protocol mode."""
     return (
         type(estimator) is SuccessiveApproximation
-        and not estimator.record_trajectories
         and estimator.key_fn is by_user_app_reqmem
     )
 
@@ -1884,7 +1868,7 @@ def _run_batch(
     results = []
     for config in configs:
         estimator = config.estimator
-        if fast_lane_eligible(config) and trace.float_typed:
+        if fast_lane_eligible(config):
             policy = config.policy if config.policy is not None else Fcfs()
             if estimator is None:
                 estimator = NoEstimation()

@@ -37,7 +37,7 @@ from repro.sim.events import EventKind, EventQueue
 from repro.sim.failure import ExecutionOutcome, FailureModel
 from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
 from repro.sim.policies import Fcfs, Policy, QueuedJob, RunningJob
-from repro.sim.records import AttemptRecord, JobSummary, SimResult, TimelineSample
+from repro.sim.records import AttemptRecord, JobSummary, SimResult
 from repro.util.rng import RngStream
 from repro.workload.job import Job, Workload
 
@@ -77,7 +77,6 @@ class Simulation:
         fault_injector: Optional[NodeFaultInjector] = None,
         seed: RngStream = 0,
         collect_attempts: bool = True,
-        record_timeline: bool = False,
         late_binding: bool = True,
         observer: Optional[SimObserver] = None,
     ) -> None:
@@ -102,10 +101,6 @@ class Simulation:
             summaries and counters are always kept.  An
             :class:`~repro.sim.records.AttemptRecord` is built only when it
             is collected or an observer is attached to receive it.
-        record_timeline:
-            Append a :class:`~repro.sim.records.TimelineSample` (queue
-            length, busy and down nodes) after every event — feeds the
-            queue-dynamics analyses in :mod:`repro.sim.analysis`.
         observer:
             Optional :class:`~repro.obs.base.SimObserver` notified of every
             job/node transition and scheduling pass.  ``None`` (default)
@@ -129,7 +124,6 @@ class Simulation:
             else None
         )
         self.collect_attempts = collect_attempts
-        self.record_timeline = record_timeline
         self.late_binding = late_binding
         # A NullObserver is contractually the absence of observation, so it
         # is normalised onto the observer-free fast path (no hook dispatch).
@@ -139,7 +133,6 @@ class Simulation:
         #: Whether an attempt's record is read by anyone: the trace or an
         #: observer hook.  Otherwise only its node-seconds are.
         self._keep_records = collect_attempts or observer is not None
-        self._timeline: List[TimelineSample] = []
         #: (fail_time, scheduled_repair_time) per failed node; downtime is
         #: computed at the end of the run with each interval clamped to the
         #: observed trace, so late repairs add no phantom downtime.
@@ -239,7 +232,7 @@ class Simulation:
         # events — and compares kinds as the ints the heap stores.
         heappop = _heappop
         cancelled = self._cancelled
-        plain = self._obs is None and not self.record_timeline
+        observer = self._obs
         ARRIVAL = int(EventKind.ARRIVAL)
         COMPLETION = int(EventKind.COMPLETION)
         NODE_FAILURE = int(EventKind.NODE_FAILURE)
@@ -266,19 +259,8 @@ class Simulation:
                 # Lazy scheduling: nothing the last (failed) pass depended on
                 # changed, so a pass now would provably start nothing.
                 n_started = 0
-            if plain:
-                continue
-            if self.record_timeline:
-                self._timeline.append(
-                    TimelineSample(
-                        time=now,
-                        queue_length=len(self._queue),
-                        busy_nodes=self.cluster.busy_nodes,
-                        down_nodes=self.cluster.down_nodes,
-                    )
-                )
-            if self._obs is not None:
-                self._obs.on_scheduling_pass(
+            if observer is not None:
+                observer.on_scheduling_pass(
                     now,
                     n_started,
                     len(self._queue),
@@ -734,7 +716,6 @@ class Simulation:
             n_reduced_submissions=self._n_reduced_submissions,
             useful_node_seconds=self._useful_node_seconds,
             wasted_node_seconds=self._wasted_node_seconds,
-            timeline=self._timeline,
         )
 
 
@@ -818,7 +799,6 @@ def _scalar_simulation(
     fault_config: Optional[FaultConfig],
     collect_attempts: bool,
     observer: Optional[SimObserver],
-    record_timeline: bool = False,
 ) -> Simulation:
     """The scalar :class:`Simulation` for one run configuration: its
     failure model and fault injector both draw from ``seed``."""
@@ -834,6 +814,5 @@ def _scalar_simulation(
         fault_injector=injector,
         seed=seed,
         collect_attempts=collect_attempts,
-        record_timeline=record_timeline,
         observer=observer,
     )

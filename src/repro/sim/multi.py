@@ -18,6 +18,12 @@ evaluated under real scheduling dynamics rather than only in isolation:
 The estimator interface is intentionally the coordinate-descent one
 (estimate(task) -> requirement vector, observe(task, requirement, ok)); a
 ``None`` estimator reproduces conventional matching on the users' requests.
+
+This is a standalone extension with its own FCFS event loop, not a third
+engine behind :func:`repro.sim.engine.simulate`.  Its oracle pin:
+with one resource (``"mem"``) and no estimator it starts, ends and rejects
+every job exactly as the scalar :class:`repro.sim.engine.Simulation` does
+on FCFS best-fit (``tests/sim/test_multi.py``).
 """
 
 from __future__ import annotations

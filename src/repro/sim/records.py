@@ -44,8 +44,8 @@ def _canon(value) -> str:
 class TimelineSample(NamedTuple):
     """One point of the queue/utilization time series.
 
-    Sampled after every simulation event when ``record_timeline=True`` (or
-    by :class:`repro.obs.sampler.TimelineSampler`).  ``down_nodes`` counts
+    Sampled after every simulation event by
+    :class:`repro.obs.sampler.TimelineSampler`.  ``down_nodes`` counts
     capacity out of service from fault injection at the sample instant, so
     queue-dynamics analyses under faults can tell idle from failed capacity:
     free in-service nodes are ``total - busy_nodes - down_nodes``.
@@ -549,9 +549,8 @@ class SimResult:
     n_reduced_submissions: int = 0
     useful_node_seconds: float = 0.0
     wasted_node_seconds: float = 0.0
-    #: :class:`TimelineSample` records, one per event — populated only when
-    #: the simulation ran with ``record_timeline=True`` (see also
-    #: :class:`repro.obs.sampler.TimelineSampler`).
+    #: :class:`TimelineSample` records, one per event — set only when a
+    #: :class:`repro.obs.sampler.TimelineSampler` watched the run.
     timeline: List[TimelineSample] = field(default_factory=list)
     #: Memoized columnar views over ``summaries`` (see :meth:`summary_columns`
     #: / :meth:`slowdowns` / :meth:`wait_times`).  A result is effectively

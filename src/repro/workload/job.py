@@ -55,7 +55,10 @@ class Job(_JobBase):
     containers — gets untracked by the cyclic garbage collector, which
     otherwise re-traverses every live job on each collection of the event
     loop's allocations.  Keyword construction, field access, equality and
-    ``repr`` are unchanged.  ``Job(...)`` validates; the bulk path
+    ``repr`` are unchanged.  ``Job(...)`` (and ``_replace``) validates and
+    stores the times and memory sizes as ``float``, as a columnar trace
+    decodes them, so a hand-built list of ints runs like its columnar twin
+    (and takes the fast lane, which assumes floats); the bulk path
     (:meth:`repro.workload.columns.JobColumns.to_jobs`) goes through the
     inherited ``Job._make``, which trusts its already-validated input.
 
@@ -108,12 +111,12 @@ class Job(_JobBase):
         return _JobBase.__new__(
             cls,
             job_id,
-            submit_time,
-            run_time,
+            float(submit_time),
+            float(run_time),
             procs,
-            req_mem,
-            used_mem,
-            req_time,
+            float(req_mem),
+            float(used_mem),
+            float(req_time),
             user_id,
             group_id,
             app_id,
@@ -135,9 +138,12 @@ class Job(_JobBase):
         """Runtime bound available to the scheduler (req_time, else run_time)."""
         return self.req_time if self.req_time > 0 else self.run_time
 
+    def _replace(self, **changes) -> "Job":
+        """Copy with ``changes``, validated and stored like ``Job(...)``."""
+        return type(self)(**{**self._asdict(), **changes})
+
     def with_submit_time(self, submit_time: float) -> "Job":
         """Copy of this job arriving at a different time."""
-        check_non_negative("submit_time", submit_time)
         return self._replace(submit_time=submit_time)
 
 

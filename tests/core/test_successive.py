@@ -204,13 +204,13 @@ class TestGroupBookkeeping:
 
     def test_reset_clears_state(self):
         ladder = CapacityLadder([8.0, 32.0])
-        est = SuccessiveApproximation(record_trajectories=True)
+        est = SuccessiveApproximation()
         est.bind(ladder)
         job = make_job(req_mem=32.0, used_mem=4.0)
         drive(est, job, ladder, 2)
         est.reset()
         assert est.n_groups == 0
-        assert est.trajectory(est.key_fn(job)) == []
+        assert est.group_state_for(job) is None
 
     def test_memory_footprint_is_linear_in_groups(self):
         ladder = CapacityLadder([32.0])
@@ -283,25 +283,6 @@ class TestExplicitGuard:
             Feedback(job=job, succeeded=False, requirement=8.0, granted=8.0, used=10.0)
         )
         assert est.group_state_for(job).alpha == 1.0
-
-
-class TestTrajectoryRecording:
-    def test_records_internal_and_submitted(self):
-        ladder = CapacityLadder([4.0, 8.0, 16.0, 24.0, 32.0])
-        est = SuccessiveApproximation(record_trajectories=True)
-        est.bind(ladder)
-        job = make_job(req_mem=32.0, used_mem=5.2)
-        drive(est, job, ladder, 4)
-        traj = est.trajectory(est.key_fn(job))
-        assert [e for _, e in traj] == [32.0, 16.0, 8.0, 4.0]
-
-    def test_off_by_default(self):
-        ladder = CapacityLadder([32.0])
-        est = SuccessiveApproximation()
-        est.bind(ladder)
-        job = make_job()
-        est.estimate(job)
-        assert est.trajectory(est.key_fn(job)) == []
 
 
 class TestProperties:

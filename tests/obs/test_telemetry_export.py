@@ -1,12 +1,9 @@
 """Estimator telemetry sampling, the timeline sampler, and the Prometheus export."""
 
-import pytest
-
 from repro.cluster import paper_cluster
 from repro.cluster.cluster import Cluster
 from repro.core import NoEstimation, SuccessiveApproximation
 from repro.obs import (
-    CompositeObserver,
     CounterObserver,
     EstimatorTelemetryObserver,
     TimelineSampler,
@@ -79,33 +76,36 @@ class TestTelemetryObserver:
         assert "no per-group telemetry" in telemetry.format_report()
 
 
+def _timeline_run(sampler, n_jobs):
+    jobs = [
+        make_job(job_id=i + 1, submit_time=float(i), procs=8)
+        for i in range(n_jobs)
+    ]
+    return Simulation(
+        make_workload(jobs), Cluster([(16, 32.0)]), observer=sampler
+    ).run()
+
+
 class TestTimelineSampler:
-    def test_matches_record_timeline(self):
-        jobs = [make_job(job_id=i + 1, submit_time=float(i), procs=8) for i in range(6)]
+    def test_sets_result_timeline(self):
         sampler = TimelineSampler()
-        result = Simulation(
-            make_workload(jobs),
-            Cluster([(16, 32.0)]),
-            record_timeline=True,
-            observer=sampler,
-        ).run()
-        assert sampler.samples == result.timeline
+        result = _timeline_run(sampler, 6)
+        assert result.timeline == sampler.samples
         assert all(isinstance(s, TimelineSample) for s in sampler.samples)
+        # One sample per event: six arrivals and six completions.
+        assert len(result.timeline) == 12
+        times = [s.time for s in result.timeline]
+        assert times == sorted(times)
 
-    def test_stride_subsamples(self):
-        jobs = [make_job(job_id=i + 1, submit_time=float(i), procs=8) for i in range(6)]
-        dense = TimelineSampler()
-        sparse = TimelineSampler(stride=3)
-        Simulation(
-            make_workload(jobs),
-            Cluster([(16, 32.0)]),
-            observer=CompositeObserver([dense, sparse]),
-        ).run()
-        assert sparse.samples == dense.samples[::3]
-
-    def test_stride_validation(self):
-        with pytest.raises(ValueError, match="stride"):
-            TimelineSampler(stride=0)
+    def test_reused_across_runs(self):
+        sampler = TimelineSampler()
+        first = _timeline_run(sampler, 6)
+        kept = list(first.timeline)
+        second = _timeline_run(sampler, 4)
+        fresh = TimelineSampler()
+        assert second.timeline == _timeline_run(fresh, 4).timeline
+        assert sampler.samples == fresh.samples == second.timeline
+        assert first.timeline == kept  # the second run left it alone
 
 
 class TestPrometheusExport:

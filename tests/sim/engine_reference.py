@@ -32,6 +32,7 @@ from repro.core import (
     RobustLineSearch,
     SuccessiveApproximation,
 )
+from repro.obs import CompositeObserver, TimelineSampler
 from repro.sim.engine import Simulation
 from repro.sim.failure import FailureModel
 from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
@@ -53,6 +54,8 @@ class SliceSpec:
     seed: int = 0
     spurious: float = 0.0
     faults: bool = False
+    #: Run with a :class:`~repro.obs.TimelineSampler`, so the digest covers
+    #: the queue timeline too.
     timeline: bool = False
     strategy: str = "best_fit"
 
@@ -122,6 +125,17 @@ def slice_workload(spec: SliceSpec):
     )
 
 
+def slice_observer(spec: SliceSpec, observer=None):
+    """The observer a slice runs with: ``observer``, composed with a
+    fresh :class:`~repro.obs.TimelineSampler` on a timeline slice."""
+    if not spec.timeline:
+        return observer
+    sampler = TimelineSampler()
+    if observer is None:
+        return sampler
+    return CompositeObserver([sampler, observer])
+
+
 def run_slice(spec: SliceSpec, observer=None) -> SimResult:
     """Run one reference slice to completion (deterministic in ``spec``)."""
     injector: Optional[NodeFaultInjector] = None
@@ -137,8 +151,7 @@ def run_slice(spec: SliceSpec, observer=None) -> SimResult:
         ),
         fault_injector=injector,
         collect_attempts=True,
-        record_timeline=spec.timeline,
-        observer=observer,
+        observer=slice_observer(spec, observer),
     ).run()
 
 
@@ -154,8 +167,7 @@ def slice_batch_config(spec: SliceSpec, observer=None):
         seed=spec.seed,
         spurious_failure_prob=spec.spurious,
         fault_config=_FAULT_CONFIG if spec.faults else None,
-        record_timeline=spec.timeline,
-        observer=observer,
+        observer=slice_observer(spec, observer),
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import paper_cluster
 from repro.cluster.cluster import Cluster
 from repro.core import NoEstimation, SuccessiveApproximation
+from repro.obs import TimelineSampler
 from repro.sim.analysis import (
     capacity_decomposition,
     estimation_unlock_report,
@@ -78,7 +79,7 @@ class TestQueueStats:
     def test_requires_timeline(self):
         w = make_workload([make_job()])
         result = simulate(w, Cluster([(8, 32.0)]))
-        with pytest.raises(ValueError, match="record_timeline.*TimelineSampler"):
+        with pytest.raises(ValueError, match="TimelineSampler"):
             queue_stats(result)
 
     def test_contention_visible(self):
@@ -89,7 +90,7 @@ class TestQueueStats:
                 make_job(job_id=2, submit_time=0.0, run_time=100.0, procs=8),
             ]
         )
-        result = Simulation(w, Cluster([(8, 32.0)]), record_timeline=True).run()
+        result = Simulation(w, Cluster([(8, 32.0)]), observer=TimelineSampler()).run()
         stats = queue_stats(result)
         assert stats.max_queue_length >= 1
         assert stats.mean_busy_nodes > 0
@@ -101,7 +102,7 @@ class TestQueueStats:
             trace,
             paper_cluster(24.0),
             estimator=NoEstimation(),
-            record_timeline=True,
+            observer=TimelineSampler(),
         ).run()
         stats = queue_stats(result)
         assert stats.frac_blocked_with_free_nodes > 0.05

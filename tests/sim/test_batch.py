@@ -40,7 +40,7 @@ from repro.core import (
 from repro.core import persistence
 from repro.core.base import Estimator, version_token_fn
 from repro.similarity.keys import by_user_app
-from repro.obs import RecordingObserver
+from repro.obs import RecordingObserver, TimelineSampler
 from repro.sim import FaultConfig, simulate
 from repro.sim.batch import (
     BatchConfig,
@@ -54,6 +54,7 @@ from repro.sim.engine import Simulation, _scalar_simulation
 from repro.sim.failure import FailureModel
 from repro.sim.faults import NodeFaultInjector, fault_rng
 from repro.sim.policies import EasyBackfilling, Fcfs, ShortestJobFirst
+from repro.sim.records import LazySummaries
 from repro.workload import (
     Job,
     Workload,
@@ -363,12 +364,6 @@ def test_fast_lane_routing():
     assert fast_lane_eligible(
         BatchConfig(cluster=cluster, estimator=OracleEstimator())
     )
-    assert fast_lane_eligible(
-        BatchConfig(
-            cluster=cluster,
-            estimator=SuccessiveApproximation(record_trajectories=True),
-        )
-    )
     # Node faults ride it too, whatever the policy and estimator.
     for policy in (Fcfs(), ShortestJobFirst(), EasyBackfilling()):
         for estimator in (None, SuccessiveApproximation(), LastInstance()):
@@ -393,10 +388,6 @@ def test_fast_lane_routing():
         assert not fast_lane_eligible(
             BatchConfig(cluster=paper_cluster(24.0, strategy="worst_fit"),
                         estimator=estimator)
-        )
-        assert not fast_lane_eligible(
-            BatchConfig(cluster=cluster, estimator=estimator,
-                        record_timeline=True)
         )
         assert not fast_lane_eligible(
             BatchConfig(cluster=cluster, estimator=estimator,
@@ -551,11 +542,20 @@ _EXTREME_TIMES = (
 )
 
 
+def _int_if_integral(value):
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 @st.composite
 def _diff_traces(draw, gaps=_DIFF_GAPS, run_times=_DIFF_RUN_TIMES):
     """Small columnar traces with same-instant ties, zero run times and
     over-tier requests; submit gaps and run times drawn from the given
-    pools."""
+    pools.  With the default pools a trace may instead be a hand-built
+    ``Job`` list given its integral times and memory sizes as ints (and no
+    zero run time, which ``Job`` refuses)."""
+    hand_built = gaps is _DIFF_GAPS and draw(st.booleans())
+    if hand_built:
+        run_times = tuple(t for t in run_times if t > 0)
     n = draw(st.integers(1, 24))
     gaps = draw(st.lists(st.sampled_from(gaps), min_size=n, max_size=n))
     run_time = draw(st.lists(st.sampled_from(run_times),
@@ -582,8 +582,14 @@ def _diff_traces(draw, gaps=_DIFF_GAPS, run_times=_DIFF_RUN_TIMES):
         app_id=np.zeros(n, dtype=np.int64),
         status=np.ones(n, dtype=np.int64),
     )
-    return Workload.from_columns(
+    workload = Workload.from_columns(
         cols, total_nodes=8, node_mem=32.0, name="differential"
+    )
+    if not hand_built:
+        return workload
+    return Workload(
+        [Job(*map(_int_if_integral, job)) for job in workload],
+        total_nodes=8, node_mem=32, name="differential",
     )
 
 
@@ -995,7 +1001,7 @@ def test_unmaterialized_trace_decodes_from_its_columns(workload):
     a lane asks for the jobs."""
     fresh = Workload.from_columns(workload.as_columns(), presorted=True)
     trace = _SharedTrace(fresh)
-    assert not fresh.jobs.materialized() and trace.float_typed
+    assert not fresh.jobs.materialized()
     reference = _SharedTrace(workload)
     for column in ("job_id", "submit", "run_time", "procs", "req_mem",
                    "used_mem"):
@@ -1009,26 +1015,32 @@ def test_unmaterialized_trace_decodes_from_its_columns(workload):
     assert fresh.jobs.materialized()
 
 
-def test_int_typed_job_list_runs_on_the_engine_lane():
-    """A hand-built job list with int fields: the scalar engine carries the
-    ints into its results, so the batch runs it on the engine lane and
-    simulate() stays bit-identical (fingerprints hash types too)."""
+def test_int_typed_job_list_runs_on_the_fast_lane():
+    """A hand-built job list given int times and memory sizes: ``Job``
+    stores them as floats, as a columnar trace decodes them, so the batch
+    runs it on the fast lane and stays bit-identical to the scalar engine
+    (fingerprints hash types too)."""
     jobs = [
         Job(1, 0, 100, 2, 32, 6, user_id=1),
-        Job(2, 10, 50, 1, 32, 6, user_id=1),
-        Job(3, 20, 80, 3, 16, 12, user_id=2),
+        Job(2, 10, 50, 1, 32, 6, user_id=1, req_time=60),
+        Job(3, 25.5, 80, 3, 16, 12, user_id=2)._replace(submit_time=20),
     ]
+    assert all(
+        type(value) is float
+        for job in jobs
+        for value in (job.submit_time, job.run_time, job.req_mem,
+                      job.used_mem, job.req_time)
+    )
     workload = Workload(jobs, total_nodes=8, node_mem=32)
-    assert not _SharedTrace(workload).float_typed
     expected = scalar_fingerprint(workload, estimator=SuccessiveApproximation())
     batched = simulate_batch(
         workload, [BatchConfig(cluster=paper_cluster(24.0),
                                estimator=SuccessiveApproximation())]
     )[0]
-    assert batched.fingerprint() == expected
-    assert simulate(
-        workload, paper_cluster(24.0), SuccessiveApproximation()
-    ).fingerprint() == expected
+    simulated = simulate(workload, paper_cluster(24.0), SuccessiveApproximation())
+    for result in (batched, simulated):
+        assert isinstance(result.summaries, LazySummaries)  # a fast lane's
+        assert result.fingerprint() == expected
 
 
 # --------------------------------------- protocol mode: other estimators
@@ -1161,9 +1173,6 @@ _PROTOCOL_ESTIMATORS = {
         fallback=RegressionEstimator(min_samples=3)
     ),
     "oracle": OracleEstimator,
-    "successive-trajectories": lambda: SuccessiveApproximation(
-        record_trajectories=True
-    ),
     "successive-custom-key": lambda: SuccessiveApproximation(
         key_fn=by_user_app, mixed_group_threshold=2
     ),
@@ -1194,8 +1203,7 @@ def _protocol_state(est):
         state.update(inner=_protocol_state(est.inner))
     elif isinstance(est, SuccessiveApproximation):
         state.update(groups=list(est._groups.items()),
-                     failed_at=dict(est._failed_at),
-                     trajectories=dict(est._trajectories))
+                     failed_at=dict(est._failed_at))
     elif isinstance(est, LastInstance):
         state.update(groups=list(est._groups.items()))
     elif isinstance(est, RobustLineSearch):
@@ -1304,7 +1312,7 @@ def test_protocol_resubmission_that_fits_nowhere_falls_back_to_the_request(
 
 
 def test_engine_lanes_sharing_one_faulted_cluster_match_scalar(workload):
-    """Engine lanes (here: timeline recording) handed the *same* cluster
+    """Engine lanes (here: timeline sampling) handed the *same* cluster
     instance run one after another, each resetting it, though fault
     injection took nodes down in the first."""
     faults = FaultConfig(node_mtbf=5.0e5, node_mttr=3600.0)
@@ -1312,15 +1320,15 @@ def test_engine_lanes_sharing_one_faulted_cluster_match_scalar(workload):
     configs = [
         BatchConfig(cluster=shared, estimator=LastInstance(),
                     policy=ShortestJobFirst(), fault_config=faults,
-                    record_timeline=True)
+                    observer=TimelineSampler())
         for _ in range(2)
     ]
     assert not any(fast_lane_eligible(config) for config in configs)
     results = simulate_batch(workload, configs)
-    assert results[0].n_node_failures > 0
+    assert results[0].n_node_failures > 0 and results[0].timeline
     expected = _scalar_simulation(
         workload, paper_cluster(24.0), LastInstance(), ShortestJobFirst(),
-        0, 0.0, faults, True, None, record_timeline=True,
+        0, 0.0, faults, True, TimelineSampler(),
     ).run().fingerprint()
     assert [r.fingerprint() for r in results] == [expected, expected]
 

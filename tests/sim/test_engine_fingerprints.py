@@ -55,7 +55,7 @@ def test_fingerprint_matches_recorded(name):
 @pytest.mark.parametrize("name", sorted(REFERENCE_SLICES))
 def test_batched_single_lane_matches_recorded(name):
     """Every slice through simulate_batch (K=1) reproduces the recorded
-    digest — whichever lane (array fast lane or streamed engine lane) the
+    digest — whichever lane (array fast lane or engine lane) the
     configuration routes to."""
     spec = REFERENCE_SLICES[name]
     config = slice_batch_config(spec)
@@ -76,8 +76,8 @@ def _slices_by_load():
 
 @pytest.mark.parametrize("load,names", _slices_by_load())
 def test_batched_merged_lanes_match_recorded(load, names):
-    """All same-workload slices as ONE merged batch: mixed estimators,
-    policies, fault injection, and timelines advancing lock-step must each
+    """All same-workload slices as ONE batch, run lane after lane: mixed
+    estimators, policies, fault injection and timeline sampling must each
     still land on their recorded scalar digest."""
     names = sorted(names)
     specs = [REFERENCE_SLICES[name] for name in names]

@@ -31,6 +31,7 @@ from repro.core import (
 )
 from repro.core.base import Estimator
 from repro.obs.counters import CounterObserver
+from repro.obs.sampler import TimelineSampler
 from repro.sim import FaultConfig, simulate
 from repro.sim import batch
 from repro.sim.batch import BatchConfig, fast_lane_eligible, simulate_batch
@@ -260,7 +261,7 @@ _FAULTS = FaultConfig(node_mtbf=5.0e5, node_mttr=3600.0)
 _ENGINE_CASES = {
     "timeline": lambda: BatchConfig(
         cluster=paper_cluster(24.0), estimator=SuccessiveApproximation(),
-        record_timeline=True,
+        observer=TimelineSampler(),
     ),
     "counter-observer": lambda: BatchConfig(
         cluster=paper_cluster(24.0), estimator=LastInstance(),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import paper_cluster
 from repro.core.multi_resource import CoordinateDescentEstimator
 from repro.sim.multi import (
     MachineClass,
@@ -9,6 +10,9 @@ from repro.sim.multi import (
     MultiJob,
     MultiSimulation,
 )
+from repro.workload import lanl_cm5_like, scale_load
+
+from tests.sim.engine_reference import scalar_run
 
 
 def job(job_id=1, submit=0.0, run=100.0, procs=4, group=None, **resources):
@@ -194,3 +198,41 @@ class TestMultiJobValidation:
     def test_task_defaults_to_job_id(self):
         j = job(job_id=42, group=None)
         assert j.task().group == 42
+
+
+@pytest.mark.parametrize("seed,load", [(0, 0.8), (1, 1.0), (2, 0.6)])
+def test_single_resource_matches_the_scalar_engine(seed, load):
+    """The oracle pin of this standalone event loop: with one resource and
+    no estimator, FCFS best-fit over the paper's cluster starts, ends and
+    rejects every job exactly as the scalar ``Simulation`` does."""
+    workload = scale_load(lanl_cm5_like(n_jobs=2000, seed=seed), load)
+    scalar = scalar_run(workload, paper_cluster(24.0), seed=seed,
+                        collect_attempts=False)
+    multi = MultiSimulation(
+        [
+            MultiJob(
+                job_id=j.job_id,
+                submit_time=j.submit_time,
+                run_time=j.run_time,
+                procs=j.procs,
+                requested={"mem": j.req_mem},
+                used={"mem": j.used_mem},
+            )
+            for j in workload
+        ],
+        MultiCluster([
+            MachineClass(count=512, capacities={"mem": 32.0}),
+            MachineClass(count=512, capacities={"mem": 24.0}),
+        ]),
+        seed=seed,
+    ).run()
+    assert sorted(
+        (o.job.job_id, o.start_time, o.end_time) for o in multi.outcomes
+    ) == sorted(
+        (s.job.job_id, s.start_time, s.end_time) for s in scalar.summaries
+    )
+    assert multi.n_attempts == scalar.n_attempts
+    assert {j.job_id for j in multi.rejected} == {
+        j.job_id for j in scalar.rejected_jobs
+    }
+    assert multi.rejected  # full-machine 32 MB jobs fit nowhere

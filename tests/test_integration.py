@@ -21,6 +21,7 @@ from repro import (
     utilization,
 )
 from repro.experiments.fig7 import make_fig7_cluster
+from repro.obs import EstimatorTelemetryObserver
 from repro.sim.engine import Simulation
 from repro.sim.failure import FailureModel
 from repro.workload import drop_full_machine_jobs, scale_load
@@ -88,7 +89,7 @@ class TestFigure7ThroughFullSimulator:
             )
             for i in range(6)
         ]
-        est = SuccessiveApproximation(alpha=2.0, beta=0.0, record_trajectories=True)
+        est = SuccessiveApproximation(alpha=2.0, beta=0.0)
         result = Simulation(
             make_workload(jobs, total_nodes=320),
             make_fig7_cluster(nodes_per_tier=64),
@@ -101,7 +102,9 @@ class TestFigure7ThroughFullSimulator:
         assert result.n_resource_failures == 1
 
     def test_recorded_trajectory_available(self):
-        est = SuccessiveApproximation(record_trajectories=True)
+        """The telemetry observer records the group's Figure 7 descent
+        (E_i after each feedback) and its one back-off."""
+        telemetry = EstimatorTelemetryObserver()
         jobs = [
             make_job(job_id=i + 1, submit_time=i * 10_000.0, procs=8, used_mem=5.2, user_id=7)
             for i in range(5)
@@ -109,11 +112,13 @@ class TestFigure7ThroughFullSimulator:
         Simulation(
             make_workload(jobs, total_nodes=320),
             make_fig7_cluster(nodes_per_tier=64),
-            estimator=est,
+            estimator=SuccessiveApproximation(),
             failure_model=FailureModel(rng=0),
+            observer=telemetry,
         ).run()
-        key = est.key_fn(jobs[0])
-        assert len(est.trajectory(key)) >= 5
+        (group,) = telemetry.groups.values()
+        assert group.estimates == [16.0, 8.0, 4.0, 8.0]
+        assert [(b.previous, b.restored) for b in telemetry.backoffs] == [(4.0, 8.0)]
 
 
 class TestCrossModuleConsistency:

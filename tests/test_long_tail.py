@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import paper_cluster
 from repro.cluster.cluster import Cluster
 from repro.core import NoEstimation, SuccessiveApproximation
+from repro.obs import TimelineSampler
 from repro.sim import Simulation, simulate, wasted_fraction
 from repro.sim.failure import FailureModel
 from tests.conftest import make_job, make_workload
@@ -47,7 +48,7 @@ class TestEngineTimelineViaSimulate:
         result = Simulation(
             make_workload(jobs),
             Cluster([(8, 32.0)]),
-            record_timeline=True,
+            observer=TimelineSampler(),
         ).run()
         assert len(result.timeline) >= 5
         times = [s.time for s in result.timeline]
