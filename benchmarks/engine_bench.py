@@ -139,8 +139,8 @@ def bench_single_run(n_jobs: int, rounds: int, seed: int = 0) -> dict:
 
 def bench_simulate_defaults(n_jobs: int, rounds: int, seed: int = 0) -> dict:
     """The single-run configuration through ``simulate()`` as the library
-    calls it: fast lane, attempt records collected (and left unbuilt, so
-    the timed calls never build one)."""
+    calls it: fast lane, attempt trace collected (as a log of plain
+    numbers: the timed calls build no record)."""
     workload = scale_load(
         drop_full_machine_jobs(lanl_cm5_like(n_jobs=n_jobs, seed=seed)), 0.8
     )
@@ -153,7 +153,6 @@ def bench_simulate_defaults(n_jobs: int, rounds: int, seed: int = 0) -> dict:
         result = simulate(workload, cluster, estimator, seed=seed)
         times.append(time.perf_counter() - t0)
     q1, median, q3 = np.percentile(times, [25, 50, 75])
-    attempts_built = result.attempts.built()
     twin = Simulation(
         workload, cluster, SuccessiveApproximation(), seed=seed
     ).run()
@@ -166,7 +165,6 @@ def bench_simulate_defaults(n_jobs: int, rounds: int, seed: int = 0) -> dict:
         "q1_s": round(q1, 4),
         "q3_s": round(q3, 4),
         "jobs_per_second": round(result.n_jobs / median, 1),
-        "attempts_built_by_run": attempts_built,
         "bit_identical": result.fingerprint() == twin.fingerprint(),
     }
 

@@ -21,7 +21,7 @@ Allocation strategies
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Literal, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Literal, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.ladder import CapacityLadder
 from repro.cluster.machine import Machine

@@ -12,7 +12,7 @@ reach the small machines.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.util.validation import check_positive
 

@@ -9,7 +9,7 @@ memory capacity in MB; extra resource capacities can ride along in the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Mapping
 
 from repro.util.validation import check_positive
 

@@ -22,7 +22,7 @@ estimate toward the original request.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Optional
 
 from repro.core.base import Estimator, Feedback, clamp_to_request

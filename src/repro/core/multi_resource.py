@@ -24,7 +24,7 @@ algorithm directly against synthetic multi-resource workloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.ladder import CapacityLadder

@@ -17,7 +17,7 @@ keys to be persistable.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 from repro.core.last_instance import LastInstance, _LastInstanceGroup
 from repro.core.regression import RegressionEstimator, _RlsState

@@ -28,10 +28,8 @@ driven by an explicit RNG so runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, Sequence, Tuple
 
 from repro.core.base import Estimator, Feedback, clamp_to_request
 from repro.util.rng import RngStream, as_generator

@@ -30,7 +30,7 @@ the paper's own worked examples in ``tests/core/test_successive.py``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.cluster.ladder import CapacityLadder

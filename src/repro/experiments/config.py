@@ -9,7 +9,7 @@ the paper's full 122,055-job trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 from repro.cluster.builder import paper_cluster

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import os
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.experiments.falsepositives import FalsePositiveResult
 from repro.experiments.fig1 import Fig1Result

@@ -21,7 +21,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.render import ascii_chart, format_table
 from repro.workload.stats import (
     OverprovisioningStats,
-    log_linear_fit,
     overprovisioning_histogram,
     overprovisioning_stats,
 )

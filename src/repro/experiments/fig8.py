@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.builder import DesignChoice, design_second_tier
+from repro.cluster.builder import design_second_tier
 from repro.experiments.cache import SweepCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import run_sweep

@@ -65,7 +65,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple, Union
 

@@ -8,7 +8,7 @@ the paper shows (knees, peaks, bands) is visible at a glance.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 _MARKS = "ox+*#@"
 

@@ -34,11 +34,10 @@ access to the live estimator (see :func:`group_trajectories`).
 
 from __future__ import annotations
 
-import io
 import json
 from collections import defaultdict
 from pathlib import Path
-from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import IO, Dict, Iterable, Iterator, List, Tuple, Union
 
 from repro.obs.base import RunMeta, SimObserver
 

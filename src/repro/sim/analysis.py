@@ -14,12 +14,18 @@ mismatch, which is directly visible in :func:`tier_utilization`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.sim.records import SimResult, iter_records
+from repro.sim.records import AttemptRecord, SimResult
+
+#: The fields of a plain attempt row that tier occupancy reads.
+_OCCUPANCY_FIELDS = itemgetter(*map(AttemptRecord._fields.index, (
+    "start_time", "end_time", "succeeded", "allocation",
+)))
 
 
 def tier_utilization(result: SimResult, cluster: Cluster) -> Dict[float, float]:
@@ -27,9 +33,9 @@ def tier_utilization(result: SimResult, cluster: Cluster) -> Dict[float, float]:
 
     Requires the per-attempt trace (``collect_attempts=True``).  The paper's
     mechanism is visible here: without estimation the small tier of the
-    Figure 5 cluster sits nearly idle; with estimation it fills up.  A
-    fast-lane result's attempts are read off its log a record at a time
-    (:func:`repro.sim.records.iter_records`); no record list is kept.
+    Figure 5 cluster sits nearly idle; with estimation it fills up.  The
+    attempts are read off the result's log as plain tuples; no record is
+    built.
     """
     if not result.attempts and result.n_attempts:
         raise ValueError(
@@ -38,11 +44,12 @@ def tier_utilization(result: SimResult, cluster: Cluster) -> Dict[float, float]:
         )
     span = result.makespan
     busy: Dict[float, float] = {lvl: 0.0 for lvl in cluster.ladder.levels}
-    for attempt in iter_records(result.attempts):
-        if not attempt.succeeded:
+    rows = map(_OCCUPANCY_FIELDS, result.attempts.table.tuples())
+    for start, end, succeeded, allocation in rows:
+        if not succeeded:
             continue
-        for level, count in attempt.allocation:
-            busy[level] = busy.get(level, 0.0) + attempt.duration * count
+        for level, count in allocation:
+            busy[level] = busy.get(level, 0.0) + (end - start) * count
     out: Dict[float, float] = {}
     for level in cluster.ladder.levels:
         capacity = cluster.total_at_level(level) * span

@@ -18,12 +18,13 @@ Two lane implementations sit behind one driver:
   allowed, no observer.  Queue entries are small mutable lists
   over row indices, allocation is a free-count list per capacity level with
   a precomputed fill-order table per (strategy, ladder index), completions
-  are raw heap tuples, and results are assembled after the run, their
-  attempt records left a chunked log of plain numbers
-  (:class:`~repro.sim.records.AttemptLog`, decoded by
-  :class:`~repro.sim.records.LazyAttempts`) and their job summaries
-  columnar (:class:`~repro.sim.records.LazySummaries`) until someone reads
-  one.  Estimation takes one of three modes:
+  are raw heap tuples, and the result is built after the run from the
+  lane's own lists: its chunked log of plain numbers
+  (:class:`~repro.sim.records.AttemptLog`) and its per-row outcome lists
+  (the columns of a :class:`~repro.sim.records.JobTable`) are the two
+  tables a scalar run fills too, read through
+  :class:`~repro.sim.records.Records` views.  Estimation takes one of
+  three modes:
 
   - :class:`~repro.core.baselines.NoEstimation` — the request, verbatim;
   - default-keyed :class:`~repro.core.successive.SuccessiveApproximation`
@@ -112,7 +113,7 @@ from repro.sim.engine import _scalar_simulation
 from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
 from repro.sim.policies import EasyBackfilling, Fcfs, Policy, ShortestJobFirst
 from repro.sim.records import (
-    LOG_CHUNK_FIELDS, AttemptLog, LazyAttempts, LazySummaries, SimResult,
+    LOG_CHUNK_FIELDS, AttemptLog, JobTable, Records, SimResult,
 )
 from repro.similarity.keys import by_user_app_reqmem
 from repro.util.rng import RngStream, as_generator
@@ -203,10 +204,10 @@ class BatchConfig:
 
     ``collect_attempts`` keeps the lane's per-attempt trace, as in
     :func:`simulate`; sweeps and the service, which only aggregate, turn it
-    off.  A fast lane keeps the trace as a chunked log of plain numbers
-    (:class:`~repro.sim.records.AttemptLog`), and its result's
-    ``attempts`` (a :class:`~repro.sim.records.LazyAttempts`) decodes it
-    into the :class:`~repro.sim.records.AttemptRecord` list on first
+    off.  Either engine keeps the trace as a chunked log of plain
+    numbers (:class:`~repro.sim.records.AttemptLog`), and its result's
+    ``attempts`` view decodes an
+    :class:`~repro.sim.records.AttemptRecord` from it whenever one is
     read.
     """
 
@@ -472,10 +473,10 @@ class _FastLane:
     order.  A completion appends one record of twelve plain numbers to
     the lane's :class:`~repro.sim.records.AttemptLog` (inlined in
     :meth:`_run_fcfs`), its allocation the unsorted ``(ladder index,
-    take)`` pairs the lane filled, flattened into the companion chunk; job
-    summaries stay the per-row lists they were accumulated in: records of
-    either kind are built only when a reader asks, so the per-event path
-    allocates almost nothing.
+    take)`` pairs the lane filled, flattened into the companion chunk; the
+    per-row lists the job outcomes accumulate in become the columns of the
+    result's :class:`~repro.sim.records.JobTable`: no record of either
+    kind is built, so the per-event path allocates almost nothing.
 
     This class estimates with :class:`NoEstimation` or the inlined
     Algorithm 1; :class:`~repro.sim.protocol_lane.ProtocolLane` overrides
@@ -607,7 +608,7 @@ class _FastLane:
         self.completed = [False] * n
         self.dead = [False] * n
         self.rejected_rows: List[int] = []
-        self.log = AttemptLog()
+        self.log = AttemptLog(self.levels)
 
         self.n_attempts = 0
         self.n_resource_failures = 0
@@ -1653,38 +1654,15 @@ class _FastLane:
                 f"{len(self.queue)} jobs stranded in the queue at end of trace"
             )
         trace = self.trace
-        # The attempts stay a log of plain numbers: a LazyAttempts decodes
-        # it into records only if someone reads one.
-        attempts = LazyAttempts(self.log, self.levels)
-        self.log = None
-        # The summaries stay columnar: the per-row lists, in JobSummary
-        # field order, go to a LazySummaries that builds the records only
-        # if someone reads one.  Rows are sorted by (submit_time, job_id) —
-        # the workload's invariant — so their order already matches the
-        # scalar engine's sort.  Rejected rows have no summary.
-        fields = (
+        # The per-row lists are the job table's columns.  Rows are sorted
+        # by (submit_time, job_id), the workload's invariant, so their order
+        # is the summaries' order.  Rejected rows have no summary.
+        jobs = JobTable(trace.workload, self.rejected_rows, (
             self.final_start, self.final_end, self.n_att, self.n_resfail,
             self.completed, self.final_req, self.final_granted,
             self.final_reduced, self.wasted_job,
-        )
-        rejected = self.rejected_rows
-        rows = None
-        if rejected:
-            keep = np.ones(trace.n, dtype=bool)
-            keep[rejected] = False
-            rows = np.flatnonzero(keep)
-            kept = rows.tolist()
-            fields = tuple([column[i] for i in kept] for column in fields)
-        end = fields[1]
-        if None in end:
-            k = end.index(None)
-            row = k if rows is None else int(rows[k])
-            raise RuntimeError(
-                f"job {trace.job_id[row]} finished the trace incomplete"
-            )
-        t_first_submit = 0.0
-        if end:
-            t_first_submit = trace.submit[0 if rows is None else int(rows[0])]
+        ))
+        t_first_submit = jobs.first_submit
         # Each failed node's downtime, clamped to the observed trace, in
         # failure order (an int 0 without faults, like the scalar's sum).
         t_last_end = self.t_last_end
@@ -1692,8 +1670,7 @@ class _FastLane:
             max(0.0, min(stop, t_last_end) - max(start, t_first_submit))
             for start, stop in self.down_intervals
         )
-        summaries = LazySummaries(trace.workload, rows, *fields)
-        # The lane is done with its per-row lists (the summaries own them
+        # The lane is done with its per-row lists (the table owns them
         # now) and with the bound scheduling pass, a lane -> method -> lane
         # cycle.
         self.n_att = self.n_resfail = self.wasted_job = None
@@ -1702,15 +1679,16 @@ class _FastLane:
         self.completed = self.dead = None
         self.sched = None
         self._write_back()
+        log, self.log = self.log, None
         return SimResult(
             workload_name=trace.workload.name,
             cluster_name=self.cluster.name,
             estimator_name=self.est.name,
             policy_name=self.policy_name,
             total_nodes=self.cluster.total_nodes,
-            attempts=attempts,
-            summaries=summaries,
-            rejected_jobs=trace.jobs_at(rejected),
+            attempts=Records(log),
+            summaries=Records(jobs),
+            rejected_jobs=trace.jobs_at(self.rejected_rows),
             t_first_submit=t_first_submit,
             t_last_end=self.t_last_end,
             n_attempts=self.n_attempts,

@@ -37,7 +37,9 @@ from repro.sim.events import EventKind, EventQueue
 from repro.sim.failure import ExecutionOutcome, FailureModel
 from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
 from repro.sim.policies import Fcfs, Policy, QueuedJob, RunningJob
-from repro.sim.records import AttemptRecord, JobSummary, SimResult
+from repro.sim.records import (
+    AttemptLog, AttemptRecord, JobTable, Records, SimResult,
+)
 from repro.util.rng import RngStream
 from repro.workload.job import Job, Workload
 
@@ -56,9 +58,9 @@ class _Execution:
 @dataclass(slots=True)
 class _JobProgress:
     """Accumulated state of one job across attempts, kept until it
-    succeeds (its :class:`JobSummary` is built then)."""
+    succeeds (its job-table row is written then)."""
 
-    first_submit: float
+    row: int  # the job's workload row; its arrival is Job.submit_time
     n_attempts: int = 0
     n_resource_failures: int = 0
     wasted_node_seconds: float = 0.0
@@ -97,10 +99,12 @@ class Simulation:
             false positive.  ``None`` (or a disabled injector) leaves the
             simulation bit-for-bit identical to the fault-free engine.
         collect_attempts:
-            Keep the per-attempt trace (needed by trajectory analyses);
+            Keep the per-attempt trace (needed by trajectory analyses):
+            each attempt is appended to the result's
+            :class:`~repro.sim.records.AttemptLog` as plain numbers.  Job
             summaries and counters are always kept.  An
-            :class:`~repro.sim.records.AttemptRecord` is built only when it
-            is collected or an observer is attached to receive it.
+            :class:`~repro.sim.records.AttemptRecord` is built only for an
+            attached observer.
         observer:
             Optional :class:`~repro.obs.base.SimObserver` notified of every
             job/node transition and scheduling pass.  ``None`` (default)
@@ -130,7 +134,7 @@ class Simulation:
         if type(observer) is NullObserver:
             observer = None
         self._obs = observer
-        #: Whether an attempt's record is read by anyone: the trace or an
+        #: Whether an attempt's fields are read by anyone: the trace or an
         #: observer hook.  Otherwise only its node-seconds are.
         self._keep_records = collect_attempts or observer is not None
         #: (fail_time, scheduled_repair_time) per failed node; downtime is
@@ -172,9 +176,15 @@ class Simulation:
         self._arrivals_pending = 0
         #: Jobs that arrived and have not yet succeeded.
         self._progress: Dict[int, _JobProgress] = {}
-        self._summaries: List[JobSummary] = []
-        self._attempts: List[AttemptRecord] = []
-        self._rejected: List[Job] = []
+        #: Arrivals pop in workload order (same-time events keep their push
+        #: order), so the next arrival's workload row is a count.
+        self._next_row = 0
+        #: The job table's nine outcome columns, one entry per workload row
+        #: (see :class:`~repro.sim.records.JobTable`), written when the
+        #: row's job succeeds.
+        self._outcomes = tuple([None] * len(workload) for _ in range(9))
+        self._log = AttemptLog(cluster.ladder.levels)
+        self._rejected_rows: List[int] = []
         # Counters kept even when the attempt trace is disabled.  Plain
         # attributes, not a dict: each is bumped once or twice per attempt.
         self._n_attempts = 0
@@ -288,7 +298,8 @@ class Simulation:
 
     # -------------------------------------------------------------- events
     def _on_arrival(self, now: float, job: Job) -> None:
-        self._progress[job.job_id] = _JobProgress(first_submit=now)
+        self._progress[job.job_id] = _JobProgress(row=self._next_row)
+        self._next_row += 1
         self._enqueue(now, job, attempt=0, at_head=False)
 
     def _enqueue(self, now: float, job: Job, attempt: int, at_head: bool) -> None:
@@ -313,8 +324,7 @@ class Simulation:
         if not self.cluster.fits(job.procs, requirement):
             # No machine class can ever hold this submission; an FCFS queue
             # would deadlock behind it.  Reject rather than strand the queue.
-            self._rejected.append(job)
-            self._progress.pop(job.job_id, None)
+            self._rejected_rows.append(self._progress.pop(job.job_id).row)
             if self._obs is not None:
                 self._obs.on_job_rejected(now, job, attempt)
             return
@@ -369,21 +379,14 @@ class Simulation:
 
         if succeeded:
             del self._progress[job_id]
-            self._summaries.append(
-                JobSummary(
-                    job=job,
-                    first_submit=progress.first_submit,
-                    start_time=execution.start_time,
-                    end_time=now,
-                    n_attempts=progress.n_attempts,
-                    n_resource_failures=progress.n_resource_failures,
-                    completed=True,
-                    final_requirement=entry.requirement,
-                    final_granted=granted,
-                    reduced=entry.requirement < job.req_mem,
-                    wasted_node_seconds=progress.wasted_node_seconds,
-                )
+            outcome = (
+                execution.start_time, now, progress.n_attempts,
+                progress.n_resource_failures, True, entry.requirement,
+                granted, entry.requirement < job.req_mem,
+                progress.wasted_node_seconds,
             )
+            for column, value in zip(self._outcomes, outcome):
+                column[progress.row] = value
             self._useful_node_seconds += node_seconds
             if self._obs is not None:
                 self._obs.on_job_completed(now, record)
@@ -409,28 +412,28 @@ class Simulation:
         execution: _Execution,
         succeeded: bool,
         resource_failure: bool,
-    ) -> AttemptRecord:
-        """The :class:`AttemptRecord` of ``execution`` ending at ``now``,
-        appended to the attempt trace when it is collected."""
+    ) -> Optional[AttemptRecord]:
+        """Log the attempt of ``execution`` ending at ``now`` when the
+        trace is collected, and return its :class:`AttemptRecord` when an
+        observer is attached to receive it."""
         entry = execution.entry
         job = entry.job
-        record = AttemptRecord(
-            job_id=job.job_id,
-            attempt=entry.attempt,
-            submit_time=entry.enqueue_time,
-            start_time=execution.start_time,
-            end_time=now,
-            procs=job.procs,
-            requirement=entry.requirement,
-            granted=execution.allocation.min_capacity,
-            succeeded=succeeded,
-            resource_failure=resource_failure,
-            reduced=entry.requirement < job.req_mem,
-            allocation=tuple(sorted(execution.allocation.counts.items())),
+        allocation = execution.allocation
+        fields = (
+            job.job_id, entry.attempt, entry.enqueue_time,
+            execution.start_time, now, job.procs, entry.requirement,
+            allocation.min_capacity, succeeded, resource_failure,
+            entry.requirement < job.req_mem,
         )
+        counts = sorted(allocation.counts.items())
         if self.collect_attempts:
-            self._attempts.append(record)
-        return record
+            levels = self._log.levels
+            self._log.append(
+                fields, [(levels.index(level), take) for level, take in counts]
+            )
+        if self._obs is None:
+            return None
+        return AttemptRecord._make(fields + (tuple(counts),))
 
     # --------------------------------------------------------------- faults
     def _schedule_next_failure(self, now: float) -> None:
@@ -679,9 +682,11 @@ class Simulation:
             raise RuntimeError(
                 f"job {next(iter(self._progress))} finished the trace incomplete"
             )
-        summaries = self._summaries
-        summaries.sort(key=lambda s: (s.first_submit, s.job.job_id))
-        t_first = summaries[0].first_submit if summaries else 0.0
+        jobs = JobTable(
+            self.workload, self._rejected_rows, self._outcomes
+        )
+        self._outcomes = None
+        t_first = jobs.first_submit
         # Downtime clamped to the observed trace: a repair scheduled past the
         # last completion (or a failure landing after it) contributes only
         # the overlap with [t_first, t_last_end].  The injector's running
@@ -698,9 +703,9 @@ class Simulation:
             estimator_name=self.estimator.name,
             policy_name=self.policy.name,
             total_nodes=self.cluster.total_nodes,
-            attempts=self._attempts,
-            summaries=summaries,
-            rejected_jobs=self._rejected,
+            attempts=Records(self._log),
+            summaries=Records(jobs),
+            rejected_jobs=[self.workload[row] for row in self._rejected_rows],
             t_first_submit=t_first,
             t_last_end=self._t_last_end,
             n_attempts=self._n_attempts,

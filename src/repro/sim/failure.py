@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 from repro.util.rng import RngStream, as_generator
 from repro.util.validation import check_in_range
 from repro.workload.job import Job

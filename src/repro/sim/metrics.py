@@ -29,7 +29,7 @@ variants agree exactly on fault-free runs (downtime is zero).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 

@@ -1,12 +1,12 @@
 """Simulation records: per-attempt traces, per-job summaries, run results.
 
-The simulator records one :class:`AttemptRecord` per execution attempt (a job
+A run produces one :class:`AttemptRecord` per execution attempt (a job
 that fails and is resubmitted produces several) and one :class:`JobSummary`
-per job.  :class:`SimResult` is the container every metric and experiment
-consumes.  The scalar engine builds a job's summary when the job succeeds, and
-its attempt records only when they are collected or observed; the batched
-fast lane hands over a :class:`LazyAttempts` and a :class:`LazySummaries`
-sequence that build them only when someone reads one.
+per job.  Neither engine keeps those records: both fill the same two
+tables, a :class:`JobTable` of per-job outcome columns and an
+:class:`AttemptLog` of plain numbers, and :class:`SimResult`, the container
+every metric and experiment consumes, reads them through :class:`Records`
+views that decode a record when one is asked for.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
-from operator import attrgetter as _attrgetter, eq as _eq
+from operator import eq as _eq
 from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,12 +61,11 @@ class AttemptRecord(NamedTuple):
     """One execution attempt of one job.
 
     A ``NamedTuple`` rather than a frozen dataclass: the scalar engine
-    builds one per attempt on the completion hot path when the attempt
-    trace is collected or an observer is attached, and tuple
-    construction skips the per-field ``object.__setattr__`` a frozen
-    dataclass pays.  Field access, equality and keyword construction are
-    unchanged.  A fast-lane result builds them all on the first element
-    access or iteration of its :class:`LazyAttempts`.
+    builds one per attempt on the completion hot path when an observer is
+    attached, and tuple construction skips the per-field
+    ``object.__setattr__`` a frozen dataclass pays.  Field access,
+    equality and keyword construction are unchanged.  A result's
+    ``attempts`` decodes them from its :class:`AttemptLog`.
     """
 
     job_id: int
@@ -96,11 +95,9 @@ class AttemptRecord(NamedTuple):
 class JobSummary(NamedTuple):
     """Outcome of one job across all its attempts.
 
-    A ``NamedTuple`` for the same reason as :class:`AttemptRecord`.  The
-    scalar engine builds a job's summary when the job's attempt succeeds
-    and sorts them all by ``(first_submit, job_id)`` when it assembles its
-    result; a fast-lane result builds them all on the first element access
-    or iteration of its :class:`LazySummaries`.
+    A ``NamedTuple`` for the same reason as :class:`AttemptRecord`.  A
+    result's ``summaries`` decodes them from its :class:`JobTable`, in
+    ``(first_submit, job_id)`` order.
     """
 
     job: Job
@@ -147,7 +144,7 @@ class JobSummary(NamedTuple):
 
 
 class SummaryColumns(NamedTuple):
-    """Columnar views over a result's :class:`JobSummary` list.
+    """Columnar views over a result's job summaries.
 
     Built once per :class:`SimResult` (see :meth:`SimResult.summary_columns`)
     so every metric — slowdowns, waits, size-class breakdowns — is a
@@ -162,206 +159,192 @@ class SummaryColumns(NamedTuple):
     procs: np.ndarray  # int64
 
 
-#: Field getters for the column builds.  A fast-lane job's first
-#: submission is its arrival time, ``Job.submit_time``.
-_JOB, _FIRST_SUBMIT, _END_TIME, _COMPLETED = map(
-    _attrgetter, ("job", "first_submit", "end_time", "completed")
-)
-_SUBMIT_TIME, _RUN_TIME, _PROCS = map(
-    _attrgetter, ("submit_time", "run_time", "procs")
-)
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     view = arr.view()
     view.flags.writeable = False
     return view
 
 
-class _LazySequence(_SequenceABC):
-    """A fast-lane record list, built on the first element access.
+class Records(_SequenceABC):
+    """A result's records, decoded from its table on every read.
 
-    Subclasses hold the lane's raw per-record data and say how long the
-    list is (``__len__``) and how to make its records (:meth:`_build`, one
-    at a time, keeping none).  ``len()`` and ``bool()`` build nothing; the
-    first element access or iteration builds the list once
-    (:meth:`_make_list`) and keeps it.  :func:`iter_records` and ``==``
-    against a list go one record at a time and keep nothing; against
-    another lazy sequence of the same class ``==`` asks :meth:`_same`.
-    Pickles and deep-copies as the built list.
+    ``result.summaries`` (:class:`JobSummary` records of a
+    :class:`JobTable`) and ``result.attempts`` (:class:`AttemptRecord`
+    records of an :class:`AttemptLog`) are both this read-only view.  It
+    keeps no record: ``len()`` reads the table, iteration decodes it a
+    chunk at a time, indexing decodes the record asked for, and ``==``
+    compares tables (or, against a list, one record at a time).  Pickles
+    and deep-copies as its table.
     """
 
-    __slots__ = ("_list",)
+    __slots__ = ("table",)
 
-    #: What one record is, for ``repr``.
-    _noun: str
-
-    def built(self) -> bool:
-        """Whether the record list exists yet."""
-        return self._list is not None
-
-    def _build(self) -> Iterator:
-        raise NotImplementedError
-
-    def _make_list(self) -> list:
-        return list(self._build())
-
-    def _records(self) -> Iterator:
-        return iter(self._list) if self._list is not None else self._build()
-
-    def _materialize(self) -> list:
-        if self._list is None:
-            self._list = self._make_list()
-        return self._list
-
-    def _same(self, other) -> bool:
-        raise NotImplementedError
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __iter__(self) -> Iterator:
-        return iter(self._materialize())
-
-    def __getitem__(self, index):
-        return self._materialize()[index]
-
-    def __eq__(self, other) -> bool:
-        if type(other) is type(self):
-            return self._same(other)
-        if isinstance(other, list):
-            if self._list is not None:
-                return self._list == other
-            # Compared one record at a time; nothing is kept.
-            return len(self) == len(other) and all(
-                map(_eq, self._build(), other)
-            )
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        state = "built" if self._list is not None else "lazy"
-        return f"{type(self).__name__}({len(self)} {self._noun}, {state})"
-
-    def __reduce__(self):
-        return (list, (self._materialize(),))
-
-
-def iter_records(records: Sequence) -> Iterator:
-    """Iterate ``records`` one record at a time, building and keeping no
-    list: a lazy sequence not yet built decodes its records as they are
-    read, anything else iterates as usual."""
-    if isinstance(records, _LazySequence):
-        return records._records()
-    return iter(records)
-
-
-class LazySummaries(_LazySequence):
-    """A fast-lane result's :class:`JobSummary` sequence, built on demand.
-
-    Holds the lane's per-row outcome lists (one entry per summarized job,
-    in :class:`JobSummary` field order from ``start_time`` on), the
-    workload, and the workload rows the summaries describe (``None`` when
-    no job was rejected, so every row has one).  ``len()``, ``bool()``,
-    ``==`` against another lazy sequence and :meth:`columns` read those
-    lists and the workload's columns, and so does :meth:`id_rows`, which
-    :meth:`SimResult.fingerprint` hashes.  The first element access or
-    iteration builds the exact list a scalar run holds, once, reading the
-    workload's :class:`Job` objects if it holds them; a columnar workload
-    that does not gets bit-identical ones built from its columns, and is
-    left without them.  Pickles and deep-copies as that plain list.
-    """
-
-    __slots__ = ("_workload", "_rows", "_fields")
-
-    _noun = "jobs"
-
-    def __init__(
-        self, workload: "Workload", rows: Optional[np.ndarray], *fields: list
-    ) -> None:
-        self._workload = workload
-        self._rows = rows
-        #: start_time, end_time, n_attempts, n_resource_failures, completed,
-        #: final_requirement, final_granted, reduced, wasted_node_seconds.
-        self._fields: Tuple[list, ...] = fields
-        self._list: Optional[List[JobSummary]] = None
-
-    def _jobs(self) -> list:
-        jobs = self._workload.jobs
-        if isinstance(jobs, LazyJobs) and not jobs.materialized():
-            # Built from the columns, not through the workload's view, so
-            # that a summary build leaves no Job list on the workload.
-            cols = jobs.columns
-            if self._rows is not None:
-                cols = cols.select(self._rows)
-            return cols.to_jobs()
-        if self._rows is None:
-            return list(jobs)
-        return [jobs[i] for i in self._rows.tolist()]
-
-    def _build(self) -> Iterator[JobSummary]:
-        jobs = self._jobs()
-        return map(
-            JobSummary._make,
-            zip(jobs, map(_SUBMIT_TIME, jobs), *self._fields),
-        )
-
-    def id_rows(self) -> Iterator[tuple]:
-        """Each summary as a tuple with its job replaced by the job's id
-        (``job_id``, ``first_submit``, ``start_time``, ... in
-        :class:`JobSummary` field order), read off the workload's columns
-        and the lane's lists: no :class:`Job` is made and nothing is kept.
-
-        The columns decode to what the workload's jobs hold: a columnar
-        workload builds its jobs from them, and a fast lane runs a
-        hand-built job list only when its times are floats.
-        """
-        cols = self._workload.as_columns()
-        job_id, submit_time = cols.job_id, cols.submit_time
-        rows = self._rows
-        if rows is not None:
-            job_id, submit_time = job_id[rows], submit_time[rows]
-        return zip(job_id.tolist(), submit_time.tolist(), *self._fields)
-
-    def columns(self) -> SummaryColumns:
-        """The :class:`SummaryColumns` the built list would give, read
-        off the lane's lists and the workload's columns (read-only views
-        where the workload's own arrays serve)."""
-        cols = self._workload.as_columns()
-        rows = self._rows
-        if rows is None:
-            first_submit = _read_only(cols.submit_time)
-            run_time = _read_only(cols.run_time)
-            procs = _read_only(cols.procs)
-        else:
-            first_submit = cols.submit_time[rows]
-            run_time = cols.run_time[rows]
-            procs = cols.procs[rows]
-        return SummaryColumns(
-            completed=np.array(self._fields[4], dtype=bool),
-            first_submit=first_submit,
-            end_time=np.array(self._fields[1], dtype=np.float64),
-            run_time=run_time,
-            procs=procs,
-        )
-
-    def n_completed(self) -> int:
-        return self._fields[4].count(True)
+    def __init__(self, table) -> None:
+        self.table = table
 
     def __len__(self) -> int:
-        return len(self._fields[1])
+        return len(self.table)
 
-    def _same(self, other: "LazySummaries") -> bool:
-        return self._fields == other._fields and self._same_jobs(other)
+    def __iter__(self) -> Iterator:
+        return iter(self.table)
 
-    def _same_jobs(self, other: "LazySummaries") -> bool:
-        rows, other_rows = self._rows, other._rows
+    def __getitem__(self, index):
+        n = len(self.table)
+        if isinstance(index, slice):
+            return [self.table.record(i) for i in range(*index.indices(n))]
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("record index out of range")
+        return self.table.record(index)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Records):
+            return self.table == other.table
+        if isinstance(other, list):
+            return len(self) == len(other) and all(map(_eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Records({type(self.table).__name__}, {len(self)} rows)"
+
+
+#: Rows per block when a job table builds :class:`Job` objects from a
+#: columnar workload's columns.
+_JOB_CHUNK = 4096
+
+
+class JobTable:
+    """A run's per-job outcomes, one row per job that was not rejected.
+
+    Both engines build one when a run ends, from the workload the run
+    replayed, the rows it rejected and nine outcome lists with one entry
+    per workload row, in :class:`JobSummary` field order from
+    ``start_time`` on.  The table keeps ``workload``, ``rows`` (the
+    workload rows it describes; ``None`` when no job was rejected, so
+    every row has one) and ``columns`` (the lists at those rows).  Rows
+    are in workload order, ``(submit_time, job_id)``, which is the
+    summaries' order; a job's first submission is its arrival,
+    ``Job.submit_time``.  Every kept row must have finished.
+
+    :meth:`tuples`, :meth:`n_completed` and :meth:`summary_columns` read
+    the columns and the workload's job columns, and build no record and
+    no :class:`Job`.  Iteration and :meth:`record` build
+    :class:`JobSummary` records, reading the workload's :class:`Job`
+    objects if it holds them; a columnar workload that does not gets
+    bit-identical ones built from its columns, and is left without them.
+    """
+
+    __slots__ = ("workload", "rows", "columns")
+
+    def __init__(
+        self, workload: "Workload", rejected_rows: Sequence[int],
+        columns: Sequence[list],
+    ) -> None:
+        self.workload = workload
+        self.rows: Optional[np.ndarray] = None
+        if rejected_rows:
+            keep = np.ones(len(workload), dtype=bool)
+            keep[list(rejected_rows)] = False
+            self.rows = np.flatnonzero(keep)
+            kept = self.rows.tolist()
+            columns = [[column[i] for i in kept] for column in columns]
+        #: start_time, end_time, n_attempts, n_resource_failures, completed,
+        #: final_requirement, final_granted, reduced, wasted_node_seconds.
+        self.columns: Tuple[list, ...] = tuple(columns)
+        end = self.columns[1]
+        if None in end:
+            job_id = self._job_column("job_id")[end.index(None)]
+            raise RuntimeError(f"job {job_id} finished the trace incomplete")
+
+    def __len__(self) -> int:
+        return len(self.columns[1])
+
+    def _job_column(self, name: str) -> np.ndarray:
+        """One of the workload's job columns at the kept rows (a read-only
+        view when the workload's own array serves)."""
+        column = getattr(self.workload.as_columns(), name)
+        return _read_only(column) if self.rows is None else column[self.rows]
+
+    def _jobs(
+        self, start: int = 0, stop: Optional[int] = None
+    ) -> Iterator[Job]:
+        """The jobs of table rows ``start`` to ``stop``, one at a time."""
+        stop = len(self) if stop is None else stop
+        rows = self.rows
+        jobs = self.workload.jobs
+        if isinstance(jobs, LazyJobs) and not jobs.materialized():
+            # Built from the columns, not through the workload's view, so
+            # that reading leaves no Job list on the workload.
+            columns = jobs.columns
+            for lo in range(start, stop, _JOB_CHUNK):
+                hi = min(lo + _JOB_CHUNK, stop)
+                index = slice(lo, hi) if rows is None else rows[lo:hi]
+                yield from columns.select(index).to_jobs()
+        else:
+            index = (
+                range(start, stop) if rows is None
+                else rows[start:stop].tolist()
+            )
+            yield from map(jobs.__getitem__, index)
+
+    def __iter__(self) -> Iterator[JobSummary]:
+        make = JobSummary._make
+        for job, fields in zip(self._jobs(), zip(*self.columns)):
+            yield make((job, job.submit_time) + fields)
+
+    def record(self, i: int) -> JobSummary:
+        job = next(self._jobs(i, i + 1))
+        fields = tuple(column[i] for column in self.columns)
+        return JobSummary._make((job, job.submit_time) + fields)
+
+    def tuples(self) -> Iterator[tuple]:
+        """Each row as a tuple in :class:`JobSummary` field order with the
+        job replaced by its id: ``job_id``, ``first_submit``,
+        ``start_time``, ...  The workload's columns decode to what its jobs
+        hold: a columnar workload builds its jobs from them, and
+        ``Job(...)`` stores its times as floats."""
+        return zip(
+            self._job_column("job_id").tolist(),
+            self._job_column("submit_time").tolist(),
+            *self.columns,
+        )
+
+    @property
+    def first_submit(self) -> float:
+        """The earliest first submission (0.0 without a row)."""
+        submit = self._job_column("submit_time")
+        return float(submit[0]) if len(submit) else 0.0
+
+    def n_completed(self) -> int:
+        return self.columns[4].count(True)
+
+    def summary_columns(self) -> SummaryColumns:
+        return SummaryColumns(
+            completed=np.array(self.columns[4], dtype=bool),
+            first_submit=self._job_column("submit_time"),
+            end_time=np.array(self.columns[1], dtype=np.float64),
+            run_time=self._job_column("run_time"),
+            procs=self._job_column("procs"),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, JobTable):
+            return NotImplemented
+        return self.columns == other.columns and self._same_jobs(other)
+
+    def _same_jobs(self, other: "JobTable") -> bool:
+        rows, other_rows = self.rows, other.rows
         same_rows = (rows is None and other_rows is None) or (
             rows is not None and other_rows is not None
             and np.array_equal(rows, other_rows)
         )
-        if same_rows and self._workload is other._workload:
+        if same_rows and self.workload is other.workload:
             return True
-        return self._jobs() == other._jobs()
+        # Equal columns: both tables have as many rows.
+        return all(map(_eq, self._jobs(), other._jobs()))
 
 
 #: Fields per record of an :class:`AttemptLog`: the eleven leading
@@ -375,29 +358,56 @@ LOG_CHUNK = 512
 LOG_CHUNK_FIELDS = LOG_FIELDS * LOG_CHUNK
 
 
+def _decode(
+    chunk: list, pairs: list, levels: Tuple[float, ...]
+) -> List[tuple]:
+    """The attempts of one :class:`AttemptLog` chunk as plain tuples in
+    :class:`AttemptRecord` field order: each record's first eleven fields
+    verbatim, its ``(ladder index, take)`` pairs mapped to ``(level,
+    take)`` and sorted by level, as a record holds them."""
+    out = []
+    p = 0
+    for fields in zip(*(iter(chunk),) * LOG_FIELDS):
+        n_pairs = fields[11]
+        if n_pairs == 1:
+            allocation = ((levels[pairs[p]], pairs[p + 1]),)
+        else:
+            allocation = tuple(sorted([
+                (levels[pairs[k]], pairs[k + 1])
+                for k in range(p, p + 2 * n_pairs, 2)
+            ]))
+        p += 2 * n_pairs
+        out.append(fields[:11] + (allocation,))
+    return out
+
+
 class AttemptLog:
-    """A fast lane's attempt trace, kept as plain numbers.
+    """A run's attempt trace, kept as plain numbers.
 
     ``records`` is a list of chunks, each a flat list of up to
     :data:`LOG_CHUNK` records of :data:`LOG_FIELDS` fields: the eleven
     leading :class:`AttemptRecord` fields verbatim, then how many
     ``(ladder index, take)`` pairs the allocation holds.  ``pairs`` holds
     one companion chunk per record chunk, those pairs flattened to ints in
-    the order the lane filled them.  Every element is an int, a float or a
+    the order the engine filled them, indexing into ``levels``, the
+    cluster's capacity ladder.  Every element is an int, a float or a
     bool, none of which the cyclic collector tracks, so a log of any length
     adds only its chunk lists to a collection.  The chunks are bounded so
     that the log grows without reallocating one large list, and so that
-    :class:`LazyAttempts` can free it a chunk at a time.  The last chunk of
-    each list is the one being written; :meth:`append` and the inlined
-    FCFS loop of :class:`repro.sim.batch._FastLane` start a new one when
-    it is full.
+    reads decode it a chunk at a time.  The last chunk of each list is the
+    one being written; :meth:`append` and the inlined FCFS loop of
+    :class:`repro.sim.batch._FastLane` start a new one when it is full.
+
+    :meth:`tuples` yields each attempt as a plain tuple; iteration and
+    :meth:`record` build :class:`AttemptRecord` records.
     """
 
-    __slots__ = ("records", "pairs")
+    __slots__ = ("records", "pairs", "levels")
 
-    def __init__(self) -> None:
+    def __init__(self, levels: Tuple[float, ...]) -> None:
         self.records: List[list] = [[]]
         self.pairs: List[list] = [[]]
+        self.levels = levels
 
     def append(self, record: tuple, counts: Sequence[Tuple[int, int]]) -> None:
         """Log one attempt: ``record`` its eleven leading
@@ -417,90 +427,33 @@ class AttemptLog:
         records = self.records
         return (len(records) - 1) * LOG_CHUNK + len(records[-1]) // LOG_FIELDS
 
-
-def _decode(
-    chunk: list, pairs: list, levels: Tuple[float, ...]
-) -> List[AttemptRecord]:
-    """The records of one :class:`AttemptLog` chunk: each record's first
-    eleven fields verbatim, its ``(ladder index, take)`` pairs mapped to
-    ``(level, take)`` and sorted by level, as the scalar engine records
-    them."""
-    make = AttemptRecord._make
-    out = []
-    p = 0
-    for fields in zip(*(iter(chunk),) * LOG_FIELDS):
-        n_pairs = fields[11]
-        if n_pairs == 1:
-            allocation = ((levels[pairs[p]], pairs[p + 1]),)
-        else:
-            allocation = tuple(sorted([
-                (levels[pairs[k]], pairs[k + 1])
-                for k in range(p, p + 2 * n_pairs, 2)
-            ]))
-        p += 2 * n_pairs
-        out.append(make(fields[:11] + (allocation,)))
-    return out
-
-
-class LazyAttempts(_LazySequence):
-    """A fast-lane result's :class:`AttemptRecord` sequence, built on demand.
-
-    Holds the lane's :class:`AttemptLog`, in completion order, plus the
-    capacity ladder its pair indices point into.  ``len()`` and ``bool()``
-    read the record count.  :func:`iter_records` (which
-    :meth:`SimResult.fingerprint` and
-    :func:`repro.sim.analysis.tier_utilization` use) decodes the log one
-    chunk at a time and keeps no record.  The first element access or
-    iteration builds the exact records a scalar run holds, chunk by chunk
-    from the back, dropping each log chunk once decoded, so the whole log
-    and the whole record list never exist side by side.  Pickles and
-    deep-copies as the built list.
-    """
-
-    __slots__ = ("_log", "_levels", "_n")
-
-    _noun = "attempts"
-
-    def __init__(self, log: AttemptLog, levels: Tuple[float, ...]) -> None:
-        self._log: Optional[AttemptLog] = log
-        self._levels = levels
-        self._n = len(log)
-        self._list: Optional[List[AttemptRecord]] = None
-
-    def _build(self) -> Iterator[AttemptRecord]:
-        levels = self._levels
-        log = self._log
-        for chunk, pairs in zip(log.records, log.pairs):
+    def tuples(self) -> Iterator[tuple]:
+        """Each attempt as a plain tuple in :class:`AttemptRecord` field
+        order, decoded a chunk at a time."""
+        levels = self.levels
+        for chunk, pairs in zip(self.records, self.pairs):
             yield from _decode(chunk, pairs, levels)
 
-    def _make_list(self) -> List[AttemptRecord]:
-        records, pairs = self._log.records, self._log.pairs
-        self._log = None
-        levels = self._levels
-        out: list = [None] * self._n
-        end = self._n
-        while records:
-            built = _decode(records.pop(), pairs.pop(), levels)
-            out[end - len(built):end] = built
-            end -= len(built)
-        return out
+    def __iter__(self) -> Iterator[AttemptRecord]:
+        return map(AttemptRecord._make, self.tuples())
 
-    def __len__(self) -> int:
-        return self._n
+    def record(self, i: int) -> AttemptRecord:
+        k, offset = divmod(i, LOG_CHUNK)
+        chunk = _decode(self.records[k], self.pairs[k], self.levels)
+        return AttemptRecord._make(chunk[offset])
 
-    def _same(self, other: "LazyAttempts") -> bool:
-        # Identical logs on one ladder build identical records; logs that
-        # differ only in fill order build equal ones.
-        if self._list is None and other._list is None:
-            log, other_log = self._log, other._log
-            if (
-                self._levels == other._levels
-                and log.records == other_log.records
-                and log.pairs == other_log.pairs
-            ):
-                return True
-        return self._n == other._n and all(
-            map(_eq, self._records(), other._records())
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AttemptLog):
+            return NotImplemented
+        if (
+            self.levels == other.levels
+            and self.records == other.records
+            and self.pairs == other.pairs
+        ):
+            return True
+        # Logs that differ only in fill order decode to equal attempts.
+        return len(self) == len(other) and all(
+            map(_eq, self.tuples(), other.tuples())
         )
 
 
@@ -508,18 +461,14 @@ class LazyAttempts(_LazySequence):
 class SimResult:
     """Everything a simulation run produced.
 
-    ``attempts`` and ``summaries`` are plain lists on the scalar engine,
-    built as the run goes and when it ends.  A fast-lane result holds a
-    :class:`LazyAttempts` and a :class:`LazySummaries` instead.
-    :attr:`n_jobs`, :attr:`n_completed`, :meth:`summary_columns` and the
-    metrics built on it read the lane's columns, and ``len()``/``bool()``
-    of either sequence read the lane's lists.  :meth:`fingerprint` and
-    :func:`repro.sim.analysis.tier_utilization` read the attempt log and
-    the lane's columns a record at a time and keep nothing.  The
-    :class:`AttemptRecord` and :class:`JobSummary` lists are built on the
-    first element access or iteration (``for s in result.summaries``,
-    ``result.attempts[0]``).  Both kinds compare, fingerprint and pickle
-    alike.
+    ``summaries`` and ``attempts`` are :class:`Records` views over the
+    run's :class:`JobTable` and :class:`AttemptLog`, which both engines
+    fill alike.  :attr:`n_jobs`, :attr:`n_completed`,
+    :meth:`summary_columns` (and the metrics built on it),
+    :meth:`fingerprint`, ``==`` and
+    :func:`repro.sim.analysis.tier_utilization` read the tables and build
+    no record; a record is decoded when one is read (``for s in
+    result.summaries``, ``result.attempts[0]``) and is not kept.
     """
 
     workload_name: str
@@ -527,8 +476,8 @@ class SimResult:
     estimator_name: str
     policy_name: str
     total_nodes: int
-    attempts: Sequence[AttemptRecord]
-    summaries: Sequence[JobSummary]
+    attempts: Records  # AttemptRecords over an AttemptLog
+    summaries: Records  # JobSummaries over a JobTable
     rejected_jobs: List[Job]
     t_first_submit: float
     t_last_end: float
@@ -577,10 +526,7 @@ class SimResult:
 
     @property
     def n_completed(self) -> int:
-        summaries = self.summaries
-        if isinstance(summaries, LazySummaries):
-            return summaries.n_completed()
-        return sum(1 for s in summaries if s.completed)
+        return self.summaries.table.n_completed()
 
     @property
     def frac_reduced_submissions(self) -> float:
@@ -599,32 +545,9 @@ class SimResult:
     # ------------------------------------------------------------- arrays
     def summary_columns(self) -> SummaryColumns:
         """Columnar views over ``summaries`` (memoized — results are frozen
-        after the run).  A lazy sequence supplies them from its columns; a
-        list pays one pass per column."""
+        after the run), read off the job table."""
         if self._summary_columns is None:
-            summaries = self.summaries
-            if isinstance(summaries, LazySummaries):
-                self._summary_columns = summaries.columns()
-            else:
-                n = len(summaries)
-                jobs = list(map(_JOB, summaries))
-                self._summary_columns = SummaryColumns(
-                    completed=np.fromiter(
-                        map(_COMPLETED, summaries), dtype=bool, count=n
-                    ),
-                    first_submit=np.fromiter(
-                        map(_FIRST_SUBMIT, summaries), dtype=np.float64, count=n
-                    ),
-                    end_time=np.fromiter(
-                        map(_END_TIME, summaries), dtype=np.float64, count=n
-                    ),
-                    run_time=np.fromiter(
-                        map(_RUN_TIME, jobs), dtype=np.float64, count=n
-                    ),
-                    procs=np.fromiter(
-                        map(_PROCS, jobs), dtype=np.int64, count=n
-                    ),
-                )
+            self._summary_columns = self.summaries.table.summary_columns()
         return self._summary_columns
 
     def slowdowns(self) -> np.ndarray:
@@ -685,42 +608,10 @@ class SimResult:
             self.useful_node_seconds,
             self.wasted_node_seconds,
         )
-        for a in iter_records(self.attempts):
-            put(
-                "attempt",
-                a.job_id,
-                a.attempt,
-                a.submit_time,
-                a.start_time,
-                a.end_time,
-                a.procs,
-                a.requirement,
-                a.granted,
-                a.succeeded,
-                a.resource_failure,
-                a.reduced,
-                a.allocation,
-            )
-        summaries = self.summaries
-        if isinstance(summaries, LazySummaries) and not summaries.built():
-            for row in summaries.id_rows():
-                put("summary", *row)
-        else:
-            for s in summaries:
-                put(
-                    "summary",
-                    s.job.job_id,
-                    s.first_submit,
-                    s.start_time,
-                    s.end_time,
-                    s.n_attempts,
-                    s.n_resource_failures,
-                    s.completed,
-                    s.final_requirement,
-                    s.final_granted,
-                    s.reduced,
-                    s.wasted_node_seconds,
-                )
+        for row in self.attempts.table.tuples():
+            put("attempt", *row)
+        for row in self.summaries.table.tuples():
+            put("summary", *row)
         for job in self.rejected_jobs:
             put("rejected", job.job_id)
         for t in self.timeline:

@@ -17,11 +17,11 @@ selection of job request parameters for similarity groups":
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.similarity.groups import GroupStats, build_groups
+from repro.similarity.groups import build_groups
 from repro.similarity.keys import KeyFunction
 from repro.workload.job import Workload
 

@@ -12,7 +12,7 @@ tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.similarity.keys import GroupKey, KeyFunction, by_user_app_reqmem

@@ -23,8 +23,8 @@ is repeated.  :class:`OnlineSimilarityEstimator` wires an
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 from repro.similarity.keys import GroupKey, KeyFunction, by_user_app, by_user_app_reqmem
 from repro.util.validation import check_positive

@@ -23,7 +23,7 @@ import numpy as np
 from repro.util.rng import RngStream, as_generator
 from repro.util.units import SECONDS_PER_DAY
 from repro.util.validation import check_in_range, check_positive
-from repro.workload.job import Job, Workload
+from repro.workload.job import Workload
 
 
 def _reassign_times(workload: Workload, times: np.ndarray, name: str) -> Workload:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.util.units import SECONDS_PER_HOUR
 from repro.util.validation import check_positive

@@ -11,7 +11,7 @@ real SWF trace or a synthetic one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

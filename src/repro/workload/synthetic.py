@@ -28,8 +28,8 @@ calibrated LANL CM5 values and are locked in by tests
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from repro.util.rng import RngStream, as_generator
 from repro.util.units import SECONDS_PER_DAY, SECONDS_PER_YEAR
 from repro.util.validation import check_in_range, check_integer, check_positive
 from repro.workload.columns import JobColumns
-from repro.workload.job import Job, Workload
-from repro.workload.lanl_cm5 import LANL_CM5
+from repro.workload.job import Workload
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.util.validation import check_positive
-from repro.workload.job import Job, Workload
+from repro.workload.job import Workload
 
 
 def offered_load(workload: Workload, total_nodes: Optional[int] = None) -> float:

@@ -11,6 +11,8 @@ the invariants that the rest of the system depends on are asserted:
 * determinism: the same seed and sequence produce the same estimates.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from repro.cluster.ladder import CapacityLadder
 from repro.core import (
     HybridEstimator,
     LastInstance,
+    NoEstimation,
     OracleEstimator,
     RegressionEstimator,
     ReinforcementLearning,
@@ -179,3 +182,48 @@ def test_estimators_without_a_version_token_resolve_to_none(factory):
 def test_a_version_token_resolves_to_the_bound_method():
     est = SuccessiveApproximation()
     assert version_token_fn(est) == est.estimate_version
+
+
+#: Every built-in estimator, each as its tests build it.
+CONTRACT_FACTORIES = [
+    pytest.param(NoEstimation, id="none"),
+    *(
+        pytest.param(factory, id=name, marks=pytest.mark.xfail(
+            strict=True,
+            reason="ReinforcementLearning.estimate draws from its RNG and "
+            "counts a visit on every call, so a refresh of a pending "
+            "submission changes its state (ROADMAP item 3)",
+        )) if name == "rl" else pytest.param(factory, id=name)
+        for factory, name in zip(FACTORIES, FACTORY_IDS)
+    ),
+]
+
+#: A history with failures in every group: users 0-2, requests 32 and 16
+#: MB, used memory from a tenth to all of the request.
+WARM_UP = [
+    (i % 3, (32.0, 16.0)[i % 2], (0.1, 0.3, 0.6, 1.0)[i % 4])
+    for i in range(24)
+]
+
+
+@pytest.mark.parametrize("attempt", [0, 1])
+@pytest.mark.parametrize("factory", CONTRACT_FACTORIES)
+def test_refreshing_a_pending_estimate_changes_nothing(factory, attempt):
+    """The engines re-estimate a queued submission on every scheduling
+    pass (late binding), so ``estimate(job, attempt)`` called again for a
+    pending submission must return the same value and leave the estimator
+    in the same state — the contract :meth:`Estimator.estimate_version`
+    relies on."""
+    estimator = factory()
+    drive(estimator, WARM_UP)
+    job = make_job(job_id=100, user_id=0, req_mem=32.0, used_mem=24.0)
+    if attempt:
+        requirement = estimator.estimate(job, attempt=0)
+        estimator.observe(Feedback(
+            job=job, succeeded=False, requirement=requirement,
+            granted=requirement, used=job.used_mem, attempt=0,
+        ))
+    value = estimator.estimate(job, attempt=attempt)
+    state = pickle.dumps(estimator)
+    assert estimator.estimate(job, attempt=attempt) == value
+    assert pickle.dumps(estimator) == state

@@ -18,8 +18,10 @@ and understood) with::
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterator, List, Optional
+from unittest import mock
 
 from repro.cluster import paper_cluster
 from repro.core import (
@@ -37,7 +39,7 @@ from repro.sim.engine import Simulation
 from repro.sim.failure import FailureModel
 from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
 from repro.sim.policies import EasyBackfilling, Fcfs, ShortestJobFirst
-from repro.sim.records import SimResult
+from repro.sim.records import AttemptRecord, JobSummary, SimResult
 from repro.workload import drop_full_machine_jobs, lanl_cm5_like, scale_load
 
 FINGERPRINTS_PATH = "tests/data/engine_fingerprints.json"
@@ -201,28 +203,42 @@ def scalar_run(
     ).run()
 
 
+@contextmanager
+def records_built() -> Iterator[List[type]]:
+    """Count the :class:`JobSummary` and :class:`AttemptRecord` records
+    built inside the block: the yielded list gets the record type of each.
+    The result views and the scalar engine build every record through the
+    type's ``_make``, which is what this counts."""
+    built: List[type] = []
+
+    def counting(cls):
+        make = cls._make
+        return lambda fields: built.append(cls) or make(fields)
+
+    with mock.patch.object(JobSummary, "_make", counting(JobSummary)), \
+            mock.patch.object(AttemptRecord, "_make", counting(AttemptRecord)):
+        yield built
+
+
 def assert_fingerprint_keeps_nothing(result, twin, workload=None) -> None:
     """A fast-lane ``result`` fingerprints like its scalar ``twin`` and
-    like itself once both record lists are built.  Taking the fingerprint
-    builds neither list; comparing with the twin builds neither list
-    either.  When ``workload`` is given (a columnar trace whose lane made
-    no ``Job`` objects), none of the three, nor building the lists, leaves
-    its jobs materialized."""
+    like itself once its records were read.  Neither taking the
+    fingerprint nor comparing with the twin builds a record.  When
+    ``workload`` is given (a columnar trace whose lane made no ``Job``
+    objects), none of the three, nor reading every record, leaves its jobs
+    materialized."""
 
     def assert_no_jobs_on_the_workload(step):
         if workload is not None:
             assert not workload.jobs.materialized(), step
 
-    digest = result.fingerprint()
-    assert digest == twin.fingerprint()
-    assert not result.attempts.built() and not result.summaries.built()
-    assert_no_jobs_on_the_workload("fingerprint")
-    assert result == twin and twin == result
-    assert not result.attempts.built() and not result.summaries.built(), (
-        "== against a list keeps nothing"
-    )
-    assert_no_jobs_on_the_workload("== against the twin")
+    with records_built() as built:
+        digest = result.fingerprint()
+        assert digest == twin.fingerprint()
+        assert_no_jobs_on_the_workload("fingerprint")
+        assert result == twin and twin == result
+        assert_no_jobs_on_the_workload("== against the twin")
+    assert built == []
     list(result.attempts), list(result.summaries)
-    assert result.attempts.built() and result.summaries.built()
-    assert_no_jobs_on_the_workload("building the records")
+    assert_no_jobs_on_the_workload("reading the records")
     assert result.fingerprint() == digest

@@ -54,7 +54,6 @@ from repro.sim.engine import Simulation, _scalar_simulation
 from repro.sim.failure import FailureModel
 from repro.sim.faults import NodeFaultInjector, fault_rng
 from repro.sim.policies import EasyBackfilling, Fcfs, ShortestJobFirst
-from repro.sim.records import LazySummaries
 from repro.workload import (
     Job,
     Workload,
@@ -1015,7 +1014,7 @@ def test_unmaterialized_trace_decodes_from_its_columns(workload):
     assert fresh.jobs.materialized()
 
 
-def test_int_typed_job_list_runs_on_the_fast_lane():
+def test_int_typed_job_list_runs_on_the_fast_lane(monkeypatch):
     """A hand-built job list given int times and memory sizes: ``Job``
     stores them as floats, as a columnar trace decodes them, so the batch
     runs it on the fast lane and stays bit-identical to the scalar engine
@@ -1033,13 +1032,21 @@ def test_int_typed_job_list_runs_on_the_fast_lane():
     )
     workload = Workload(jobs, total_nodes=8, node_mem=32)
     expected = scalar_fingerprint(workload, estimator=SuccessiveApproximation())
+    from repro.sim import batch
+
+    fast_lanes = []
+    finish = batch._FastLane.finish
+    monkeypatch.setattr(
+        batch._FastLane, "finish",
+        lambda lane: fast_lanes.append(lane) or finish(lane),
+    )
     batched = simulate_batch(
         workload, [BatchConfig(cluster=paper_cluster(24.0),
                                estimator=SuccessiveApproximation())]
     )[0]
     simulated = simulate(workload, paper_cluster(24.0), SuccessiveApproximation())
+    assert len(fast_lanes) == 2
     for result in (batched, simulated):
-        assert isinstance(result.summaries, LazySummaries)  # a fast lane's
         assert result.fingerprint() == expected
 
 

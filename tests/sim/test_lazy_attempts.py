@@ -1,23 +1,20 @@
-"""Fast-lane results keep their attempt records as a log of numbers until read.
+"""Results keep their attempt records as a log of numbers.
 
-:class:`repro.sim.records.LazyAttempts` stands in for the fast lane's
-:class:`AttemptRecord` list.  A completion appends one record of plain
-numbers to the lane's :class:`AttemptLog`, its allocation the unsorted
-``(ladder index, take)`` pairs the lane filled, flattened into a companion
-chunk; the first read maps them to ``(level, take)`` and sorts them,
-freeing the log a chunk at a time.  These tests
-pin that the lazy list answers exactly what the scalar engine's eager list
-answers — records, equality, fingerprint, pickling, per-tier occupancy —
-for every estimation mode, fast-lane policy and allocation strategy, on a
-trace whose jobs span several capacity levels and fail both spuriously and
-for lack of memory.  The oracle is an explicit scalar ``Simulation`` run
-(``scalar_run``), never ``simulate``.
+A completion appends one record of plain numbers to the run's
+:class:`AttemptLog`, its allocation the ``(ladder index, take)`` pairs the
+engine filled (the fast lane's unsorted), flattened into a companion
+chunk; a result's ``attempts`` is a :class:`Records` view that maps them
+to ``(level, take)`` and sorts them on every read, a chunk at a time,
+keeping nothing.  These tests pin that a fast-lane result's attempts
+answer exactly what the scalar engine's answer — records, equality,
+fingerprint, per-tier occupancy — for every estimation mode, fast-lane
+policy and allocation strategy, on a trace whose jobs span several
+capacity levels and fail both spuriously and for lack of memory.  The
+oracle is an explicit scalar ``Simulation`` run (``scalar_run``), never
+``simulate``.
 """
 
-import copy
 import gc
-import pickle
-import sys
 import tracemalloc
 
 import numpy as np
@@ -30,13 +27,13 @@ from repro.sim.analysis import tier_utilization
 from repro.sim.faults import FaultConfig
 from repro.sim.policies import EasyBackfilling, Fcfs, ShortestJobFirst
 from repro.sim.records import (
-    LOG_CHUNK, LOG_FIELDS, AttemptLog, AttemptRecord, LazyAttempts,
+    LOG_CHUNK, LOG_FIELDS, AttemptLog, AttemptRecord, Records,
 )
 from repro.workload import Workload
 from repro.workload.columns import JobColumns
 
 from tests.sim.engine_reference import (
-    assert_fingerprint_keeps_nothing, scalar_run,
+    assert_fingerprint_keeps_nothing, records_built, scalar_run,
 )
 
 MODES = {
@@ -122,7 +119,8 @@ def test_lazy_attempts_equal_the_scalar_records(mode, policy, strategy, kwargs):
     workload = _trace()
     result, twin = _run(mode, policy, strategy, workload, **kwargs)
     attempts = result.attempts
-    assert isinstance(attempts, LazyAttempts)
+    assert isinstance(attempts, Records)
+    assert isinstance(attempts.table, AttemptLog)
     # The trace exercises what the build has to get right (without
     # estimation every attempt gets its full request, so none fails for
     # lack of memory).
@@ -131,13 +129,12 @@ def test_lazy_attempts_equal_the_scalar_records(mode, policy, strategy, kwargs):
     assert any(len(a.allocation) > 1 for a in twin.attempts)
     assert bool(twin.n_fault_kills) == ("fault_config" in kwargs)
 
-    # Counts and truthiness read the raw list.
-    assert len(attempts) == result.n_attempts == twin.n_attempts
-    assert bool(attempts)
-    assert not attempts.built()
-
-    assert attempts == twin.attempts and twin.attempts == attempts
-    assert not attempts.built(), "== against a list keeps nothing"
+    # Counts, truthiness and == read the log.
+    with records_built() as built:
+        assert len(attempts) == result.n_attempts == twin.n_attempts
+        assert bool(attempts)
+        assert attempts == twin.attempts and twin.attempts == attempts
+    assert built == []
 
     # Protocol lanes hand the estimator Job objects.
     assert_fingerprint_keeps_nothing(
@@ -171,7 +168,7 @@ def test_first_fit_fills_out_of_level_order():
     """The logged allocation really is unsorted on a first-fit lane; the
     built record is sorted by level, as the scalar engine records it."""
     result, twin = _run("none", "fcfs", "first_fit")
-    allocations = _logged_allocations(result.attempts._log)
+    allocations = _logged_allocations(result.attempts.table)
     assert len(allocations) == result.n_attempts
     assert any(
         [j for j, _ in pairs] != sorted(j for j, _ in pairs)
@@ -180,38 +177,14 @@ def test_first_fit_fills_out_of_level_order():
     assert result.attempts == twin.attempts
 
 
-def test_tier_utilization_builds_on_demand():
-    result, twin = _run("successive", "fcfs", "first_fit")
-    assert not result.attempts.built()
-    assert tier_utilization(result, _cluster("first_fit")) == tier_utilization(
-        twin, _cluster("first_fit")
-    )
-    assert not result.attempts.built(), "reads the log, keeps no records"
-
-
-@pytest.mark.parametrize("copier", [
-    lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy,
-], ids=["pickle", "deepcopy"])
-def test_copies_hold_the_plain_list(copier):
-    result, twin = _run("successive", "easy", "first_fit")
-    clone = copier(result)
-    assert type(clone.attempts) is list
-    assert clone.attempts == twin.attempts
-    assert clone == result and result == clone
-    assert clone.fingerprint() == twin.fingerprint()
-    assert type(copier(result.attempts)) is list
-
-
 def test_lazy_attempts_compare_with_each_other():
     runs = [_run("successive", "sjf", "first_fit")[0] for _ in range(2)]
     other = _run("none", "sjf", "first_fit")[0]
-    assert runs[0].attempts == runs[1].attempts
-    assert runs[0].attempts != other.attempts
-    assert not any(r.attempts.built() for r in runs + [other])
-    runs[0].attempts[0]  # built on one side only
-    assert runs[0].attempts == runs[1].attempts
-    assert runs[1].attempts == runs[0].attempts
-    assert runs[0].attempts != other.attempts
+    with records_built() as built:
+        assert runs[0].attempts == runs[1].attempts
+        assert runs[1].attempts == runs[0].attempts
+        assert runs[0].attempts != other.attempts
+    assert built == []
 
 
 def test_fill_order_alone_does_not_make_records_differ():
@@ -220,14 +193,14 @@ def test_fill_order_alone_does_not_make_records_differ():
     the records."""
     levels = (16.0, 24.0, 32.0)
     head = (1, 0, 0.0, 0.0, 10.0, 3, 16.0, 16.0, True, False, True)
-    logs = [AttemptLog(), AttemptLog()]
+    logs = [AttemptLog(levels), AttemptLog(levels)]
     logs[0].append(head, [(0, 1), (2, 2)])
     logs[1].append(head, [(2, 2), (0, 1)])
     assert logs[0].pairs != logs[1].pairs
-    filled, reversed_fill = (LazyAttempts(log, levels) for log in logs)
+    filled, reversed_fill = (Records(log) for log in logs)
     assert filled == reversed_fill
     assert filled[0].allocation == ((16.0, 1), (32.0, 2))
-    assert repr(reversed_fill) == "LazyAttempts(1 attempts, lazy)"
+    assert repr(reversed_fill) == "Records(AttemptLog, 1 rows)"
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -243,7 +216,8 @@ def test_no_collection_still_yields_empty_attempts(mode):
 
 #: One collected run per fast-lane kind: the inlined FCFS driver (both
 #: inlined estimation modes), the generic loop (SJF, EASY), the faulted
-#: loop, whose kills log attempts of their own, and protocol mode.
+#: loop, whose kills log attempts of their own, and protocol mode; then
+#: the scalar engine, faulted.
 LANE_KINDS = {
     "fcfs-none": ("none", "fcfs", {}),
     "fcfs-successive": ("successive", "fcfs", {}),
@@ -251,6 +225,7 @@ LANE_KINDS = {
     "easy": ("successive", "easy", {}),
     "faulted": ("successive", "easy", {"fault_config": FAULTS}),
     "protocol": ("protocol", "fcfs", {}),
+    "scalar": ("successive", "easy", {"fault_config": FAULTS}),
 }
 
 
@@ -272,12 +247,13 @@ def test_log_holds_no_per_attempt_tracked_objects(kind):
     collector scans a handful of lists, not one object per attempt."""
     mode, policy, kwargs = LANE_KINDS[kind]
     workload = _trace(n=600)
-    result = simulate(workload, _cluster("first_fit"), MODES[mode](),
-                      POLICIES[policy](), seed=4,
-                      spurious_failure_prob=SPURIOUS, **kwargs)
-    if kind == "faulted":
+    run = scalar_run if kind == "scalar" else simulate
+    result = run(workload, _cluster("first_fit"), MODES[mode](),
+                 POLICIES[policy](), seed=4,
+                 spurious_failure_prob=SPURIOUS, **kwargs)
+    if "fault_config" in kwargs:
         assert result.n_fault_kills > 0
-    log = result.attempts._log
+    log = result.attempts.table
     assert len(result.attempts) == len(log) == result.n_attempts > LOG_CHUNK
     n_chunks = result.n_attempts // LOG_CHUNK + 1
     assert len(log.records) == len(log.pairs) == n_chunks
@@ -294,30 +270,25 @@ def test_log_holds_no_per_attempt_tracked_objects(kind):
     assert result.fingerprint() == twin.fingerprint()
 
 
-def test_first_read_frees_the_log_as_it_builds():
-    """The build decodes the log a chunk at a time and drops each chunk
-    once decoded, so memory never holds the whole log beside the whole
-    record list: the build's peak stays within a chunk or two of what it
-    leaves behind."""
-    tracemalloc.start()
-    try:
-        result = simulate(_trace(n=6000), _cluster("first_fit"),
-                          NoEstimation(), Fcfs(), seed=4,
-                          spurious_failure_prob=SPURIOUS)
-        log = result.attempts._log
-        assert len(log.records) > 10
-        log_bytes = sum(
-            sys.getsizeof(c)
-            for c in [log.records, log.pairs, *log.records, *log.pairs]
-        )
-        del log
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result.attempts[0]
-        after, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.attempts.built() and result.attempts._log is None
-    # Kept until the list was complete, the log would add all its bytes
-    # to the peak.
-    assert peak - after < log_bytes / 4, (before, after, peak, log_bytes)
+def test_reading_keeps_no_records():
+    """Iterating the attempts decodes the log a chunk at a time and keeps
+    no record, so a full pass peaks at a small fraction of what the list
+    of the same records takes."""
+    result = simulate(_trace(n=6000), _cluster("first_fit"),
+                      NoEstimation(), Fcfs(), seed=4,
+                      spurious_failure_prob=SPURIOUS)
+    assert len(result.attempts.table.records) > 10
+
+    def peak_of(read):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = read()
+            return tracemalloc.get_traced_memory()[1] - before, kept
+        finally:
+            tracemalloc.stop()
+
+    streamed, n = peak_of(lambda: sum(1 for _ in result.attempts))
+    listed, records = peak_of(lambda: list(result.attempts))
+    assert n == len(records) == result.n_attempts
+    assert streamed < listed / 4, (streamed, listed)

@@ -1,15 +1,18 @@
-"""Fast-lane results keep their job summaries columnar until read.
+"""Results keep their job summaries columnar; readers build no record.
 
-:class:`repro.sim.records.LazySummaries` stands in for the fast lane's
-:class:`JobSummary` list.  These tests pin that it answers exactly what the
-scalar engine's eager list answers — fingerprint, summaries, summary
-columns, completed and rejected jobs, equality, pickling — for every
-estimation mode and fast-lane policy, also after the workload's jobs were
-released; and that a sweep point's run never builds a ``Job`` or a
-``JobSummary``.  The oracle is an explicit scalar ``Simulation`` run
-(``scalar_run``), never ``simulate``.
+Both engines fill a :class:`repro.sim.records.JobTable`, and a result's
+``summaries`` is a :class:`~repro.sim.records.Records` view over it.  These
+tests pin that a fast-lane result answers exactly what the scalar engine's
+answers — fingerprint, summaries, summary columns, completed and rejected
+jobs, equality, copies — for every estimation mode and fast-lane policy,
+also after the workload's jobs were released; that the readers which need
+no record (fingerprint, summary columns, ``==``, per-tier occupancy) build
+none on either engine's result; and that a sweep point's run never builds a
+``Job`` or a ``JobSummary``.  The oracle is an explicit scalar
+``Simulation`` run (``scalar_run``), never ``simulate``.
 """
 
+import copy
 import pickle
 
 import numpy as np
@@ -28,14 +31,15 @@ from repro.experiments.specs import (
     trim_materialized_workloads,
 )
 from repro.sim import simulate
+from repro.sim.analysis import tier_utilization
 from repro.sim.faults import FaultConfig
 from repro.sim.policies import EasyBackfilling, Fcfs, ShortestJobFirst
-from repro.sim.records import LazySummaries
+from repro.sim.records import AttemptLog, JobTable, Records
 from repro.workload import Workload, lanl_cm5_like, scale_load
 from repro.workload.columns import COLUMN_FIELDS, JobColumns
 
 from tests.sim.engine_reference import (
-    assert_fingerprint_keeps_nothing, scalar_run,
+    assert_fingerprint_keeps_nothing, records_built, scalar_run,
 )
 
 MODES = {
@@ -44,6 +48,8 @@ MODES = {
     "protocol": LastInstance,
 }
 POLICIES = {"fcfs": Fcfs, "sjf": ShortestJobFirst, "easy": EasyBackfilling}
+#: The two engines: ``simulate`` takes the fast lane for every config here.
+ENGINES = {"fast": simulate, "scalar": scalar_run}
 
 #: Every 25th job asks for more memory per node than any machine class of
 #: ``paper_cluster(24.0)`` (24 and 32 MB) has, so every mode rejects it.
@@ -119,14 +125,16 @@ def test_lazy_result_equals_the_scalar_result(mode, policy, strategy, kwargs):
     assert not workload.jobs.materialized()
     result = run(simulate, workload)
     summaries = result.summaries
-    assert isinstance(summaries, LazySummaries)
+    assert isinstance(summaries, Records)
+    assert isinstance(summaries.table, JobTable)
     if mode != "protocol":  # protocol lanes hand the estimator Job objects
         assert not workload.jobs.materialized()
     # Counts, columns and truthiness come from the lane's lists.
-    n_jobs, n_completed = result.n_jobs, result.n_completed
-    columns = result.summary_columns()
-    assert len(summaries) == n_jobs and bool(summaries)
-    assert not summaries.built()
+    with records_built() as built:
+        n_jobs, n_completed = result.n_jobs, result.n_completed
+        columns = result.summary_columns()
+        assert len(summaries) == n_jobs and bool(summaries)
+    assert built == []
 
     # On a trace of its own: the scalar run materializes its jobs.
     twin = run(scalar_run, _columnar_trace())
@@ -155,22 +163,76 @@ def test_lazy_results_compare_without_building():
         for _ in range(2)
     ]
     other = simulate(workload, paper_cluster(24.0), NoEstimation())
-    assert runs[0].summaries == runs[1].summaries
-    assert runs[0].summaries != other.summaries
-    assert not any(r.summaries.built() for r in runs + [other])
+    with records_built() as built:
+        assert runs[0].summaries == runs[1].summaries
+        assert runs[0].summaries != other.summaries
+    assert built == []
     assert not workload.jobs.materialized()
 
 
-def test_pickle_round_trip_preserves_the_result():
-    workload = _columnar_trace()
-    result = simulate(workload, paper_cluster(24.0), SuccessiveApproximation())
-    clone = pickle.loads(pickle.dumps(result))
-    assert type(clone.summaries) is list
+def _collected_run(engine):
+    """An EASY run with spurious failures on a fresh trace, its attempt
+    trace collected, and the cluster it ran on."""
+    cluster = paper_cluster(24.0)
+    return engine(
+        _columnar_trace(), cluster, SuccessiveApproximation(),
+        policy=EasyBackfilling(), seed=2, spurious_failure_prob=0.05,
+    ), cluster
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_readers_build_no_record(engine):
+    """Fingerprint, summary columns, ``==`` and per-tier occupancy read
+    the tables, on either engine's result."""
+    result, cluster = _collected_run(ENGINES[engine])
+    twin, _ = _collected_run(ENGINES[engine])
+    assert result.n_attempts > result.n_jobs > 0
+    with records_built() as built:
+        digest = result.fingerprint()
+        result.summary_columns()
+        assert result == twin and twin == result
+        occupancy = tier_utilization(result, cluster)
+    assert built == []
+    assert digest == _collected_run(scalar_run)[0].fingerprint()
+    assert occupancy == tier_utilization(twin, cluster)
+
+
+@pytest.mark.parametrize("copier", [
+    lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy,
+], ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_copies_hold_the_tables(engine, copier):
+    """A copy of either engine's result equals it, fingerprints like it
+    and still holds the tables, not record lists."""
+    result, _ = _collected_run(ENGINES[engine])
+    clone = copier(result)
+    assert type(clone.summaries.table) is JobTable
+    assert type(clone.attempts.table) is AttemptLog
     assert clone == result and result == clone
     assert clone.fingerprint() == result.fingerprint()
     assert clone.n_completed == result.n_completed
     for got, want in zip(clone.summary_columns(), result.summary_columns()):
         assert _bits(got) == _bits(want)
+    assert list(clone.summaries) == list(result.summaries)
+    assert list(clone.attempts) == list(result.attempts)
+    assert type(copier(result.attempts)) is Records
+
+
+def test_pickle_round_trip_preserves_the_result():
+    """A default run (attempts not collected) survives pickling: the
+    clone still holds the job table and reads like the original."""
+    workload = _columnar_trace()
+    result = simulate(workload, paper_cluster(24.0), SuccessiveApproximation())
+    clone = pickle.loads(pickle.dumps(result))
+    assert type(clone.summaries.table) is JobTable
+    with records_built() as built:
+        assert clone == result and result == clone
+        assert clone.fingerprint() == result.fingerprint()
+        assert clone.n_completed == result.n_completed
+        for got, want in zip(clone.summary_columns(), result.summary_columns()):
+            assert _bits(got) == _bits(want)
+    assert built == []
+    assert list(clone.summaries) == list(result.summaries)
 
 
 def test_summaries_survive_a_released_workload():
@@ -185,9 +247,11 @@ def test_summaries_survive_a_released_workload():
         assert workload.jobs.materialized()  # the scalar run iterated it
         trim_materialized_workloads()
         assert not workload.jobs.materialized()
-        assert not result.summaries.built()
-        assert len(result.attempts) == result.n_attempts == twin.n_attempts > 0
-        assert not result.attempts.built()
+        with records_built() as built:
+            assert len(result.summaries) == result.n_jobs
+            assert len(result.attempts) == result.n_attempts > 0
+            assert result.n_attempts == twin.n_attempts
+        assert built == []
         assert_fingerprint_keeps_nothing(result, twin, workload)
         assert result.summaries == twin.summaries
         assert result.attempts == twin.attempts
@@ -227,13 +291,14 @@ def test_a_sweep_point_builds_no_job_objects(monkeypatch, estimator):
         assert memoized
         assert not any(w.jobs.materialized() for w in memoized)
 
-        result = simulate(
-            spec.workload.materialize(), spec.cluster.materialize(),
-            spec.estimator.materialize(), seed=spec.seed,
-            collect_attempts=False,
-        )
-        assert len(result.summaries) == result.n_jobs > 0
-        assert not result.summaries.built()
+        with records_built() as records:
+            result = simulate(
+                spec.workload.materialize(), spec.cluster.materialize(),
+                spec.estimator.materialize(), seed=spec.seed,
+                collect_attempts=False,
+            )
+            assert len(result.summaries) == result.n_jobs > 0
+        assert records == []
         assert built == []
         monkeypatch.undo()
         assert outcome.point == simulate_spec(spec)

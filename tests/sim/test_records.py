@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.sim.records import AttemptRecord, JobSummary, SimResult
+from repro.sim.records import (
+    AttemptLog, AttemptRecord, JobSummary, JobTable, Records, SimResult,
+)
+from repro.workload import Workload
 from tests.conftest import make_job
 
 
@@ -79,6 +82,62 @@ class TestJobSummary:
         assert s.bounded_slowdown(threshold=10.0) == pytest.approx(5.0)
 
 
+def job_table(summaries, rejected=()) -> JobTable:
+    """``summaries`` (in submit order) as the job table both engines fill,
+    over a workload of their jobs plus the ``rejected`` ones."""
+    workload = Workload([s.job for s in summaries] + list(rejected))
+    rows = {job.job_id: row for row, job in enumerate(workload.jobs)}
+    columns = [[None] * len(workload) for _ in range(9)]
+    for s in summaries:
+        for column, value in zip(columns, s[2:]):
+            column[rows[s.job.job_id]] = value
+    return JobTable(
+        workload, [rows[job.job_id] for job in rejected], tuple(columns)
+    )
+
+
+def attempt_log(attempts, levels=(16.0, 32.0)) -> AttemptLog:
+    """``attempts`` as the attempt log both engines fill."""
+    log = AttemptLog(levels)
+    for a in attempts:
+        log.append(
+            tuple(a[:11]),
+            [(levels.index(level), take) for level, take in a.allocation],
+        )
+    return log
+
+
+class TestTables:
+    def test_records_decode_what_was_written(self):
+        attempts = [
+            attempt(allocation=((16.0, 1), (32.0, 3))),
+            attempt(job_id=2, succeeded=False, allocation=((32.0, 4),)),
+        ]
+        later = make_job(job_id=2, submit_time=5.0)
+        summaries = [summary(), summary(job=later, first_submit=5.0)]
+        view = Records(attempt_log(attempts))
+        assert list(view) == attempts and view == attempts
+        assert view[1] == view[-1] == attempts[1]
+        assert view[::-1] == attempts[::-1]
+        with pytest.raises(IndexError):
+            view[2]
+        jobs = Records(job_table(summaries))
+        assert list(jobs) == summaries and jobs[-1] == summaries[1]
+        assert repr(jobs) == "Records(JobTable, 2 rows)"
+
+    def test_rejected_rows_have_no_summary(self):
+        rejected = make_job(job_id=3, submit_time=1.0)
+        table = job_table([summary()], rejected=[rejected])
+        assert table.rows.tolist() == [0]
+        assert list(Records(table)) == [summary()]
+
+    def test_an_unfinished_row_is_an_error(self):
+        workload = Workload([make_job(job_id=7)])
+        columns = tuple([None] for _ in range(9))
+        with pytest.raises(RuntimeError, match="job 7 finished the trace"):
+            JobTable(workload, [], columns)
+
+
 class TestSimResult:
     def make_result(self):
         return SimResult(
@@ -87,8 +146,10 @@ class TestSimResult:
             estimator_name="e",
             policy_name="fcfs",
             total_nodes=8,
-            attempts=[attempt(), attempt(job_id=2, succeeded=False)],
-            summaries=[summary()],
+            attempts=Records(attempt_log(
+                [attempt(), attempt(job_id=2, succeeded=False)]
+            )),
+            summaries=Records(job_table([summary()])),
             rejected_jobs=[],
             t_first_submit=0.0,
             t_last_end=110.0,
@@ -115,8 +176,8 @@ class TestSimResult:
             estimator_name="e",
             policy_name="fcfs",
             total_nodes=8,
-            attempts=[],
-            summaries=[],
+            attempts=Records(attempt_log([])),
+            summaries=Records(job_table([])),
             rejected_jobs=[],
             t_first_submit=0.0,
             t_last_end=0.0,

@@ -1,10 +1,13 @@
-"""The scalar engine builds an attempt's record only for a reader.
+"""The scalar engine builds an attempt's record only for an observer.
 
-With ``collect_attempts=False`` and no observer, nothing reads an
-:class:`~repro.sim.records.AttemptRecord`, so :class:`Simulation` builds
-none; its summaries and counters must not notice.  An attached observer
-still receives full records on every path — completion, failure and a
-node fault's kill.
+The attempt trace is an :class:`~repro.sim.records.AttemptLog` of plain
+numbers and the summaries a :class:`~repro.sim.records.JobTable`, so
+without an observer :class:`Simulation` builds no
+:class:`~repro.sim.records.AttemptRecord` and no
+:class:`~repro.sim.records.JobSummary`, collected trace or not; its
+summaries and counters must not notice the trace being off.  An attached
+observer still receives full records on every path — completion, failure
+and a node fault's kill.
 """
 
 import dataclasses
@@ -14,12 +17,13 @@ import pytest
 from repro.cluster import paper_cluster
 from repro.core import SuccessiveApproximation
 from repro.obs import CounterObserver
-from repro.sim import engine
 from repro.sim.engine import Simulation
 from repro.sim.failure import FailureModel
 from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
 from repro.sim.policies import EasyBackfilling, Fcfs
 from repro.workload import drop_full_machine_jobs, lanl_cm5_like, scale_load
+
+from tests.sim.engine_reference import records_built
 
 SEED = 0
 
@@ -79,33 +83,19 @@ class _RecordKeeper(CounterObserver):
         self.records.append(("killed", now, record))
 
 
-def _count_records(monkeypatch):
-    made = []
-    real = engine.AttemptRecord
-
-    def counting(*args, **kwargs):
-        made.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "AttemptRecord", counting)
-    return made
-
-
 @pytest.mark.parametrize("config", sorted(CONFIGS))
-def test_no_record_is_built_when_none_is_read(monkeypatch, config):
-    made = _count_records(monkeypatch)
-    full = _run(config, collect_attempts=True)
-    assert len(made) == len(full.attempts) == full.n_attempts > 0
+def test_no_record_is_built_when_none_is_read(config):
+    with records_built() as made:
+        full = _run(config, collect_attempts=True)
+        lean = _run(config, collect_attempts=False)
+    assert made == []
+    assert len(full.attempts) == full.n_attempts > 0
     assert full.n_resource_failures and full.n_spurious_failures
     assert bool(full.n_fault_kills) == (CONFIGS[config][1] is not None)
-
-    made.clear()
-    lean = _run(config, collect_attempts=False)
-    assert made == []
     assert lean.attempts == []
     assert lean.summaries == full.summaries
     # Every counter, node-second sum and time bound agrees too.
-    assert lean == dataclasses.replace(full, attempts=[])
+    assert lean == dataclasses.replace(full, attempts=lean.attempts)
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -122,4 +112,4 @@ def test_an_observer_gets_full_records_without_the_trace(config):
     assert ("killed" in hooks) == (CONFIGS[config][1] is not None)
     # The observer saw exactly the records the trace holds.
     assert [record for _, _, record in kept.records] == full.attempts
-    assert lean == dataclasses.replace(full, attempts=[])
+    assert lean == dataclasses.replace(full, attempts=lean.attempts)
