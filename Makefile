@@ -16,7 +16,8 @@ test:
 bench:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Full paper-scale regeneration (122,055-job trace; ~30 minutes).
+# Full paper-scale regeneration (122,055-job trace; 1 min 49 s with
+# REPRO_BENCH_WORKERS=2 on a 2-vCPU host).
 bench-full:
 	REPRO_BENCH_FULL=1 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest benchmarks/ --benchmark-only
 

@@ -110,6 +110,7 @@ from repro.core.baselines import NoEstimation
 from repro.core.successive import GroupState, SuccessiveApproximation
 from repro.obs.base import SimObserver
 from repro.sim.engine import _scalar_simulation
+from repro.sim.events import check_arrival_times
 from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
 from repro.sim.policies import EasyBackfilling, Fcfs, Policy, ShortestJobFirst
 from repro.sim.records import (
@@ -117,7 +118,7 @@ from repro.sim.records import (
 )
 from repro.similarity.keys import by_user_app_reqmem
 from repro.util.rng import RngStream, as_generator
-from repro.workload.job import LazyJobs, Workload
+from repro.workload.job import Workload
 
 #: Same expression as successive.py's retry-floor bump, evaluated once.
 _ONE_PLUS_EPS = 1 + 1e-12
@@ -221,13 +222,6 @@ class BatchConfig:
     collect_attempts: bool = True
 
 
-def _jobs_exist(workload: Workload) -> bool:
-    """Whether ``workload``'s :class:`Job` objects exist already: a job
-    list, or a columnar workload some consumer has materialized."""
-    jobs = workload.jobs
-    return not isinstance(jobs, LazyJobs) or jobs.materialized()
-
-
 class _SharedTrace:
     """The batch's shared arrival stream, decoded once per workload.
 
@@ -241,8 +235,8 @@ class _SharedTrace:
     column, so the lists share their numbers instead of holding copies.
     Either way the time and memory columns hold floats, as the scalar
     engine's jobs do: ``Job(...)`` stores them as floats.
-    :attr:`jobs` is built on first use: only protocol lanes and engine
-    lanes ask for it.
+    :attr:`jobs` is built on first use: only protocol lanes ask for
+    it.
 
     Per-ladder derived columns (the ``bisect_left`` index of every row's
     request, the per-group request indices, and the float→index memo the
@@ -262,7 +256,7 @@ class _SharedTrace:
         self.columns = cols = workload.as_columns()
         self.n = len(cols)
         self._jobs: Optional[list] = None
-        if not _jobs_exist(workload):
+        if not workload.jobs_exist():
             self.job_id: List[int] = cols.job_id.tolist()
             self.submit: List[float] = cols.submit_time.tolist()
             self.run_time: List[float] = cols.run_time.tolist()
@@ -294,30 +288,6 @@ class _SharedTrace:
         if self._jobs is None:
             self._jobs = list(self.workload)
         return self._jobs
-
-    def jobs_at(self, rows: List[int]) -> list:
-        """The :class:`Job` objects at ``rows``, without materializing a
-        columnar workload's whole job list."""
-        if not rows:
-            return []
-        if _jobs_exist(self.workload):
-            jobs = self.workload.jobs
-            return [jobs[i] for i in rows]
-        return self.columns.select(np.asarray(rows, dtype=np.intp)).to_jobs()
-
-    def check_submit_times(self) -> None:
-        """Refuse a non-finite arrival time with the scalar engine's error.
-
-        :meth:`Simulation.run` schedules every arrival before the first
-        event and raises on the first non-finite submit time, in arrival
-        order.  A fast lane would otherwise run such a trace whenever the
-        job never starts, e.g. because it is rejected.  Fast lanes call this
-        when they start, so every engine refuses the trace the same way.
-        """
-        finite = np.isfinite(self.columns.submit_time)
-        if not finite.all():
-            bad = self.submit[int(np.argmin(finite))]
-            raise ValueError(f"event time must be finite, got {bad!r}")
 
     def runtime_estimates(self) -> List[float]:
         """Per-row ``Job.runtime_estimate`` (req_time, else run_time) —
@@ -1207,7 +1177,7 @@ class _FastLane:
         node faults, whatever its policy, runs
         :func:`repro.sim.fault_lane.run_faulted`.
         """
-        self.trace.check_submit_times()
+        check_arrival_times(self.trace.columns.submit_time)
         if self.faults is not None:
             # Imported here: a batch without faults never loads the loop.
             from repro.sim.fault_lane import run_faulted
@@ -1688,7 +1658,7 @@ class _FastLane:
             total_nodes=self.cluster.total_nodes,
             attempts=Records(log),
             summaries=Records(jobs),
-            rejected_jobs=trace.jobs_at(self.rejected_rows),
+            rejected_jobs=list(trace.workload.iter_jobs(self.rejected_rows)),
             t_first_submit=t_first_submit,
             t_last_end=self.t_last_end,
             n_attempts=self.n_attempts,

@@ -33,7 +33,7 @@ from repro.cluster.cluster import Allocation, Cluster
 from repro.core.base import Estimator, Feedback, version_token_fn
 from repro.core.baselines import NoEstimation
 from repro.obs.base import NullObserver, RunMeta, SimObserver
-from repro.sim.events import EventKind, EventQueue
+from repro.sim.events import EventKind, EventQueue, check_arrival_times
 from repro.sim.failure import ExecutionOutcome, FailureModel
 from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
 from repro.sim.policies import Fcfs, Policy, QueuedJob, RunningJob
@@ -176,8 +176,8 @@ class Simulation:
         self._arrivals_pending = 0
         #: Jobs that arrived and have not yet succeeded.
         self._progress: Dict[int, _JobProgress] = {}
-        #: Arrivals pop in workload order (same-time events keep their push
-        #: order), so the next arrival's workload row is a count.
+        #: Arrivals stream in workload order, so the next arrival's
+        #: workload row is a count.
         self._next_row = 0
         #: The job table's nine outcome columns, one entry per workload row
         #: (see :class:`~repro.sim.records.JobTable`), written when the
@@ -223,19 +223,23 @@ class Simulation:
                 )
             )
 
-        # Bulk-heapify every arrival (one O(n) heapify instead of n
-        # sift-ups; the paper's trace schedules 122k arrivals up front).
-        self._events.extend(
-            (job.submit_time, EventKind.ARRIVAL, job) for job in self.workload
-        )
+        # Arrivals stream in workload (row) order, each Job built as it
+        # fires; the heap holds only completions and node failures and
+        # repairs.  Sorting an arrival against the heap root by (time,
+        # kind) gives the order a heap holding every arrival would: the
+        # kinds differ, so no sequence number is compared, and same-time
+        # arrivals keep their row order.  Non-finite times are refused up
+        # front, as the fast lanes refuse them.
+        check_arrival_times(self.workload.as_columns().submit_time)
+        arrivals = self.workload.iter_jobs()
+        job = next(arrivals, None)
         heap = self._events.raw_heap
-        self._arrivals_pending = len(heap)
+        self._arrivals_pending = len(self.workload)
 
-        if self.fault_injector is not None and heap:
+        if self.fault_injector is not None and job is not None:
             # The failure process starts with the trace; the first failure
-            # lands one inter-failure time after the first arrival, which
-            # the freshly heapified arrivals hold at their root.
-            self._schedule_next_failure(heap[0][0])
+            # lands one inter-failure time after the first arrival.
+            self._schedule_next_failure(job.submit_time)
 
         # Hot loop: drains the raw heap with a local heappop — the wrapper's
         # method call and enum conversion per event are measurable at 100k+
@@ -246,22 +250,29 @@ class Simulation:
         ARRIVAL = int(EventKind.ARRIVAL)
         COMPLETION = int(EventKind.COMPLETION)
         NODE_FAILURE = int(EventKind.NODE_FAILURE)
-        while heap:
-            now, kind, _seq, payload = heappop(heap)
-            if kind == ARRIVAL:
+        while True:
+            if job is not None and (
+                not heap or (job.submit_time, ARRIVAL) < heap[0][:2]
+            ):
+                now = job.submit_time
                 self._arrivals_pending -= 1
-                self._on_arrival(now, payload)
-            elif kind == COMPLETION:
-                if payload in cancelled:
-                    # The execution was killed by a node fault before its
-                    # scheduled end; nothing to do.
-                    cancelled.discard(payload)
-                    continue
-                self._on_completion(now, payload)
-            elif kind == NODE_FAILURE:
-                self._on_node_failure(now)
+                self._on_arrival(now, job)
+                job = next(arrivals, None)
+            elif heap:
+                now, kind, _seq, payload = heappop(heap)
+                if kind == COMPLETION:
+                    if payload in cancelled:
+                        # The execution was killed by a node fault before
+                        # its scheduled end; nothing to do.
+                        cancelled.discard(payload)
+                        continue
+                    self._on_completion(now, payload)
+                elif kind == NODE_FAILURE:
+                    self._on_node_failure(now)
+                else:
+                    self._on_node_repair(now, payload)
             else:
-                self._on_node_repair(now, payload)
+                break
             if self._sched_dirty:
                 n_started = self._schedule_pass(now)
                 self._sched_dirty = False
@@ -705,7 +716,7 @@ class Simulation:
             total_nodes=self.cluster.total_nodes,
             attempts=Records(self._log),
             summaries=Records(jobs),
-            rejected_jobs=[self.workload[row] for row in self._rejected_rows],
+            rejected_jobs=list(self.workload.iter_jobs(self._rejected_rows)),
             t_first_submit=t_first,
             t_last_end=self._t_last_end,
             n_attempts=self._n_attempts,

@@ -12,7 +12,9 @@ from __future__ import annotations
 import heapq
 import math
 from enum import IntEnum
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
+
+import numpy as np
 
 
 class EventKind(IntEnum):
@@ -45,26 +47,6 @@ class EventQueue:
         heapq.heappush(self._heap, (time, int(kind), self._seq, payload))
         self._seq += 1
 
-    def extend(self, events: Iterable[Tuple[float, EventKind, Any]]) -> None:
-        """Bulk-schedule ``(time, kind, payload)`` triples.
-
-        One :func:`heapq.heapify` over the combined entries instead of a
-        sift-up per event — O(n) rather than O(n log n), and the dominant
-        saving when seeding a simulation with its full arrival list.
-        Sequence numbers are assigned in iteration order, so the same-time
-        tie-break is identical to pushing the events one by one.
-        """
-        heap = self._heap
-        seq = self._seq
-        isfinite = math.isfinite
-        for time, kind, payload in events:
-            if not isfinite(time):
-                raise ValueError(f"event time must be finite, got {time!r}")
-            heap.append((time, int(kind), seq, payload))
-            seq += 1
-        self._seq = seq
-        heapq.heapify(heap)
-
     @property
     def raw_heap(self) -> List[Tuple[float, int, int, Any]]:
         """The underlying heap list, for zero-overhead draining.
@@ -93,3 +75,17 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
+
+
+def check_arrival_times(submit_time: np.ndarray) -> None:
+    """Refuse a trace whose arrival times are not all finite, with
+    :meth:`EventQueue.push`'s error for the first such row.
+
+    Every engine calls this before its first event, so a trace is refused
+    the same way whether or not the bad job would ever start (a rejected
+    job never does), and before any observer hears of an arrival.
+    """
+    finite = np.isfinite(submit_time)
+    if not finite.all():
+        bad = submit_time[int(np.argmin(finite))].item()
+        raise ValueError(f"event time must be finite, got {bad!r}")

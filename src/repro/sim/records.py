@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.workload.job import Job, LazyJobs
+from repro.workload.job import Job
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.job import Workload
@@ -211,11 +211,6 @@ class Records(_SequenceABC):
         return f"Records({type(self.table).__name__}, {len(self)} rows)"
 
 
-#: Rows per block when a job table builds :class:`Job` objects from a
-#: columnar workload's columns.
-_JOB_CHUNK = 4096
-
-
 class JobTable:
     """A run's per-job outcomes, one row per job that was not rejected.
 
@@ -271,24 +266,12 @@ class JobTable:
     def _jobs(
         self, start: int = 0, stop: Optional[int] = None
     ) -> Iterator[Job]:
-        """The jobs of table rows ``start`` to ``stop``, one at a time."""
+        """The jobs of table rows ``start`` to ``stop``, one at a time,
+        built from a columnar workload's columns when it holds no jobs,
+        so that reading leaves no job list on the workload."""
         stop = len(self) if stop is None else stop
-        rows = self.rows
-        jobs = self.workload.jobs
-        if isinstance(jobs, LazyJobs) and not jobs.materialized():
-            # Built from the columns, not through the workload's view, so
-            # that reading leaves no Job list on the workload.
-            columns = jobs.columns
-            for lo in range(start, stop, _JOB_CHUNK):
-                hi = min(lo + _JOB_CHUNK, stop)
-                index = slice(lo, hi) if rows is None else rows[lo:hi]
-                yield from columns.select(index).to_jobs()
-        else:
-            index = (
-                range(start, stop) if rows is None
-                else rows[start:stop].tolist()
-            )
-            yield from map(jobs.__getitem__, index)
+        rows = range(start, stop) if self.rows is None else self.rows[start:stop]
+        return self.workload.iter_jobs(rows)
 
     def __iter__(self) -> Iterator[JobSummary]:
         make = JobSummary._make

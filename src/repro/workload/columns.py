@@ -20,7 +20,7 @@ pipeline sit behind the engine-fingerprint regression gate
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,10 @@ COLUMN_FIELDS: Tuple[Tuple[str, str], ...] = (
     ("app_id", "int64"),
     ("status", "int64"),
 )
+
+#: Rows per block when :meth:`JobColumns.iter_jobs` builds :class:`Job`
+#: objects, so a pass over a whole trace holds one block's jobs at a time.
+_JOB_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,6 +214,23 @@ class JobColumns:
                 self.status.tolist(),
             )
         ]
+
+    def iter_jobs(self, rows: Optional[Sequence[int]] = None) -> Iterator["Job"]:
+        """The :class:`Job` records at ``rows`` (every row by default), in
+        that order, built :data:`_JOB_CHUNK` rows at a time.
+
+        Each job holds the doubles :meth:`to_jobs` would put in it, but no
+        list of the whole trace exists: a consumer that drops each job
+        after use keeps at most one block alive.
+        """
+        n = len(self) if rows is None else len(rows)
+        for lo in range(0, n, _JOB_CHUNK):
+            hi = min(lo + _JOB_CHUNK, n)
+            index = (
+                slice(lo, hi) if rows is None
+                else np.asarray(rows[lo:hi], dtype=np.intp)
+            )
+            yield from self.select(index).to_jobs()
 
     def equals(self, other: "JobColumns") -> bool:
         """Exact (bitwise) equality of every column."""

@@ -152,9 +152,11 @@ class LazyJobs(_SequenceABC):
 
     :class:`Workload` built from columns holds one of these instead of a
     materialized list, so the parent process of a sweep can parse, scale,
-    sort and ship a trace without ever constructing a single :class:`Job`;
-    the first consumer that actually iterates (the simulation engine) pays
-    one bulk :meth:`JobColumns.to_jobs` materialization.
+    sort and ship a trace without ever constructing a single :class:`Job`.
+    Iterating or indexing it pays one bulk :meth:`JobColumns.to_jobs`
+    materialization and keeps the list; the engines and result tables read
+    jobs through :meth:`Workload.iter_jobs`, which builds them a block at a
+    time and keeps none.
     """
 
     __slots__ = ("_columns", "_jobs")
@@ -299,6 +301,27 @@ class Workload:
         """
         if isinstance(self.jobs, LazyJobs):
             self.jobs.release()
+
+    def jobs_exist(self) -> bool:
+        """Whether this workload's :class:`Job` objects exist already: a
+        job list, or a columnar workload some consumer has materialized."""
+        jobs = self.jobs
+        return not isinstance(jobs, LazyJobs) or jobs.materialized()
+
+    def iter_jobs(self, rows: Optional[Sequence[int]] = None) -> Iterator[Job]:
+        """The jobs at ``rows`` (every row by default), in that order.
+
+        Existing jobs are yielded as they are.  A columnar workload whose
+        jobs do not exist builds them from its columns a block at a time
+        (:meth:`JobColumns.iter_jobs`) and leaves no job list behind.
+        """
+        if not self.jobs_exist():
+            return self.jobs.columns.iter_jobs(rows)
+        if rows is None:
+            return iter(self.jobs)
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
+        return map(self.jobs.__getitem__, rows)
 
     def __len__(self) -> int:
         return len(self.jobs)

@@ -715,9 +715,10 @@ def test_fast_lanes_match_scalar_engine_at_extreme_times(workload, cases):
                  id="engine"),
 ])
 def test_infinite_submit_time_refused_like_the_scalar_engine(lane):
-    """The scalar engine refuses an infinite arrival time when it schedules
-    the arrivals, even for a job that would never start; every lane kind
-    refuses it with the same error."""
+    """The scalar engine refuses an infinite arrival time before its first
+    event, even for a job that would never start and sits on the last row:
+    an attached observer hears of no arrival.  Every lane kind refuses it
+    with the same error."""
     cols = JobColumns(
         job_id=np.arange(1, 3),
         submit_time=np.array([0.0, math.inf]),
@@ -742,6 +743,11 @@ def test_infinite_submit_time_refused_like_the_scalar_engine(lane):
                    estimator=type(estimator)())
     with pytest.raises(ValueError, match=message):
         simulate_batch(workload, [config])
+    observer = RecordingObserver()
+    with pytest.raises(ValueError, match=message):
+        Simulation(workload, _diff_cluster(strategy),
+                   estimator=type(estimator)(), observer=observer).run()
+    assert [event[0] for event in observer.events] == ["run_start"]
 
 
 def _node_seconds(values):
@@ -1008,7 +1014,7 @@ def test_unmaterialized_trace_decodes_from_its_columns(workload):
         assert list(map(type, got)) == list(map(type, want))
         assert got == want, column
     assert trace.group_keys() == reference.group_keys()
-    assert trace.jobs_at([3, 1]) == [workload.jobs[3], workload.jobs[1]]
+    assert list(fresh.iter_jobs([3, 1])) == [workload.jobs[3], workload.jobs[1]]
     assert not fresh.jobs.materialized()
     assert trace.jobs == list(workload)
     assert fresh.jobs.materialized()
