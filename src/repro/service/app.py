@@ -9,7 +9,8 @@ no framework, no dependency — because the API is five resources:
 ``POST /runs``                  submit a sweep (specs or named experiment);
                                 201 on a new run, 200 when attaching to an
                                 existing identical run (idempotent)
-``GET  /runs``                  all runs, newest first
+``GET  /runs``                  runs held (in flight + newest finished),
+                                newest first
 ``GET  /runs/{id}``             one run's status document
 ``GET  /runs/{id}/result``      full results + profile; ``?wait=1`` blocks
                                 until the run finishes
@@ -289,7 +290,7 @@ class SweepService:
                 200,
                 {
                     "status": "ok",
-                    "n_runs": len(registry.runs()),
+                    "n_runs": len(registry),
                     "uptime": time.time() - registry.started_at,
                 },
             )
@@ -313,7 +314,13 @@ class SweepService:
             run_id, _, sub = rest.partition("/")
             record = registry.get(run_id)
             if record is None:
-                raise _HttpError(404, f"no run {run_id!r}")
+                raise _HttpError(
+                    404,
+                    f"no run {run_id!r}: this server does not hold it (it "
+                    "keeps in-flight runs and only its newest finished "
+                    "ones); resubmitting the same specs replays it, from "
+                    "the cache if one is configured",
+                )
             if sub == "":
                 self._require(method, "GET")
                 return _json_response(200, record.status_dict())

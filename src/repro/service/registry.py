@@ -7,13 +7,15 @@ lives:
 
 * a **new** sweep creates a record and schedules one
   :func:`~repro.experiments.parallel.run_sweep` on the worker pool;
-* a sweep **already in flight** (or already finished) *attaches* — the
+* a sweep **already in flight**, or finished and still held (one of the
+  newest :data:`FINISHED_RUNS_KEPT` finished runs), *attaches* — the
   caller gets the same record, no second execution, and its event stream
   replays history before going live;
-* a sweep identical to one finished **before this server even started**
-  never recomputes either, because execution always goes through the
-  SHA-keyed :class:`~repro.experiments.cache.SweepCache` — the result
-  store — and comes back ``n_cache_hits == n_specs``.
+* a sweep identical to one finished **before this server even started**,
+  or to one the registry has since dropped, gets a new record with the
+  same ``run_id`` but never recomputes, because execution always goes
+  through the SHA-keyed :class:`~repro.experiments.cache.SweepCache` —
+  the result store — and comes back ``n_cache_hits == n_specs``.
 
 Threading model: the registry is confined to the event-loop thread.  The
 executing worker thread never touches a record directly; every state
@@ -49,6 +51,15 @@ COMPLETED = "completed"
 FAILED = "failed"
 
 RUN_STATES = (PENDING, RUNNING, COMPLETED, FAILED)
+
+#: How many finished runs the registry keeps in memory: when a run
+#: finishes past this bound, the oldest finished one is dropped.  A
+#: finished record (its specs, report and event history, 5–15 KB) is only
+#: a copy of what the ``SweepCache`` already holds, so keeping every one
+#: would grow a long-running server by each submission it ever served.
+#: Pending and running records are never dropped, and a handler already
+#: holding a dropped record (``?wait=1``, ``/events``) completes from it.
+FINISHED_RUNS_KEPT = 64
 
 
 @dataclass
@@ -102,7 +113,8 @@ class RunRecord:
 
 
 class RunRegistry:
-    """All runs this service knows, keyed for idempotent resubmission."""
+    """The in-flight runs and the newest finished ones, keyed for
+    idempotent resubmission."""
 
     def __init__(
         self,
@@ -117,9 +129,21 @@ class RunRegistry:
         self.sweep_workers = sweep_workers
         self._by_key: Dict[str, RunRecord] = {}
         self._by_id: Dict[str, RunRecord] = {}
+        #: Finished records still held, oldest first (by run_id).
+        self._finished: Dict[str, RunRecord] = {}
         self.started_at = time.time()
+        # Running totals for /metrics: they count every run served, so
+        # dropping a finished record never makes them go down.
+        self.n_submissions = 0
+        self.n_executions = 0
+        self.n_points_completed = 0
+        self.n_cache_hits = 0
+        self.n_point_errors = 0
 
     # ------------------------------------------------------------ queries
+    def __len__(self) -> int:
+        return len(self._by_id)
+
     def get(self, run_id: str) -> Optional[RunRecord]:
         return self._by_id.get(run_id)
 
@@ -140,6 +164,7 @@ class RunRegistry:
         """
         key = sweep_key(specs)
         record = self._by_key.get(key)
+        self.n_submissions += 1
         if record is not None:
             record.n_submissions += 1
             return record, False
@@ -193,14 +218,18 @@ class RunRegistry:
         record.state = RUNNING
         record.started_at = time.time()
         record.n_executions += 1
+        self.n_executions += 1
         record.log.publish({"event": "run_started", "run_id": record.run_id})
 
     def _point_done(self, record: RunRecord, index: int, outcome: RunOutcome) -> None:
         record.n_done += 1
+        self.n_points_completed += 1
         if outcome.cached:
             record.n_cache_hits += 1
+            self.n_cache_hits += 1
         if not outcome.ok:
             record.n_point_errors += 1
+            self.n_point_errors += 1
         event = outcome_to_dict(index, outcome)
         event["event"] = "point_completed"
         event["run_id"] = record.run_id
@@ -212,11 +241,19 @@ class RunRegistry:
         record.state = state
         record.finished_at = time.time()
         record.done.set()
+        self._finished[record.run_id] = record
+        while len(self._finished) > FINISHED_RUNS_KEPT:
+            oldest = self._finished.pop(next(iter(self._finished)))
+            del self._by_id[oldest.run_id]
+            del self._by_key[oldest.key]
 
     def _mark_completed(self, record: RunRecord, report: SweepReport) -> None:
         record.report = report
         # Trust the report over incrementally-streamed counters (identical
         # unless the loop dropped a callback during shutdown).
+        self.n_points_completed += report.n_runs - record.n_done
+        self.n_cache_hits += report.n_cache_hits - record.n_cache_hits
+        self.n_point_errors += report.n_errors - record.n_point_errors
         record.n_done = report.n_runs
         record.n_cache_hits = report.n_cache_hits
         record.n_point_errors = report.n_errors
@@ -244,8 +281,10 @@ class RunRegistry:
 
     # ------------------------------------------------------------- metrics
     def metric_families(self) -> List[Tuple[str, str, List[Tuple[Dict[str, str], Any]]]]:
-        """Service gauges for ``/metrics`` (rendered by
-        :func:`repro.obs.export.exposition`)."""
+        """Service gauges and counters for ``/metrics`` (rendered by
+        :func:`repro.obs.export.exposition`).  The ``_total`` counters
+        cover every run served; ``service_runs`` and
+        ``service_run_progress`` cover the records still held."""
         records = list(self._by_id.values())
         by_state = {state: 0 for state in RUN_STATES}
         for record in records:
@@ -258,33 +297,33 @@ class RunRegistry:
             ),
             (
                 "service_runs",
-                "Registered runs by lifecycle state",
+                "Runs held in memory by lifecycle state",
                 [({"state": state}, count) for state, count in by_state.items()],
             ),
             (
                 "service_submissions_total",
                 "Sweep submissions accepted (attaches included)",
-                [({}, sum(r.n_submissions for r in records))],
+                [({}, self.n_submissions)],
             ),
             (
                 "service_executions_total",
-                "run_sweep executions started (at most one per distinct sweep)",
-                [({}, sum(r.n_executions for r in records))],
+                "run_sweep executions started (at most one per run record)",
+                [({}, self.n_executions)],
             ),
             (
                 "service_points_completed_total",
                 "Sweep points finalized across all runs",
-                [({}, sum(r.n_done for r in records))],
+                [({}, self.n_points_completed)],
             ),
             (
                 "service_cache_hits_total",
                 "Sweep points served from the result cache",
-                [({}, sum(r.n_cache_hits for r in records))],
+                [({}, self.n_cache_hits)],
             ),
             (
                 "service_point_errors_total",
                 "Sweep points that failed across all runs",
-                [({}, sum(r.n_point_errors for r in records))],
+                [({}, self.n_point_errors)],
             ),
             (
                 "service_run_progress",

@@ -6,9 +6,13 @@ overlapping sweeps at once get results bit-identical to a direct
 ``/metrics`` staying valid Prometheus text throughout.
 """
 
+import gc
 import http.client
 import json
+import logging
 import socket
+import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
@@ -18,7 +22,7 @@ from repro.experiments.cache import SweepCache
 from repro.experiments.parallel import run_sweep
 from repro.experiments.specs import EstimatorSpec, RunSpec, WorkloadSpec
 from repro.obs import read_trace
-from repro.service import ServiceConfig, ServiceThread
+from repro.service import ServiceConfig, ServiceThread, app, registry
 from repro.service.schemas import spec_to_dict
 from repro.service.smoke import validate_metrics
 
@@ -112,8 +116,6 @@ class TestEndpoints:
     def test_stalled_client_gets_408_and_is_disconnected(
         self, server, monkeypatch, sent
     ):
-        from repro.service import app
-
         monkeypatch.setattr(app, "READ_TIMEOUT_S", 0.2)
         with socket.create_connection(server, timeout=60) as sock:
             sock.sendall(sent)  # ... and stall
@@ -262,3 +264,223 @@ class TestConcurrentClients:
             result = json.loads(body)["result"]
             assert result["n_cache_hits"] == len(specs)  # nothing re-simulated
             assert result["profile"]["n_executed"] == 0
+
+
+#: ``/metrics`` counters and the status-document field each one sums.
+TOTALS = {
+    "submissions": "n_submissions",
+    "executions": "n_executions",
+    "points_completed": "n_done",
+    "cache_hits": "n_cache_hits",
+    "point_errors": "n_point_errors",
+}
+
+
+def metric_totals(address):
+    status, body = request(address, "GET", "/metrics")
+    assert status == 200
+    values = validate_metrics(body.decode())
+    return {name: values[f"repro_service_{name}_total"] for name in TOTALS}
+
+
+def run_to_completion(address, specs):
+    status, body = request(address, "POST", "/runs", body=submission(specs))
+    assert status in (200, 201)
+    run_id = json.loads(body)["run_id"]
+    status, body = request(address, "GET", f"/runs/{run_id}/result?wait=1")
+    assert status == 200
+    return run_id, json.loads(body)
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """Hold every sweep execution while the gate is closed (it starts open)."""
+    gate = threading.Event()
+    gate.set()
+    run_sweep = registry.run_sweep
+
+    def gated(*args, **kwargs):
+        gate.wait(60)
+        return run_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(registry, "run_sweep", gated)
+    yield gate
+    gate.set()
+
+
+def keep_finished(monkeypatch, n):
+    monkeypatch.setattr(registry, "FINISHED_RUNS_KEPT", n)
+
+
+class TestRetention:
+    """The registry holds in-flight runs plus only the newest finished ones."""
+
+    def test_dropped_run_is_404_with_a_replay_hint(self, server, monkeypatch):
+        keep_finished(monkeypatch, 1)
+        old, _ = run_to_completion(server, [make_spec(0.5)])
+        new, _ = run_to_completion(server, [make_spec(0.7)])
+        for path in ("", "/result", "/events"):
+            status, body = request(server, "GET", f"/runs/{old}{path}")
+            assert status == 404
+            message = json.loads(body)["error"]
+            assert "does not hold it" in message
+            assert "resubmitting the same specs replays it" in message
+            assert request(server, "GET", f"/runs/{new}{path}")[0] == 200
+        _, doc = get_json(server, "/healthz")
+        assert doc["n_runs"] == 1
+
+    def test_resubmission_after_eviction_replays_from_cache(
+        self, server, monkeypatch
+    ):
+        keep_finished(monkeypatch, 1)
+        specs = [make_spec(0.5), make_spec(0.7, "successive")]
+        first, doc = run_to_completion(server, specs)
+        assert doc["result"]["profile"]["n_executed"] == len(specs)
+        run_to_completion(server, [make_spec(0.9)])  # drops the first run
+
+        status, body = request(server, "POST", "/runs", body=submission(specs))
+        assert status == 201
+        again = json.loads(body)
+        assert again["created"] and again["run_id"] == first
+        status, doc = get_json(server, f"/runs/{first}/result?wait=1")
+        assert status == 200
+        assert doc["n_executions"] == 1 and doc["n_submissions"] == 1
+        assert doc["n_cache_hits"] == doc["n_specs"] == len(specs)
+        assert doc["result"]["profile"]["n_executed"] == 0
+
+    def test_waiters_on_a_run_dropped_while_they_wait_complete(
+        self, server, monkeypatch, gate
+    ):
+        keep_finished(monkeypatch, 0)  # a run is dropped the moment it ends
+        waiting = threading.Event()
+        result = app.SweepService._result
+
+        async def entered_result(self, record, query):
+            waiting.set()  # no await before result() parks on record.done
+            return await result(self, record, query)
+
+        monkeypatch.setattr(app.SweepService, "_result", entered_result)
+        gate.clear()
+        status, body = request(
+            server, "POST", "/runs", body=submission([make_spec(0.5)])
+        )
+        run_id = json.loads(body)["run_id"]
+
+        stream = http.client.HTTPConnection(*server, timeout=60)
+        try:
+            stream.request("GET", f"/runs/{run_id}/events")
+            events = stream.getresponse()
+            assert events.status == 200
+            first = events.readline()  # history replayed: subscribed
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                waiter = pool.submit(
+                    get_json, server, f"/runs/{run_id}/result?wait=1"
+                )
+                assert waiting.wait(60)
+                gate.set()
+                status, doc = waiter.result(timeout=60)
+            lines = [first] + events.read().splitlines()
+        finally:
+            stream.close()
+        assert status == 200
+        assert doc["state"] == "completed" and doc["result"]["n_runs"] == 1
+        kinds = [e["event"] for e in read_trace(
+            line.decode() for line in lines if line.strip()
+        )]
+        assert kinds[0] == "run_submitted" and kinds[-1] == "run_completed"
+        assert request(server, "GET", f"/runs/{run_id}")[0] == 404
+
+    def test_listing_holds_the_bound_plus_in_flight_runs(
+        self, server, monkeypatch, gate
+    ):
+        keep_finished(monkeypatch, 2)
+        finished = [
+            run_to_completion(server, [make_spec(load)])[0]
+            for load in (0.3, 0.4, 0.5, 0.6)
+        ]
+        gate.clear()
+        in_flight = [
+            json.loads(request(
+                server, "POST", "/runs", body=submission([make_spec(load)])
+            )[1])["run_id"]
+            for load in (0.7, 0.8)
+        ]
+        _, doc = get_json(server, "/runs")
+        assert {r["run_id"] for r in doc["runs"]} == set(
+            finished[-2:] + in_flight
+        )
+        gate.set()
+        for run_id in in_flight:
+            assert get_json(server, f"/runs/{run_id}/result?wait=1")[0] == 200
+        _, doc = get_json(server, "/runs")
+        assert [r["run_id"] for r in doc["runs"]] == in_flight[::-1]
+
+    def test_totals_never_fall_when_runs_are_dropped(self, server, monkeypatch):
+        keep_finished(monkeypatch, 2)
+        shared = make_spec(0.5)
+        sweeps = [
+            [shared],
+            [shared, make_spec(0.6)],  # one cache hit
+            [shared],  # attaches while still held
+            [make_spec(0.7)],
+            [make_spec(0.8), shared],  # drops earlier runs from here on
+            [shared, make_spec(0.6)],  # dropped: replayed from the cache
+        ]
+        previous = None
+        for i, specs in enumerate(sweeps):
+            run_to_completion(server, specs)
+            totals = metric_totals(server)
+            if previous is not None:
+                assert all(totals[k] >= previous[k] for k in TOTALS), totals
+            previous = totals
+            if i < 3:  # nothing dropped yet: the totals are per-run sums
+                _, doc = get_json(server, "/runs")
+                assert totals == {
+                    name: sum(r[field] for r in doc["runs"])
+                    for name, field in TOTALS.items()
+                }
+        assert previous == {
+            "submissions": 6,
+            "executions": 5,
+            "points_completed": 8,
+            "cache_hits": 4,
+            "point_errors": 0,
+        }
+
+
+def test_memory_stays_flat_once_finished_runs_are_dropped(
+    tmp_path, monkeypatch, caplog
+):
+    """A long-running server holds memory in proportion to its live work:
+    with the bound at 8, the second half of 120 small submissions adds
+    almost nothing (holding every finished run adds ~5 KB a submission
+    here, ~300 KB over the half)."""
+    keep_finished(monkeypatch, 8)
+    # An in-process CLI run leaves the sweep logger at INFO, and pytest's
+    # log capture keeps every record it sees: count the server, not that.
+    caplog.set_level(logging.WARNING, logger="repro.sweep")
+    config = ServiceConfig(port=0, cache=SweepCache(tmp_path / "cache"))
+
+    def spec(i):
+        return RunSpec(
+            workload=WorkloadSpec(n_jobs=30, load=0.5),
+            estimator=EstimatorSpec(name="successive"),
+            seed=i,
+        )
+
+    with ServiceThread(config) as address:
+        for i in range(8):  # warm up the memos, the cache dir, the pool
+            run_to_completion(address, [spec(i)])
+        tracemalloc.start()
+        try:
+            for i in range(8, 68):
+                run_to_completion(address, [spec(i)])
+            gc.collect()  # count what is held, not uncollected cycles
+            half = tracemalloc.get_traced_memory()[0]
+            for i in range(68, 128):
+                run_to_completion(address, [spec(i)])
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - half
+        finally:
+            tracemalloc.stop()
+    assert growth < 100_000, f"{growth} B over 60 submissions"
