@@ -4,7 +4,7 @@ PYTHON ?= python
 # Pool size for the parallel sweep benchmarks (sweep-bench target).
 REPRO_BENCH_WORKERS ?= 4
 
-.PHONY: install test bench bench-full sweep-bench sweep-tests engine-bench faults-bench obs-bench examples artifacts clean
+.PHONY: install test bench bench-full sweep-bench sweep-tests engine-bench faults-bench obs-bench boot-profile examples artifacts clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -54,6 +54,16 @@ faults-bench:
 # run (REPRO_OBS_TOLERANCE to adjust); also times the JSONL trace writer.
 obs-bench:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest benchmarks/test_obs_overhead.py -q -s
+
+# The 20 largest import self times (us) of a service boot, compiled from
+# source as a host without a bytecode cache pays them: a module that lands
+# on the boot path shows up here.  Run `make clean` first to drop the
+# __pycache__ directories a test run leaves in src/.
+boot-profile:
+	@echo "  self us     cum us  module"
+	@PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -X importtime -c "import repro.service" 2>&1 >/dev/null \
+		| awk -F'|' '/^import time: *[0-9]/ { sub(/^import time: */, "", $$1); printf "%9d  %9d  %s\n", $$1, $$2, $$3 }' \
+		| sort -n -r | head -20
 
 examples:
 	@for ex in examples/*.py; do echo "== $$ex =="; PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) $$ex || exit 1; done

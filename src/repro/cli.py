@@ -322,28 +322,38 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     module = importlib.import_module(f"repro.experiments.{args.name}")
     config = ExperimentConfig(n_jobs=args.jobs, seed=args.seed)
     kwargs = {}
-    if "max_workers" in inspect.signature(module.run).parameters:
-        # Sweep-capable experiment: wire up the pool + cache and surface the
-        # executor's runs/s + cache-hit accounting on stderr.  The resilience
-        # knobs apply to every run_sweep call the experiment makes.
-        set_default_resilience(
-            ResilienceConfig(
-                timeout=args.run_timeout,
-                max_retries=args.max_retries,
-                checkpoint=args.checkpoint,
+    sweep_logger = logging.getLogger("repro.sweep")
+    saved_level, saved_handlers = sweep_logger.level, list(sweep_logger.handlers)
+    saved_resilience = None
+    try:
+        if "max_workers" in inspect.signature(module.run).parameters:
+            # Sweep-capable experiment: wire up the pool + cache and surface
+            # the executor's runs/s + cache-hit accounting on stderr.  The
+            # resilience knobs apply to every run_sweep call the experiment
+            # makes, and only to those: the resilience default and the logger
+            # are process-wide, so both are restored for a caller's next sweep.
+            saved_resilience = set_default_resilience(
+                ResilienceConfig(
+                    timeout=args.run_timeout,
+                    max_retries=args.max_retries,
+                    checkpoint=args.checkpoint,
+                )
             )
-        )
-        kwargs["max_workers"] = args.workers
-        kwargs["cache"] = resolve_cache(
-            enabled=not args.no_cache, directory=args.cache_dir
-        )
-        sweep_logger = logging.getLogger("repro.sweep")
-        if not sweep_logger.handlers:
-            handler = logging.StreamHandler(sys.stderr)
-            handler.setFormatter(logging.Formatter("%(message)s"))
-            sweep_logger.addHandler(handler)
-        sweep_logger.setLevel(logging.INFO)
-    result = module.run(config, **kwargs)
+            kwargs["max_workers"] = args.workers
+            kwargs["cache"] = resolve_cache(
+                enabled=not args.no_cache, directory=args.cache_dir
+            )
+            if not sweep_logger.handlers:
+                handler = logging.StreamHandler(sys.stderr)
+                handler.setFormatter(logging.Formatter("%(message)s"))
+                sweep_logger.addHandler(handler)
+            sweep_logger.setLevel(logging.INFO)
+        result = module.run(config, **kwargs)
+    finally:
+        if saved_resilience is not None:
+            set_default_resilience(saved_resilience)
+        sweep_logger.setLevel(saved_level)
+        sweep_logger.handlers[:] = saved_handlers
     print(result.format_table())
     if hasattr(result, "format_chart"):
         print()

@@ -16,10 +16,10 @@ a gauge); there is no HTTP server in this module.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.sim.metrics import utilization, wasted_fraction
-from repro.sim.records import SimResult
+if TYPE_CHECKING:
+    from repro.sim.records import SimResult
 
 _PREFIX = "repro"
 
@@ -94,6 +94,8 @@ def prometheus_text(
     ``CounterObserver.snapshot()`` — is appended under
     ``repro_event_total{kind=...}`` / ``repro_gauge{name=...}``.
     """
+    from repro.sim.metrics import utilization, wasted_fraction
+
     labels: Dict[str, str] = {
         "workload": result.workload_name,
         "cluster": result.cluster_name,

@@ -25,6 +25,11 @@ never happens on the loop thread: :class:`~repro.service.registry.RunRegistry`
 hands sweeps to a thread pool and the loop only shuffles state dicts and
 bytes.
 
+Booting loads only what parsing, registering and answering a request
+need: no sweep executor, engine or experiment grid.  :meth:`SweepService.start`
+imports the executor on a sweep thread right after the socket is bound, so
+the server answers at once and the first submission does not pay for it.
+
 :class:`ServiceThread` wraps the whole server in a background thread with
 its own event loop (bind to port 0 to let the OS pick) — the harness the
 tests, the smoke check, and embedders use.
@@ -33,6 +38,7 @@ tests, the smoke check, and embedders use.
 from __future__ import annotations
 
 import asyncio
+import importlib
 import json
 import threading
 import time
@@ -182,6 +188,12 @@ class SweepService:
         )
         self._server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port
+        )
+        # Answering a request needs no engine; the sweep executor loads
+        # here, off the loop, so the first submission does not wait for it
+        # (an import error resurfaces in that submission's run_sweep).
+        self._executor.submit(
+            importlib.import_module, "repro.experiments.parallel"
         )
 
     @property

@@ -17,6 +17,11 @@ lives:
   through the SHA-keyed :class:`~repro.experiments.cache.SweepCache` —
   the result store — and comes back ``n_cache_hits == n_specs``.
 
+The registry imports no part of the sweep executor: registering a run
+needs only the specs and the cache.  :func:`run_sweep` loads
+:mod:`repro.experiments.parallel` (and with it both engines) on its first
+call, which the service makes in the background as soon as it listens.
+
 Threading model: the registry is confined to the event-loop thread.  The
 executing worker thread never touches a record directly; every state
 transition and progress event crosses back via
@@ -33,13 +38,15 @@ import time
 import traceback
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.cache import SweepCache
-from repro.experiments.parallel import RunOutcome, SweepReport, run_sweep
 from repro.experiments.specs import RunSpec
 from repro.service.schemas import outcome_to_dict, report_to_dict, sweep_key
 from repro.service.streaming import EventLog
+
+if TYPE_CHECKING:
+    from repro.experiments.parallel import RunOutcome, SweepReport
 
 #: Run lifecycle: pending (queued behind the worker pool) -> running ->
 #: completed | failed.  "completed" includes sweeps with failed points —
@@ -60,6 +67,14 @@ RUN_STATES = (PENDING, RUNNING, COMPLETED, FAILED)
 #: Pending and running records are never dropped, and a handler already
 #: holding a dropped record (``?wait=1``, ``/events``) completes from it.
 FINISHED_RUNS_KEPT = 64
+
+
+def run_sweep(specs: Sequence[RunSpec], **kwargs: Any) -> SweepReport:
+    """:func:`repro.experiments.parallel.run_sweep`, imported on first call
+    (see the module docstring); every execution goes through this name."""
+    from repro.experiments import parallel
+
+    return parallel.run_sweep(specs, **kwargs)
 
 
 @dataclass

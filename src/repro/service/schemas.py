@@ -19,6 +19,10 @@ dataclasses:
   those — collapse onto one run.
 * ``*_to_dict`` render outcomes, reports, and profiles for responses.
 
+Parsing imports no engine and no experiment grid: each named experiment's
+module is imported the first time its grid is built, and the executor's
+result types are imported for type checking only.
+
 Everything raises :class:`SchemaError` on malformed input; the HTTP layer
 maps that to a 400 with the message as the body.
 """
@@ -28,13 +32,9 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.experiments import faults as faults_exp
-from repro.experiments import fig5 as fig5_exp
-from repro.experiments import fig8 as fig8_exp
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import RunOutcome, SweepProfile, SweepReport
 from repro.experiments.specs import (
     ESTIMATOR_REGISTRY,
     POLICY_REGISTRY,
@@ -45,6 +45,9 @@ from repro.experiments.specs import (
     RunSpec,
     WorkloadSpec,
 )
+
+if TYPE_CHECKING:
+    from repro.experiments.parallel import RunOutcome, SweepProfile, SweepReport
 
 
 class SchemaError(ValueError):
@@ -222,6 +225,8 @@ def _config_from(params: Mapping[str, Any]) -> ExperimentConfig:
 
 
 def _fig5_specs(params: Mapping[str, Any]) -> List[RunSpec]:
+    from repro.experiments import fig5 as fig5_exp
+
     params = dict(params)
     policy = params.pop("policy", "fcfs")
     if policy not in ("fcfs", "easy-backfilling"):
@@ -238,6 +243,8 @@ def _fig5_specs(params: Mapping[str, Any]) -> List[RunSpec]:
 
 
 def _fig8_specs(params: Mapping[str, Any]) -> List[RunSpec]:
+    from repro.experiments import fig8 as fig8_exp
+
     params = dict(params)
     mems = params.pop("mems", None)
     load = float(params.pop("load", 0.8))
@@ -250,6 +257,8 @@ def _fig8_specs(params: Mapping[str, Any]) -> List[RunSpec]:
 
 
 def _faults_specs(params: Mapping[str, Any]) -> List[RunSpec]:
+    from repro.experiments import faults as faults_exp
+
     params = dict(params)
     mtbfs = params.pop("mtbfs", None)
     node_mttr = float(params.pop("node_mttr", 3600.0))

@@ -9,7 +9,6 @@ overlapping sweeps at once get results bit-identical to a direct
 import gc
 import http.client
 import json
-import logging
 import socket
 import threading
 import tracemalloc
@@ -170,18 +169,28 @@ class TestEndpoints:
         assert {p["index"] for p in points} == {0, 1}
         assert all(p["ok"] for p in points)
 
-    def test_named_experiment_submission(self, server):
+    @pytest.mark.parametrize(
+        "experiment, config, n_specs",
+        [
+            ("fig5", {"loads": [0.6]}, 2),
+            ("fig8", {"mems": [24]}, 2),
+            ("faults", {"mtbfs": [0]}, 4),
+        ],
+        ids=["fig5", "fig8", "faults"],
+    )
+    def test_named_experiment_submission(self, server, experiment, config, n_specs):
         _, body = request(
             server,
             "POST",
             "/runs",
-            body={"experiment": "fig8", "config": {"n_jobs": N_JOBS, "mems": [24]}},
+            body={"experiment": experiment, "config": {"n_jobs": N_JOBS, **config}},
         )
         doc = json.loads(body)
-        assert doc["experiment"] == "fig8"
+        assert doc["experiment"] == experiment
         status, result = get_json(server, f"/runs/{doc['run_id']}/result?wait=1")
         assert status == 200
-        assert result["result"]["n_runs"] == doc["n_specs"] == 2
+        assert result["result"]["n_runs"] == doc["n_specs"] == n_specs
+        assert result["result"]["n_errors"] == 0
 
 
 class TestConcurrentClients:
@@ -448,17 +457,12 @@ class TestRetention:
         }
 
 
-def test_memory_stays_flat_once_finished_runs_are_dropped(
-    tmp_path, monkeypatch, caplog
-):
+def test_memory_stays_flat_once_finished_runs_are_dropped(tmp_path, monkeypatch):
     """A long-running server holds memory in proportion to its live work:
     with the bound at 8, the second half of 120 small submissions adds
     almost nothing (holding every finished run adds ~5 KB a submission
     here, ~300 KB over the half)."""
     keep_finished(monkeypatch, 8)
-    # An in-process CLI run leaves the sweep logger at INFO, and pytest's
-    # log capture keeps every record it sees: count the server, not that.
-    caplog.set_level(logging.WARNING, logger="repro.sweep")
     config = ServiceConfig(port=0, cache=SweepCache(tmp_path / "cache"))
 
     def spec(i):

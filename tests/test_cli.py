@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import logging
+
 import pytest
 
 from repro.cli import ESTIMATORS, POLICIES, build_parser, main
@@ -132,6 +134,22 @@ class TestExperiment:
         # Second run is served from the cache and prints identical tables.
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    def test_sweep_settings_are_restored_afterwards(self, capsys):
+        """The resilience flags and the stderr progress log hold for the
+        experiment's own sweeps only, not for a later run_sweep in the same
+        process."""
+        from repro.experiments import parallel
+
+        logger = logging.getLogger("repro.sweep")
+        before = (logger.level, list(logger.handlers), parallel._DEFAULT_RESILIENCE)
+        argv = [
+            "experiment", "fig5", "--jobs", "800", "--no-cache",
+            "--max-retries", "5", "--run-timeout", "60",
+        ]
+        assert main(argv) == 0
+        after = (logger.level, list(logger.handlers), parallel._DEFAULT_RESILIENCE)
+        assert after == before
 
     def test_no_cache_flag_skips_cache_writes(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))

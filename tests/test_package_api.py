@@ -123,6 +123,37 @@ class TestImportFootprint:
         )
         assert "repro.sim.analysis" in modules
 
+    def test_service_boot_imports_only_its_parse_path(self):
+        """Parsing, registering and answering a request need no executor,
+        engine or experiment grid."""
+        modules = fresh_modules("import repro.service")
+        assert "repro.service.app" in modules
+        executor_stack = {
+            "repro.experiments.parallel",
+            "repro.sim.engine",
+            "repro.sim.batch",
+            "repro.sim.records",
+            "repro.experiments.fig5",
+            "repro.experiments.fig8",
+            "repro.experiments.faults",
+            "repro.experiments.shm",
+        }
+        assert not executor_stack & set(modules)
+
+    def test_started_service_loads_the_executor_unasked(self):
+        """Once listening, the service imports the executor in the
+        background, so the first submission does not pay for it."""
+        modules = fresh_modules(
+            "import sys, time\n"
+            "from repro.service import ServiceConfig, ServiceThread\n"
+            "with ServiceThread(ServiceConfig(port=0)):\n"
+            "    deadline = time.monotonic() + 10\n"
+            "    while ('repro.experiments.parallel' not in sys.modules\n"
+            "           and time.monotonic() < deadline):\n"
+            "        time.sleep(0.01)\n"
+        )
+        assert "repro.experiments.parallel" in modules
+
     def test_cli_help_imports_no_subcommand(self):
         modules = fresh_modules(
             "from repro.cli import main\n"
