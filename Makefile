@@ -57,13 +57,16 @@ obs-bench:
 
 # The 20 largest import self times (us) of a service boot, compiled from
 # source as a host without a bytecode cache pays them: a module that lands
-# on the boot path shows up here.  Run `make clean` first to drop the
-# __pycache__ directories a test run leaves in src/.
+# on the boot path shows up here.  Then the number of `repro` modules the
+# boot loads and whether it loaded numpy.  Run `make clean` first to drop
+# the __pycache__ directories a test run leaves in src/.
 boot-profile:
 	@echo "  self us     cum us  module"
 	@PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -X importtime -c "import repro.service" 2>&1 >/dev/null \
 		| awk -F'|' '/^import time: *[0-9]/ { sub(/^import time: */, "", $$1); printf "%9d  %9d  %s\n", $$1, $$2, $$3 }' \
 		| sort -n -r | head -20
+	@PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -c "import sys, repro.service; \
+		print(sum(m.startswith('repro') for m in sys.modules), 'repro modules; numpy loaded:', 'numpy' in sys.modules)"
 
 examples:
 	@for ex in examples/*.py; do echo "== $$ex =="; PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) $$ex || exit 1; done

@@ -14,12 +14,14 @@ improvement linearly (R^2 = 0.991 in the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import AllocationStrategy, Cluster
 from repro.cluster.ladder import CapacityLadder
 from repro.util.validation import check_positive
-from repro.workload.job import Workload
+
+if TYPE_CHECKING:
+    from repro.workload.job import Workload
 
 
 def homogeneous(

@@ -5,19 +5,22 @@ trace length, seed, the load grid for sweeps, and the paper's algorithm
 parameters (alpha = 2, beta = 0; §3.1).  ``ExperimentConfig()`` is the fast
 default used by the benchmark suite; :meth:`ExperimentConfig.full` matches
 the paper's full 122,055-job trace.
+
+The sweep service validates a submission's config with this class, so the
+trace generator loads only when a workload is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.cluster.builder import paper_cluster
-from repro.cluster.cluster import Cluster
 from repro.util.validation import check_positive
-from repro.workload.job import Workload
-from repro.workload.lanl_cm5 import lanl_cm5_like
-from repro.workload.transforms import drop_full_machine_jobs
+
+if TYPE_CHECKING:
+    from repro.cluster.cluster import Cluster
+    from repro.workload.job import Workload
 
 
 @dataclass(frozen=True)
@@ -62,10 +65,14 @@ class ExperimentConfig:
     # ------------------------------------------------------------- factories
     def make_workload(self) -> Workload:
         """The calibrated synthetic LANL CM5 trace (full-machine jobs kept)."""
+        from repro.workload.lanl_cm5 import lanl_cm5_like
+
         return lanl_cm5_like(n_jobs=self.n_jobs, seed=self.seed)
 
     def make_sim_workload(self) -> Workload:
         """The trace as simulated: full-1024-node jobs removed (§3.1)."""
+        from repro.workload.transforms import drop_full_machine_jobs
+
         return drop_full_machine_jobs(self.make_workload())
 
     def make_cluster(self, second_tier_mem: float = None) -> Cluster:

@@ -45,10 +45,16 @@ the checkpoint manifest (``resumed``) — a point found in both stores
 counts once, as a cache hit.
 Sweep-level throughput, cache, and resilience accounting is reported on
 :class:`SweepReport` and logged via the ``repro.sweep`` logger.
+
+Importing this module imports everything a pool worker runs (the engines,
+every built-in estimator and policy, the protocol and fault lanes, the
+workload builders), so a forked worker inherits it compiled instead of
+compiling it after the fork.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import logging
 import os
@@ -76,6 +82,7 @@ from repro.experiments.specs import (
     RunSpec,
     clear_materialization_caches,
     install_shared_columns,
+    load_registered_factories,
     materialize_base_workload,
     trim_materialized_workloads,
 )
@@ -91,6 +98,21 @@ try:  # POSIX-only; on platforms without it RSS reports as 0
     import resource as _resource
 except ImportError:  # pragma: no cover
     _resource = None  # type: ignore[assignment]
+
+# What a pool worker runs but no import above reaches: the modules behind
+# the built-in registry entries, the two lanes repro.sim.batch imports on
+# first use, and the workload builders a spec calls.  The service imports
+# this module in the background, so its first submission finds them too.
+load_registered_factories()
+for _module in (
+    "repro.sim.protocol_lane",
+    "repro.sim.fault_lane",
+    "repro.workload.lanl_cm5",
+    "repro.workload.synthetic",
+    "repro.workload.swf",
+    "repro.workload.transforms",
+):
+    importlib.import_module(_module)
 
 logger = logging.getLogger("repro.sweep")
 

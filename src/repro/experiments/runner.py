@@ -14,14 +14,19 @@ the on-disk result cache), of which serial in-process execution is the
 :func:`repro.experiments.parallel.sweep_to_load_sweep` folds one
 configuration's outcomes into a :class:`LoadSweep`.  A one-off run outside
 a sweep is a plain :func:`repro.sim.engine.simulate` call.
+
+The result cache stores :class:`SweepPoint` records, so the sweep service
+imports this module on its parse path; numpy loads only when a
+:class:`LoadSweep` array property is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -45,14 +50,20 @@ class LoadSweep:
 
     @property
     def loads(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([p.load for p in self.points])
 
     @property
     def utilizations(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([p.utilization for p in self.points])
 
     @property
     def slowdowns(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([p.mean_slowdown for p in self.points])
 
     @property

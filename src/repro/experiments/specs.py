@@ -16,51 +16,49 @@ policy) inside whichever process runs it.  Estimators and policies are
 looked up by name in module-level registries; extensions register their own
 factories with :func:`register_estimator` / :func:`register_policy` before
 building specs.
+
+Building, canonicalizing and keying a spec imports no estimator, policy,
+workload module or numpy: the built-in registry entries name their
+factories, and each ``materialize()`` imports what it builds.  The sweep
+service parses and keys submissions on this path alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
-from repro.cluster.builder import paper_cluster
-from repro.cluster.cluster import Cluster
-from repro.core.base import Estimator
-from repro.core.baselines import NoEstimation, OracleEstimator
-from repro.core.hybrid import HybridEstimator
-from repro.core.last_instance import LastInstance
-from repro.core.linesearch import RobustLineSearch
-from repro.core.online import OnlineSimilarityEstimator
-from repro.core.regression import RegressionEstimator
-from repro.core.reinforcement import ReinforcementLearning
-from repro.core.successive import SuccessiveApproximation
-from repro.sim.policies import EasyBackfilling, Fcfs, Policy, ShortestJobFirst
-from repro.workload.job import Workload
-from repro.workload.lanl_cm5 import lanl_cm5_like
-from repro.workload.swf import read_swf
-from repro.workload.transforms import drop_full_machine_jobs, scale_load
+if TYPE_CHECKING:
+    from repro.cluster.cluster import Cluster
+    from repro.core.base import Estimator
+    from repro.sim.policies import Policy
+    from repro.workload.job import Workload
 
 #: Estimator factories constructible from a spec, by name.  Factories take
 #: the spec's keyword arguments; stateless names map straight to classes.
-ESTIMATOR_REGISTRY: Dict[str, Callable[..., Estimator]] = {
-    "none": NoEstimation,
-    "successive": SuccessiveApproximation,
-    "last-instance": LastInstance,
-    "rl": ReinforcementLearning,
-    "regression": RegressionEstimator,
-    "line-search": RobustLineSearch,
-    "online": OnlineSimilarityEstimator,
-    "hybrid": HybridEstimator,
-    "oracle": OracleEstimator,
+#: A built-in entry names its factory as ``"module:attr"``, imported on the
+#: first :meth:`EstimatorSpec.materialize` of that name, so building,
+#: keying and validating a spec imports no estimator (and no numpy).
+ESTIMATOR_REGISTRY: Dict[str, Union[str, Callable[..., Estimator]]] = {
+    "none": "repro.core.baselines:NoEstimation",
+    "successive": "repro.core.successive:SuccessiveApproximation",
+    "last-instance": "repro.core.last_instance:LastInstance",
+    "rl": "repro.core.reinforcement:ReinforcementLearning",
+    "regression": "repro.core.regression:RegressionEstimator",
+    "line-search": "repro.core.linesearch:RobustLineSearch",
+    "online": "repro.core.online:OnlineSimilarityEstimator",
+    "hybrid": "repro.core.hybrid:HybridEstimator",
+    "oracle": "repro.core.baselines:OracleEstimator",
 }
 
-POLICY_REGISTRY: Dict[str, Callable[..., Policy]] = {
-    "fcfs": Fcfs,
-    "sjf": ShortestJobFirst,
-    "easy-backfilling": EasyBackfilling,
+POLICY_REGISTRY: Dict[str, Union[str, Callable[..., Policy]]] = {
+    "fcfs": "repro.sim.policies:Fcfs",
+    "sjf": "repro.sim.policies:ShortestJobFirst",
+    "easy-backfilling": "repro.sim.policies:EasyBackfilling",
 }
 
 
@@ -77,6 +75,56 @@ def register_estimator(name: str, factory: Callable[..., Estimator]) -> None:
 def register_policy(name: str, factory: Callable[..., Policy]) -> None:
     """Make ``PolicySpec(name=...)`` resolvable to ``factory``."""
     POLICY_REGISTRY[name] = factory
+
+
+def _factory(registry: Dict[str, Any], name: str, what: str) -> Callable[..., Any]:
+    """``registry[name]`` as a callable, importing a ``"module:attr"`` entry
+    and storing what it names in its place."""
+    try:
+        factory = registry[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown {what} {name!r}; registered: {sorted(registry)}"
+        ) from None
+    if isinstance(factory, str):
+        module, _, attr = factory.partition(":")
+        factory = registry[name] = getattr(importlib.import_module(module), attr)
+    return factory
+
+
+def load_registered_factories() -> None:
+    """Import every factory the registries still name by ``"module:attr"``.
+
+    The sweep executor calls this when it is imported, so each forked pool
+    worker inherits the estimator and policy modules compiled.
+    """
+    for registry, what in ((ESTIMATOR_REGISTRY, "estimator"), (POLICY_REGISTRY, "policy")):
+        for name in list(registry):
+            _factory(registry, name, what)
+
+
+# The workload builders a spec calls, imported on first call.  Sweep code
+# calls them through these module globals, which is where the end-to-end
+# benchmark's tracer (benchmarks/e2e/tracing.py) wraps them.
+def lanl_cm5_like(*args: Any, **kwargs: Any) -> Workload:
+    """:func:`repro.workload.lanl_cm5.lanl_cm5_like`."""
+    from repro.workload.lanl_cm5 import lanl_cm5_like as generate
+
+    return generate(*args, **kwargs)
+
+
+def drop_full_machine_jobs(*args: Any, **kwargs: Any) -> Workload:
+    """:func:`repro.workload.transforms.drop_full_machine_jobs`."""
+    from repro.workload.transforms import drop_full_machine_jobs as drop
+
+    return drop(*args, **kwargs)
+
+
+def scale_load(*args: Any, **kwargs: Any) -> Workload:
+    """:func:`repro.workload.transforms.scale_load`."""
+    from repro.workload.transforms import scale_load as scale
+
+    return scale(*args, **kwargs)
 
 
 def _freeze_kwargs(kwargs: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
@@ -266,6 +314,8 @@ def _base_workload(spec: WorkloadSpec) -> Workload:
         if spec.source == "lanl-cm5-synthetic":
             workload = lanl_cm5_like(n_jobs=spec.n_jobs, seed=spec.seed)
         elif spec.source == "swf":
+            from repro.workload.swf import read_swf
+
             if not spec.trace_path:
                 raise ValueError("WorkloadSpec(source='swf') requires trace_path")
             workload, _report = read_swf(spec.trace_path)
@@ -306,6 +356,8 @@ class ClusterSpec:
             _CACHE_STATS["cluster_hits"] += 1
             return cached
         _CACHE_STATS["cluster_misses"] += 1
+        from repro.cluster.builder import paper_cluster
+
         cluster = paper_cluster(self.second_tier_mem, strategy=self.strategy)
         if len(_CLUSTERS) >= _CLUSTERS_MAX:
             _CLUSTERS.pop(next(iter(_CLUSTERS)))
@@ -325,14 +377,7 @@ class EstimatorSpec:
         return cls(name=name, kwargs=_freeze_kwargs(kwargs))
 
     def materialize(self) -> Estimator:
-        try:
-            factory = ESTIMATOR_REGISTRY[self.name]
-        except KeyError:
-            raise KeyError(
-                f"unknown estimator {self.name!r}; registered: "
-                f"{sorted(ESTIMATOR_REGISTRY)}"
-            ) from None
-        return factory(**dict(self.kwargs))
+        return _factory(ESTIMATOR_REGISTRY, self.name, "estimator")(**dict(self.kwargs))
 
 
 @dataclass(frozen=True)
@@ -347,13 +392,7 @@ class PolicySpec:
         return cls(name=name, kwargs=_freeze_kwargs(kwargs))
 
     def materialize(self) -> Policy:
-        try:
-            factory = POLICY_REGISTRY[self.name]
-        except KeyError:
-            raise KeyError(
-                f"unknown policy {self.name!r}; registered: {sorted(POLICY_REGISTRY)}"
-            ) from None
-        return factory(**dict(self.kwargs))
+        return _factory(POLICY_REGISTRY, self.name, "policy")(**dict(self.kwargs))
 
 
 @dataclass(frozen=True)

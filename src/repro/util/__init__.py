@@ -1,27 +1,36 @@
 """Shared utilities: units, deterministic RNG management, validation helpers.
 
-These are deliberately small and dependency-free so every other subpackage can
-use them without import cycles.
+These are deliberately small so every other subpackage can use them without
+import cycles.  Only :mod:`repro.util.rng` depends on anything outside the
+standard library (numpy); :mod:`repro.util.units` and
+:mod:`repro.util.validation` do not.  Exports load on first access
+(:func:`repro._lazy.lazy_exports`), so a module that validates or converts
+units, the sweep service's parse path among them, does not import numpy
+through this package.
 """
 
-from repro.util.units import (
-    KB_PER_MB,
-    MB,
-    SECONDS_PER_DAY,
-    SECONDS_PER_HOUR,
-    SECONDS_PER_YEAR,
-    format_duration,
-    format_mb,
-    kb_to_mb,
-    mb_to_kb,
-)
-from repro.util.rng import RngStream, as_generator, spawn_children
-from repro.util.validation import (
-    check_finite,
-    check_in_range,
-    check_non_negative,
-    check_positive,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "units": (
+        "KB_PER_MB",
+        "MB",
+        "SECONDS_PER_DAY",
+        "SECONDS_PER_HOUR",
+        "SECONDS_PER_YEAR",
+        "format_duration",
+        "format_mb",
+        "kb_to_mb",
+        "mb_to_kb",
+    ),
+    "rng": ("RngStream", "as_generator", "spawn_children"),
+    "validation": (
+        "check_finite",
+        "check_in_range",
+        "check_non_negative",
+        "check_positive",
+    ),
+})
 
 __all__ = [
     "KB_PER_MB",

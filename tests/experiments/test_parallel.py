@@ -72,10 +72,19 @@ class TestSpecs:
         assert dataclasses.replace(base, seed=base.seed + 1).cache_key() != base.cache_key()
 
     def test_unknown_names_fail_with_registry_listing(self):
-        with pytest.raises(KeyError, match="successive"):
+        with pytest.raises(KeyError) as estimator_error:
             EstimatorSpec(name="no-such-estimator").materialize()
-        with pytest.raises(KeyError, match="fcfs"):
+        assert estimator_error.value.args[0] == (
+            "unknown estimator 'no-such-estimator'; registered: "
+            f"{sorted(spec_memo.ESTIMATOR_REGISTRY)}"
+        )
+        assert "successive" in estimator_error.value.args[0]
+        with pytest.raises(KeyError) as policy_error:
             PolicySpec(name="no-such-policy").materialize()
+        assert policy_error.value.args[0] == (
+            f"unknown policy 'no-such-policy'; registered: {sorted(spec_memo.POLICY_REGISTRY)}"
+        )
+        assert "fcfs" in policy_error.value.args[0]
 
     def test_non_scalar_kwargs_rejected(self):
         with pytest.raises(TypeError, match="JSON-able scalar"):

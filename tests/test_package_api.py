@@ -31,6 +31,7 @@ LAZY_PACKAGES = [
     "repro.similarity",
     "repro.cluster",
     "repro.experiments",
+    "repro.util",
 ]
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
@@ -69,10 +70,12 @@ def test_lazy_exports_keep_the_public_api(name):
 
 
 def fresh_modules(code: str) -> list:
-    """The ``repro`` modules a fresh interpreter holds after running ``code``."""
+    """The ``repro`` modules a fresh interpreter holds after running ``code``,
+    plus ``"numpy"`` if it was imported."""
     script = code + (
         "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.startswith('repro') or m == 'numpy')))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -139,6 +142,71 @@ class TestImportFootprint:
             "repro.experiments.shm",
         }
         assert not executor_stack & set(modules)
+
+    def test_service_boot_imports_no_numpy_estimator_workload_or_engine(self):
+        modules = fresh_modules("import repro.service")
+        assert "numpy" not in modules
+        assert not [
+            m for m in modules
+            if m.startswith(("repro.core.", "repro.workload.", "repro.sim."))
+        ]
+
+    def test_parsing_and_keying_a_sweep_imports_no_numpy(self):
+        """A Figure 5 grid as an explicit spec list: parsed, validated and
+        keyed without one array."""
+        modules = fresh_modules(
+            "from repro.experiments.specs import EstimatorSpec, RunSpec, WorkloadSpec\n"
+            "from repro.service.schemas import parse_submission, sweep_key\n"
+            "spec = RunSpec(workload=WorkloadSpec(n_jobs=2000, load=0.9),\n"
+            "               estimator=EstimatorSpec.make('successive', alpha=2.0, beta=0.0))\n"
+            "assert spec.canonical()['estimator']['name'] == 'successive'\n"
+            "assert len(spec.cache_key()) == 64\n"
+            "body = {'specs': [\n"
+            "    {'workload': {'n_jobs': 2000, 'seed': 0, 'load': load},\n"
+            "     'cluster': {'second_tier_mem': 24.0},\n"
+            "     'estimator': est, 'policy': {'name': 'fcfs'}, 'seed': 0}\n"
+            "    for est in ({'name': 'none'},\n"
+            "                {'name': 'successive', 'kwargs': {'alpha': 2.0, 'beta': 0.0}})\n"
+            "    for load in (0.3, 0.6, 0.9, 1.2)]}\n"
+            "specs, experiment = parse_submission(body)\n"
+            "assert experiment is None and len(specs) == 8\n"
+            "assert len(sweep_key(specs)) == 64\n"
+        )
+        assert "repro.service.schemas" in modules
+        assert "numpy" not in modules
+
+    def test_executor_imports_what_its_workers_run(self):
+        """A forked pool worker inherits, compiled, every module behind a
+        built-in registry entry, both lanes ``repro.sim.batch`` imports on
+        first use and the workload builders a spec calls."""
+        modules = fresh_modules(
+            "import sys\n"
+            "from repro.experiments import specs\n"
+            "named = {factory.partition(':')[0]\n"
+            "         for registry in (specs.ESTIMATOR_REGISTRY, specs.POLICY_REGISTRY)\n"
+            "         for factory in registry.values()}\n"
+            "assert not named & set(sys.modules), named & set(sys.modules)\n"
+            "import repro.experiments.parallel\n"
+            "assert not named - set(sys.modules), named - set(sys.modules)\n"
+        )
+        expected = {
+            "repro.core.baselines",
+            "repro.core.hybrid",
+            "repro.core.last_instance",
+            "repro.core.linesearch",
+            "repro.core.online",
+            "repro.core.regression",
+            "repro.core.reinforcement",
+            "repro.core.successive",
+            "repro.sim.policies",
+            "repro.sim.protocol_lane",
+            "repro.sim.fault_lane",
+            "repro.workload.lanl_cm5",
+            "repro.workload.synthetic",
+            "repro.workload.swf",
+            "repro.workload.transforms",
+        }
+        assert expected <= set(modules)
 
     def test_started_service_loads_the_executor_unasked(self):
         """Once listening, the service imports the executor in the
