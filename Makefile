@@ -45,7 +45,7 @@ engine-bench:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) benchmarks/engine_bench.py
 
 # The fault-injection study (§2.1 "faulty machines") plus the executor's
-# crash-resilience stress tests (worker SIGKILL, timeout, checkpoint resume).
+# crash-resilience stress tests (worker SIGKILL, timeout, resume from cache).
 faults-bench:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest benchmarks/test_faults.py --benchmark-only
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest tests/experiments/test_resilience.py tests/sim/test_faults.py -q

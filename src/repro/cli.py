@@ -103,6 +103,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def cmd_quickstart(args: argparse.Namespace) -> int:
     from repro import quickstart
 
@@ -314,32 +328,21 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     from repro.experiments.cache import resolve_cache
     from repro.experiments.config import ExperimentConfig
-    from repro.experiments.parallel import (
-        ResilienceConfig,
-        set_default_resilience,
-    )
 
     module = importlib.import_module(f"repro.experiments.{args.name}")
     config = ExperimentConfig(n_jobs=args.jobs, seed=args.seed)
     kwargs = {}
     sweep_logger = logging.getLogger("repro.sweep")
     saved_level, saved_handlers = sweep_logger.level, list(sweep_logger.handlers)
-    saved_resilience = None
     try:
         if "max_workers" in inspect.signature(module.run).parameters:
-            # Sweep-capable experiment: wire up the pool + cache and surface
-            # the executor's runs/s + cache-hit accounting on stderr.  The
-            # resilience knobs apply to every run_sweep call the experiment
-            # makes, and only to those: the resilience default and the logger
-            # are process-wide, so both are restored for a caller's next sweep.
-            saved_resilience = set_default_resilience(
-                ResilienceConfig(
-                    timeout=args.run_timeout,
-                    max_retries=args.max_retries,
-                    checkpoint=args.checkpoint,
-                )
-            )
+            # Sweep-capable experiment: wire up the pool, cache and timeout,
+            # and surface the executor's runs/s + cache-hit accounting on
+            # stderr.  The logger is process-wide, so it is restored for a
+            # caller's next sweep.
             kwargs["max_workers"] = args.workers
+            kwargs["timeout"] = args.run_timeout
+            kwargs["max_retries"] = args.max_retries
             kwargs["cache"] = resolve_cache(
                 enabled=not args.no_cache, directory=args.cache_dir
             )
@@ -350,8 +353,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             sweep_logger.setLevel(logging.INFO)
         result = module.run(config, **kwargs)
     finally:
-        if saved_resilience is not None:
-            set_default_resilience(saved_resilience)
         sweep_logger.setLevel(saved_level)
         sweep_logger.handlers[:] = saved_handlers
     print(result.format_table())
@@ -523,22 +524,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--run-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         help="per-run wall-clock timeout in seconds (default: none)",
     )
     p.add_argument(
         "--max-retries",
-        type=int,
+        type=_non_negative_int,
         default=0,
-        help="retries per failed/timed-out run, with exponential backoff",
-    )
-    p.add_argument(
-        "--checkpoint",
-        help=(
-            "JSONL manifest of completed runs; re-running with the same "
-            "path resumes an interrupted sweep from its partial results"
-        ),
+        help="resubmissions per timed-out run (a run that raises is not retried)",
     )
     p.set_defaults(fn=cmd_experiment)
 

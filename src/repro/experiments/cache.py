@@ -11,7 +11,10 @@ recomputation).
 Layout: one ``<key>.json`` file per point under the cache directory, written
 atomically (temp file + rename) so concurrent sweeps sharing a directory
 never observe a torn entry.  Corrupt or schema-mismatched entries are
-treated as misses and overwritten.
+treated as misses and overwritten, and so are entries written by code whose
+recorded outputs differ (:data:`RESULTS_VERSION`).  The cache is also the
+sweep's only resume store: a killed sweep re-run over the same directory
+recomputes only the points it had not written.
 
 The directory comes from the ``REPRO_CACHE_DIR`` environment variable (see
 :meth:`SweepCache.from_env`) or an explicit path; the CLI exposes
@@ -32,6 +35,21 @@ from repro.experiments.specs import RunSpec
 
 #: Bump when SweepPoint's fields change so stale entries self-invalidate.
 _SCHEMA_VERSION = 1
+
+#: The simulator's outputs this cache's entries were computed by.  Bump it
+#: whenever a change moves recorded outputs (the engine fingerprints, the
+#: trace digests, the e2e benchmark digests): an entry of another version
+#: is a miss, so no point computed by older code is served.  Keys do not
+#: move, so the service's sweep keys and run ids stay put.
+RESULTS_VERSION = 1
+
+#: SHA-256 of the recorded outputs :data:`RESULTS_VERSION` was cut against;
+#: ``tests/experiments/test_results_version.py`` recomputes it, and fails
+#: with a reminder to bump the version when it differs.
+RESULTS_DIGEST = (
+    "2b0717546cb113fabcc02e9a9ab6986a"
+    "6305b2fdbcbd0274e7f97792fcb89778"
+)
 
 #: Environment variable naming the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -60,8 +78,12 @@ class SweepCache:
         path = self._path(spec)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(doc, dict) or doc.get("version") != _SCHEMA_VERSION:
-                raise ValueError("schema mismatch")
+            if (
+                not isinstance(doc, dict)
+                or doc.get("version") != _SCHEMA_VERSION
+                or doc.get("results") != RESULTS_VERSION
+            ):
+                raise ValueError("schema or results version mismatch")
             point = SweepPoint(**doc["point"])
         except (OSError, ValueError, TypeError, KeyError):
             self.misses += 1
@@ -73,6 +95,7 @@ class SweepCache:
         """Store ``point`` under ``spec``'s key (atomic replace)."""
         doc = {
             "version": _SCHEMA_VERSION,
+            "results": RESULTS_VERSION,
             "spec": spec.canonical(),
             "point": asdict(point),
         }

@@ -131,6 +131,8 @@ def run(
     policy: str = "fcfs",
     max_workers: int = 1,
     cache: Optional[SweepCache] = None,
+    timeout: Optional[float] = None,
+    max_retries: int = 0,
 ) -> Fig5Result:
     """Run the Figure 5 sweep.
 
@@ -140,6 +142,7 @@ def run(
     2 x len(loads) runs out over a process pool; results are identical to
     the serial path point for point.  Pass a
     :class:`~repro.experiments.cache.SweepCache` to memoize points on disk.
+    ``timeout``/``max_retries`` go to :func:`run_sweep` as they are.
     """
     cfg = config or ExperimentConfig()
     if policy not in ("fcfs", "easy-backfilling"):
@@ -155,7 +158,11 @@ def run(
         label="with estimation",
     )
     report = run_sweep(
-        specs_without + specs_with, max_workers=max_workers, cache=cache
+        specs_without + specs_with,
+        max_workers=max_workers,
+        cache=cache,
+        timeout=timeout,
+        max_retries=max_retries,
     )
     n = len(specs_without)
     without = sweep_to_load_sweep("no estimation", report.outcomes[:n])

@@ -91,15 +91,24 @@ def run(
     fig5_result: Optional["fig5.Fig5Result"] = None,
     max_workers: int = 1,
     cache: Optional["SweepCache"] = None,
+    timeout: Optional[float] = None,
+    max_retries: int = 0,
 ) -> Fig6Result:
     """Run (or reuse) the Figure 5 sweep and extract the slowdown series.
 
     Figures 5 and 6 come from the same simulations; pass an existing
     :class:`~repro.experiments.fig5.Fig5Result` to avoid recomputing.
-    ``max_workers``/``cache`` are forwarded to :func:`fig5.run` (and with a
-    shared cache the second figure's sweep is entirely cache hits).
+    ``max_workers``/``cache``/``timeout``/``max_retries`` are forwarded to
+    :func:`fig5.run` (and with a shared cache the second figure's sweep is
+    entirely cache hits).
     """
-    base = fig5_result or fig5.run(config, max_workers=max_workers, cache=cache)
+    base = fig5_result or fig5.run(
+        config,
+        max_workers=max_workers,
+        cache=cache,
+        timeout=timeout,
+        max_retries=max_retries,
+    )
     return Fig6Result(
         without_estimation=base.without_estimation,
         with_estimation=base.with_estimation,

@@ -198,6 +198,8 @@ def run(
     load: float = 0.8,
     max_workers: int = 1,
     cache: Optional[SweepCache] = None,
+    timeout: Optional[float] = None,
+    max_retries: int = 0,
 ) -> Fig8Result:
     """Run the Figure 8 sweep.
 
@@ -206,6 +208,7 @@ def run(
     paper's improvement band.  The 2 x len(mems) simulation runs are
     independent: ``max_workers > 1`` fans them out over a process pool and
     ``cache`` memoizes the per-configuration points on disk.
+    ``timeout``/``max_retries`` go to :func:`run_sweep` as they are.
     """
     cfg = config or ExperimentConfig()
     mems = default_mems(cfg) if mems is None else list(mems)
@@ -217,7 +220,13 @@ def run(
     }
 
     specs = sweep_specs(cfg, mems, load)
-    sweep_points = run_sweep(specs, max_workers=max_workers, cache=cache).points()
+    sweep_points = run_sweep(
+        specs,
+        max_workers=max_workers,
+        cache=cache,
+        timeout=timeout,
+        max_retries=max_retries,
+    ).points()
 
     points: List[Fig8Point] = []
     for i, m in enumerate(mems):

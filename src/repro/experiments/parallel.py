@@ -5,9 +5,10 @@ of *independent* simulation runs, each described by a picklable
 :class:`~repro.experiments.specs.RunSpec`.  :func:`run_sweep` fans a spec
 list out over a :class:`concurrent.futures.ProcessPoolExecutor` and
 collects results **in spec order**, so the parallel path is point-for-point
-identical to the serial one — ``max_workers=1`` *is* the serial path (no
-pool is created), and a restricted environment without ``fork``/semaphores
-degrades to in-process execution rather than failing.
+identical to the serial one — ``max_workers=1`` without a timeout *is*
+the serial path (no pool is created), and a restricted environment
+without ``fork``/semaphores degrades to in-process execution rather than
+failing.
 
 Resilience model
 ----------------
@@ -16,33 +17,32 @@ Specs are submitted as *individual futures* (a sliding window of at most
 take the whole grid down:
 
 * **Incremental write-back** — each result is committed to the
-  :class:`~repro.experiments.cache.SweepCache` (and the checkpoint
-  manifest) the moment it lands, not when the sweep ends.  A sweep killed
-  halfway leaves everything it computed on disk.
+  :class:`~repro.experiments.cache.SweepCache` (one file per point,
+  written by atomic rename) the moment it lands, not when the sweep ends.
+  A sweep whose process is killed halfway leaves everything it computed
+  on disk, and re-running it over the same cache directory recomputes only
+  the missing points.  Nothing is fsynced, so a *host* crash may lose the
+  newest points; they are recomputed like any other miss.
 * **Pool rebuild** — a worker dying (OOM kill, segfault, ``SIGKILL``)
   breaks the whole :class:`ProcessPoolExecutor`; the executor rebuilds the
   pool and resubmits only the *unfinished* specs, preserving every
   completed outcome.  A spec that repeatedly coincides with pool crashes is
   quarantined to in-process execution so a poison spec cannot crash-loop
   the sweep forever.
-* **Bounded retry** — a failed run is retried up to ``max_retries`` times
-  with exponential backoff plus jitter before its error is reported.
 * **Per-spec timeout** — a run exceeding ``timeout`` seconds of wall clock
-  since submission is abandoned (the worker slot is reclaimed when the task
-  eventually finishes; the result is discarded) and counts as a retryable
-  failure.
-* **Checkpoint manifest** — with ``checkpoint=<path>``, completed points
-  are appended to a JSONL manifest; a re-run restores them without
-  recomputation (even with no cache configured), so a killed sweep resumes
-  from its partial results.
+  since submission is abandoned (its result is discarded; its worker
+  counts against ``max_workers`` until the task finishes) and resubmitted
+  at once, up to ``max_retries`` times.  A timeout runs the sweep on a
+  pool even at ``max_workers=1``, since only a worker can be abandoned.
+* **No retry of errors** — a simulation is a pure function of its spec,
+  so a spec that raises would raise again; its traceback is reported on
+  its outcome after one run.
 
 Each run returns a :class:`RunOutcome` envelope: the spec, its
 :class:`~repro.experiments.runner.SweepPoint` (or a formatted traceback if
 the worker raised — one bad point reports itself instead of killing the
 sweep), the wall time, and whether it was served from the
-:class:`~repro.experiments.cache.SweepCache` (``cached``) or restored from
-the checkpoint manifest (``resumed``) — a point found in both stores
-counts once, as a cache hit.
+:class:`~repro.experiments.cache.SweepCache` (``cached``).
 Sweep-level throughput, cache, and resilience accounting is reported on
 :class:`SweepReport` and logged via the ``repro.sweep`` logger.
 
@@ -55,10 +55,8 @@ compiling it after the fork.
 from __future__ import annotations
 
 import importlib
-import json
 import logging
 import os
-import random
 import sys
 import time
 import traceback
@@ -71,9 +69,8 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import asdict, dataclass, replace
-from pathlib import Path
-from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.experiments.cache import SweepCache
 from repro.experiments.runner import LoadSweep, SweepPoint
@@ -123,9 +120,6 @@ logger = logging.getLogger("repro.sweep")
 #: completed outcome, not by discarding the sweep and starting over.
 _POOL_UNAVAILABLE = (OSError, ImportError, PermissionError)
 
-#: Backoff delays are capped so a high retry count cannot stall a sweep.
-_BACKOFF_CAP = 30.0
-
 
 @dataclass(frozen=True)
 class RunOutcome:
@@ -136,13 +130,10 @@ class RunOutcome:
     error: Optional[str] = None
     wall_time: float = 0.0
     #: Served from the :class:`~repro.experiments.cache.SweepCache` without
-    #: executing.  Mutually exclusive with ``resumed``: a point found in both
-    #: stores counts once, as a cache hit.
+    #: executing.
     cached: bool = False
-    #: Restored from a checkpoint manifest (and not also a cache hit).
-    resumed: bool = False
-    #: Times this spec was re-executed after a failure or timeout before the
-    #: recorded result landed (0 for first-try successes and cache hits).
+    #: Times this spec was resubmitted after a timeout before the recorded
+    #: result landed (0 for first-try results and cache hits).
     retries: int = 0
     #: ``ru_maxrss`` (KB) of the process that executed this run, sampled as
     #: the run finished — the sweep-level peak is the memory a worker
@@ -298,45 +289,6 @@ def execute_batch(specs: Sequence[RunSpec]) -> List[RunOutcome]:
     return [execute_spec(spec) for spec in specs]
 
 
-# --------------------------------------------------------------- resilience
-@dataclass
-class ResilienceConfig:
-    """Sweep-level fault-tolerance knobs (see the module docstring).
-
-    The module-level default (set via :func:`set_default_resilience`, e.g.
-    by the CLI's ``--run-timeout``/``--max-retries``/``--checkpoint`` flags)
-    applies to every :func:`run_sweep` call that does not pass the knob
-    explicitly — experiments plumb ``max_workers``/``cache`` through and
-    inherit resilience settings from here.
-    """
-
-    timeout: Optional[float] = None  # per-spec wall-clock timeout (seconds)
-    max_retries: int = 0
-    retry_backoff: float = 0.25  # base delay; grows 2x per retry, jittered
-    checkpoint: Optional[Union[str, Path]] = None
-
-    def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff < 0:
-            raise ValueError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
-
-
-_DEFAULT_RESILIENCE = ResilienceConfig()
-
-
-def set_default_resilience(config: ResilienceConfig) -> ResilienceConfig:
-    """Install ``config`` as the default for ``run_sweep``; returns the old."""
-    global _DEFAULT_RESILIENCE
-    previous = _DEFAULT_RESILIENCE
-    _DEFAULT_RESILIENCE = config
-    return previous
-
-
 @dataclass
 class _ExecutionStats:
     """Mutable resilience counters threaded through one ``_execute_all``."""
@@ -350,109 +302,14 @@ class _ExecutionStats:
     pool_spinup_seconds: float = 0.0
 
 
-class SweepCheckpoint:
-    """Append-only JSONL manifest of completed sweep points.
-
-    One line per completed spec: its cache key, label, wall time, and the
-    full point payload.  Every append is flushed and fsynced — and the
-    *directory entry* is fsynced when the manifest file is first created —
-    so a ``SIGKILL`` at any instant loses at most the line being written,
-    and :meth:`load` skips a torn trailing line (or any corrupt/foreign
-    line) instead of failing.  Unlike the :class:`SweepCache` (keyed files,
-    optional), the manifest is self-contained: resuming needs only this one
-    file.
-
-    The append handle is held open across :meth:`record` calls (a
-    long-lived service checkpoints thousands of points; re-opening per line
-    would triple the syscall cost of each append).  :meth:`close` releases
-    it; a later :meth:`record` transparently re-opens.
-    """
-
-    _VERSION = 1
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._fh: Optional[IO[str]] = None
-        if self.path.parent != Path(""):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-
-    def load(self) -> Dict[str, SweepPoint]:
-        """Completed points by cache key; tolerant of torn/corrupt lines."""
-        points: Dict[str, SweepPoint] = {}
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return points
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                if not isinstance(doc, dict) or doc.get("version") != self._VERSION:
-                    continue
-                points[str(doc["key"])] = SweepPoint(**doc["point"])
-            except (ValueError, TypeError, KeyError):
-                continue  # torn write from a crash, or a foreign line
-        return points
-
-    def _open(self) -> IO[str]:
-        existed = self.path.exists()
-        fh = open(self.path, "a", encoding="utf-8")
-        if not existed:
-            # A crash right after the first append could otherwise lose the
-            # whole file: the data was fsynced but its directory entry not.
-            try:
-                dir_fd = os.open(str(self.path.parent or Path(".")), os.O_RDONLY)
-            except OSError:
-                return fh  # exotic filesystem; appends are still fsynced
-            try:
-                os.fsync(dir_fd)
-            except OSError:
-                pass
-            finally:
-                os.close(dir_fd)
-        return fh
-
-    def record(self, spec: RunSpec, point: SweepPoint, wall_time: float = 0.0) -> None:
-        """Append one completed point (crash-safe: flush + fsync)."""
-        doc = {
-            "version": self._VERSION,
-            "key": spec.cache_key(),
-            "label": spec.label,
-            "wall_time": wall_time,
-            "point": asdict(point),
-        }
-        if self._fh is None or self._fh.closed:
-            self._fh = self._open()
-        self._fh.write(json.dumps(doc, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        """Release the append handle (idempotent; reopened on next record)."""
-        if self._fh is not None and not self._fh.closed:
-            self._fh.close()
-        self._fh = None
-
-    def __enter__(self) -> "SweepCheckpoint":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __len__(self) -> int:
-        return len(self.load())
-
-
 @dataclass(frozen=True)
 class SweepProfile:
     """Aggregated per-spec profiling of one sweep.
 
     Built by :meth:`SweepReport.profile` from the wall-clock, retry, and
     cache fields each :class:`RunOutcome` envelope carries.  ``wall_time``
-    figures cover *executed* runs only (cache/checkpoint hits cost ~0 and
-    would drown the mean); ``slowest`` lists the heaviest executed specs as
+    figures cover *executed* runs only (cache hits cost ~0 and would drown
+    the mean); ``slowest`` lists the heaviest executed specs as
     ``(label, seconds)`` pairs — the ones to cache, shard, or shrink first.
     """
 
@@ -466,7 +323,6 @@ class SweepProfile:
     total_retries: int
     n_timeouts: int
     n_pool_rebuilds: int
-    n_resumed: int
     slowest: Tuple[Tuple[str, float], ...] = ()
 
     @property
@@ -491,8 +347,7 @@ class SweepProfile:
             f"(mean {self.mean_wall_time:.2f}s, max {self.max_wall_time:.2f}s "
             f"per executed run)",
             f"resilience  : {self.total_retries} retries, "
-            f"{self.n_timeouts} timeouts, {self.n_pool_rebuilds} pool rebuilds, "
-            f"{self.n_resumed} resumed from checkpoint",
+            f"{self.n_timeouts} timeouts, {self.n_pool_rebuilds} pool rebuilds",
         ]
         if self.slowest:
             lines.append("slowest runs:")
@@ -509,14 +364,12 @@ class SweepReport:
     outcomes: List[RunOutcome]
     wall_time: float
     max_workers: int
-    #: Runs retried after a failure/timeout (bounded by ``max_retries`` each).
+    #: Runs resubmitted after a timeout (at most ``max_retries`` per spec).
     n_retries: int = 0
-    #: Runs abandoned for exceeding the per-spec timeout (before retries).
+    #: Runs abandoned for exceeding the per-spec timeout (retries included).
     n_timeouts: int = 0
     #: Times a dead worker broke the pool and it was rebuilt mid-sweep.
     n_pool_rebuilds: int = 0
-    #: Points restored from a checkpoint manifest of an earlier (killed) run.
-    n_resumed: int = 0
     #: Workers the caller asked for (``max_workers`` is what actually ran:
     #: oversubscription on a small host falls back to the serial path).
     requested_workers: int = 0
@@ -572,7 +425,7 @@ class SweepReport:
         ``top`` bounds the ``slowest`` list (executed runs only, heaviest
         first, labelled by ``spec.label`` or the spec's canonical form).
         """
-        executed = [o for o in self.outcomes if not o.cached and not o.resumed]
+        executed = [o for o in self.outcomes if not o.cached]
         walls = [o.wall_time for o in executed]
         by_cost = sorted(executed, key=lambda o: o.wall_time, reverse=True)
         return SweepProfile(
@@ -586,7 +439,6 @@ class SweepReport:
             total_retries=sum(o.retries for o in self.outcomes),
             n_timeouts=self.n_timeouts,
             n_pool_rebuilds=self.n_pool_rebuilds,
-            n_resumed=self.n_resumed,
             slowest=tuple(
                 (o.spec.label or o.spec.canonical(), o.wall_time)
                 for o in by_cost[: max(top, 0)]
@@ -602,7 +454,6 @@ class SweepReport:
         extras = [
             f"{count} {label}"
             for count, label in (
-                (self.n_resumed, "resumed from checkpoint"),
                 (self.n_retries, "retries"),
                 (self.n_timeouts, "timeouts"),
                 (self.n_pool_rebuilds, "pool rebuilds"),
@@ -621,9 +472,7 @@ def run_sweep(
     max_workers: int = 1,
     cache: Optional[SweepCache] = None,
     timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    retry_backoff: Optional[float] = None,
-    checkpoint: Optional[Union[str, Path, SweepCheckpoint]] = None,
+    max_retries: int = 0,
     oversubscribe: bool = False,
     on_outcome: Optional[Callable[[int, RunOutcome], None]] = None,
 ) -> SweepReport:
@@ -633,26 +482,33 @@ def run_sweep(
     :func:`repro.sim.engine.simulate`, so an eligible spec takes the fast
     lane on its own and any other spec runs the scalar engine.
 
-    Cache and checkpoint lookups happen up front in the parent process;
-    only misses are dispatched, and each result is written back the moment
-    it lands (never at the end — a killed sweep keeps its partial work).
-    Failed runs are never cached.  Results always come back in ``specs``
-    order.  ``timeout``/``max_retries``/``retry_backoff``/``checkpoint``
-    default to the module-level :class:`ResilienceConfig` (see
-    :func:`set_default_resilience`).
+    Cache lookups happen up front in the parent process; only misses are
+    dispatched, and each result is written back the moment it lands (never
+    at the end — a killed sweep keeps its partial work, and re-running it
+    over the same cache resumes it).  Failed runs are never cached.
+    Results always come back in ``specs`` order.
+
+    ``timeout`` (seconds of wall clock per run) abandons a run that takes
+    longer and resubmits it, at most ``max_retries`` times; a run that
+    raises is never retried.  Only a worker process can be abandoned, so a
+    ``timeout`` runs even ``max_workers=1`` on a one-worker pool.
 
     ``on_outcome(index, outcome)`` is invoked in the parent process for
-    every finalized outcome — up-front cache/checkpoint hits immediately,
-    executed runs the moment their result lands (completion order, not spec
-    order).  The sweep service streams per-point progress through this
-    hook; it must not raise.
+    every finalized outcome — up-front cache hits immediately, executed
+    runs the moment their result lands (completion order, not spec order).
+    The sweep service streams per-point progress through this hook; it
+    must not raise.
 
     Requesting more workers than the host has CPUs buys nothing for these
     CPU-bound simulations — it adds pool spin-up and scheduling overhead on
-    top of serial-speed progress — so the sweep falls back to the serial
-    path when ``max_workers > os.cpu_count()``.  Pass ``oversubscribe=True``
+    top of serial-speed progress — so the sweep falls back to one worker
+    when ``max_workers > os.cpu_count()``.  Pass ``oversubscribe=True``
     to force a pool anyway (tests of the pool machinery itself do this).
     """
+    if timeout is not None and timeout <= 0:
+        raise ValueError(f"timeout must be positive, got {timeout}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     t0 = time.perf_counter()
     host_cpus = os.cpu_count() or 0
     requested = max(1, max_workers)
@@ -660,78 +516,40 @@ def run_sweep(
     if requested > 1 and host_cpus and requested > host_cpus and not oversubscribe:
         logger.warning(
             "requested %d workers but the host has %d CPU(s); falling back "
-            "to the serial path (oversubscribe=True forces a pool)",
+            "to one worker (oversubscribe=True forces a pool)",
             requested,
             host_cpus,
         )
         effective_workers = 1
-    defaults = _DEFAULT_RESILIENCE
-    timeout = defaults.timeout if timeout is None else timeout
-    max_retries = defaults.max_retries if max_retries is None else max_retries
-    retry_backoff = (
-        defaults.retry_backoff if retry_backoff is None else retry_backoff
-    )
-    checkpoint = defaults.checkpoint if checkpoint is None else checkpoint
-    if checkpoint is not None and not isinstance(checkpoint, SweepCheckpoint):
-        checkpoint = SweepCheckpoint(checkpoint)
-    restored = checkpoint.load() if checkpoint is not None else {}
     emit = on_outcome or (lambda i, outcome: None)
 
     outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
     todo: List[int] = []
-    n_resumed = 0
+    for i, spec in enumerate(specs):
+        point = cache.get(spec) if cache is not None else None
+        if point is None:
+            todo.append(i)
+        else:
+            outcomes[i] = RunOutcome(spec=spec, point=point, cached=True)
+            emit(i, outcomes[i])
+
     stats = _ExecutionStats()
-    try:
-        for i, spec in enumerate(specs):
-            point = cache.get(spec) if cache is not None else None
-            from_cache = point is not None
-            if from_cache:
-                # Write the cache hit through to the manifest (unless it is
-                # already there): a later resume *without* the cache must
-                # still skip this point.
-                if checkpoint is not None and spec.cache_key() not in restored:
-                    checkpoint.record(spec, point)
-            elif restored:
-                point = restored.get(spec.cache_key())
-                if point is not None:
-                    n_resumed += 1
-                    if cache is not None:
-                        cache.put(spec, point)  # promote into the cache
-            if point is not None:
-                # A point found in both stores counts once — as a cache hit.
-                outcomes[i] = RunOutcome(
-                    spec=spec, point=point, cached=from_cache,
-                    resumed=not from_cache,
-                )
-                emit(i, outcomes[i])
-            else:
-                todo.append(i)
+    if todo:
 
-        if todo:
+        def commit(j: int, outcome: RunOutcome) -> None:
+            outcomes[todo[j]] = outcome
+            if outcome.ok and cache is not None:
+                cache.put(outcome.spec, outcome.point)
+            emit(todo[j], outcome)
 
-            def commit(j: int, outcome: RunOutcome) -> None:
-                outcomes[todo[j]] = outcome
-                if outcome.ok:
-                    if cache is not None:
-                        cache.put(outcome.spec, outcome.point)
-                    if checkpoint is not None:
-                        checkpoint.record(
-                            outcome.spec, outcome.point, outcome.wall_time
-                        )
-                emit(todo[j], outcome)
-
-            _execute_all(
-                [specs[i] for i in todo],
-                effective_workers,
-                timeout=timeout,
-                max_retries=max_retries,
-                retry_backoff=retry_backoff,
-                on_result=commit,
-                stats=stats,
-            )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()  # release the fsynced append handle
+        _execute_all(
+            [specs[i] for i in todo],
+            effective_workers,
+            timeout=timeout,
+            max_retries=max_retries,
+            on_result=commit,
+            stats=stats,
+        )
 
     report = SweepReport(
         outcomes=list(outcomes),
@@ -740,7 +558,6 @@ def run_sweep(
         n_retries=stats.n_retries,
         n_timeouts=stats.n_timeouts,
         n_pool_rebuilds=stats.n_pool_rebuilds,
-        n_resumed=n_resumed,
         requested_workers=requested,
         host_cpus=host_cpus,
         pool_spinup_time=stats.pool_spinup_seconds,
@@ -749,40 +566,11 @@ def run_sweep(
     return report
 
 
-def _backoff_delay(
-    base: float, attempt: int, rng: Optional[random.Random] = None
-) -> float:
-    """Exponential backoff with jitter: ``base * 2^(attempt-1) * U[0.5, 1.5)``."""
-    if base <= 0:
-        return 0.0
-    jitter = 0.5 + (rng or random).random()
-    return min(base * (2.0 ** max(attempt - 1, 0)) * jitter, _BACKOFF_CAP)
-
-
-def _run_with_retries(
-    spec: RunSpec,
-    max_retries: int,
-    retry_backoff: float,
-    stats: _ExecutionStats,
-    rng: Optional[random.Random] = None,
-) -> RunOutcome:
-    """In-process execution with the same bounded-retry policy as the pool."""
-    outcome = execute_spec(spec)
-    attempt = 0
-    while not outcome.ok and attempt < max_retries:
-        attempt += 1
-        stats.n_retries += 1
-        time.sleep(_backoff_delay(retry_backoff, attempt, rng))
-        outcome = execute_spec(spec)
-    return replace(outcome, retries=attempt) if attempt else outcome
-
-
 def _execute_all(
     specs: Sequence[RunSpec],
     max_workers: int,
     timeout: Optional[float] = None,
     max_retries: int = 0,
-    retry_backoff: float = 0.25,
     on_result: Optional[Callable[[int, RunOutcome], None]] = None,
     stats: Optional[_ExecutionStats] = None,
 ) -> List[RunOutcome]:
@@ -797,36 +585,35 @@ def _execute_all(
         results[j] = outcome
         emit(j, outcome)
 
-    if max_workers > 1 and len(specs) > 1:
+    if timeout is not None or (max_workers > 1 and len(specs) > 1):
         _PoolExecution(
             specs,
             min(max_workers, len(specs)),
             timeout=timeout,
             max_retries=max_retries,
-            retry_backoff=retry_backoff,
             finish=finish,
             stats=stats,
         ).run()
     else:
-        rng = random.Random(0x0B0FF)
         for j, spec in enumerate(specs):
-            finish(j, _run_with_retries(spec, max_retries, retry_backoff, stats, rng))
+            finish(j, execute_spec(spec))
     return results
 
 
 class _PoolExecution:
-    """One parallel ``_execute_all``: sliding-window futures over a pool.
+    """One pool-backed ``_execute_all``: sliding-window futures over a pool.
 
     Each future runs one spec (:func:`execute_spec`), so every pending
     future maps to one spec index: a timeout measures one run, and
     retries, crash resubmissions and quarantine each charge exactly the
     spec they concern.
 
-    At most ``workers`` futures are in flight at a time, so every pending
-    future is (approximately) *running*, which makes the per-spec timeout a
-    measure of actual runtime rather than queue wait.  All mutable state
-    lives here so broken-pool recovery can reason about exactly which specs
-    are unfinished.
+    At most ``workers`` tasks are in flight at a time, counting abandoned
+    (timed-out) tasks until they finish, since each still holds a worker.
+    So every pending future is (approximately) *running*, which makes the
+    per-spec timeout a measure of actual runtime rather than queue wait.
+    All mutable state lives here so broken-pool recovery can reason about
+    exactly which specs are unfinished.
 
     Before building the pool the parent materializes each distinct base
     workload once and publishes its columns (:mod:`repro.experiments.shm`);
@@ -840,7 +627,6 @@ class _PoolExecution:
         workers: int,
         timeout: Optional[float],
         max_retries: int,
-        retry_backoff: float,
         finish: Callable[[int, RunOutcome], None],
         stats: _ExecutionStats,
     ) -> None:
@@ -848,13 +634,15 @@ class _PoolExecution:
         self.workers = workers
         self.timeout = timeout
         self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
         self.finish = finish
         self.stats = stats
         n = len(specs)
         self.todo: deque = deque(range(n))
         self.pending: Dict[Future, int] = {}
         self.started: Dict[Future, float] = {}
+        #: Timed-out futures whose task still runs (and holds a worker);
+        #: their results are discarded when they land.
+        self.abandoned: Set[Future] = set()
         self.retries_used = [0] * n
         #: Pool crashes a spec was in flight for.  A spec exceeding the
         #: quarantine threshold runs in-process instead of being resubmitted,
@@ -862,9 +650,7 @@ class _PoolExecution:
         #: cannot crash-loop the sweep; innocent bystanders of one crash are
         #: well below the threshold and go back to the pool.
         self.crashes = [0] * n
-        self.not_before = [0.0] * n
         self.pool: Optional[ProcessPoolExecutor] = None
-        self.backoff_rng = random.Random(0x0B0FF)
         self.shm_store = SharedBaseStore()
 
     # Quarantine after more pool crashes than plausible for a bystander.
@@ -906,11 +692,16 @@ class _PoolExecution:
                 return
             while self.todo or self.pending:
                 self._submit_ready()
-                if self.pending:
+                if self.pending or self.abandoned:
                     self._wait_round()
         finally:
             if self.pool is not None:
-                self.pool.shutdown(wait=False, cancel_futures=True)
+                # Join idle workers (a few ms): a process that exits while the
+                # pool's manager thread is still closing its wakeup pipe can
+                # make CPython's exit hook write to the closed pipe (EBADF).
+                # A worker still running an abandoned task is not waited for.
+                idle = not self.pending and not self.abandoned
+                self.pool.shutdown(wait=idle, cancel_futures=True)
             self.shm_store.close()
 
     # ------------------------------------------------------------- plumbing
@@ -937,25 +728,29 @@ class _PoolExecution:
         self.stats.pool_spinup_seconds += time.perf_counter() - t0
         return pool
 
+    def _finish(self, j: int, outcome: RunOutcome) -> None:
+        if self.retries_used[j]:
+            # Per-spec profiling: the envelope records how many times this
+            # spec was resubmitted before the result that landed.
+            outcome = replace(outcome, retries=self.retries_used[j])
+        self.finish(j, outcome)
+
     def _drain_in_process(self) -> None:
         """Run every unfinished spec serially, keeping completed outcomes."""
         if self.pool is not None:
             self.pool.shutdown(wait=False, cancel_futures=True)
             self.pool = None
+        self.abandoned.clear()
+        if self.timeout is not None and self.todo:
+            logger.warning(
+                "the per-spec timeout of %gs cannot be enforced in-process; "
+                "the remaining %d specs run to completion",
+                self.timeout,
+                len(self.todo),
+            )
         while self.todo:
             j = self.todo.popleft()
-            outcome = _run_with_retries(
-                self.specs[j],
-                self.max_retries - self.retries_used[j],
-                self.retry_backoff,
-                self.stats,
-                self.backoff_rng,
-            )
-            if self.retries_used[j]:
-                outcome = replace(
-                    outcome, retries=outcome.retries + self.retries_used[j]
-                )
-            self.finish(j, outcome)
+            self._finish(j, execute_spec(self.specs[j]))
 
     def _run_quarantined(self, j: int) -> None:
         logger.warning(
@@ -964,25 +759,11 @@ class _PoolExecution:
             self.specs[j].label or f"#{j}",
             self.crashes[j],
         )
-        outcome = _run_with_retries(
-            self.specs[j], 0, self.retry_backoff, self.stats
-        )
-        if self.retries_used[j]:
-            outcome = replace(
-                outcome, retries=outcome.retries + self.retries_used[j]
-            )
-        self.finish(j, outcome)
+        self._finish(j, execute_spec(self.specs[j]))
 
     def _submit_ready(self) -> None:
-        now = time.monotonic()
-        for _ in range(len(self.todo)):
-            if not self.todo or len(self.pending) >= self.workers:
-                break
-            j = self.todo[0]
-            if self.not_before[j] > now:
-                self.todo.rotate(-1)  # backing off; look at the next spec
-                continue
-            self.todo.popleft()
+        while self.todo and len(self.pending) + len(self.abandoned) < self.workers:
+            j = self.todo.popleft()
             if self.crashes[j] > self.crash_quarantine:
                 self._run_quarantined(j)
                 continue
@@ -1006,32 +787,29 @@ class _PoolExecution:
                 return
             self.pending[future] = j
             self.started[future] = time.monotonic()
-        if not self.pending and self.todo:
-            # Everything left is backing off; sleep until the earliest is due.
-            soonest = min(self.not_before[j] for j in self.todo)
-            delay = soonest - time.monotonic()
-            if delay > 0:
-                time.sleep(min(delay, 1.0))
 
     def _recall_pending(self) -> None:
         """Move every pending index back onto ``todo`` (pool is dead)."""
         recalled = sorted(self.pending.values())
         self.pending.clear()
         self.started.clear()
+        self.abandoned.clear()
         self.todo.extendleft(reversed(recalled))
 
     def _wait_round(self) -> None:
         wait_timeout = None
-        if self.timeout is not None:
+        if self.timeout is not None and self.pending:
             earliest = min(self.started[f] for f in self.pending)
             wait_timeout = max(0.0, earliest + self.timeout - time.monotonic()) + 0.02
         done, _ = wait(
-            list(self.pending), timeout=wait_timeout, return_when=FIRST_COMPLETED
+            [*self.pending, *self.abandoned],
+            timeout=wait_timeout,
+            return_when=FIRST_COMPLETED,
         )
-        if not done:
-            self._expire_overdue()
-            return
         for future in done:
+            if future in self.abandoned:
+                self.abandoned.discard(future)  # its worker is free again
+                continue
             if future not in self.pending:
                 continue  # cleared by broken-pool recovery earlier this round
             j = self.pending.pop(future)
@@ -1052,7 +830,9 @@ class _PoolExecution:
                     error=traceback.format_exc(),
                     wall_time=time.monotonic() - t_submit,
                 )
-            self._resolve(j, outcome)
+            self._finish(j, outcome)
+        if self.timeout is not None:
+            self._expire_overdue()
 
     def _expire_overdue(self) -> None:
         now = time.monotonic()
@@ -1062,10 +842,18 @@ class _PoolExecution:
                 continue
             del self.pending[future]
             del self.started[future]
-            future.cancel()  # a running task cannot be cancelled; its late
-            # result is simply ignored (the slot frees when it finishes).
+            if not future.cancel():
+                # A running task cannot be cancelled: it keeps its worker
+                # until it finishes, and its late result is ignored.
+                self.abandoned.add(future)
             self.stats.n_timeouts += 1
-            self._resolve(
+            if self.retries_used[j] < self.max_retries:
+                # The run already waited ``timeout``: resubmit it at once.
+                self.retries_used[j] += 1
+                self.stats.n_retries += 1
+                self.todo.append(j)
+                continue
+            self._finish(
                 j,
                 RunOutcome(
                     spec=self.specs[j],
@@ -1078,24 +866,6 @@ class _PoolExecution:
                 ),
             )
 
-    def _resolve(self, j: int, outcome: RunOutcome) -> None:
-        if outcome.ok or self.retries_used[j] >= self.max_retries:
-            if self.retries_used[j]:
-                # Per-spec profiling: the envelope records how many times
-                # this spec was re-executed before the result that landed.
-                outcome = replace(
-                    outcome, retries=outcome.retries + self.retries_used[j]
-                )
-            self.finish(j, outcome)
-            return
-        self.retries_used[j] += 1
-        self.stats.n_retries += 1
-        delay = _backoff_delay(
-            self.retry_backoff, self.retries_used[j], self.backoff_rng
-        )
-        self.not_before[j] = time.monotonic() + delay
-        self.todo.append(j)
-
     def _recover_broken_pool(self, j: int, exc: BaseException) -> None:
         """A worker died: rebuild the pool, resubmit only unfinished specs.
 
@@ -1106,6 +876,7 @@ class _PoolExecution:
         unfinished = sorted({j, *self.pending.values()})
         self.pending.clear()
         self.started.clear()
+        self.abandoned.clear()
         for k in unfinished:
             self.crashes[k] += 1
         self.todo.extendleft(reversed(unfinished))

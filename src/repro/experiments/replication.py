@@ -99,12 +99,15 @@ def run(
     load: float = 0.9,
     max_workers: int = 1,
     cache: Optional[SweepCache] = None,
+    timeout: Optional[float] = None,
+    max_retries: int = 0,
 ) -> ReplicationResult:
     """Replicate the headline comparison across independent trace seeds.
 
     Each seed regenerates the trace, the failure noise, and the simulation —
     fully independent replications, so ``max_workers > 1`` parallelizes
-    across the 2 x len(seeds) runs.
+    across the 2 x len(seeds) runs.  ``timeout``/``max_retries`` go to
+    :func:`run_sweep` as they are.
     """
     cfg = config or ExperimentConfig()
     estimators = (
@@ -122,7 +125,13 @@ def run(
         for seed in seeds
         for est in estimators
     ]
-    sweep_points = run_sweep(specs, max_workers=max_workers, cache=cache).points()
+    sweep_points = run_sweep(
+        specs,
+        max_workers=max_workers,
+        cache=cache,
+        timeout=timeout,
+        max_retries=max_retries,
+    ).points()
 
     points: List[ReplicationPoint] = []
     for i, seed in enumerate(seeds):

@@ -209,7 +209,7 @@ def read_trace(
     ``source`` may be a path, an open text file, or any iterable of lines —
     e.g. a list of chunks streamed from the sweep service's ``/events``
     endpoint.  Tolerates a truncated final line (a run killed mid-write)
-    the same way :class:`~repro.experiments.parallel.SweepCheckpoint` does.
+    by skipping it, like any line that is not a trace event of this schema.
     """
     if isinstance(source, (str, Path)):
         fh: Union[IO[str], Iterable[str]] = open(source, "r", encoding="utf-8")

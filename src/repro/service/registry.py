@@ -280,7 +280,6 @@ class RunRegistry:
                 "n_specs": record.n_specs,
                 "n_cache_hits": report.n_cache_hits,
                 "n_errors": report.n_errors,
-                "n_resumed": report.n_resumed,
                 "wall_time": report.wall_time,
             }
         )

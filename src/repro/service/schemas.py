@@ -350,7 +350,6 @@ def outcome_to_dict(index: int, outcome: RunOutcome) -> Dict[str, Any]:
         "label": outcome.spec.label,
         "ok": outcome.ok,
         "cached": outcome.cached,
-        "resumed": outcome.resumed,
         "retries": outcome.retries,
         "wall_time": outcome.wall_time,
     }
@@ -374,7 +373,6 @@ def report_to_dict(report: SweepReport, include_outcomes: bool = True) -> Dict[s
         "n_runs": report.n_runs,
         "n_cache_hits": report.n_cache_hits,
         "n_errors": report.n_errors,
-        "n_resumed": report.n_resumed,
         "n_retries": report.n_retries,
         "n_timeouts": report.n_timeouts,
         "n_pool_rebuilds": report.n_pool_rebuilds,

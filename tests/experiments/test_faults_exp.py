@@ -102,27 +102,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert "spurious" in out
 
-    def test_experiment_resilience_flags(self, tmp_path, capsys):
-        import repro.experiments.parallel as parallel_mod
+    def test_experiment_resilience_flags(self, monkeypatch, capsys):
+        # The flags reach the experiment's own run_sweep call, per call.
+        import repro.experiments.fig5 as fig5_mod
         from repro.cli import main
 
-        manifest = tmp_path / "sweep.jsonl"
-        try:
-            rc = main(
-                [
-                    "experiment", "fig5", "--jobs", "800",
-                    "--max-retries", "1", "--run-timeout", "600",
-                    "--checkpoint", str(manifest), "--no-cache",
-                ]
-            )
-        finally:
-            # The CLI installs its flags as the module default; do not leak
-            # the tmp checkpoint into unrelated tests of this process.
-            parallel_mod.set_default_resilience(parallel_mod.ResilienceConfig())
+        calls = []
+        real_run_sweep = fig5_mod.run_sweep
+
+        def recording_run_sweep(specs, **kwargs):
+            calls.append(kwargs)
+            return real_run_sweep(specs, **kwargs)
+
+        monkeypatch.setattr(fig5_mod, "run_sweep", recording_run_sweep)
+        rc = main(
+            [
+                "experiment", "fig5", "--jobs", "800",
+                "--max-retries", "1", "--run-timeout", "600", "--no-cache",
+            ]
+        )
         assert rc == 0
-        assert manifest.exists()
-        # Resuming from the manifest: the whole grid restores without rerun.
-        assert len(parallel_mod.SweepCheckpoint(manifest)) > 0
+        assert "Figure 5" in capsys.readouterr().out
+        assert len(calls) == 1
+        assert calls[0]["timeout"] == 600.0
+        assert calls[0]["max_retries"] == 1
 
 
 def test_points_match_explicit_scalar_runs():

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.experiments.cache import SweepCache
-from repro.experiments.parallel import run_sweep
+from repro.experiments.parallel import (
+    RunOutcome,
+    SweepReport,
+    run_sweep,
+    simulate_spec,
+)
 from repro.experiments.specs import EstimatorSpec, RunSpec, WorkloadSpec
 
 
@@ -56,20 +61,21 @@ class TestSweepProfile:
         assert warm.slowest == ()
 
     def test_retries_attributed_to_specs(self):
-        # A doomed spec consumes its full retry budget; the per-spec retry
-        # counts it carries must surface in the aggregate.
-        doomed = RunSpec(
-            workload=WorkloadSpec(n_jobs=100, seed=0, load=0.5),
-            estimator=EstimatorSpec(name="no-such-estimator"),
-            label="doomed",
+        # The per-spec retry counts the envelopes carry (a timed-out spec's
+        # resubmissions) must surface in the aggregate.
+        ok, timed_out = spec(load=0.4), spec(load=0.6)
+        report = SweepReport(
+            outcomes=[
+                RunOutcome(spec=ok, point=simulate_spec(ok), retries=1),
+                RunOutcome(spec=timed_out, point=None, error="timed out", retries=2),
+            ],
+            wall_time=1.0,
+            max_workers=1,
         )
-        report = run_sweep([spec(load=0.4), doomed], max_workers=1, max_retries=2)
-        assert report.n_errors == 1
         profile = report.profile()
-        assert profile.total_retries == 2
+        assert profile.total_retries == 3
         assert profile.n_errors == 1
-        (bad,) = [o for o in report.outcomes if not o.ok]
-        assert bad.retries == 2
+        assert profile.n_executed == 2
 
     def test_format_report_mentions_everything(self, tmp_path):
         specs = [spec(load=0.4), spec(load=0.6)]

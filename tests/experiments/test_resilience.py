@@ -1,27 +1,25 @@
 """Crash resilience of the sweep executor: worker death, timeouts, retries,
-and checkpoint/resume.
+and resuming a killed sweep from its cache.
 
 The process-killing tests need the ``fork`` start method: the crashing
 estimators below are registered in *this* module, and only forked workers
 inherit the registration (spawned workers re-import a clean registry).
 """
 
-import json
+import logging
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.baselines import NoEstimation
 from repro.experiments.cache import SweepCache
-from repro.experiments.parallel import (
-    ResilienceConfig,
-    SweepCheckpoint,
-    run_sweep,
-    set_default_resilience,
-)
+from repro.experiments.parallel import run_sweep
 from repro.experiments.specs import (
     EstimatorSpec,
     RunSpec,
@@ -49,17 +47,16 @@ class KillWorkerOnce(NoEstimation):
             os.kill(os.getpid(), signal.SIGKILL)
 
 
-class FlakyOnce(NoEstimation):
-    """Raises on first construction (then behaves) — the retry target."""
+class AlwaysRaises(NoEstimation):
+    """Logs each construction to ``log``, then raises: a deterministic bug."""
 
-    name = "flaky-once"
+    name = "always-raises"
 
-    def __init__(self, sentinel: str = ""):
+    def __init__(self, log: str = ""):
         super().__init__()
-        if sentinel and not os.path.exists(sentinel):
-            with open(sentinel, "w") as fh:
-                fh.write("failed\n")
-            raise RuntimeError("transient failure (first attempt)")
+        with open(log, "a") as fh:
+            fh.write("constructed\n")
+        raise ValueError("bad estimator parameters")
 
 
 class SlowOnce(NoEstimation):
@@ -75,9 +72,20 @@ class SlowOnce(NoEstimation):
             time.sleep(delay)
 
 
+class AlwaysSlow(NoEstimation):
+    """Sleeps ``delay`` seconds on every construction."""
+
+    name = "always-slow"
+
+    def __init__(self, delay: float = 2.0):
+        super().__init__()
+        time.sleep(delay)
+
+
 register_estimator("kill-worker-once", KillWorkerOnce)
-register_estimator("flaky-once", FlakyOnce)
+register_estimator("always-raises", AlwaysRaises)
 register_estimator("slow-once", SlowOnce)
+register_estimator("always-slow", AlwaysSlow)
 
 
 def spec(estimator="none", load=0.5, n_jobs=300, **est_kwargs):
@@ -188,37 +196,30 @@ class TestWorkerDeath:
 
 
 class TestRetries:
-    def test_serial_retry_recovers_transient_failure(self, tmp_path):
-        flaky = spec("flaky-once", sentinel=str(tmp_path / "f1"))
-        report = run_sweep([flaky], max_workers=1, max_retries=2, retry_backoff=0.0)
-        assert report.n_errors == 0
-        assert report.n_retries == 1
+    def test_raising_spec_runs_once(self, tmp_path):
+        # A simulation is a pure function of its spec: a spec that raised
+        # would raise again, so it is reported after one run, retries or not.
+        log = tmp_path / "constructions"
+        bad = spec("always-raises", log=str(log))
+        report = run_sweep([bad], max_workers=1, max_retries=3)
+        assert report.n_errors == 1 and report.n_retries == 0
+        assert "bad estimator parameters" in report.outcomes[0].error
+        assert report.outcomes[0].retries == 0
+        assert log.read_text().count("constructed") == 1
 
     @fork_only
-    def test_parallel_retry_recovers_transient_failure(self, tmp_path):
-        flaky = spec("flaky-once", sentinel=str(tmp_path / "f2"))
+    def test_raising_spec_runs_once_on_a_pool(self, tmp_path):
+        log = tmp_path / "constructions"
+        bad = spec("always-raises", log=str(log))
         report = run_sweep(
-            [spec(load=0.4), flaky],
+            [spec(load=0.4), bad],
             max_workers=2, oversubscribe=True,
-            max_retries=2,
-            retry_backoff=0.0,
+            max_retries=3, timeout=60.0,
         )
-        assert report.n_errors == 0
-        assert report.n_retries == 1
-        assert len(report.points()) == 2
-
-    def test_retries_are_bounded(self, tmp_path):
-        # Never creates its sentinel -> fails every attempt.
-        always_bad = spec("flaky-once")  # no sentinel: never raises...
-        always_bad = RunSpec(
-            workload=WorkloadSpec(n_jobs=300, seed=0, load=0.5),
-            estimator=EstimatorSpec(name="no-such-estimator"),
-            label="doomed",
-        )
-        report = run_sweep([always_bad], max_workers=1, max_retries=2)
-        assert report.n_errors == 1
-        assert report.n_retries == 2
-        assert "retries" in report.summary()
+        assert report.n_errors == 1 and report.n_retries == 0
+        assert "bad estimator parameters" in report.outcomes[1].error
+        assert report.outcomes[1].retries == 0
+        assert log.read_text().count("constructed") == 1
 
     @fork_only
     def test_timeout_abandons_run_then_retry_succeeds(self, tmp_path):
@@ -228,7 +229,6 @@ class TestRetries:
             max_workers=2, oversubscribe=True,
             timeout=1.0,
             max_retries=1,
-            retry_backoff=0.0,
         )
         assert report.n_timeouts == 1
         assert report.n_retries == 1
@@ -243,86 +243,106 @@ class TestRetries:
         timed_out = [o for o in report.outcomes if not o.ok]
         assert "timed out" in timed_out[0].error
 
+    @fork_only
+    def test_retries_are_bounded(self, tmp_path):
+        # A run that times out on every attempt is resubmitted at most
+        # max_retries times; its outcome says how often.
+        slow = spec("always-slow", delay=2.0)
+        report = run_sweep([slow], max_workers=1, timeout=0.3, max_retries=1)
+        assert report.n_timeouts == 2
+        assert report.n_retries == 1
+        assert report.n_errors == 1
+        (outcome,) = report.outcomes
+        assert outcome.retries == 1 and "timed out" in outcome.error
+        assert report.profile().total_retries == 1
+        assert "retries" in report.summary()
+
+    @fork_only
+    def test_retry_waits_for_a_free_worker(self, tmp_path):
+        # Both first runs time out but keep their workers for 6 s.  A retry
+        # submitted before they finish would queue behind them with its
+        # timer running, and time out without ever running.
+        slow = [
+            spec("slow-once", load=load, sentinel=str(tmp_path / f"s{i}"), delay=6.0)
+            for i, load in enumerate((0.4, 0.6))
+        ]
+        report = run_sweep(
+            slow, max_workers=2, oversubscribe=True, timeout=2.0, max_retries=1
+        )
+        assert report.n_timeouts == 2
+        assert report.n_retries == 2
+        assert report.n_errors == 0
+
+    @fork_only
+    def test_timeout_holds_on_the_serial_path(self, tmp_path):
+        slow = spec("slow-once", sentinel=str(tmp_path / "s3"), delay=3.0)
+        t0 = time.monotonic()
+        report = run_sweep([slow], max_workers=1, timeout=0.5)
+        assert time.monotonic() - t0 < 2.5
+        assert report.n_timeouts == 1
+        assert report.n_errors == 1
+
+    def test_timeout_without_a_pool_is_logged(self, monkeypatch, caplog):
+        import repro.experiments.parallel as parallel_mod
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no /dev/shm in this sandbox")
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", no_pool)
+        with caplog.at_level(logging.WARNING, logger="repro.sweep"):
+            report = run_sweep([spec(load=0.4)], max_workers=1, timeout=30.0)
+        assert report.n_errors == 0
+        assert "cannot be enforced" in caplog.text
+
+
+#: A sweep process that SIGKILLs itself once its second point is committed.
+_KILLED_SWEEP = """
+import os, signal, sys
+from repro.experiments.cache import SweepCache
+from repro.experiments.parallel import run_sweep
+from repro.experiments.specs import RunSpec, WorkloadSpec
+
+def die_after_two(index, outcome):
+    if index == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+specs = [
+    RunSpec(workload=WorkloadSpec(n_jobs=300, seed=0, load=load))
+    for load in (0.4, 0.5, 0.6, 0.7)
+]
+run_sweep(specs, cache=SweepCache(sys.argv[1]), on_outcome=die_after_two)
+"""
+
 
 class TestCheckpoint:
-    def test_record_and_load_round_trip(self, tmp_path):
-        manifest = SweepCheckpoint(tmp_path / "sweep.jsonl")
-        s = spec(load=0.4)
-        report = run_sweep([s], checkpoint=manifest)
-        restored = manifest.load()
-        assert list(restored) == [s.cache_key()]
-        assert restored[s.cache_key()] == report.points()[0]
-        assert len(manifest) == 1
-
-    def test_load_tolerates_torn_and_foreign_lines(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        manifest = SweepCheckpoint(path)
-        s = spec(load=0.4)
-        run_sweep([s], checkpoint=manifest)
-        with open(path, "a") as fh:
-            fh.write('{"version": 99, "key": "other-schema"}\n')
-            fh.write("null\n")
-            fh.write("[1, 2]\n")
-            fh.write('{"version": 1, "key": "torn", "point": {"loa')  # no \n
-        assert list(manifest.load()) == [s.cache_key()]
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert SweepCheckpoint(tmp_path / "never-written.jsonl").load() == {}
+    """The cache directory is a sweep's checkpoint."""
 
     def test_killed_sweep_resumes_from_partial_results(self, tmp_path):
-        # Simulate a sweep killed after two of three points: the manifest
-        # holds the completed pair; the re-run recomputes only the third.
-        path = tmp_path / "sweep.jsonl"
-        specs = [spec(load=0.4), spec(load=0.5), spec(load=0.6)]
-        full = run_sweep(specs, checkpoint=SweepCheckpoint(path))
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:2]) + "\n")  # "crash" after point 2
-
-        resumed = run_sweep(specs, checkpoint=SweepCheckpoint(path))
-        assert resumed.n_resumed == 2
-        assert resumed.points() == full.points()
-        assert "resumed from checkpoint" in resumed.summary()
-        # The recomputed third point was appended; a further run resumes all.
-        assert run_sweep(specs, checkpoint=SweepCheckpoint(path)).n_resumed == 3
-
-    def test_checkpoint_promotes_into_cache(self, tmp_path):
-        path = tmp_path / "sweep.jsonl"
-        specs = [spec(load=0.4), spec(load=0.5)]
-        run_sweep(specs, checkpoint=SweepCheckpoint(path))  # no cache yet
-        cache = SweepCache(tmp_path / "cache")
-        report = run_sweep(specs, cache=cache, checkpoint=SweepCheckpoint(path))
-        assert report.n_resumed == 2
-        assert len(cache) == 2  # restored points were written through
-
-    def test_checkpoint_path_accepted_as_string(self, tmp_path):
-        report = run_sweep([spec(load=0.4)], checkpoint=str(tmp_path / "m.jsonl"))
-        assert (tmp_path / "m.jsonl").exists()
-        assert len(report.points()) == 1
-
-    def test_record_payload_is_versioned_json(self, tmp_path):
-        manifest = SweepCheckpoint(tmp_path / "m.jsonl")
-        run_sweep([spec(load=0.4)], checkpoint=manifest)
-        doc = json.loads((tmp_path / "m.jsonl").read_text().splitlines()[0])
-        assert doc["version"] == 1
-        assert set(doc) == {"version", "key", "label", "wall_time", "point"}
-
-
-class TestResilienceDefaults:
-    def test_set_default_resilience_applies_and_restores(self, tmp_path):
-        manifest_path = tmp_path / "default.jsonl"
-        previous = set_default_resilience(
-            ResilienceConfig(max_retries=1, checkpoint=manifest_path)
+        cache_dir = tmp_path / "cache"
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLED_SWEEP, str(cache_dir)],
+            env=env, capture_output=True, timeout=120,
         )
-        try:
-            run_sweep([spec(load=0.4)])
-            assert manifest_path.exists()
-        finally:
-            assert set_default_resilience(previous).max_retries == 1
+        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+        assert len(SweepCache(cache_dir)) == 2
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ResilienceConfig(timeout=0.0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(max_retries=-1)
-        with pytest.raises(ValueError):
-            ResilienceConfig(retry_backoff=-0.1)
+        specs = [
+            RunSpec(workload=WorkloadSpec(n_jobs=300, seed=0, load=load))
+            for load in (0.4, 0.5, 0.6, 0.7)
+        ]
+        resumed = run_sweep(specs, cache=SweepCache(cache_dir))
+        assert [o.cached for o in resumed.outcomes] == [True, True, False, False]
+        assert resumed.profile().n_executed == 2
+        assert resumed.points() == run_sweep(specs).points()
+
+
+class TestSettings:
+    def test_run_sweep_validates_settings(self):
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            run_sweep([spec(load=0.4)], timeout=0.0)
+        with pytest.raises(ValueError, match="max_retries must be >= 0"):
+            run_sweep([spec(load=0.4)], max_retries=-1)

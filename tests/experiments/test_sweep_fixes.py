@@ -1,5 +1,5 @@
-"""The sweep-executor bugfix batch: RSS normalization, checkpoint
-durability, cache/checkpoint double-accounting, and fault-carrying specs."""
+"""The sweep-executor bugfix batch: RSS normalization, per-spec
+accounting, and fault-carrying specs."""
 
 import math
 
@@ -8,12 +8,7 @@ import pytest
 from repro.experiments.cache import SweepCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.faults import sweep_specs as faults_sweep_specs
-from repro.experiments.parallel import (
-    SweepCheckpoint,
-    _rss_to_kb,
-    run_sweep,
-    simulate_spec,
-)
+from repro.experiments.parallel import _rss_to_kb, run_sweep, simulate_spec
 from repro.experiments.specs import (
     ClusterSpec,
     EstimatorSpec,
@@ -57,109 +52,17 @@ class TestRssNormalization:
         assert isinstance(_rss_to_kb(4096.0), int)
 
 
-class TestCheckpointDurability:
-    def test_append_handle_persists_across_records(self, tmp_path):
-        cp = SweepCheckpoint(tmp_path / "manifest.jsonl")
-        s1, s2 = spec(load=0.4), spec(load=0.6)
-        p1, p2 = simulate_spec(s1), simulate_spec(s2)
-        cp.record(s1, p1)
-        first_handle = cp._fh
-        assert first_handle is not None and not first_handle.closed
-        cp.record(s2, p2)
-        assert cp._fh is first_handle  # no reopen per append
-        assert set(cp.load()) == {s1.cache_key(), s2.cache_key()}
-
-    def test_record_reopens_after_close(self, tmp_path):
-        cp = SweepCheckpoint(tmp_path / "manifest.jsonl")
-        s1, s2 = spec(load=0.4), spec(load=0.6)
-        point = simulate_spec(s1)
-        cp.record(s1, point)
-        cp.close()
-        assert cp._fh is None
-        cp.close()  # idempotent
-        cp.record(s2, simulate_spec(s2))
-        assert len(cp.load()) == 2
-
-    def test_context_manager_releases_handle(self, tmp_path):
-        s = spec()
-        with SweepCheckpoint(tmp_path / "manifest.jsonl") as cp:
-            cp.record(s, simulate_spec(s))
-            assert cp._fh is not None
-        assert cp._fh is None
-        # Another instance sees the durable record.
-        assert s.cache_key() in SweepCheckpoint(tmp_path / "manifest.jsonl").load()
-
-    def test_run_sweep_releases_checkpoint_handle(self, tmp_path):
-        cp = SweepCheckpoint(tmp_path / "manifest.jsonl")
-        run_sweep([spec(load=0.4)], checkpoint=cp)
-        assert cp._fh is None
-        assert len(cp.load()) == 1
-
-
 class TestDoubleAccounting:
-    """A point present in both the cache and the checkpoint counts once."""
-
-    def test_point_in_both_stores_is_one_cache_hit(self, tmp_path):
-        specs = [spec(load=0.4), spec(load=0.6)]
-        cache = SweepCache(tmp_path / "cache")
-        manifest = tmp_path / "manifest.jsonl"
-        run_sweep(specs, cache=cache, checkpoint=SweepCheckpoint(manifest))
-
-        report = run_sweep(
-            specs, cache=cache, checkpoint=SweepCheckpoint(manifest)
-        )
-        assert report.n_cache_hits == 2
-        assert report.n_resumed == 0  # not double-counted as resumed too
-        for outcome in report.outcomes:
-            assert outcome.cached and not outcome.resumed
-
-    def test_cached_and_resumed_are_mutually_exclusive(self, tmp_path):
-        specs = [spec(load=0.4), spec(load=0.6)]
-        manifest = tmp_path / "manifest.jsonl"
-        run_sweep(specs, checkpoint=SweepCheckpoint(manifest))
-        report = run_sweep(specs, checkpoint=SweepCheckpoint(manifest))
-        assert report.n_resumed == 2
-        assert report.n_cache_hits == 0
-        for outcome in report.outcomes:
-            assert outcome.resumed and not outcome.cached
-
-    def test_cache_hits_written_through_to_checkpoint(self, tmp_path):
-        """An up-front cache hit lands in the manifest, so a later
-        cache-less rerun resumes instead of re-simulating."""
-        specs = [spec(load=0.4), spec(load=0.6)]
-        cache = SweepCache(tmp_path / "cache")
-        run_sweep(specs, cache=cache)  # cache populated, no checkpoint yet
-
-        manifest = tmp_path / "manifest.jsonl"
-        report = run_sweep(
-            specs, cache=cache, checkpoint=SweepCheckpoint(manifest)
-        )
-        assert report.n_cache_hits == 2
-
-        cacheless = run_sweep(specs, checkpoint=SweepCheckpoint(manifest))
-        assert cacheless.n_resumed == 2
-
-    def test_resumed_points_promote_into_cache(self, tmp_path):
-        specs = [spec(load=0.4)]
-        manifest = tmp_path / "manifest.jsonl"
-        run_sweep(specs, checkpoint=SweepCheckpoint(manifest))
-
-        cache = SweepCache(tmp_path / "cache")
-        report = run_sweep(
-            specs, cache=cache, checkpoint=SweepCheckpoint(manifest)
-        )
-        assert report.n_resumed == 1
-        assert cache.get(specs[0]) is not None
+    """Each spec is accounted once: one outcome, one callback."""
 
     def test_profile_excludes_resumed_from_executed(self, tmp_path):
+        # Re-running a sweep over its cache directory resumes it: the points
+        # come from the cache and the profile counts none of them as executed.
         specs = [spec(load=0.4), spec(load=0.6)]
-        manifest = tmp_path / "manifest.jsonl"
-        run_sweep(specs, checkpoint=SweepCheckpoint(manifest))
-        profile = run_sweep(
-            specs, checkpoint=SweepCheckpoint(manifest)
-        ).profile()
-        assert profile.n_executed == 0
-        assert profile.n_resumed == 2
+        run_sweep(specs, cache=SweepCache(tmp_path / "cache"))
+        report = run_sweep(specs, cache=SweepCache(tmp_path / "cache"))
+        assert report.n_cache_hits == 2
+        assert report.profile().n_executed == 0
 
     def test_on_outcome_fires_once_per_spec_in_every_mode(self, tmp_path):
         specs = [spec(load=0.4), spec(load=0.6)]

@@ -173,10 +173,11 @@ class TestResultDocuments:
     def test_outcome_error_and_flags_serialized(self):
         spec = RunSpec(workload=WorkloadSpec(n_jobs=200))
         doc = outcome_to_dict(
-            4, RunOutcome(spec=spec, point=None, error="boom", resumed=True)
+            4, RunOutcome(spec=spec, point=None, error="boom", retries=2)
         )
         assert doc["index"] == 4
         assert doc["error"] == "boom"
-        assert doc["resumed"] and not doc["cached"]
+        assert doc["retries"] == 2 and not doc["cached"]
+        assert "resumed" not in doc
         assert not doc["ok"]
         assert "point" not in doc

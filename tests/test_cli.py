@@ -136,20 +136,40 @@ class TestExperiment:
         assert capsys.readouterr().out == first
 
     def test_sweep_settings_are_restored_afterwards(self, capsys):
-        """The resilience flags and the stderr progress log hold for the
-        experiment's own sweeps only, not for a later run_sweep in the same
-        process."""
-        from repro.experiments import parallel
-
+        """The stderr progress log holds for the experiment's own sweeps
+        only, not for a later run_sweep in the same process."""
         logger = logging.getLogger("repro.sweep")
-        before = (logger.level, list(logger.handlers), parallel._DEFAULT_RESILIENCE)
+        before = (logger.level, list(logger.handlers))
         argv = [
             "experiment", "fig5", "--jobs", "800", "--no-cache",
             "--max-retries", "5", "--run-timeout", "60",
         ]
         assert main(argv) == 0
-        after = (logger.level, list(logger.handlers), parallel._DEFAULT_RESILIENCE)
+        after = (logger.level, list(logger.handlers))
         assert after == before
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-retries", "-1", "must be >= 0"),
+        ("--max-retries", "two", "invalid _non_negative_int value"),
+        ("--run-timeout", "0", "must be positive"),
+        ("--run-timeout", "-5", "must be positive"),
+        ("--run-timeout", "nan", "must be positive"),
+    ])
+    def test_bad_resilience_flags_are_usage_errors(
+        self, monkeypatch, capsys, flag, value, message
+    ):
+        import repro.experiments.fig5 as fig5_mod
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran despite a bad flag")
+
+        monkeypatch.setattr(fig5_mod, "run", no_run)
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig5", "--jobs", "800", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}: {message}" in err
 
     def test_no_cache_flag_skips_cache_writes(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))

@@ -3,18 +3,24 @@
 Every recipe that starts Python on the repo's code (pytest, a
 ``benchmarks/`` script, an example) must put ``src`` on ``PYTHONPATH``
 itself, keeping any path already set, so that it runs the same whether or
-not the package is pip-installed.
+not the package is pip-installed.  Every ``tests/`` or ``benchmarks/`` path
+a recipe names must exist, so a renamed or deleted test file cannot leave
+a target pointing at nothing.
 """
 
 import re
 from pathlib import Path
 
-MAKEFILE = Path(__file__).resolve().parent.parent / "Makefile"
+ROOT = Path(__file__).resolve().parent.parent
+MAKEFILE = ROOT / "Makefile"
 
 PREFIX = "PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} "
 
 #: ``$(PYTHON)`` running pytest, a benchmark script or an example.
 COMMAND = re.compile(r"\$\(PYTHON\) (?:-m pytest|benchmarks/|\$\$ex\b)")
+
+#: A ``tests/...`` or ``benchmarks/...`` path as a recipe word.
+REPO_PATH = re.compile(r"(?<![\w./$-])(?:tests|benchmarks)/[\w./-]*")
 
 
 def _recipes(text: str) -> dict:
@@ -42,3 +48,16 @@ def test_python_recipes_put_src_on_the_path():
                     missing.append(f"{target}: {line}")
     assert not missing, "recipes without " + PREFIX + ":\n" + "\n".join(missing)
     assert {"test", "bench", "examples", "obs-bench", "faults-bench"} <= checked
+
+
+def test_recipe_paths_exist():
+    recipes = _recipes(MAKEFILE.read_text())
+    named, missing = set(), []
+    for target, lines in recipes.items():
+        for line in lines:
+            for path in REPO_PATH.findall(line):
+                named.add(path)
+                if not (ROOT / path).exists():
+                    missing.append(f"{target}: {path}")
+    assert not missing, "recipes name missing paths:\n" + "\n".join(missing)
+    assert "tests/experiments/test_resilience.py" in named
