@@ -8,7 +8,9 @@ generalization probes one resource at a time, so blame is unambiguous.
 
 This example estimates memory, disk, and license counts for two job classes
 with very different over-provisioning profiles, and shows the per-resource
-safe values converging toward actual usage.
+safe values converging toward actual usage.  It drives the estimator alone,
+one submission at a time: the simulator models memory only, as every
+experiment in the paper does.
 
 Run:  python examples/multi_resource.py
 """
@@ -55,30 +57,6 @@ def main() -> None:
         }
         print("  reclaimed: " + ", ".join(f"{r} {s:.0%}" for r, s in sorted(savings.items())))
         print()
-
-    # --- the same algorithm under full scheduling dynamics -------------------
-    from repro.core.multi_resource import CoordinateDescentEstimator as CDE
-    from repro.sim.multi import MultiSimulation
-    from repro.workload.multi import (
-        MultiTraceConfig,
-        default_multi_cluster,
-        generate_multi_trace,
-    )
-
-    print("full multi-resource simulation (mem + disk, 128 nodes, FCFS):")
-    jobs = generate_multi_trace(MultiTraceConfig(n_jobs=600), rng=0)
-    base = MultiSimulation(jobs, default_multi_cluster(), seed=1).run()
-    est = MultiSimulation(
-        generate_multi_trace(MultiTraceConfig(n_jobs=600), rng=0),
-        default_multi_cluster(),
-        estimator=CDE(alpha=2.0),
-        seed=1,
-    ).run()
-    print(f"  utilization without estimation: {base.utilization:.3f}")
-    print(f"  utilization with coordinate descent: {est.utilization:.3f} "
-          f"({est.utilization / base.utilization - 1:+.1%})")
-    print(f"  reduced submissions: {est.n_reduced_submissions / est.n_attempts:.0%}, "
-          f"failed executions: {est.frac_failed:.2%}")
 
 
 if __name__ == "__main__":

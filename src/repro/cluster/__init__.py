@@ -1,9 +1,10 @@
 """Heterogeneous cluster model.
 
 The paper's clusters are sets of machines differing in memory capacity (e.g.
-512 nodes with 32 MB plus 512 nodes with 24 MB).  This package provides
+512 nodes with 32 MB plus 512 nodes with 24 MB).  A node is modelled by its
+memory capacity alone, the one resource every experiment in the paper
+exercises (§1.1).  This package provides
 
-* :class:`repro.cluster.machine.Machine` — one node,
 * :class:`repro.cluster.ladder.CapacityLadder` — the sorted capacity levels
   of a cluster, including the rounding operation of Algorithm 1 line 6
   ("rounded to the lowest resource capacity within the cluster >= E_i"),
@@ -35,7 +36,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ),
     "cluster": ("Allocation", "AllocationStrategy", "Cluster"),
     "ladder": ("CapacityLadder",),
-    "machine": ("Machine",),
 })
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "Cluster",
     "DesignChoice",
     "LadderDesign",
-    "Machine",
     "design_ladder",
     "design_second_tier",
     "evaluate_ladder",

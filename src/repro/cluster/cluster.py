@@ -5,8 +5,7 @@ for the paper's matching rule ("available resource capacity >= job request"),
 so the allocator tracks a free-node **count per capacity level** instead of
 individual machines.  Allocation of an n-node job with a per-node memory
 requirement is then O(#levels), which is what lets the full 122k-job trace
-simulate in seconds.  Individual :class:`~repro.cluster.machine.Machine`
-records are still materialized for introspection and tests.
+simulate in seconds.
 
 Allocation strategies
 ---------------------
@@ -24,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, List, Literal, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.ladder import CapacityLadder
-from repro.cluster.machine import Machine
 from repro.util.validation import check_positive
 
 AllocationStrategy = Literal["best_fit", "worst_fit", "first_fit"]
@@ -120,14 +118,6 @@ class Cluster:
         self._down: Dict[float, int] = {lvl: 0 for lvl in self.ladder.levels}
         self._declared_order: Tuple[float, ...] = tuple(declared_order)
 
-        # Materialized machine list for introspection (not on the hot path).
-        self._machines: List[Machine] = []
-        mid = 0
-        for cap in self._declared_order:
-            for _ in range(merged[cap]):
-                self._machines.append(Machine(machine_id=mid, mem=cap))
-                mid += 1
-
     # ------------------------------------------------------------------ info
     @property
     def total_nodes(self) -> int:
@@ -182,10 +172,6 @@ class Cluster:
         for lvl in self.ladder.levels_at_least(min_capacity):
             total += counts[lvl]
         return total
-
-    def machines(self) -> List[Machine]:
-        """The individual machine records (introspection only)."""
-        return list(self._machines)
 
     def snapshot_free(self) -> Dict[float, int]:
         """Copy of the free-count map (for schedulers planning reservations)."""

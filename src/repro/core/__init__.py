@@ -14,14 +14,16 @@ This package implements the paper's estimator taxonomy (Table 1):
 plus the reference points :class:`NoEstimation` (the conventional matcher:
 trust the user's request — every "without estimation" curve in the paper) and
 :class:`OracleEstimator` (perfect knowledge of actual usage — the upper
-bound), and two extensions the paper sketches: multi-resource estimation
-(§2.3's generalization) and a robust line-search variant (§2.3's fix for
-mixed-usage groups).
+bound), and two extensions the paper sketches: a robust line-search variant
+(§2.3's fix for mixed-usage groups) and multi-resource coordinate descent
+(§2.3's generalization, :mod:`repro.core.multi_resource`).
 
-All estimators speak the same protocol (:class:`Estimator`): the scheduler
-calls :meth:`~Estimator.estimate` at each submission to obtain the per-node
-capacity to request from the matcher, and :meth:`~Estimator.observe` with a
-:class:`Feedback` after each execution attempt.
+Every other estimator speaks the same protocol (:class:`Estimator`): the
+scheduler calls :meth:`~Estimator.estimate` at each submission to obtain the
+per-node capacity to request from the matcher, and :meth:`~Estimator.observe`
+with a :class:`Feedback` after each execution attempt.  Coordinate descent
+estimates a vector per :class:`MultiResourceTask` instead; no scheduler runs
+it, and :func:`repro.core.multi_resource.run_episode` drives it in isolation.
 
 Exports load on first access (:func:`repro._lazy.lazy_exports`): ``from
 repro.core import LastInstance`` imports :mod:`repro.core.last_instance` and

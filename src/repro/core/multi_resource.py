@@ -17,9 +17,10 @@ single-resource successive-approximation state per resource and a rotating
 
 This extension operates on :class:`MultiResourceTask` descriptions (a
 requested and used capacity per named resource) rather than the simulator's
-memory-centric :class:`~repro.workload.job.Job`, because the trace format and
-all of the paper's experiments are single-resource; the tests exercise the
-algorithm directly against synthetic multi-resource workloads.
+memory-centric :class:`~repro.workload.job.Job`: the trace format and all of
+the paper's experiments are single-resource, and no scheduler runs this
+estimator.  It is §2.3's estimator in isolation, driven one submission at a
+time by :func:`run_episode`.
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ class _MultiGroup:
     resources: Dict[str, _ResourceState]
     order: Tuple[str, ...]
     active_idx: int = 0
-    probe: Optional[Hashable] = None  # ticket of the in-flight below-safe probe
-    probe_coord: Optional[str] = None  # coordinate the probe reduced
 
     @property
     def active(self) -> str:
@@ -144,30 +143,13 @@ class CoordinateDescentEstimator:
         rounded = ladder.round_up(value)
         return rounded if rounded is not None else value
 
-    def _safe_vector_for(self, group: _MultiGroup, task: MultiResourceTask) -> ResourceVector:
-        return {
-            name: min(
-                self._round(name, group.resources[name].safe_value),
-                task.requested.get(name, group.resources[name].request),
-            )
-            for name in group.order
-        }
-
     # ------------------------------------------------------------------ API
-    def estimate(
-        self, task: MultiResourceTask, ticket: Optional[Hashable] = None
-    ) -> ResourceVector:
+    def estimate(self, task: MultiResourceTask) -> ResourceVector:
         """Requirement vector for this submission.
 
         Only the group's active coordinate may sit below its safe value;
         every other resource is requested at its safe value (clamped to the
         task's own request — tasks within a group may differ slightly).
-
-        ``ticket`` enables serial probing when submissions run concurrently
-        (the same mechanism as the single-resource estimator): at most one
-        in-flight ticket per group carries a below-safe requirement; other
-        tickets ride the safe vector until the probe's verdict arrives.
-        Without a ticket (sequential use) every call may probe.
         """
         group = self._group_for(task)
         out: ResourceVector = {}
@@ -179,14 +161,6 @@ class CoordinateDescentEstimator:
             else:
                 value = self._round(name, state.safe_value)
             out[name] = min(value, request)
-        if ticket is not None:
-            safe = self._safe_vector_for(group, task)
-            if any(out[name] < safe[name] for name in group.order):
-                if group.probe is None or group.probe == ticket:
-                    group.probe = ticket
-                    group.probe_coord = group.active
-                else:
-                    return safe
         return out
 
     def observe(
@@ -194,19 +168,10 @@ class CoordinateDescentEstimator:
         task: MultiResourceTask,
         requirement: ResourceVector,
         succeeded: bool,
-        ticket: Optional[Hashable] = None,
     ) -> None:
-        """Fold in implicit feedback for the given submission."""
+        """Fold in implicit feedback for the submission just estimated."""
         group = self._group_for(task)
-        # Blame the coordinate that was actually reduced for this submission
-        # (the active coordinate may have rotated since estimate time under
-        # concurrency).
         active = group.active
-        if ticket is not None and group.probe == ticket:
-            if group.probe_coord is not None:
-                active = group.probe_coord
-            group.probe = None
-            group.probe_coord = None
         state = group.resources[active]
         if succeeded:
             # Every requested value is now known safe for its resource.

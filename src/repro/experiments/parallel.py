@@ -30,10 +30,11 @@ take the whole grid down:
   quarantined to in-process execution so a poison spec cannot crash-loop
   the sweep forever.
 * **Per-spec timeout** — a run exceeding ``timeout`` seconds of wall clock
-  since submission is abandoned (its result is discarded; its worker
-  counts against ``max_workers`` until the task finishes) and resubmitted
-  at once, up to ``max_retries`` times.  A timeout runs the sweep on a
-  pool even at ``max_workers=1``, since only a worker can be abandoned.
+  since submission is stopped: the pool's workers are terminated and a
+  fresh pool replaces it.  The run is resubmitted at once, up to
+  ``max_retries`` times; specs that were in flight beside it go back to
+  the front of the queue, charged nothing.  A timeout runs the sweep on a
+  pool even at ``max_workers=1``, since only a worker can be stopped.
 * **No retry of errors** — a simulation is a pure function of its spec,
   so a spec that raises would raise again; its traceback is reported on
   its outcome after one run.
@@ -70,7 +71,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.cache import SweepCache
 from repro.experiments.runner import LoadSweep, SweepPoint
@@ -366,7 +367,7 @@ class SweepReport:
     max_workers: int
     #: Runs resubmitted after a timeout (at most ``max_retries`` per spec).
     n_retries: int = 0
-    #: Runs abandoned for exceeding the per-spec timeout (retries included).
+    #: Runs stopped for exceeding the per-spec timeout (retries included).
     n_timeouts: int = 0
     #: Times a dead worker broke the pool and it was rebuilt mid-sweep.
     n_pool_rebuilds: int = 0
@@ -488,9 +489,9 @@ def run_sweep(
     over the same cache resumes it).  Failed runs are never cached.
     Results always come back in ``specs`` order.
 
-    ``timeout`` (seconds of wall clock per run) abandons a run that takes
+    ``timeout`` (seconds of wall clock per run) stops a run that takes
     longer and resubmits it, at most ``max_retries`` times; a run that
-    raises is never retried.  Only a worker process can be abandoned, so a
+    raises is never retried.  Only a worker process can be stopped, so a
     ``timeout`` runs even ``max_workers=1`` on a one-worker pool.
 
     ``on_outcome(index, outcome)`` is invoked in the parent process for
@@ -608,10 +609,11 @@ class _PoolExecution:
     retries, crash resubmissions and quarantine each charge exactly the
     spec they concern.
 
-    At most ``workers`` tasks are in flight at a time, counting abandoned
-    (timed-out) tasks until they finish, since each still holds a worker.
-    So every pending future is (approximately) *running*, which makes the
-    per-spec timeout a measure of actual runtime rather than queue wait.
+    At most ``workers`` tasks are in flight at a time, so every pending
+    future is (approximately) *running*, which makes the per-spec timeout a
+    measure of actual runtime rather than queue wait.  A running task
+    cannot be cancelled, so a timeout terminates the pool's workers and
+    replaces the pool.
     All mutable state lives here so broken-pool recovery can reason about
     exactly which specs are unfinished.
 
@@ -640,9 +642,6 @@ class _PoolExecution:
         self.todo: deque = deque(range(n))
         self.pending: Dict[Future, int] = {}
         self.started: Dict[Future, float] = {}
-        #: Timed-out futures whose task still runs (and holds a worker);
-        #: their results are discarded when they land.
-        self.abandoned: Set[Future] = set()
         self.retries_used = [0] * n
         #: Pool crashes a spec was in flight for.  A spec exceeding the
         #: quarantine threshold runs in-process instead of being resubmitted,
@@ -692,16 +691,14 @@ class _PoolExecution:
                 return
             while self.todo or self.pending:
                 self._submit_ready()
-                if self.pending or self.abandoned:
+                if self.pending:
                     self._wait_round()
         finally:
             if self.pool is not None:
                 # Join idle workers (a few ms): a process that exits while the
                 # pool's manager thread is still closing its wakeup pipe can
                 # make CPython's exit hook write to the closed pipe (EBADF).
-                # A worker still running an abandoned task is not waited for.
-                idle = not self.pending and not self.abandoned
-                self.pool.shutdown(wait=idle, cancel_futures=True)
+                self.pool.shutdown(wait=not self.pending, cancel_futures=True)
             self.shm_store.close()
 
     # ------------------------------------------------------------- plumbing
@@ -740,7 +737,6 @@ class _PoolExecution:
         if self.pool is not None:
             self.pool.shutdown(wait=False, cancel_futures=True)
             self.pool = None
-        self.abandoned.clear()
         if self.timeout is not None and self.todo:
             logger.warning(
                 "the per-spec timeout of %gs cannot be enforced in-process; "
@@ -762,7 +758,7 @@ class _PoolExecution:
         self._finish(j, execute_spec(self.specs[j]))
 
     def _submit_ready(self) -> None:
-        while self.todo and len(self.pending) + len(self.abandoned) < self.workers:
+        while self.todo and len(self.pending) < self.workers:
             j = self.todo.popleft()
             if self.crashes[j] > self.crash_quarantine:
                 self._run_quarantined(j)
@@ -793,7 +789,6 @@ class _PoolExecution:
         recalled = sorted(self.pending.values())
         self.pending.clear()
         self.started.clear()
-        self.abandoned.clear()
         self.todo.extendleft(reversed(recalled))
 
     def _wait_round(self) -> None:
@@ -802,14 +797,9 @@ class _PoolExecution:
             earliest = min(self.started[f] for f in self.pending)
             wait_timeout = max(0.0, earliest + self.timeout - time.monotonic()) + 0.02
         done, _ = wait(
-            [*self.pending, *self.abandoned],
-            timeout=wait_timeout,
-            return_when=FIRST_COMPLETED,
+            self.pending, timeout=wait_timeout, return_when=FIRST_COMPLETED
         )
         for future in done:
-            if future in self.abandoned:
-                self.abandoned.discard(future)  # its worker is free again
-                continue
             if future not in self.pending:
                 continue  # cleared by broken-pool recovery earlier this round
             j = self.pending.pop(future)
@@ -836,16 +826,25 @@ class _PoolExecution:
 
     def _expire_overdue(self) -> None:
         now = time.monotonic()
-        for future, j in list(self.pending.items()):
-            elapsed = now - self.started[future]
-            if elapsed < self.timeout:
-                continue
-            del self.pending[future]
-            del self.started[future]
-            if not future.cancel():
-                # A running task cannot be cancelled: it keeps its worker
-                # until it finishes, and its late result is ignored.
-                self.abandoned.add(future)
+        expired = {
+            j: now - self.started[future]
+            for future, j in self.pending.items()
+            if now - self.started[future] >= self.timeout
+        }
+        if not expired:
+            return
+        # A running task cannot be cancelled: stop every worker (Python
+        # 3.14's ``terminate_workers()`` does the same) and start a fresh
+        # pool.  Specs in flight beside the overdue ones go back to the
+        # front of the queue, charged no retry and no crash.
+        for process in list(self.pool._processes.values()):
+            process.terminate()
+        self.pool.shutdown(wait=True, cancel_futures=True)
+        bystanders = sorted(set(self.pending.values()) - set(expired))
+        self.pending.clear()
+        self.started.clear()
+        self.todo.extendleft(reversed(bystanders))
+        for j, elapsed in expired.items():
             self.stats.n_timeouts += 1
             if self.retries_used[j] < self.max_retries:
                 # The run already waited ``timeout``: resubmit it at once.
@@ -865,6 +864,7 @@ class _PoolExecution:
                     wall_time=elapsed,
                 ),
             )
+        self._replace_pool()
 
     def _recover_broken_pool(self, j: int, exc: BaseException) -> None:
         """A worker died: rebuild the pool, resubmit only unfinished specs.
@@ -876,7 +876,6 @@ class _PoolExecution:
         unfinished = sorted({j, *self.pending.values()})
         self.pending.clear()
         self.started.clear()
-        self.abandoned.clear()
         for k in unfinished:
             self.crashes[k] += 1
         self.todo.extendleft(reversed(unfinished))
@@ -890,6 +889,10 @@ class _PoolExecution:
             self.pool.shutdown(wait=False, cancel_futures=True)
         except Exception:  # the dead pool's shutdown must never mask recovery
             pass
+        self._replace_pool()
+
+    def _replace_pool(self) -> None:
+        """Start a fresh pool, or run the rest in-process if none starts."""
         self.pool = self._new_pool()
         if self.pool is None:
             self._drain_in_process()

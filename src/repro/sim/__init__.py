@@ -12,9 +12,13 @@
   "returns to the head of the queue",
 * after every execution attempt the estimator receives feedback.
 
-Entry points: :class:`repro.sim.engine.Simulation` (one run) and
-:func:`repro.sim.engine.simulate` (convenience), with metrics in
-:mod:`repro.sim.metrics`.
+The package has two engines: the scalar reference engine
+(:class:`repro.sim.engine.Simulation`, one run) and the fast lane
+(:mod:`repro.sim.batch`), which :func:`repro.sim.engine.simulate` picks for
+every eligible configuration and which matches the reference bit for bit.
+Both model a node by its memory capacity alone; §2.3's multi-resource
+generalization lives as an estimator only (:mod:`repro.core.multi_resource`).
+Metrics are in :mod:`repro.sim.metrics`.
 
 Exports load on first access (:func:`repro._lazy.lazy_exports`): ``from
 repro.sim import utilization`` imports :mod:`repro.sim.metrics` and what it
@@ -51,13 +55,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "wait_time_percentile",
         "wasted_fraction",
     ),
-    "multi": (
-        "MachineClass",
-        "MultiCluster",
-        "MultiJob",
-        "MultiSimResult",
-        "MultiSimulation",
-    ),
     "policies": ("EasyBackfilling", "Fcfs", "Policy", "ShortestJobFirst"),
     "records": ("AttemptRecord", "JobSummary", "SimResult", "TimelineSample"),
 })
@@ -74,11 +71,6 @@ __all__ = [
     "FaultStats",
     "Fcfs",
     "JobSummary",
-    "MachineClass",
-    "MultiCluster",
-    "MultiJob",
-    "MultiSimResult",
-    "MultiSimulation",
     "NodeFaultInjector",
     "Policy",
     "QueueStats",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from enum import IntEnum
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -24,11 +24,6 @@ class EventKind(IntEnum):
     NODE_REPAIR = 1
     ARRIVAL = 2
     NODE_FAILURE = 3
-
-
-#: Index-to-member table: ``_KINDS[kind]`` avoids the ``EventKind(...)``
-#: lookup-by-value call on every pop (the engine pops once per event).
-_KINDS: Tuple[EventKind, ...] = tuple(EventKind)
 
 
 class EventQueue:
@@ -51,30 +46,12 @@ class EventQueue:
     def raw_heap(self) -> List[Tuple[float, int, int, Any]]:
         """The underlying heap list, for zero-overhead draining.
 
-        The engine's event loop pops one entry per simulated event; going
-        through :meth:`pop` costs a method call and an enum conversion per
-        event.  Callers draining via ``heapq.heappop(queue.raw_heap)`` get
-        ``(time, int(kind), seq, payload)`` entries and must not mutate the
-        list in any other way.
+        The engine's event loop pops one entry per simulated event with
+        ``heapq.heappop(queue.raw_heap)``, getting ``(time, int(kind), seq,
+        payload)`` entries; callers must not mutate the list in any other
+        way.
         """
         return self._heap
-
-    def pop(self) -> Tuple[float, EventKind, Any]:
-        """Remove and return the next ``(time, kind, payload)``."""
-        if not self._heap:
-            raise IndexError("pop from an empty event queue")
-        time, kind, _seq, payload = heapq.heappop(self._heap)
-        return time, _KINDS[kind], payload
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next event, or None when empty."""
-        return self._heap[0][0] if self._heap else None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 def check_arrival_times(submit_time: np.ndarray) -> None:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cluster import Allocation, Cluster
-from repro.cluster.machine import Machine
 
 
 def paper_tiers():
@@ -23,18 +22,6 @@ class TestConstruction:
         c = Cluster([(100, 32.0), (28, 32.0)])
         assert c.total_at_level(32.0) == 128
         assert len(c.ladder) == 1
-
-    def test_machines_materialized(self):
-        c = Cluster([(3, 32.0), (2, 24.0)])
-        machines = c.machines()
-        assert len(machines) == 5
-        assert all(isinstance(m, Machine) for m in machines)
-        assert sorted(m.mem for m in machines) == [24.0, 24.0, 32.0, 32.0, 32.0]
-
-    def test_unique_machine_ids(self):
-        c = Cluster([(3, 32.0), (2, 24.0)])
-        ids = [m.machine_id for m in c.machines()]
-        assert len(set(ids)) == 5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -282,6 +282,38 @@ class TestRetries:
         assert report.n_timeouts == 1
         assert report.n_errors == 1
 
+    @fork_only
+    def test_timed_out_run_is_stopped_with_its_worker(self):
+        # A fresh interpreter: the sweep returns at the timeout, and the
+        # process exits without waiting for the 8 s run to finish.
+        t0 = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", _TIMED_OUT_SWEEP],
+            env=_env_with_src(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "1"]
+        assert "Traceback" not in proc.stderr
+        assert time.monotonic() - t0 < 4.0
+
+    @fork_only
+    def test_bystander_of_a_timeout_is_charged_nothing(self, tmp_path):
+        # "hang" times out at 2 s while "bystander" (submitted at ~1 s, once
+        # "warm" returns) still sleeps: the pool is replaced under both, and
+        # the bystander reruns on the new pool without a retry.
+        hang = spec("always-slow", load=0.4, delay=8.0)
+        warm = spec("slow-once", load=0.5, sentinel=str(tmp_path / "w"), delay=1.0)
+        bystander = spec("slow-once", load=0.6, sentinel=str(tmp_path / "b"), delay=5.0)
+        report = run_sweep(
+            [hang, warm, bystander], max_workers=2, oversubscribe=True, timeout=2.0
+        )
+        assert (tmp_path / "b").exists(), "the bystander never started"
+        assert report.n_timeouts == 1 and report.n_retries == 0
+        assert report.n_pool_rebuilds == 0
+        assert "timed out" in report.outcomes[0].error
+        assert report.outcomes[1].ok and report.outcomes[2].ok
+        assert report.outcomes[2].retries == 0
+
     def test_timeout_without_a_pool_is_logged(self, monkeypatch, caplog):
         import repro.experiments.parallel as parallel_mod
 
@@ -293,6 +325,35 @@ class TestRetries:
             report = run_sweep([spec(load=0.4)], max_workers=1, timeout=30.0)
         assert report.n_errors == 0
         assert "cannot be enforced" in caplog.text
+
+
+#: A sweep of one run that sleeps 8 s, under a 0.5 s timeout.
+_TIMED_OUT_SWEEP = """
+import time
+from repro.core.baselines import NoEstimation
+from repro.experiments.parallel import run_sweep
+from repro.experiments.specs import EstimatorSpec, RunSpec, WorkloadSpec, register_estimator
+
+class AlwaysSlow(NoEstimation):
+    def __init__(self, delay):
+        super().__init__()
+        time.sleep(delay)
+
+register_estimator("always-slow", AlwaysSlow)
+spec = RunSpec(
+    workload=WorkloadSpec(n_jobs=300, seed=0, load=0.5),
+    estimator=EstimatorSpec.make("always-slow", delay=8.0),
+)
+report = run_sweep([spec], max_workers=1, timeout=0.5)
+print(report.n_timeouts, report.n_errors)
+"""
+
+
+def _env_with_src() -> dict:
+    src = Path(__file__).resolve().parents[2] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
 
 
 #: A sweep process that SIGKILLs itself once its second point is committed.
@@ -319,13 +380,9 @@ class TestCheckpoint:
 
     def test_killed_sweep_resumes_from_partial_results(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        src = Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
-        ))
         proc = subprocess.run(
             [sys.executable, "-c", _KILLED_SWEEP, str(cache_dir)],
-            env=env, capture_output=True, timeout=120,
+            env=_env_with_src(), capture_output=True, timeout=120,
         )
         assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
         assert len(SweepCache(cache_dir)) == 2

@@ -5,9 +5,12 @@ Every recipe that starts Python on the repo's code (pytest, a
 itself, keeping any path already set, so that it runs the same whether or
 not the package is pip-installed.  Every ``tests/`` or ``benchmarks/`` path
 a recipe names must exist, so a renamed or deleted test file cannot leave
-a target pointing at nothing.
+a target pointing at nothing.  Likewise every result artifact under
+``benchmarks/results/`` must have a benchmark that writes it, so a deleted
+benchmark cannot leave its last numbers behind.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -61,3 +64,26 @@ def test_recipe_paths_exist():
                     missing.append(f"{target}: {path}")
     assert not missing, "recipes name missing paths:\n" + "\n".join(missing)
     assert "tests/experiments/test_resilience.py" in named
+
+
+def _saved_artifacts(source: str) -> set:
+    """Names passed as the first argument of ``save_artifact(...)`` calls."""
+    return {
+        node.args[0].value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "save_artifact"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+
+
+def test_every_result_artifact_has_a_producer():
+    produced = set()
+    for bench in sorted((ROOT / "benchmarks").glob("test_*.py")):
+        produced |= _saved_artifacts(bench.read_text())
+    results = sorted((ROOT / "benchmarks" / "results").glob("*.txt"))
+    orphans = [path.name for path in results if path.stem not in produced]
+    assert results and produced
+    assert not orphans, "no benchmark writes these artifacts: " + ", ".join(orphans)

@@ -103,7 +103,6 @@ class TestImportFootprint:
         )
         assert "repro.sim.engine" in modules
         unused = {
-            "repro.sim.multi",
             "repro.sim.analysis",
             "repro.similarity.analysis",
             "repro.core.multi_resource",
