@@ -4,8 +4,10 @@ Each ``figN``/``table1`` module exposes
 
 * a ``run(config) -> <FigNResult>`` function that performs the experiment,
 * a result dataclass with the exact series/rows the paper reports plus
-  ``format_table()`` (and, where a figure is a curve, ``format_chart()``),
-* a ``main()`` entry point (``python -m repro.experiments.fig5``).
+  ``format_table()`` (and, where a figure is a curve, ``format_chart()``).
+
+``repro experiment NAME`` (:mod:`repro.cli`) is each module's one command
+line: it runs ``run()`` and prints the table, then the chart.
 
 Scale is controlled by :class:`repro.experiments.config.ExperimentConfig`:
 the default trace length keeps every experiment laptop-fast; pass

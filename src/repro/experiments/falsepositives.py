@@ -146,14 +146,3 @@ def run(
                 )
             )
     return FalsePositiveResult(points=points, load=load)
-
-
-def main() -> None:
-    result = run()
-    print(result.format_table())
-    print()
-    print(result.format_chart())
-
-
-if __name__ == "__main__":
-    main()

@@ -33,11 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.base import Estimator
-from repro.core.baselines import NoEstimation
-from repro.core.successive import SuccessiveApproximation
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.render import ascii_chart, format_table
 from repro.experiments.specs import (
@@ -47,11 +44,6 @@ from repro.experiments.specs import (
     RunSpec,
     WorkloadSpec,
 )
-from repro.sim.engine import simulate
-from repro.sim.faults import FaultConfig
-from repro.sim.metrics import utilization
-from repro.sim.policies import Fcfs
-from repro.workload.transforms import scale_load
 
 
 def _mtbf_label(mtbf: float) -> str:
@@ -70,9 +62,18 @@ def sweep_specs(
     subsystem (``FaultSpec`` carries the failure knobs) so the service and
     the parallel executor can run it.  ``math.inf`` MTBF maps to a disabled
     :class:`~repro.experiments.specs.FaultSpec` (``node_mtbf=0``) because
-    specs must stay strictly JSON-able; each spec's simulation is
-    bit-identical to the corresponding direct run in :func:`run`.
+    specs must stay strictly JSON-able.
     """
+    return [spec for _, _, spec in _cells(cfg, mtbfs, node_mttr, load)]
+
+
+def _cells(
+    cfg: Optional[ExperimentConfig],
+    mtbfs: Sequence[float],
+    node_mttr: float,
+    load: float,
+) -> List[Tuple[float, str, RunSpec]]:
+    """Each grid cell's ``(MTBF, variant, spec)``, MTBF-major."""
     cfg = cfg or ExperimentConfig()
     variants: List[Tuple[str, EstimatorSpec]] = [
         ("implicit", EstimatorSpec.make("successive", alpha=cfg.alpha, beta=0.0)),
@@ -89,16 +90,20 @@ def sweep_specs(
         ("no-estimation", EstimatorSpec(name="none")),
     ]
     return [
-        RunSpec(
-            workload=WorkloadSpec(n_jobs=cfg.n_jobs, seed=cfg.seed, load=load),
-            cluster=ClusterSpec(second_tier_mem=cfg.second_tier_mem),
-            estimator=estimator,
-            seed=cfg.seed,
-            label=f"{name}@mtbf={_mtbf_label(mtbf)}",
-            faults=(
-                FaultSpec()
-                if math.isinf(mtbf)
-                else FaultSpec(node_mtbf=float(mtbf), node_mttr=node_mttr)
+        (
+            float(mtbf),
+            name,
+            RunSpec(
+                workload=WorkloadSpec(n_jobs=cfg.n_jobs, seed=cfg.seed, load=load),
+                cluster=ClusterSpec(second_tier_mem=cfg.second_tier_mem),
+                estimator=estimator,
+                seed=cfg.seed,
+                label=f"{name}@mtbf={_mtbf_label(mtbf)}",
+                faults=(
+                    FaultSpec()
+                    if math.isinf(mtbf)
+                    else FaultSpec(node_mtbf=float(mtbf), node_mttr=node_mttr)
+                ),
             ),
         )
         for mtbf in mtbfs
@@ -207,58 +212,27 @@ def run(
     months" — on the 1024-node cluster the latter is a cluster-wide failure
     every ~5.4 hours, enough to poison a large share of similarity groups
     over a trace without drowning the signal in raw capacity loss (downtime
-    stays below 0.02% of node-seconds at the default MTTR).
+    stays below 0.02% of node-seconds at the default MTTR).  Each cell
+    simulates its :func:`sweep_specs` spec, so the CLI and the service run
+    one grid.
     """
-    cfg = config or ExperimentConfig()
-    workload = scale_load(cfg.make_sim_workload(), load)
-
-    variants: List[Tuple[str, Callable[[], Estimator]]] = [
-        ("implicit", lambda: SuccessiveApproximation(alpha=cfg.alpha, beta=0.0)),
-        (
-            "implicit-decay",
-            lambda: SuccessiveApproximation(alpha=cfg.alpha, beta=0.75),
-        ),
-        (
-            "explicit-guard",
-            lambda: SuccessiveApproximation(
-                alpha=cfg.alpha, beta=0.0, explicit_guard=True
-            ),
-        ),
-        ("no-estimation", NoEstimation),
-    ]
+    # Lazy: the service parses a faults request with this module and
+    # imports the executor on its own schedule.
+    from repro.experiments.parallel import _simulate
+    from repro.sim.engine import simulate
+    from repro.sim.metrics import utilization
 
     points: List[FaultPoint] = []
-    for mtbf in mtbfs:
-        fault_config = FaultConfig(node_mtbf=mtbf, node_mttr=node_mttr)
-        for name, factory in variants:
-            result = simulate(
-                workload,
-                cfg.make_cluster(),
-                estimator=factory(),
-                policy=Fcfs(),
-                seed=cfg.seed,
-                fault_config=fault_config,
-                collect_attempts=False,
+    for mtbf, variant, spec in _cells(config, mtbfs, node_mttr, load):
+        result = _simulate(spec, simulate)
+        points.append(
+            FaultPoint(
+                node_mtbf=mtbf,
+                variant=variant,
+                utilization=utilization(result),
+                frac_reduced=result.frac_reduced_submissions,
+                n_node_failures=result.n_node_failures,
+                n_fault_kills=result.n_fault_kills,
             )
-            points.append(
-                FaultPoint(
-                    node_mtbf=float(mtbf),
-                    variant=name,
-                    utilization=utilization(result),
-                    frac_reduced=result.frac_reduced_submissions,
-                    n_node_failures=result.n_node_failures,
-                    n_fault_kills=result.n_fault_kills,
-                )
-            )
+        )
     return FaultResult(points=points, load=load, node_mttr=node_mttr)
-
-
-def main() -> None:
-    result = run()
-    print(result.format_table())
-    print()
-    print(result.format_chart())
-
-
-if __name__ == "__main__":
-    main()

@@ -80,14 +80,3 @@ def run(config: Optional[ExperimentConfig] = None, bin_width: float = 5.0) -> Fi
         job_fractions=fractions,
         stats=overprovisioning_stats(workload, bin_width=bin_width),
     )
-
-
-def main() -> None:
-    result = run()
-    print(result.format_table())
-    print()
-    print(result.format_chart())
-
-
-if __name__ == "__main__":
-    main()

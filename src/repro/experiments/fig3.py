@@ -58,14 +58,3 @@ class Fig3Result:
 def run(config: Optional[ExperimentConfig] = None) -> Fig3Result:
     cfg = config or ExperimentConfig()
     return Fig3Result(distribution=group_size_distribution(cfg.make_workload()))
-
-
-def main() -> None:
-    result = run()
-    print(result.format_table())
-    print()
-    print(result.format_chart())
-
-
-if __name__ == "__main__":
-    main()

@@ -84,14 +84,3 @@ def run(
         frac_jobs_covered=dist.fraction_of_jobs_at_least(min_group_size),
         min_group_size=min_group_size,
     )
-
-
-def main() -> None:
-    result = run()
-    print(result.format_table())
-    print()
-    print(result.format_chart())
-
-
-if __name__ == "__main__":
-    main()

@@ -174,14 +174,3 @@ def run(
         saturation_with=saturation_point(with_est.loads, with_est.utilizations),
         policy_name=policy,
     )
-
-
-def main() -> None:
-    result = run()
-    print(result.format_table())
-    print()
-    print(result.format_chart())
-
-
-if __name__ == "__main__":
-    main()

@@ -113,14 +113,3 @@ def run(
         without_estimation=base.without_estimation,
         with_estimation=base.with_estimation,
     )
-
-
-def main() -> None:
-    result = run()
-    print(result.format_table())
-    print()
-    print(result.format_chart())
-
-
-if __name__ == "__main__":
-    main()

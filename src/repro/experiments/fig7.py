@@ -147,14 +147,3 @@ def make_fig7_cluster(nodes_per_tier: int = 64) -> Cluster:
         [(nodes_per_tier, level) for level in FIG7_LEVELS],
         name="fig7-ladder",
     )
-
-
-def main() -> None:
-    result = run()
-    print(result.format_table())
-    print()
-    print(result.format_chart())
-
-
-if __name__ == "__main__":
-    main()

@@ -251,14 +251,3 @@ def run(
             [p.ratio for p in band],
         )
     return Fig8Result(points=points, load=load, node_count_fit=fit)
-
-
-def main() -> None:
-    result = run()
-    print(result.format_table())
-    print()
-    print(result.format_chart())
-
-
-if __name__ == "__main__":
-    main()

@@ -27,8 +27,10 @@ take the whole grid down:
   breaks the whole :class:`ProcessPoolExecutor`; the executor rebuilds the
   pool and resubmits only the *unfinished* specs, preserving every
   completed outcome.  A spec that repeatedly coincides with pool crashes is
-  quarantined to in-process execution so a poison spec cannot crash-loop
-  the sweep forever.
+  quarantined: it runs alone on the pool, and if a worker dies then, it is
+  reported failed, so a poison spec cannot crash-loop the sweep forever.
+  A spec that was in flight when a worker died never runs in the calling
+  process, where it could kill the sweep (or the service) itself.
 * **Per-spec timeout** — a run exceeding ``timeout`` seconds of wall clock
   since submission is stopped: the pool's workers are terminated and a
   fresh pool replaces it.  The run is resubmitted at once, up to
@@ -169,12 +171,12 @@ def _result_to_point(spec: RunSpec, result: SimResult) -> SweepPoint:
     )
 
 
-def _run_spec(spec: RunSpec, run: Callable[..., SimResult]) -> SweepPoint:
-    """Materialize ``spec``, run it through ``run`` and fold the result.
+def _simulate(spec: RunSpec, run: Callable[..., SimResult]) -> SimResult:
+    """Materialize ``spec`` and run it through ``run``.
 
     The attempt trace is off: a sweep point only aggregates.
     """
-    result = run(
+    return run(
         spec.workload.materialize(),
         spec.cluster.materialize(),
         spec.estimator.materialize(),
@@ -184,7 +186,11 @@ def _run_spec(spec: RunSpec, run: Callable[..., SimResult]) -> SweepPoint:
         fault_config=_spec_fault_config(spec),
         collect_attempts=False,
     )
-    return _result_to_point(spec, result)
+
+
+def _run_spec(spec: RunSpec, run: Callable[..., SimResult]) -> SweepPoint:
+    """``spec``'s sweep point from a :func:`_simulate` through ``run``."""
+    return _result_to_point(spec, _simulate(spec, run))
 
 
 def simulate_spec(spec: RunSpec) -> SweepPoint:
@@ -644,11 +650,13 @@ class _PoolExecution:
         self.started: Dict[Future, float] = {}
         self.retries_used = [0] * n
         #: Pool crashes a spec was in flight for.  A spec exceeding the
-        #: quarantine threshold runs in-process instead of being resubmitted,
-        #: so a poison spec (e.g. one that OOM-kills its worker every time)
-        #: cannot crash-loop the sweep; innocent bystanders of one crash are
-        #: well below the threshold and go back to the pool.
+        #: quarantine threshold runs alone on the pool, so the next crash is
+        #: its own and fails it: a poison spec (e.g. one that OOM-kills its
+        #: worker every time) cannot crash-loop the sweep, and a bystander
+        #: quarantined with it gets a run of its own.
         self.crashes = [0] * n
+        #: The quarantined spec running alone on the pool, if any.
+        self.alone: Optional[int] = None
         self.pool: Optional[ProcessPoolExecutor] = None
         self.shm_store = SharedBaseStore()
 
@@ -746,43 +754,76 @@ class _PoolExecution:
             )
         while self.todo:
             j = self.todo.popleft()
-            self._finish(j, execute_spec(self.specs[j]))
+            if self.crashes[j]:
+                # It may be what killed the worker: never run it here.
+                self._finish(j, self._crashed(j, "no process pool is left"))
+            else:
+                self._finish(j, execute_spec(self.specs[j]))
 
-    def _run_quarantined(self, j: int) -> None:
+    def _crashed(self, j: int, why: str) -> RunOutcome:
+        return RunOutcome(
+            spec=self.specs[j],
+            point=None,
+            error=(
+                f"in flight for {self.crashes[j]} worker crashes and not "
+                f"rerun: {why}"
+            ),
+        )
+
+    def _run_alone(self, j: int) -> None:
+        """Run quarantined spec ``j`` on the pool with nothing beside it.
+
+        A worker that dies now was killed by ``j``:
+        :meth:`_recover_broken_pool` reports it failed.
+        """
         logger.warning(
-            "spec %s was in flight for %d pool crashes; quarantining "
-            "to in-process execution",
+            "spec %s was in flight for %d pool crashes; running it alone",
             self.specs[j].label or f"#{j}",
             self.crashes[j],
         )
-        self._finish(j, execute_spec(self.specs[j]))
+        if not self._submit(j):
+            return
+        self.alone = j
+        while self.pending:
+            self._wait_round()
+        self.alone = None
 
     def _submit_ready(self) -> None:
         while self.todo and len(self.pending) < self.workers:
             j = self.todo.popleft()
             if self.crashes[j] > self.crash_quarantine:
-                self._run_quarantined(j)
+                if self.pending:
+                    # It runs alone: wait for the pool to drain first.
+                    self.todo.appendleft(j)
+                    return
+                self._run_alone(j)
                 continue
-            try:
-                future = self.pool.submit(execute_spec, self.specs[j])
-            except BrokenExecutor as exc:
-                # The break can surface at submit time (a worker died between
-                # wait rounds) — same recovery as a break seen at result time.
-                self._recover_broken_pool(j, exc)
+            if not self._submit(j):
                 return
-            except _POOL_UNAVAILABLE as exc:
-                logger.warning(
-                    "submission to the process pool failed (%s); running the "
-                    "remaining %d specs in-process",
-                    exc,
-                    len(self.todo) + 1,
-                )
-                self.todo.appendleft(j)
-                self._recall_pending()
-                self._drain_in_process()
-                return
-            self.pending[future] = j
-            self.started[future] = time.monotonic()
+
+    def _submit(self, j: int) -> bool:
+        """Put spec ``j`` in flight; False if the pool failed instead."""
+        try:
+            future = self.pool.submit(execute_spec, self.specs[j])
+        except BrokenExecutor as exc:
+            # The break can surface at submit time (a worker died between
+            # wait rounds) — same recovery as a break seen at result time.
+            self._recover_broken_pool(j, exc)
+            return False
+        except _POOL_UNAVAILABLE as exc:
+            logger.warning(
+                "submission to the process pool failed (%s); running the "
+                "remaining %d specs in-process",
+                exc,
+                len(self.todo) + 1,
+            )
+            self.todo.appendleft(j)
+            self._recall_pending()
+            self._drain_in_process()
+            return False
+        self.pending[future] = j
+        self.started[future] = time.monotonic()
+        return True
 
     def _recall_pending(self) -> None:
         """Move every pending index back onto ``todo`` (pool is dead)."""
@@ -870,7 +911,9 @@ class _PoolExecution:
         """A worker died: rebuild the pool, resubmit only unfinished specs.
 
         ``j`` is the spec whose future surfaced the break; every spec in
-        flight with it counts one crash toward its own quarantine.
+        flight with it counts one crash toward its own quarantine.  A
+        quarantined spec that ran alone killed the worker itself: it is
+        reported failed, not resubmitted.
         """
         self.stats.n_pool_rebuilds += 1
         unfinished = sorted({j, *self.pending.values()})
@@ -878,6 +921,9 @@ class _PoolExecution:
         self.started.clear()
         for k in unfinished:
             self.crashes[k] += 1
+        if j == self.alone:
+            self._finish(j, self._crashed(j, "a worker died running it alone"))
+            unfinished = []
         self.todo.extendleft(reversed(unfinished))
         logger.warning(
             "process pool broke (%s); rebuilding and resubmitting %d "

@@ -126,11 +126,3 @@ def run(
             )
         )
     return PolicyComparisonResult(rows=rows, load=load)
-
-
-def main() -> None:
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

@@ -146,11 +146,3 @@ def run(
             )
         )
     return ReplicationResult(points=points, load=load, n_jobs=cfg.n_jobs)
-
-
-def main() -> None:
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

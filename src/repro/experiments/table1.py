@@ -144,11 +144,3 @@ def run(
             )
         )
     return Table1Result(rows=rows, load=load)
-
-
-def main() -> None:
-    print(run().format_table())
-
-
-if __name__ == "__main__":
-    main()

@@ -10,10 +10,15 @@ Workloads Archive.  This package provides
   real archive trace can be dropped in,
 * :mod:`repro.workload.synthetic` — a generator statistically calibrated to
   the published LANL CM5 numbers (used because this environment has no network
-  access; see DESIGN.md §2),
+  access; see DESIGN.md §2); its diurnal warp is the package's one arrival
+  model,
 * :mod:`repro.workload.transforms` — load rescaling, filtering, subsampling,
+* :mod:`repro.workload.report` — a trace characterization report,
 * :mod:`repro.workload.stats` — the over-provisioning analyses behind
   Figure 1.
+
+Archive-log cleaning (flurry removal), re-timing and train/test splits are
+not here: no experiment needs them.
 
 Exports load on first access (:func:`repro._lazy.lazy_exports`): ``from
 repro.workload import scale_load`` imports :mod:`repro.workload.transforms`
@@ -24,13 +29,10 @@ the submodule that defines it.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    "arrivals": ("retime_diurnal", "retime_poisson"),
-    "cleaning": ("Flurry", "detect_flurries", "inject_flurry", "remove_flurries"),
     "columns": ("COLUMN_FIELDS", "JobColumns"),
     "job": ("Job", "LazyJobs", "Workload"),
     "lanl_cm5": ("LANL_CM5", "TraceProfile", "lanl_cm5_like"),
     "report": ("TraceReport", "characterize"),
-    "splitting": ("split_by_time",),
     "stats": (
         "OverprovisioningStats",
         "RegressionFit",
@@ -52,7 +54,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
 
 __all__ = [
     "COLUMN_FIELDS",
-    "Flurry",
     "Job",
     "JobColumns",
     "LANL_CM5",
@@ -64,11 +65,9 @@ __all__ = [
     "TraceReport",
     "Workload",
     "characterize",
-    "detect_flurries",
     "drop_full_machine_jobs",
     "generate_trace",
     "head",
-    "inject_flurry",
     "lanl_cm5_like",
     "log_linear_fit",
     "offered_load",
@@ -77,12 +76,8 @@ __all__ = [
     "ratio_at_least",
     "read_swf",
     "read_swf_text",
-    "remove_flurries",
-    "retime_diurnal",
-    "retime_poisson",
     "scale_load",
     "shift_to_zero",
-    "split_by_time",
     "write_swf",
     "write_swf_text",
 ]

@@ -7,6 +7,7 @@ import pytest
 from repro.core import NoEstimation, SuccessiveApproximation
 from repro.experiments import faults
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.parallel import simulate_spec
 from repro.sim import (
     FailureModel,
     FaultConfig,
@@ -172,3 +173,18 @@ def test_points_match_explicit_scalar_runs():
             ))
     assert result.points == twins
     assert any(p.n_fault_kills > 0 for p in twins)
+
+
+def test_cells_are_the_sweep_specs():
+    """run() simulates the specs sweep_specs() gives the service: each
+    cell equals the scalar sweep point of its spec."""
+    cfg = ExperimentConfig(n_jobs=600)
+    grid = dict(mtbfs=(math.inf, 2e6), node_mttr=1800.0, load=0.9)
+    result = faults.run(cfg, **grid)
+    specs = faults.sweep_specs(cfg, **grid)
+    assert len(result.points) == len(specs) == 8
+    for cell, spec in zip(result.points, specs):
+        assert spec.label == f"{cell.variant}@mtbf={faults._mtbf_label(cell.node_mtbf)}"
+        point = simulate_spec(spec)
+        assert cell.utilization == point.utilization
+        assert cell.frac_reduced == point.frac_reduced_submissions

@@ -154,20 +154,70 @@ class TestWorkerDeath:
 
     @fork_only
     def test_repeat_offender_is_quarantined_in_process(self, tmp_path):
-        # A spec that kills its worker every time (no sentinel reprieve after
-        # the first crash: fresh sentinel per attempt via crash-count naming
-        # is overkill — simplest is a spec that always kills) must not
-        # crash-loop the sweep forever; after the quarantine threshold it
-        # runs in the parent process, where construction succeeds only if
-        # the sentinel exists.  Use a sentinel the parent pre-creates so the
-        # quarantined in-process run cannot kill the test process itself.
+        # A spec that kills its worker once (its sentinel spares every later
+        # construction) is in flight for one crash, below the quarantine
+        # threshold: it goes back to the rebuilt pool and succeeds there.
+        # A spec that kills its worker every time is the child interpreter
+        # of test_poison_spec_never_runs_in_the_caller.
         sentinel = tmp_path / "killed"
         killer = spec("kill-worker-once", load=0.5, sentinel=str(sentinel))
         report = run_sweep([spec(load=0.4), killer], max_workers=2, oversubscribe=True)
-        # First worker crash creates the sentinel; any resubmission (pool or
-        # quarantine) then constructs cleanly.
         assert report.n_errors == 0
         assert report.n_pool_rebuilds >= 1
+
+    @fork_only
+    def test_poison_spec_never_runs_in_the_caller(self, tmp_path):
+        # A fresh interpreter, since a poison spec run in the calling
+        # process kills it.  Both specs are in flight for two crashes and
+        # are quarantined: each then runs alone on the pool.  The bystander
+        # succeeds; the poison spec's third crash is its own and fails it.
+        out, err = tmp_path / "out", tmp_path / "err"
+        with out.open("w") as stdout, err.open("w") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _POISON_SWEEP], env=_env_with_src(),
+                stdout=stdout, stderr=stderr, start_new_session=True,
+            )
+            try:
+                returncode = proc.wait(timeout=120)
+            finally:
+                # A killed sweep leaves its pool's workers behind.
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        assert returncode == 0, err.read_text()
+        same_point, rebuilds, error = out.read_text().splitlines()
+        assert same_point == "True"
+        assert rebuilds == "3"
+        assert error == (
+            "in flight for 3 worker crashes and not rerun: "
+            "a worker died running it alone"
+        )
+
+    @fork_only
+    def test_crashed_spec_is_not_drained_in_process(self, monkeypatch, tmp_path):
+        # No pool starts after the crash: the rest of the sweep runs
+        # in-process, except the specs that were in flight when the worker
+        # died.  The killer's sentinel would let it construct here, so only
+        # the drain rule keeps it off this process.
+        import repro.experiments.parallel as parallel_mod
+
+        real_pool, pools = parallel_mod.ProcessPoolExecutor, []
+
+        def first_pool_only(*args, **kwargs):
+            if pools:
+                raise OSError("no second pool in this sandbox")
+            pools.append(real_pool(*args, **kwargs))
+            return pools[0]
+
+        sentinel = tmp_path / "killed"
+        killer = spec("kill-worker-once", load=0.5, sentinel=str(sentinel))
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", first_pool_only)
+        report = run_sweep([killer, spec(load=0.6)], max_workers=2, oversubscribe=True)
+        assert sentinel.exists(), "the kill never fired"
+        assert report.outcomes[0].error == (
+            "in flight for 1 worker crashes and not rerun: no process pool is left"
+        )
 
     def test_pool_unavailable_falls_back_to_in_process(self, monkeypatch):
         import repro.experiments.parallel as parallel_mod
@@ -354,6 +404,31 @@ def _env_with_src() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     ))
+
+
+#: A sweep of a bystander beside a spec that SIGKILLs every worker it runs in.
+_POISON_SWEEP = """
+import os, signal
+from repro.core.baselines import NoEstimation
+from repro.experiments.parallel import run_sweep, simulate_spec
+from repro.experiments.specs import EstimatorSpec, RunSpec, WorkloadSpec, register_estimator
+
+class AlwaysKills(NoEstimation):
+    def __init__(self):
+        super().__init__()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+register_estimator("always-kills", AlwaysKills)
+bystander = RunSpec(workload=WorkloadSpec(n_jobs=300, seed=0, load=0.4))
+poison = RunSpec(
+    workload=WorkloadSpec(n_jobs=300, seed=0, load=0.5),
+    estimator=EstimatorSpec(name="always-kills"),
+)
+report = run_sweep([bystander, poison], max_workers=2, oversubscribe=True)
+print(report.outcomes[0].point == simulate_spec(bystander))
+print(report.n_pool_rebuilds)
+print(report.outcomes[1].error)
+"""
 
 
 #: A sweep process that SIGKILLs itself once its second point is committed.

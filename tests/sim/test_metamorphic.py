@@ -16,8 +16,14 @@ through ``simulate()`` (the fast lane) and the scalar ``Simulation``:
   matcher can only grant the one tier.  (A request above the tier is
   rejected without estimation but may be admitted with it, so a smaller
   tier would break the relation by design.)
+
+Shifting every submit time by 2^22 s (and every start and end back) keeps
+each job's attempt count and reduced flag, and its start and end to within
+one ulp at 2^23 s.  Not bit for bit: a failed attempt's uniformly drawn
+duration rounds differently when added at 2^22 s.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -125,3 +131,22 @@ def test_estimation_on_one_tier_keeps_the_schedule(workload, engine, policy):
     assert schedule(run(engine, workload, one_tier(), "successive", policy)) == schedule(
         run(engine, workload, one_tier(), "none", policy)
     )
+
+
+SHIFT = 2.0**22
+
+
+@settings(max_examples=30, deadline=None)
+@given(workload=_diff_traces())
+@parametrize_estimators
+@parametrize_runs
+def test_shifting_submit_times_keeps_the_schedule(workload, engine, policy, estimator):
+    shifted = rewritten(workload, submit_time=lambda t: t + SHIFT)
+    result = run(engine, shifted, _diff_cluster("best_fit"), estimator, policy)
+    original = run(engine, workload, _diff_cluster("best_fit"), estimator, policy)
+    tolerance = math.ulp(2.0**23)
+    assert len(result.summaries) == len(original.summaries)
+    for moved, kept in zip(result.summaries, original.summaries):
+        assert (moved.n_attempts, moved.reduced) == (kept.n_attempts, kept.reduced)
+        assert abs(moved.start_time - SHIFT - kept.start_time) <= tolerance
+        assert abs(moved.end_time - SHIFT - kept.end_time) <= tolerance

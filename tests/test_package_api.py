@@ -251,9 +251,15 @@ class TestExperimentModulesAreUniform:
          "falsepositives", "policies_exp", "replication"],
     )
     def test_run_and_main_exist(self, name):
+        """Each experiment has ``run()`` and one command line: the CLI's
+        ``main`` serves it as ``repro experiment NAME``; the module keeps
+        no ``main`` of its own."""
+        from repro.cli import EXPERIMENTS, main
+
         module = importlib.import_module(f"repro.experiments.{name}")
         assert callable(module.run)
-        assert callable(module.main)
+        assert callable(main) and name in EXPERIMENTS
+        assert not hasattr(module, "main")
 
     def test_cli_experiment_list_matches_modules(self):
         from repro.cli import EXPERIMENTS

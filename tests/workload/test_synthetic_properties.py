@@ -1,11 +1,14 @@
-"""Property-based tests of the synthetic generator over random configs."""
+"""Property-based tests of the synthetic generator over random configs,
+and of its diurnal warp."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
+from repro.util.units import SECONDS_PER_DAY
+from repro.workload.synthetic import SyntheticTraceConfig, _diurnal_warp, generate_trace
 
 config_strategy = st.builds(
     lambda n_jobs, floor, near, p_large, window_days, diurnal: dataclasses.replace(
@@ -70,3 +73,54 @@ class TestGeneratorProperties:
         w = generate_trace(SyntheticTraceConfig.lanl_cm5(500), rng=seed)
         ids = [j.job_id for j in w]
         assert len(set(ids)) == len(ids)
+
+
+class TestGeneratorDiurnalWarp:
+    def test_warp_is_monotone(self):
+        t = np.linspace(0, 14 * SECONDS_PER_DAY, 5000)
+        warped = _diurnal_warp(t, 14 * SECONDS_PER_DAY, 4.0, 0.5)
+        assert np.all(np.diff(warped) >= 0)
+        assert warped[0] >= 0
+        assert warped[-1] <= 14 * SECONDS_PER_DAY
+
+    def test_warp_concentrates_daytime(self):
+        rng = np.random.default_rng(0)
+        t = rng.uniform(0, 28 * SECONDS_PER_DAY, size=50000)
+        warped = _diurnal_warp(t, 28 * SECONDS_PER_DAY, 4.0, 1.0)
+        hours = (warped % SECONDS_PER_DAY) / 3600
+        day = np.mean((hours >= 8) & (hours < 20))
+        assert day == pytest.approx(4 / 5, abs=0.05)  # 4x intensity over half the day
+
+    def test_generator_diurnal_toggle(self):
+        base = SyntheticTraceConfig.lanl_cm5(3000)
+        flat = generate_trace(dataclasses.replace(base, diurnal=False), rng=0)
+        cyc = generate_trace(dataclasses.replace(base, diurnal=True), rng=0)
+        hours_cyc = (np.array([j.submit_time for j in cyc]) % SECONDS_PER_DAY) / 3600
+        hours_flat = (np.array([j.submit_time for j in flat]) % SECONDS_PER_DAY) / 3600
+        day_cyc = np.mean((hours_cyc >= 8) & (hours_cyc < 20))
+        day_flat = np.mean((hours_flat >= 8) & (hours_flat < 20))
+        assert day_cyc > day_flat + 0.15
+
+    def test_group_clustering_survives_warp(self):
+        # The warp is order-preserving, so group activity windows stay much
+        # tighter than the uniform-spread alternative.
+        import collections
+
+        def median_group_span(w):
+            by_group = collections.defaultdict(list)
+            for j in w:
+                if j.procs < 1024:
+                    by_group[(j.user_id, j.app_id, j.req_mem)].append(j.submit_time)
+            spans = [
+                max(t) - min(t) for t in by_group.values() if len(t) >= 5
+            ]
+            return np.median(spans)
+
+        # Needs a trace long enough that the 30-day group windows are small
+        # relative to the duration (~4 months here).
+        cfg = SyntheticTraceConfig.lanl_cm5(20_000)
+        clustered = generate_trace(cfg, rng=0)
+        spread = generate_trace(
+            dataclasses.replace(cfg, cluster_in_time=False), rng=0
+        )
+        assert median_group_span(clustered) < 0.6 * median_group_span(spread)
