@@ -59,8 +59,10 @@ from __future__ import annotations
 
 import importlib
 import logging
+import multiprocessing
 import os
 import sys
+import threading
 import time
 import traceback
 from collections import deque
@@ -73,6 +75,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait as wait_for_ready
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.cache import SweepCache
@@ -210,14 +213,20 @@ def simulate_spec(spec: RunSpec) -> SweepPoint:
 
 
 def _worker_init(shared_handles=None) -> None:
-    """Process-pool initializer: clean spec caches, then shared-base handles.
+    """Process-pool initializer: tie the worker to its parent, clear the
+    base-trace memo, then install shared-base handles.
 
-    :mod:`repro.experiments.specs` memoizes materialized workloads and
-    clusters per process, keyed by the same provenance fields the spec
-    fingerprint hashes — so N specs over the same trace parse it once per
-    worker.  Under the ``fork`` start method a fresh worker would *inherit*
-    the parent's memos and hit counters; clearing them at worker start makes
-    the cache (and its accounting) genuinely per-worker and bounded.
+    A worker ends itself (:func:`_exit_with_parent`) once the process that
+    built its pool is gone, so a sweep killed by a signal leaves no idle
+    workers behind.
+
+    :mod:`repro.experiments.specs` memoizes base workloads per process,
+    keyed by the same provenance fields the spec fingerprint hashes — so N
+    specs over the same trace parse it once per worker.  Under the
+    ``fork`` start method a fresh worker would *inherit* the parent's memo
+    and hit counters; clearing them at worker start makes the memo (and
+    its accounting) genuinely per-worker and bounded.  Clusters and
+    load-scaled traces are built afresh for every run.
 
     ``shared_handles`` are the parent's published base-workload columns
     (:mod:`repro.experiments.shm`); installing them lets this worker attach
@@ -225,8 +234,30 @@ def _worker_init(shared_handles=None) -> None:
     happens unconditionally (``None`` installs nothing) so handles from a
     previous pool can never leak across rebuilds.
     """
+    _exit_with_parent()
     clear_materialization_caches()
     install_shared_columns(shared_handles)
+
+
+def _exit_with_parent() -> None:
+    """End this process once its parent process exits.
+
+    A daemon thread blocks on the parent's sentinel, which becomes ready
+    when the parent dies, however it dies.  (``prctl(PR_SET_PDEATHSIG)``
+    would not do: it fires when the forking *thread* ends, and the service
+    builds its pools from short-lived sweep threads.)  Under ``fork``,
+    workers forked later inherit the parent's end of this worker's
+    sentinel pipe, so the workers of a dead parent end newest first.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        wait_for_ready([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
 
 
 def _worker_warmup() -> int:

@@ -127,6 +127,10 @@ def scale_load(*args: Any, **kwargs: Any) -> Workload:
     return scale(*args, **kwargs)
 
 
+#: The workload sources :func:`_base_workload` can build.
+_SOURCES = ("lanl-cm5-synthetic", "swf")
+
+
 def _freeze_kwargs(kwargs: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
     """Sort and tuple-ize kwargs so equal configurations hash equally."""
     for key, value in kwargs.items():
@@ -156,25 +160,27 @@ class WorkloadSpec:
     drop_full_machine: bool = True
     load: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if type(self.n_jobs) is not int or self.n_jobs < 1:
+            raise ValueError(f"n_jobs must be an integer >= 1, got {self.n_jobs!r}")
+        # Negated comparison, so a NaN load fails it too.
+        if self.load is not None and not 0 < self.load < math.inf:
+            raise ValueError(f"load must be positive and finite, got {self.load}")
+        if self.source not in _SOURCES:
+            raise ValueError(
+                f"unknown workload source {self.source!r}; pick from {_SOURCES}"
+            )
+
     def base_key(self) -> Tuple:
         """Identity of the workload *before* load scaling (memoization key)."""
         return (self.source, self.n_jobs, self.seed, self.trace_path,
                 self.drop_full_machine)
 
     def materialize(self) -> Workload:
+        """The memoized base trace, or a new copy of it scaled to ``load``."""
         if self.load is None:
             return _base_workload(self)
-        key = self.base_key() + (self.load,)
-        cached = _SCALED_WORKLOADS.get(key)
-        if cached is not None:
-            _CACHE_STATS["scaled_workload_hits"] += 1
-            return cached
-        _CACHE_STATS["scaled_workload_misses"] += 1
-        scaled = scale_load(_base_workload(self), self.load)
-        if len(_SCALED_WORKLOADS) >= _SCALED_WORKLOADS_MAX:
-            _SCALED_WORKLOADS.pop(next(iter(_SCALED_WORKLOADS)))
-        _SCALED_WORKLOADS[key] = scaled
-        return scaled
+        return scale_load(_base_workload(self), self.load)
 
     def fingerprint(self) -> str:
         """Stable digest of the workload content's provenance.
@@ -191,26 +197,15 @@ class WorkloadSpec:
         return h.hexdigest()
 
 
-#: Per-process materialization memos.  A sweep re-uses one trace across
-#: every load point, and a pool worker re-uses it across every spec it
-#: executes, so generation/parse cost is paid once per process — the pool
-#: initializer (:mod:`repro.experiments.parallel`) resets these at worker
-#: start so each worker carries its *own* bounded cache, keyed by the same
-#: provenance fields the spec fingerprint hashes.
-#:
-#: Three layers, cheapest-to-derive last:
-#:  * base workloads (``base_key()``): the parse/generate cost,
-#:  * load-scaled workloads (``base_key() + (load,)``): the arrival rescale,
-#:  * clusters (``(second_tier_mem, strategy)``): safe to share because
-#:    :meth:`repro.sim.engine.Simulation.run` resets the cluster before
-#:    every run, and the capacity ladder (plus its rounding memos) is
-#:    immutable — re-using it across runs is pure win.
+#: Per-process memo of base workloads (``base_key()``): a sweep re-uses one
+#: trace across its load points and a pool worker across its specs, so the
+#: generate/parse cost is paid once per process.  The pool initializer
+#: (:mod:`repro.experiments.parallel`) clears it at worker start.  Scaled
+#: traces (0.9 ms per 20k jobs) and clusters (microseconds) are built per
+#: run: a :class:`~repro.cluster.cluster.Cluster` is mutable run state, and
+#: the service runs sweeps side by side in one process.
 _BASE_WORKLOADS: Dict[Tuple, Workload] = {}
 _BASE_WORKLOADS_MAX = 4
-_SCALED_WORKLOADS: Dict[Tuple, Workload] = {}
-_SCALED_WORKLOADS_MAX = 16
-_CLUSTERS: Dict[Tuple, Cluster] = {}
-_CLUSTERS_MAX = 16
 
 #: Zero-copy base workloads published by the sweep executor, by
 #: ``base_key()``.  Installed into each pool worker by the pool initializer
@@ -237,16 +232,12 @@ def install_shared_columns(handles: Optional[Sequence[Any]]) -> None:
         _SHARED_BASES[tuple(handle.base_key)] = handle
 
 
-#: Hit/miss counters for the memos above (per process — a pool worker's
+#: Hit/miss counters of the base-workload memo (per process — a pool worker's
 #: counters describe that worker only).  Read via
 #: :func:`materialization_cache_info`.
 _CACHE_STATS: Dict[str, int] = {
     "base_workload_hits": 0,
     "base_workload_misses": 0,
-    "scaled_workload_hits": 0,
-    "scaled_workload_misses": 0,
-    "cluster_hits": 0,
-    "cluster_misses": 0,
 }
 
 
@@ -261,38 +252,30 @@ def materialization_cache_info() -> Dict[str, int]:
 
 
 def trim_materialized_workloads() -> None:
-    """Release every memoized workload's materialized per-job objects.
+    """Release every memoized base workload's materialized per-job objects.
 
-    Inlined fast lanes (no estimation, Algorithm 1) read a columnar
-    workload's arrays and never materialize it.  Protocol-mode lanes and
-    the scalar engine consume Python :class:`Job` objects, which a
-    columnar workload materializes on first iteration — several MB per
-    20k-job trace, and the memos above would retain one such list per
-    cached (base/scaled) workload.  The sweep executor calls this after
-    every run, and :func:`~repro.experiments.parallel.simulate_spec` after
-    each scalar run, so a process keeps at most one materialized list live
-    at a time; the columns stay cached, making the next run's
-    re-materialization a cheap bulk pass rather than a re-parse (cache
-    hit/miss counters unaffected).  A result
-    still holding a released workload rebuilds bit-identical jobs from
-    the columns if its summaries are read later.
+    Only bases are memoized; a load-scaled trace lives as long as its run.
+    Protocol-mode lanes and the scalar engine consume :class:`Job` objects,
+    which a columnar workload materializes on first iteration — several MB
+    per 20k-job trace that the memo would otherwise keep.  The sweep
+    executor calls this after every run, as does
+    :func:`~repro.experiments.parallel.simulate_spec`; the columns stay, so
+    the next run re-materializes in a cheap bulk pass, and a result still
+    holding a released workload rebuilds bit-identical jobs from them.
     """
-    for workload in _BASE_WORKLOADS.values():
-        workload.release_materialized()
-    for workload in _SCALED_WORKLOADS.values():
+    # A snapshot, since a sweep in another thread may add a base meanwhile.
+    for workload in tuple(_BASE_WORKLOADS.values()):
         workload.release_materialized()
 
 
 def clear_materialization_caches() -> None:
-    """Drop every materialization memo and zero the hit/miss counters.
+    """Drop the base-workload memo and zero its hit/miss counters.
 
     Called by the sweep executor's pool initializer so each worker starts
-    with empty caches (under ``fork`` a worker would otherwise inherit the
-    parent's memos *and* counters), and by tests needing a clean slate.
+    with an empty memo (under ``fork`` a worker would otherwise inherit the
+    parent's memo *and* counters), and by tests needing a clean slate.
     """
     _BASE_WORKLOADS.clear()
-    _SCALED_WORKLOADS.clear()
-    _CLUSTERS.clear()
     for key in _CACHE_STATS:
         _CACHE_STATS[key] = 0
 
@@ -313,14 +296,12 @@ def _base_workload(spec: WorkloadSpec) -> Workload:
     else:
         if spec.source == "lanl-cm5-synthetic":
             workload = lanl_cm5_like(n_jobs=spec.n_jobs, seed=spec.seed)
-        elif spec.source == "swf":
+        else:  # "swf"
             from repro.workload.swf import read_swf
 
             if not spec.trace_path:
                 raise ValueError("WorkloadSpec(source='swf') requires trace_path")
             workload, _report = read_swf(spec.trace_path)
-        else:
-            raise ValueError(f"unknown workload source {spec.source!r}")
         if spec.drop_full_machine:
             workload = drop_full_machine_jobs(workload)
     if len(_BASE_WORKLOADS) >= _BASE_WORKLOADS_MAX:
@@ -346,23 +327,23 @@ class ClusterSpec:
     second_tier_mem: float = 24.0
     strategy: str = "best_fit"
 
+    def __post_init__(self) -> None:
+        from repro.cluster.cluster import _STRATEGIES
+
+        if not 0 < self.second_tier_mem < math.inf:
+            raise ValueError(
+                f"second_tier_mem must be positive and finite, got {self.second_tier_mem}"
+            )
+        if self.strategy not in _STRATEGIES:
+            raise ValueError(
+                f"unknown strategy {self.strategy!r}; pick from {_STRATEGIES}"
+            )
+
     def materialize(self) -> Cluster:
-        # Memoized per process: Simulation.run() resets the cluster before
-        # every run, so sequential runs can share one instance — and they
-        # then also share the ladder's immutable rounding memos.
-        key = (self.second_tier_mem, self.strategy)
-        cached = _CLUSTERS.get(key)
-        if cached is not None:
-            _CACHE_STATS["cluster_hits"] += 1
-            return cached
-        _CACHE_STATS["cluster_misses"] += 1
+        """A new cluster: a run mutates its nodes, so no two runs share one."""
         from repro.cluster.builder import paper_cluster
 
-        cluster = paper_cluster(self.second_tier_mem, strategy=self.strategy)
-        if len(_CLUSTERS) >= _CLUSTERS_MAX:
-            _CLUSTERS.pop(next(iter(_CLUSTERS)))
-        _CLUSTERS[key] = cluster
-        return cluster
+        return paper_cluster(self.second_tier_mem, strategy=self.strategy)
 
 
 @dataclass(frozen=True)
@@ -440,6 +421,10 @@ class RunSpec:
     seed: int = 0  # failure-model seed (fixed across load points of a sweep)
     label: str = ""
     faults: FaultSpec = field(default_factory=FaultSpec)
+
+    def __post_init__(self) -> None:
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def load(self) -> float:

@@ -1782,9 +1782,10 @@ def simulate_batch(
     estimator see each other's learning in config order.  All lanes share
     one decoded trace of ``workload``.
     Engine lanes reset their cluster when built and leave every node free
-    when finished, so lanes may share one ``Cluster`` instance (the
-    memoized ``ClusterSpec.materialize`` does this).  Fast lanes only read
-    the cluster's inventory.
+    when finished, so lanes may share one ``Cluster`` instance one at a
+    time; a cluster must not be running in two calls at once, which is
+    why ``ClusterSpec.materialize`` builds a new one per run.  Fast lanes
+    only read the cluster's inventory.
 
     The cyclic garbage collector is paused for the whole call: trace
     decode, and every lane's seeding, build, run and result build (see

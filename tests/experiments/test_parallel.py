@@ -1,10 +1,11 @@
 """The parallel sweep executor, spec layer, and on-disk result cache."""
 
 import pickle
+import threading
 
 import pytest
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from repro.experiments.cache import SweepCache, resolve_cache
 from repro.experiments.config import ExperimentConfig
@@ -126,13 +127,15 @@ class TestRunSweepParity:
             report.points()
 
     def test_execute_spec_envelope_captures_traceback(self):
+        # An unknown source is refused when the spec is built; a missing
+        # trace file only shows when the worker materializes the spec.
         outcome = execute_spec(
             RunSpec(
-                workload=WorkloadSpec(n_jobs=100, source="unknown-source"),
+                workload=WorkloadSpec(n_jobs=100, source="swf", trace_path="missing.swf"),
             )
         )
         assert not outcome.ok
-        assert "unknown-source" in outcome.error
+        assert "missing.swf" in outcome.error
 
 
 class TestSweepCache:
@@ -178,7 +181,7 @@ class TestSweepCache:
 
 
 class TestWorkerMaterializationCache:
-    """The per-process spec caches: N specs over one trace parse it once."""
+    """The per-process base-trace memo: N specs over one trace parse it once."""
 
     def _shared_workload_specs(self, loads=(0.4, 0.6, 0.8)):
         return [
@@ -198,36 +201,28 @@ class TestWorkerMaterializationCache:
             simulate_spec(s)
         info = materialization_cache_info()
         # Three load points over one trace: the base workload is generated
-        # exactly once; each distinct load is one scaled-workload miss.
-        assert info["base_workload_misses"] == 1
-        assert info["base_workload_hits"] == len(specs) - 1
-        assert info["scaled_workload_misses"] == len(specs)
-        assert info["scaled_workload_hits"] == 0
-        # One shared cluster, too (Simulation.run resets it per run).
-        assert info["cluster_misses"] == 1
-        assert info["cluster_hits"] == len(specs) - 1
+        # exactly once; the memo holds nothing but bases.
+        assert info == {
+            "base_workload_hits": len(specs) - 1,
+            "base_workload_misses": 1,
+        }
 
-    def test_repeated_spec_is_a_scaled_workload_hit(self):
-        clear_materialization_caches()
+    def test_each_materialize_builds_a_new_cluster_and_scaled_trace(self):
         spec = self._shared_workload_specs()[0]
-        first = simulate_spec(spec)
-        again = simulate_spec(spec)
-        info = materialization_cache_info()
-        assert info["scaled_workload_hits"] == 1
-        # Re-using the materialized workload/cluster must not change results.
-        assert first == again
+        assert spec.cluster.materialize() is not spec.cluster.materialize()
+        first, again = spec.workload.materialize(), spec.workload.materialize()
+        assert first is not again
+        assert list(first) == list(again)
 
     def test_simulate_spec_releases_the_trace_like_execute_spec(self):
-        # The scalar engine iterates the memoized workload's jobs; both
-        # entry points leave only its columns behind.
+        # The scalar engine iterates the memoized base's jobs; both entry
+        # points leave only its columns behind.
         clear_materialization_caches()
         try:
-            spec = self._shared_workload_specs()[0]
+            spec = RunSpec(workload=WorkloadSpec(n_jobs=200, seed=3))
             for run in (simulate_spec, execute_spec, simulate_spec):
                 run(spec)
-                memoized = list(spec_memo._BASE_WORKLOADS.values()) + list(
-                    spec_memo._SCALED_WORKLOADS.values()
-                )
+                memoized = list(spec_memo._BASE_WORKLOADS.values())
                 assert memoized
                 assert not any(w.jobs.materialized() for w in memoized), run
         finally:
@@ -251,7 +246,28 @@ class TestWorkerMaterializationCache:
         # The single worker executed every spec: one parse, the rest hits.
         assert info["base_workload_misses"] == 1
         assert info["base_workload_hits"] == len(specs) - 1
-        assert info["cluster_misses"] == 1
+
+    def test_concurrent_in_process_sweeps_share_no_cluster(self):
+        # Worst fit is the one cluster setting the fast lane does not cover,
+        # so the scalar Simulation runs, allocating on and releasing from
+        # the cluster it was given.  Four sweeps run side by side in one
+        # process, as the service runs them.
+        spec = RunSpec(
+            workload=WorkloadSpec(n_jobs=1500, seed=3, load=0.9),
+            cluster=ClusterSpec(strategy="worst_fit"),
+            estimator=EstimatorSpec.make("successive", alpha=2.0, beta=0.0),
+        )
+        side_by_side = threading.Barrier(4, timeout=60)
+
+        def sweep(_):
+            side_by_side.wait()
+            return run_sweep([spec], max_workers=1)
+
+        with ThreadPoolExecutor(max_workers=4) as threads:
+            reports = list(threads.map(sweep, range(4)))
+        assert [r.outcomes[0].error for r in reports] == [None] * 4
+        expected = simulate_spec(spec)
+        assert [r.points()[0] for r in reports] == [expected] * 4
 
 
 class TestSerialFallback:

@@ -195,6 +195,43 @@ class TestWorkerDeath:
         )
 
     @fork_only
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists children via /proc")
+    def test_workers_end_with_a_killed_sweep(self, tmp_path):
+        # A sweep process SIGKILLed while both its workers run: the workers
+        # (and the resource tracker they keep alive) must not outlive it.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _STUCK_SWEEP, str(tmp_path)],
+            env=_env_with_src(), stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, start_new_session=True,
+        )
+        children = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(tmp_path.glob("worker-*"))) < 2:
+                assert proc.poll() is None, "the sweep exited early"
+                assert time.monotonic() < deadline, "the workers never started"
+                time.sleep(0.05)
+            children = _children_of(proc.pid)
+            workers = {int(p.name.split("-")[1]) for p in tmp_path.glob("worker-*")}
+            assert workers <= set(children)
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while [pid for pid in children if _running(pid)]:
+                assert time.monotonic() < deadline, (
+                    f"alive 10 s after the sweep died: "
+                    f"{[pid for pid in children if _running(pid)]}"
+                )
+                time.sleep(0.1)
+        finally:
+            for pid in [pid for pid in children if _running(pid)] + [-proc.pid]:
+                try:
+                    os.kill(pid, signal.SIGKILL)  # -pid: the child's session
+                except ProcessLookupError:
+                    pass
+            proc.wait(timeout=30)
+
+    @fork_only
     def test_crashed_spec_is_not_drained_in_process(self, monkeypatch, tmp_path):
         # No pool starts after the crash: the rest of the sweep runs
         # in-process, except the specs that were in flight when the worker
@@ -429,6 +466,52 @@ print(report.outcomes[0].point == simulate_spec(bystander))
 print(report.n_pool_rebuilds)
 print(report.outcomes[1].error)
 """
+
+
+#: A sweep of two runs on two workers, each of which marks its worker's pid
+#: in the directory ``argv[1]`` and then never finishes.
+_STUCK_SWEEP = """
+import os, sys, time
+from repro.core.baselines import NoEstimation
+from repro.experiments.parallel import run_sweep
+from repro.experiments.specs import EstimatorSpec, RunSpec, WorkloadSpec, register_estimator
+
+class Stuck(NoEstimation):
+    def __init__(self):
+        super().__init__()
+        open(os.path.join(sys.argv[1], f"worker-{os.getpid()}"), "w").close()
+        time.sleep(600)
+
+register_estimator("stuck", Stuck)
+specs = [
+    RunSpec(workload=WorkloadSpec(n_jobs=300, seed=0, load=load),
+            estimator=EstimatorSpec(name="stuck"))
+    for load in (0.4, 0.5)
+]
+run_sweep(specs, max_workers=2, oversubscribe=True)
+"""
+
+
+def _children_of(pid: int) -> list:
+    """Pids whose parent is ``pid``, read from /proc."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
 
 
 #: A sweep process that SIGKILLs itself once its second point is committed.

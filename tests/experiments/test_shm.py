@@ -17,7 +17,7 @@ from repro.experiments.specs import (
     EstimatorSpec,
     RunSpec,
     WorkloadSpec,
-    _SCALED_WORKLOADS,
+    _BASE_WORKLOADS,
     clear_materialization_caches,
     install_shared_columns,
     materialize_base_workload,
@@ -152,10 +152,16 @@ class TestSweepLifecycle:
 
 class TestWorkerDataPlane:
     def test_execute_spec_trims_materialized_jobs(self):
-        outcome = execute_spec(spec(load=0.5))
-        assert outcome.ok
+        # An unscaled point runs on the memoized base itself, and a
+        # protocol-mode estimator materializes its jobs.
+        outcome = execute_spec(RunSpec(
+            workload=WorkloadSpec(n_jobs=300, seed=0),
+            estimator=EstimatorSpec(name="last-instance"),
+        ))
+        assert outcome.ok, outcome.error
         assert outcome.worker_rss_kb >= 0
-        for workload in _SCALED_WORKLOADS.values():
+        assert _BASE_WORKLOADS
+        for workload in _BASE_WORKLOADS.values():
             assert not workload.jobs.materialized()
 
     def test_execute_batch_returns_per_spec_outcomes_in_order(self):

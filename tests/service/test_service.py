@@ -18,8 +18,8 @@ from dataclasses import asdict
 import pytest
 
 from repro.experiments.cache import SweepCache
-from repro.experiments.parallel import run_sweep
-from repro.experiments.specs import EstimatorSpec, RunSpec, WorkloadSpec
+from repro.experiments.parallel import run_sweep, simulate_spec
+from repro.experiments.specs import ClusterSpec, EstimatorSpec, RunSpec, WorkloadSpec
 from repro.obs import read_trace
 from repro.service import ServiceConfig, ServiceThread, app, registry
 from repro.service.schemas import spec_to_dict
@@ -89,6 +89,27 @@ class TestEndpoints:
         )
         assert status == 400
         assert "bogus" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("part, fields", [
+        ("workload", {"load": -1.0}),
+        ("workload", {"load": float("nan")}),
+        ("workload", {"n_jobs": 0}),
+        ("workload", {"n_jobs": -5}),
+        ("workload", {"source": "nope"}),
+        ("cluster", {"second_tier_mem": -3.0}),
+        ("cluster", {"strategy": "nope"}),
+        (None, {"seed": -1}),
+    ])
+    def test_malformed_spec_is_400_with_nothing_queued(
+        self, server, tmp_path, part, fields
+    ):
+        doc = spec_to_dict(make_spec(0.5))
+        (doc[part] if part else doc).update(fields)
+        status, body = request(server, "POST", "/runs", body={"specs": [doc]})
+        assert status == 400
+        assert next(iter(fields)) in json.loads(body)["error"]
+        assert get_json(server, "/runs")[1]["runs"] == []
+        assert len(SweepCache(tmp_path / "cache")) == 0
 
     def test_invalid_json_body_is_400(self, server):
         conn = http.client.HTTPConnection(*server, timeout=60)
@@ -249,6 +270,42 @@ class TestConcurrentClients:
             expected = [asdict(o.point) for o in direct.outcomes]
             served = [o["point"] for o in doc["result"]["outcomes"]]
             assert served == expected
+
+    def test_side_by_side_sweeps_each_get_their_own_cluster(
+        self, server, monkeypatch
+    ):
+        """Two sweeps run at once on the default shape (one in-process
+        sweep worker each, two sweeps side by side) on worst-fit clusters,
+        which only the scalar engine runs: every point matches its serial
+        scalar run."""
+        both_running = threading.Barrier(2, timeout=60)
+        run_sweep = registry.run_sweep
+
+        def side_by_side(*args, **kwargs):
+            both_running.wait()
+            return run_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(registry, "run_sweep", side_by_side)
+        sweeps = [
+            [
+                RunSpec(
+                    workload=WorkloadSpec(n_jobs=1500, seed=3, load=load),
+                    cluster=ClusterSpec(strategy="worst_fit"),
+                    estimator=EstimatorSpec(name=estimator),
+                    label=f"{estimator}@{load:g}",
+                )
+                for load in (0.7, 0.9)
+            ]
+            for estimator in ("none", "successive")
+        ]
+        with ThreadPoolExecutor(max_workers=2) as clients:
+            docs = list(clients.map(
+                lambda sweep: run_to_completion(server, sweep)[1], sweeps
+            ))
+        for sweep, doc in zip(sweeps, docs):
+            assert doc["result"]["n_errors"] == 0
+            served = [o["point"] for o in doc["result"]["outcomes"]]
+            assert served == [asdict(simulate_spec(s)) for s in sweep]
 
     def test_resubmission_after_completion_hits_cache(self, server, tmp_path):
         """A second server over the same cache dir answers the identical

@@ -236,12 +236,12 @@ def test_pickle_round_trip_preserves_the_result():
 
 
 def test_summaries_survive_a_released_workload():
-    """A sweep worker's trim releases the memoized workload's jobs after
+    """A sweep worker's trim releases the memoized base trace's jobs after
     every run; a result read afterwards rebuilds identical summaries and
     attempt records, and counting them builds neither."""
     clear_materialization_caches()
     try:
-        workload = WorkloadSpec(n_jobs=400, seed=3, load=0.9).materialize()
+        workload = WorkloadSpec(n_jobs=400, seed=3).materialize()
         result = simulate(workload, paper_cluster(24.0), SuccessiveApproximation())
         twin = scalar_run(workload, paper_cluster(24.0), SuccessiveApproximation())
         list(workload)  # materialize the jobs, so the trim has some to drop
@@ -258,12 +258,6 @@ def test_summaries_survive_a_released_workload():
         assert result.attempts == twin.attempts
     finally:
         clear_materialization_caches()
-
-
-def _memoized_workloads():
-    return list(spec_memo._BASE_WORKLOADS.values()) + list(
-        spec_memo._SCALED_WORKLOADS.values()
-    )
 
 
 @pytest.mark.parametrize("estimator", [
@@ -288,7 +282,7 @@ def test_a_sweep_point_builds_no_job_objects(monkeypatch, estimator):
         outcome = execute_spec(spec)
         assert outcome.ok, outcome.error
         assert built == [], "the run materialized Job objects"
-        memoized = _memoized_workloads()
+        memoized = list(spec_memo._BASE_WORKLOADS.values())
         assert memoized
         assert not any(w.jobs.materialized() for w in memoized)
 
