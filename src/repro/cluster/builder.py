@@ -156,6 +156,9 @@ def design_second_tier(
     verifies that this count tracks the simulated utilization improvement.
     """
     check_positive("alpha", alpha)
+    # Read once: each candidate walks every row.
+    cols = workload.as_columns()
+    rows = list(zip(cols.req_mem.tolist(), cols.used_mem.tolist(), cols.procs.tolist()))
     choices: List[DesignChoice] = []
     for m in candidate_mems:
         check_positive("candidate memory", m)
@@ -164,11 +167,11 @@ def design_second_tier(
                 f"candidate second-tier memory {m} exceeds first tier {mem_high}"
             )
         jobs = nodes = alpha_blocked = usage_blocked = 0
-        for job in workload:
-            kind = _benefit(job.req_mem, job.used_mem, m, mem_high, alpha)
+        for req, used, procs in rows:
+            kind = _benefit(req, used, m, mem_high, alpha)
             if kind == "benefit":
                 jobs += 1
-                nodes += job.procs
+                nodes += procs
             elif kind == "alpha":
                 alpha_blocked += 1
             elif kind == "usage":
@@ -228,13 +231,16 @@ def evaluate_ladder(
     demand = {lvl: 0.0 for lvl in uniq}
     unservable = 0.0
     total_work = 0.0
-    for job in workload:
-        total_work += job.work
-        settled = stable_level(job.req_mem, job.used_mem, ladder, alpha)
+    cols = workload.as_columns()
+    # Job.work per row; summed below in row order.
+    works = (cols.run_time * cols.procs).tolist()
+    for req, used, work in zip(cols.req_mem.tolist(), cols.used_mem.tolist(), works):
+        total_work += work
+        settled = stable_level(req, used, ladder, alpha)
         if settled is None:
-            unservable += job.work
+            unservable += work
             continue
-        demand[settled] += job.work
+        demand[settled] += work
     if total_work <= 0:
         raise ValueError("workload carries no work")
     if unservable > 0:

@@ -87,7 +87,6 @@ from repro.experiments.specs import (
     install_shared_columns,
     load_registered_factories,
     materialize_base_workload,
-    trim_materialized_workloads,
 )
 # ``simulate_batch`` is not called here; the e2e benchmark's tracer
 # (benchmarks/e2e/tracing.py) wraps it under this module's name.
@@ -203,13 +202,9 @@ def simulate_spec(spec: RunSpec) -> SweepPoint:
     configuration.  The executor itself runs :func:`execute_spec`, which
     takes the fast lane whenever it can; tests and the e2e benchmark's
     cross-check compare sweep points against this function, so that check
-    is a fast-versus-scalar comparison.  Like :func:`execute_spec`, it
-    releases the materialized job lists when it returns.
+    is a fast-versus-scalar comparison.
     """
-    try:
-        return _run_spec(spec, _simulate_scalar)
-    finally:
-        trim_materialized_workloads()
+    return _run_spec(spec, _simulate_scalar)
 
 
 def _worker_init(shared_handles=None) -> None:
@@ -312,10 +307,6 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
             wall_time=time.perf_counter() - t0,
             worker_rss_kb=_peak_rss_kb(),
         )
-    finally:
-        # Keep at most one materialized job list live per process: the memo
-        # caches keep the (cheap) columns, so peak RSS stays near one trace.
-        trim_materialized_workloads()
 
 
 def execute_batch(specs: Sequence[RunSpec]) -> List[RunOutcome]:

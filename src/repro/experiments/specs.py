@@ -199,7 +199,9 @@ class WorkloadSpec:
 
 #: Per-process memo of base workloads (``base_key()``): a sweep re-uses one
 #: trace across its load points and a pool worker across its specs, so the
-#: generate/parse cost is paid once per process.  The pool initializer
+#: generate/parse cost is paid once per process.  A memoized workload is its
+#: columns only (its jobs are a view that keeps none), so nothing a run
+#: builds from it outlives the run.  The pool initializer
 #: (:mod:`repro.experiments.parallel`) clears it at worker start.  Scaled
 #: traces (0.9 ms per 20k jobs) and clusters (microseconds) are built per
 #: run: a :class:`~repro.cluster.cluster.Cluster` is mutable run state, and
@@ -249,23 +251,6 @@ def materialization_cache_info() -> Dict[str, int]:
     repeated workload spec is parsed exactly once per worker.
     """
     return dict(_CACHE_STATS)
-
-
-def trim_materialized_workloads() -> None:
-    """Release every memoized base workload's materialized per-job objects.
-
-    Only bases are memoized; a load-scaled trace lives as long as its run.
-    Protocol-mode lanes and the scalar engine consume :class:`Job` objects,
-    which a columnar workload materializes on first iteration — several MB
-    per 20k-job trace that the memo would otherwise keep.  The sweep
-    executor calls this after every run, as does
-    :func:`~repro.experiments.parallel.simulate_spec`; the columns stay, so
-    the next run re-materializes in a cheap bulk pass, and a result still
-    holding a released workload rebuilds bit-identical jobs from them.
-    """
-    # A snapshot, since a sweep in another thread may add a base meanwhile.
-    for workload in tuple(_BASE_WORKLOADS.values()):
-        workload.release_materialized()
 
 
 def clear_materialization_caches() -> None:

@@ -226,17 +226,11 @@ class _SharedTrace:
     """The batch's shared arrival stream, decoded once per workload.
 
     The hot columns are plain-Python lists: they index faster than NumPy
-    scalars in the per-event loops.  A columnar workload whose jobs do not
-    exist yet decodes them straight from its arrays with ``tolist()``,
-    which yields the doubles :meth:`JobColumns.to_jobs` would put in the
-    jobs, so inlined fast lanes never build a :class:`Job`.  A workload
-    whose jobs exist (a job list, or columns some earlier consumer already
-    materialized) decodes from the jobs, one ``itemgetter`` pass per
-    column, so the lists share their numbers instead of holding copies.
-    Either way the time and memory columns hold floats, as the scalar
-    engine's jobs do: ``Job(...)`` stores them as floats.
-    :attr:`jobs` is built on first use: only protocol lanes ask for
-    it.
+    scalars in the per-event loops.  They are decoded straight from the
+    workload's arrays with ``tolist()``, which yields the doubles
+    :meth:`JobColumns.to_jobs` would put in the jobs, so inlined fast
+    lanes never build a :class:`Job`.  :attr:`jobs` is built on first use
+    and kept for the batch: only protocol lanes ask for it.
 
     Per-ladder derived columns (the ``bisect_left`` index of every row's
     request, the per-group request indices, and the float→index memo the
@@ -256,25 +250,12 @@ class _SharedTrace:
         self.columns = cols = workload.as_columns()
         self.n = len(cols)
         self._jobs: Optional[list] = None
-        if not workload.jobs_exist():
-            self.job_id: List[int] = cols.job_id.tolist()
-            self.submit: List[float] = cols.submit_time.tolist()
-            self.run_time: List[float] = cols.run_time.tolist()
-            self.procs: List[int] = cols.procs.tolist()
-            self.req_mem: List[float] = cols.req_mem.tolist()
-            self.used_mem: List[float] = cols.used_mem.tolist()
-        else:
-            # Kept for materialized columnar workloads too: decoding those
-            # from the arrays would hold a second copy of every float while
-            # the jobs are alive, which raised a repeated simulate() call's
-            # peak RSS by ~4% (single-run benchmark, 20k jobs).
-            jobs = self.jobs
-            self.job_id = list(map(_itemgetter(0), jobs))
-            self.submit = list(map(_itemgetter(1), jobs))
-            self.run_time = list(map(_itemgetter(2), jobs))
-            self.procs = list(map(_itemgetter(3), jobs))
-            self.req_mem = list(map(_itemgetter(4), jobs))
-            self.used_mem = list(map(_itemgetter(5), jobs))
+        self.job_id: List[int] = cols.job_id.tolist()
+        self.submit: List[float] = cols.submit_time.tolist()
+        self.run_time: List[float] = cols.run_time.tolist()
+        self.procs: List[int] = cols.procs.tolist()
+        self.req_mem: List[float] = cols.req_mem.tolist()
+        self.used_mem: List[float] = cols.used_mem.tolist()
         self._groups = None
         self._group_first = None
         self._group_keys = None
@@ -283,10 +264,10 @@ class _SharedTrace:
 
     @property
     def jobs(self) -> list:
-        """Row-aligned :class:`Job` objects, in arrival order (built on
-        first use: this materializes a columnar workload)."""
+        """Row-aligned :class:`Job` objects, in arrival order (built from
+        the columns on first use; the workload keeps none)."""
         if self._jobs is None:
-            self._jobs = list(self.workload)
+            self._jobs = self.columns.to_jobs()
         return self._jobs
 
     def runtime_estimates(self) -> List[float]:

@@ -227,9 +227,8 @@ class JobTable:
     :meth:`tuples`, :meth:`n_completed` and :meth:`summary_columns` read
     the columns and the workload's job columns, and build no record and
     no :class:`Job`.  Iteration and :meth:`record` build
-    :class:`JobSummary` records, reading the workload's :class:`Job`
-    objects if it holds them; a columnar workload that does not gets
-    bit-identical ones built from its columns, and is left without them.
+    :class:`JobSummary` records around jobs built from the workload's
+    columns, which keep none of them.
     """
 
     __slots__ = ("workload", "rows", "columns")
@@ -267,8 +266,7 @@ class JobTable:
         self, start: int = 0, stop: Optional[int] = None
     ) -> Iterator[Job]:
         """The jobs of table rows ``start`` to ``stop``, one at a time,
-        built from a columnar workload's columns when it holds no jobs,
-        so that reading leaves no job list on the workload."""
+        built from the workload's columns a block at a time."""
         stop = len(self) if stop is None else stop
         rows = range(start, stop) if self.rows is None else self.rows[start:stop]
         return self.workload.iter_jobs(rows)
@@ -287,8 +285,7 @@ class JobTable:
         """Each row as a tuple in :class:`JobSummary` field order with the
         job replaced by its id: ``job_id``, ``first_submit``,
         ``start_time``, ...  The workload's columns decode to what its jobs
-        hold: a columnar workload builds its jobs from them, and
-        ``Job(...)`` stores its times as floats."""
+        hold, since its jobs are built from them."""
         return zip(
             self._job_column("job_id").tolist(),
             self._job_column("submit_time").tolist(),

@@ -165,26 +165,18 @@ class JobColumns:
     # ------------------------------------------------------- object interop
     @staticmethod
     def from_jobs(jobs: Sequence["Job"]) -> "JobColumns":
-        """Columns from a job sequence (row order preserved)."""
-        cols = {
-            name: np.empty(len(jobs), dtype=dtype)
-            for name, dtype in COLUMN_FIELDS
-        }
-        for i, job in enumerate(jobs):
-            (
-                cols["job_id"][i],
-                cols["submit_time"][i],
-                cols["run_time"][i],
-                cols["procs"][i],
-                cols["req_mem"][i],
-                cols["used_mem"][i],
-                cols["req_time"][i],
-                cols["user_id"][i],
-                cols["group_id"][i],
-                cols["app_id"][i],
-                cols["status"][i],
-            ) = job
-        return JobColumns(**cols)
+        """Columns from a job sequence (row order preserved).
+
+        One ``zip(*jobs)`` transposes the rows; each column is then one
+        ``np.array`` pass, which stores every float as the same double.
+        """
+        fields = list(zip(*jobs)) or [()] * len(COLUMN_FIELDS)
+        return JobColumns(
+            **{
+                name: np.array(values, dtype=dtype)
+                for (name, dtype), values in zip(COLUMN_FIELDS, fields)
+            }
+        )
 
     def to_jobs(self) -> List["Job"]:
         """Materialize :class:`Job` records, bulk and unvalidated.

@@ -16,10 +16,11 @@ enforce this so that real traces with noisy accounting can still be loaded;
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+import operator
+from collections import namedtuple
 from collections.abc import Sequence as _SequenceABC
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +46,14 @@ _JobBase = namedtuple(
 )
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is a Python or
+    NumPy integer (``bool`` is refused: ``True`` is no job count)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class Job(_JobBase):
     """One job submission, SWF-field-compatible.
 
@@ -56,9 +65,12 @@ class Job(_JobBase):
     otherwise re-traverses every live job on each collection of the event
     loop's allocations.  Keyword construction, field access, equality and
     ``repr`` are unchanged.  ``Job(...)`` (and ``_replace``) validates and
-    stores the times and memory sizes as ``float``, as a columnar trace
-    decodes them, so a hand-built list of ints runs like its columnar twin
-    (and takes the fast lane, which assumes floats); the bulk path
+    stores the times and memory sizes as ``float`` and the ids and counts
+    as ``int``, as a columnar trace decodes them, so a hand-built list of
+    ints runs like its columnar twin (and takes the fast lane, which
+    assumes floats).  An id or count that is not an integer (``2.5``,
+    ``True``) raises ``ValueError`` rather than reach the int64 columns
+    truncated.  The bulk path
     (:meth:`repro.workload.columns.JobColumns.to_jobs`) goes through the
     inherited ``Job._make``, which trusts its already-validated input.
 
@@ -102,8 +114,10 @@ class Job(_JobBase):
         app_id: int = -1,
         status: int = 1,
     ) -> "Job":
+        job_id = _integer("job_id", job_id)
         check_non_negative("submit_time", submit_time)
         check_positive("run_time", run_time)
+        procs = _integer("procs", procs)
         if procs <= 0:
             raise ValueError(f"procs must be a positive integer, got {procs!r}")
         check_positive("req_mem", req_mem)
@@ -117,10 +131,10 @@ class Job(_JobBase):
             float(req_mem),
             float(used_mem),
             float(req_time),
-            user_id,
-            group_id,
-            app_id,
-            status,
+            _integer("user_id", user_id),
+            _integer("group_id", group_id),
+            _integer("app_id", app_id),
+            _integer("status", status),
         )
 
     @property
@@ -148,70 +162,47 @@ class Job(_JobBase):
 
 
 class LazyJobs(_SequenceABC):
-    """A job list that exists as :class:`JobColumns` until someone looks.
+    """A workload's jobs: a view over its :class:`JobColumns` that keeps none.
 
-    :class:`Workload` built from columns holds one of these instead of a
-    materialized list, so the parent process of a sweep can parse, scale,
-    sort and ship a trace without ever constructing a single :class:`Job`.
-    Iterating or indexing it pays one bulk :meth:`JobColumns.to_jobs`
-    materialization and keeps the list; the engines and result tables read
-    jobs through :meth:`Workload.iter_jobs`, which builds them a block at a
-    time and keeps none.
+    Every :class:`Workload` holds one of these, so a sweep's parent process
+    can parse, scale, sort and ship a trace without constructing a single
+    :class:`Job`.  An index builds that one row's job, a slice the slice's
+    jobs, and iteration builds them a :meth:`JobColumns.iter_jobs` block at
+    a time; nothing built is kept, so every pass over the view builds its
+    jobs again.  A consumer that walks a trace more than once reads
+    :meth:`Workload.as_columns` instead.
     """
 
-    __slots__ = ("_columns", "_jobs")
+    __slots__ = ("_columns",)
 
     def __init__(self, columns: JobColumns) -> None:
         self._columns = columns
-        self._jobs: Optional[List[Job]] = None
 
     @property
     def columns(self) -> JobColumns:
         return self._columns
 
-    def materialized(self) -> bool:
-        return self._jobs is not None
-
-    def release(self) -> None:
-        """Drop the materialized job list; views rebuild it on demand.
-
-        The columns stay, so this trades a cheap re-materialization on next
-        access for reclaiming the per-object memory — the sweep workers call
-        this between runs to keep at most one trace's objects live.
-        """
-        self._jobs = None
-
-    def _materialize(self) -> List[Job]:
-        if self._jobs is None:
-            self._jobs = self._columns.to_jobs()
-        return self._jobs
-
     def __len__(self) -> int:
         return len(self._columns)
 
-    def __bool__(self) -> bool:
-        return len(self._columns) > 0
-
     def __iter__(self) -> Iterator[Job]:
-        return iter(self._materialize())
+        return self._columns.iter_jobs()
 
     def __getitem__(self, index):
-        return self._materialize()[index]
+        if isinstance(index, slice):
+            return self._columns.select(index).to_jobs()
+        # NumPy raises IndexError for a row out of range.
+        return self._columns.select([operator.index(index)]).to_jobs()[0]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LazyJobs):
-            return self._materialize() == other._materialize()
+            return self._columns.equals(other._columns)
         if isinstance(other, list):
-            return self._materialize() == other
+            return list(self) == other
         return NotImplemented
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __repr__(self) -> str:
-        state = "materialized" if self._jobs is not None else "lazy"
-        return f"LazyJobs({len(self)} jobs, {state})"
+        return f"LazyJobs({len(self)} jobs)"
 
     def __reduce__(self):
         return (LazyJobs, (self._columns,))
@@ -225,42 +216,33 @@ class Workload:
     was recorded on (for LANL CM5: 1024 nodes x 32 MB) — needed to reason
     about full-machine jobs and offered load.
 
-    Two interchangeable backings: a plain job list (sorted on construction,
-    as always), or — via :meth:`from_columns` — a :class:`JobColumns` block
-    whose :class:`Job` views materialize lazily on first iteration.  All
-    consumers see the same sorted job sequence either way; bulk analyses
-    and transforms use :meth:`as_columns` to stay vectorized.
+    The trace is its :class:`JobColumns`, ordered by ``(submit_time,
+    job_id)``; :attr:`jobs` is a :class:`LazyJobs` view over them.
+    ``Workload(jobs)`` converts a job list once
+    (:meth:`JobColumns.from_jobs`, then the sort); :meth:`from_columns`
+    wraps columns.  Bulk analyses and transforms read :meth:`as_columns`;
+    the engines build each :class:`Job` as they reach it
+    (:meth:`iter_jobs`).
 
     Job ids must be unique: the engines key per-job state by id, so a
-    repeated id raises ``ValueError`` with either backing.
+    repeated id raises ``ValueError``.
     """
 
-    jobs: Union[List[Job], LazyJobs]
+    #: Any sequence of jobs on construction; a :class:`LazyJobs` view after.
+    jobs: Sequence[Job]
     total_nodes: int = 0
     node_mem: float = 0.0
     name: str = "unnamed"
-    #: Columnar backing, when known.  Lazily derived by :meth:`as_columns`;
-    #: presentation/caching detail, excluded from equality.
-    _columns: Optional[JobColumns] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        if isinstance(self.jobs, LazyJobs):
-            # Columns are sorted by from_columns before the view is built.
-            if self._columns is None:
-                self._columns = self.jobs.columns
-            # Sorted neighbours: a tenth of np.unique's cost on 20k ids.
-            ids = np.sort(self._columns.job_id)
-            repeated = ids[1:][ids[1:] == ids[:-1]]
-            if repeated.size:
-                raise ValueError(f"job id {repeated[0]} appears more than once")
-            return
-        self.jobs = sorted(self.jobs, key=lambda j: (j.submit_time, j.job_id))
-        ids = [job.job_id for job in self.jobs]
-        if len(set(ids)) != len(ids):
-            repeated = next(i for i, n in Counter(ids).items() if n > 1)
-            raise ValueError(f"job id {repeated} appears more than once")
+        if not isinstance(self.jobs, LazyJobs):
+            columns = JobColumns.from_jobs(list(self.jobs)).sort_by_submit()
+            self.jobs = LazyJobs(columns)
+        # Sorted neighbours: a tenth of np.unique's cost on 20k ids.
+        ids = np.sort(self.jobs.columns.job_id)
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if repeated.size:
+            raise ValueError(f"job id {repeated[0]} appears more than once")
 
     @staticmethod
     def from_columns(
@@ -270,7 +252,7 @@ class Workload:
         name: str = "unnamed",
         presorted: bool = False,
     ) -> "Workload":
-        """Workload over a columnar trace; jobs materialize lazily.
+        """Workload over a columnar trace.
 
         ``presorted=True`` skips the ``(submit_time, job_id)`` sort when the
         caller guarantees the invariant (e.g. columns attached from a peer
@@ -283,45 +265,17 @@ class Workload:
             total_nodes=total_nodes,
             node_mem=node_mem,
             name=name,
-            _columns=columns,
         )
 
     def as_columns(self) -> JobColumns:
-        """This workload as :class:`JobColumns` (computed once, then cached)."""
-        if self._columns is None:
-            self._columns = JobColumns.from_jobs(self.jobs)
-        return self._columns
-
-    def release_materialized(self) -> None:
-        """Reclaim lazily-materialized :class:`Job` objects, if any.
-
-        No-op for list-backed workloads (the list *is* the data); for a
-        columnar workload this drops only the derived per-job objects —
-        they rebuild bit-identically from the columns on next access.
-        """
-        if isinstance(self.jobs, LazyJobs):
-            self.jobs.release()
-
-    def jobs_exist(self) -> bool:
-        """Whether this workload's :class:`Job` objects exist already: a
-        job list, or a columnar workload some consumer has materialized."""
-        jobs = self.jobs
-        return not isinstance(jobs, LazyJobs) or jobs.materialized()
+        """This workload's :class:`JobColumns`, in workload order."""
+        return self.jobs.columns
 
     def iter_jobs(self, rows: Optional[Sequence[int]] = None) -> Iterator[Job]:
-        """The jobs at ``rows`` (every row by default), in that order.
-
-        Existing jobs are yielded as they are.  A columnar workload whose
-        jobs do not exist builds them from its columns a block at a time
-        (:meth:`JobColumns.iter_jobs`) and leaves no job list behind.
-        """
-        if not self.jobs_exist():
-            return self.jobs.columns.iter_jobs(rows)
-        if rows is None:
-            return iter(self.jobs)
-        if isinstance(rows, np.ndarray):
-            rows = rows.tolist()
-        return map(self.jobs.__getitem__, rows)
+        """The jobs at ``rows`` (every row by default), in that order,
+        built from the columns a block at a time
+        (:meth:`JobColumns.iter_jobs`)."""
+        return self.jobs.columns.iter_jobs(rows)
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -335,43 +289,18 @@ class Workload:
     @property
     def span(self) -> float:
         """Seconds from first submission to last submission."""
-        if self._columns is not None:
-            if len(self._columns) == 0:
-                return 0.0
-            s = self._columns.submit_time
-            return float(s[-1]) - float(s[0])
-        if not self.jobs:
+        s = self.as_columns().submit_time
+        if len(s) == 0:
             return 0.0
-        return self.jobs[-1].submit_time - self.jobs[0].submit_time
+        return float(s[-1]) - float(s[0])
 
     @property
     def total_work(self) -> float:
         """Sum of node-seconds across all jobs."""
-        if self._columns is not None:
-            # Same left-to-right accumulation as the object path (pairwise
-            # np.sum would differ in the last bits and perturb load scaling).
-            return float(
-                sum((self._columns.run_time * self._columns.procs).tolist())
-            )
-        return float(sum(j.work for j in self.jobs))
-
-    def filter(self, predicate: Callable[[Job], bool], name: Optional[str] = None) -> "Workload":
-        """New workload containing only jobs satisfying ``predicate``."""
-        return Workload(
-            [j for j in self.jobs if predicate(j)],
-            total_nodes=self.total_nodes,
-            node_mem=self.node_mem,
-            name=name or self.name,
-        )
-
-    def map(self, fn: Callable[[Job], Job], name: Optional[str] = None) -> "Workload":
-        """New workload with ``fn`` applied to every job."""
-        return Workload(
-            [fn(j) for j in self.jobs],
-            total_nodes=self.total_nodes,
-            node_mem=self.node_mem,
-            name=name or self.name,
-        )
+        cols = self.as_columns()
+        # Left to right in row order, as summing each Job.work would (a
+        # pairwise np.sum differs in the last bits and moves load scaling).
+        return float(sum((cols.run_time * cols.procs).tolist()))
 
     def overprovisioning_ratios(self) -> np.ndarray:
         """Per-job requested/used memory ratios, clipped at 1 from below."""
@@ -379,19 +308,8 @@ class Workload:
         return np.maximum(cols.req_mem / cols.used_mem, 1.0)
 
     def column(self, attr: str) -> np.ndarray:
-        """Extract one job attribute as a NumPy array (vectorized analyses)."""
-        if self._columns is not None and hasattr(self._columns, attr):
-            return np.array(getattr(self._columns, attr))
-        return np.array([getattr(j, attr) for j in self.jobs])
-
-    @staticmethod
-    def from_jobs(
-        jobs: Iterable[Job],
-        total_nodes: int = 0,
-        node_mem: float = 0.0,
-        name: str = "unnamed",
-    ) -> "Workload":
-        return Workload(list(jobs), total_nodes=total_nodes, node_mem=node_mem, name=name)
+        """A copy of one job column (a :data:`COLUMN_FIELDS` name)."""
+        return np.array(getattr(self.as_columns(), attr))
 
 
 def validate_overprovisioning_assumption(jobs: Sequence[Job]) -> List[Job]:

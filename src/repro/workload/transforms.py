@@ -6,14 +6,13 @@ Following standard practice in parallel-job-scheduling evaluation (Feitelson
 runtimes, sizes and memory untouched: compressing arrivals raises the offered
 load, stretching them lowers it.
 
-Every transform here has a columnar fast path: a workload carrying a
-:class:`repro.workload.columns.JobColumns` backing is rescaled/filtered as
-whole-array operations without materializing a single :class:`Job`, and the
-result is again columnar (so a sweep's scale-then-simulate pipeline stays
-object-free until the engine iterates).  The arithmetic is identical to the
-per-job path down to the last IEEE-754 bit — ``t0 + (t - t0) * factor`` is
-the same double operation element-wise — which the engine-fingerprint suite
-locks in.
+Each transform is whole-array operations on the workload's
+:class:`repro.workload.columns.JobColumns` and returns a new workload over
+the result, so a sweep's scale-then-simulate pipeline builds no
+:class:`~repro.workload.job.Job` until the engine reaches it.  Element-wise,
+``t0 + (t - t0) * factor`` is the double operation a per-job rescale would
+make, so each result matches one computed job by job to the last bit, which
+the engine-fingerprint suite and the workload property tests lock in.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.util.validation import check_positive
+from repro.workload.columns import JobColumns
 from repro.workload.job import Workload
 
 
@@ -37,6 +37,19 @@ def offered_load(workload: Workload, total_nodes: Optional[int] = None) -> float
     if span <= 0:
         return float("inf") if len(workload) else 0.0
     return workload.total_work / (nodes * span)
+
+
+def _with_columns(
+    workload: Workload, columns: JobColumns, name: str, presorted: bool = False
+) -> Workload:
+    """A workload of ``columns`` on ``workload``'s machine."""
+    return Workload.from_columns(
+        columns,
+        total_nodes=workload.total_nodes,
+        node_mem=workload.node_mem,
+        name=name,
+        presorted=presorted,
+    )
 
 
 def scale_load(
@@ -56,43 +69,24 @@ def scale_load(
             "cannot scale load of a workload with zero span or no jobs"
         )
     factor = current / target_load  # stretch (>1) to lower load
-    name = f"{workload.name}@load{target_load:g}"
-    if workload._columns is not None:
-        cols = workload._columns
-        t0 = float(cols.submit_time[0]) if len(cols) else 0.0
-        scaled = cols.with_submit_time(t0 + (cols.submit_time - t0) * factor)
-        return Workload.from_columns(
-            scaled,
-            total_nodes=workload.total_nodes,
-            node_mem=workload.node_mem,
-            name=name,
-        )
-    t0 = workload.jobs[0].submit_time if workload.jobs else 0.0
-    return workload.map(
-        lambda j: j.with_submit_time(t0 + (j.submit_time - t0) * factor),
-        name=name,
+    cols = workload.as_columns()
+    t0 = float(cols.submit_time[0])
+    return _with_columns(
+        workload,
+        cols.with_submit_time(t0 + (cols.submit_time - t0) * factor),
+        f"{workload.name}@load{target_load:g}",
     )
 
 
 def shift_to_zero(workload: Workload) -> Workload:
     """Translate submission times so the first job arrives at t=0."""
-    if not len(workload):
-        return workload
-    if workload._columns is not None:
-        cols = workload._columns
-        t0 = float(cols.submit_time[0])
-        if t0 == 0:
-            return workload
-        return Workload.from_columns(
-            cols.with_submit_time(cols.submit_time - t0),
-            total_nodes=workload.total_nodes,
-            node_mem=workload.node_mem,
-            name=workload.name,
-        )
-    t0 = workload.jobs[0].submit_time
+    cols = workload.as_columns()
+    t0 = float(cols.submit_time[0]) if len(cols) else 0.0
     if t0 == 0:
         return workload
-    return workload.map(lambda j: j.with_submit_time(j.submit_time - t0))
+    return _with_columns(
+        workload, cols.with_submit_time(cols.submit_time - t0), workload.name
+    )
 
 
 def drop_full_machine_jobs(workload: Workload, total_nodes: Optional[int] = None) -> Workload:
@@ -103,35 +97,22 @@ def drop_full_machine_jobs(workload: Workload, total_nodes: Optional[int] = None
     """
     nodes = total_nodes if total_nodes is not None else workload.total_nodes
     check_positive("total_nodes", nodes)
-    name = f"{workload.name}-nofull"
-    if workload._columns is not None:
-        cols = workload._columns
-        return Workload.from_columns(
-            cols.select(cols.procs < nodes),
-            total_nodes=workload.total_nodes,
-            node_mem=workload.node_mem,
-            name=name,
-            presorted=True,  # row-subset of an already-sorted trace
-        )
-    return workload.filter(lambda j: j.procs < nodes, name=name)
+    cols = workload.as_columns()
+    return _with_columns(
+        workload,
+        cols.select(cols.procs < nodes),
+        f"{workload.name}-nofull",
+        presorted=True,  # row-subset of an already-sorted trace
+    )
 
 
 def head(workload: Workload, n: int) -> Workload:
     """First ``n`` jobs by submission order (for fast experiment variants)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    name = f"{workload.name}-head{n}"
-    if workload._columns is not None:
-        return Workload.from_columns(
-            workload._columns.head(n),
-            total_nodes=workload.total_nodes,
-            node_mem=workload.node_mem,
-            name=name,
-            presorted=True,
-        )
-    return Workload(
-        workload.jobs[:n],
-        total_nodes=workload.total_nodes,
-        node_mem=workload.node_mem,
-        name=name,
+    return _with_columns(
+        workload,
+        workload.as_columns().head(n),
+        f"{workload.name}-head{n}",
+        presorted=True,
     )

@@ -28,6 +28,8 @@ from repro.experiments.specs import (
     materialization_cache_info,
 )
 
+from tests.sim.engine_reference import jobs_built
+
 CFG = ExperimentConfig(n_jobs=800, loads=(0.5, 0.9))
 
 
@@ -215,16 +217,19 @@ class TestWorkerMaterializationCache:
         assert list(first) == list(again)
 
     def test_simulate_spec_releases_the_trace_like_execute_spec(self):
-        # The scalar engine iterates the memoized base's jobs; both entry
-        # points leave only its columns behind.
+        # The scalar engine builds the memoized base's jobs as their
+        # arrivals fire, and the base keeps none: every scalar run builds
+        # them all again, while the fast lane builds none.
         clear_materialization_caches()
         try:
             spec = RunSpec(workload=WorkloadSpec(n_jobs=200, seed=3))
-            for run in (simulate_spec, execute_spec, simulate_spec):
-                run(spec)
-                memoized = list(spec_memo._BASE_WORKLOADS.values())
-                assert memoized
-                assert not any(w.jobs.materialized() for w in memoized), run
+            n_jobs = len(spec.workload.materialize())
+            for run, want in ((simulate_spec, n_jobs), (execute_spec, 0),
+                              (simulate_spec, n_jobs)):
+                with jobs_built() as built:
+                    run(spec)
+                assert sum(built) == want, run
+                assert spec_memo._BASE_WORKLOADS
         finally:
             clear_materialization_caches()
 

@@ -23,6 +23,8 @@ from repro.experiments.specs import (
     materialize_base_workload,
 )
 
+from tests.sim.engine_reference import jobs_built
+
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="pool tests need fork workers (patched modules inherited)",
@@ -153,16 +155,20 @@ class TestSweepLifecycle:
 class TestWorkerDataPlane:
     def test_execute_spec_trims_materialized_jobs(self):
         # An unscaled point runs on the memoized base itself, and a
-        # protocol-mode estimator materializes its jobs.
-        outcome = execute_spec(RunSpec(
+        # protocol-mode estimator's lane builds its job list from it.  The
+        # base keeps none of it: the next run builds the list again.
+        spec = RunSpec(
             workload=WorkloadSpec(n_jobs=300, seed=0),
             estimator=EstimatorSpec(name="last-instance"),
-        ))
-        assert outcome.ok, outcome.error
+        )
+        n_jobs = len(spec.workload.materialize())
+        for _ in range(2):
+            with jobs_built() as built:
+                outcome = execute_spec(spec)
+            assert outcome.ok, outcome.error
+            assert built == [n_jobs]
         assert outcome.worker_rss_kb >= 0
         assert _BASE_WORKLOADS
-        for workload in _BASE_WORKLOADS.values():
-            assert not workload.jobs.materialized()
 
     def test_execute_batch_returns_per_spec_outcomes_in_order(self):
         specs = [spec(load=0.4), spec(load=0.6)]

@@ -41,6 +41,7 @@ from repro.sim.faults import FaultConfig, NodeFaultInjector, fault_rng
 from repro.sim.policies import EasyBackfilling, Fcfs, ShortestJobFirst
 from repro.sim.records import AttemptRecord, JobSummary, SimResult
 from repro.workload import drop_full_machine_jobs, lanl_cm5_like, scale_load
+from repro.workload.columns import JobColumns
 
 FINGERPRINTS_PATH = "tests/data/engine_fingerprints.json"
 
@@ -220,25 +221,35 @@ def records_built() -> Iterator[List[type]]:
         yield built
 
 
-def assert_fingerprint_keeps_nothing(result, twin, workload=None) -> None:
+@contextmanager
+def jobs_built() -> Iterator[List[int]]:
+    """Count the :class:`Job` objects built inside the block: the yielded
+    list gets the row count of each build.  Every row-to-``Job`` build
+    (a workload's view, ``Workload.iter_jobs``, a protocol lane's job
+    list) goes through :meth:`JobColumns.to_jobs`, which is what this
+    counts."""
+    built: List[int] = []
+    to_jobs = JobColumns.to_jobs
+
+    def counting(columns):
+        built.append(len(columns))
+        return to_jobs(columns)
+
+    with mock.patch.object(JobColumns, "to_jobs", counting):
+        yield built
+
+
+def assert_fingerprint_keeps_nothing(result, twin) -> None:
     """A fast-lane ``result`` fingerprints like its scalar ``twin`` and
-    like itself once its records were read.  Neither taking the
-    fingerprint nor comparing with the twin builds a record.  When
-    ``workload`` is given (a columnar trace whose lane made no ``Job``
-    objects), none of the three, nor reading every record, leaves its jobs
-    materialized."""
-
-    def assert_no_jobs_on_the_workload(step):
-        if workload is not None:
-            assert not workload.jobs.materialized(), step
-
-    with records_built() as built:
+    like itself once its records were read.  Taking the fingerprint
+    builds no record and no :class:`Job`; comparing with the twin builds
+    no record."""
+    with records_built() as built, jobs_built() as jobs:
         digest = result.fingerprint()
         assert digest == twin.fingerprint()
-        assert_no_jobs_on_the_workload("fingerprint")
+    assert jobs == []
+    with records_built() as more:
         assert result == twin and twin == result
-        assert_no_jobs_on_the_workload("== against the twin")
-    assert built == []
+    assert built == more == []
     list(result.attempts), list(result.summaries)
-    assert_no_jobs_on_the_workload("reading the records")
     assert result.fingerprint() == digest

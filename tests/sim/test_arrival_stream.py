@@ -5,16 +5,13 @@ with an event heap that holds only completions, node failures and node
 repairs; a columnar workload's jobs are built a block at a time as their
 arrivals fire.  These tests pin that the merge fires events in the order a
 heap holding every arrival would (same instant: completion, node repair,
-arrival, node failure), that a columnar workload and its list-backed twin
-give bit-identical results, and that a run leaves a columnar workload's
-jobs unbuilt and peaks below the memory of its job list.
+arrival, node failure), that a run builds each job once and leaves none
+on the workload, and that it peaks below the memory of its job list.
 """
 
 import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cluster import Cluster, paper_cluster
 from repro.core import SuccessiveApproximation
@@ -25,9 +22,7 @@ from repro.sim.faults import FaultConfig
 from repro.workload import Workload, lanl_cm5_like, scale_load
 from repro.workload.columns import JobColumns
 
-from tests.sim.engine_reference import scalar_run
-from tests.sim.test_batch import _diff_cluster, _diff_traces
-from tests.sim.test_faulted_lane import _fault_configs
+from tests.sim.engine_reference import jobs_built, scalar_run
 
 SEED = 1
 
@@ -57,14 +52,6 @@ def _trace(submit, procs) -> Workload:
     )
     return Workload.from_columns(cols, total_nodes=8, node_mem=32.0,
                                  name="stream")
-
-
-def _list_twin(workload: Workload) -> Workload:
-    """The same jobs as a list-backed workload."""
-    return Workload(
-        workload.as_columns().to_jobs(), total_nodes=workload.total_nodes,
-        node_mem=workload.node_mem, name=workload.name,
-    )
 
 
 class _Instants(SimObserver):
@@ -103,8 +90,8 @@ def _run(workload, observer=None):
 def test_arrivals_merge_with_heap_events_at_the_same_instant():
     """Arrivals land exactly on a completion, a node repair and a node
     failure.  The arrival fires after the completion and the repair and
-    before the failure, and the scalar result on the columnar trace equals
-    the list-backed twin's and the fast lane's, bit for bit."""
+    before the failure, and the scalar result equals a second scalar run's
+    and the fast lane's, bit for bit."""
     submit = [50.0 * i for i in range(12)]
     procs = [2, 3, 1, 4] * 3
     probe = _Instants()
@@ -122,53 +109,31 @@ def test_arrivals_merge_with_heap_events_at_the_same_instant():
     assert failure.index("arrival") < failure.index("failure")
 
     assert _run(workload).fingerprint() == result.fingerprint()
-    assert _run(_list_twin(workload)).fingerprint() == result.fingerprint()
     config = BatchConfig(cluster=_cluster(), seed=SEED, fault_config=FAULTS)
     assert fast_lane_eligible(config)
     [fast] = simulate_batch(workload, [config])
     assert fast.fingerprint() == result.fingerprint()
-    assert not workload.jobs.materialized()
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    _diff_traces(),
-    st.sampled_from(("best_fit", "first_fit")),
-    st.integers(0, 3),
-    st.one_of(st.none(), _fault_configs()),
-)
-def test_columnar_and_list_backed_twins_run_alike(trace, strategy, seed,
-                                                  faults):
-    """On random small traces, with and without node faults, a columnar
-    workload and its list-backed twin give bit-identical scalar results,
-    and the columnar one stays unbuilt."""
-    columnar = Workload.from_columns(
-        trace.as_columns(), total_nodes=trace.total_nodes,
-        node_mem=trace.node_mem, name=trace.name, presorted=True,
-    )
-    results = [
-        scalar_run(workload, _diff_cluster(strategy),
-                   SuccessiveApproximation(), seed=seed, fault_config=faults)
-        for workload in (columnar, _list_twin(columnar))
-    ]
-    assert results[0].fingerprint() == results[1].fingerprint()
-    assert results[0].rejected_jobs == results[1].rejected_jobs
-    assert not columnar.jobs.materialized()
 
 
 def test_runs_leave_a_columnar_workload_unbuilt():
-    """A run with a rejected job, and a faulted run, build no job list on
-    the workload; the rejected job still reaches the result."""
+    """A run with a rejected job, and a faulted run, build each job once,
+    as its arrival fires, plus the rejected job for the result; a second
+    run builds them all again, since the workload keeps none."""
     over_tier = _trace([0.0, 10.0, 20.0], [2, 9, 1])  # 9 of 8 nodes
-    result = _run(over_tier)
+    with jobs_built() as jobs:
+        result = _run(over_tier)
     assert [job.job_id for job in result.rejected_jobs] == [2]
     assert result.n_node_failures > 0
-    assert not over_tier.jobs.materialized()
+    assert sum(jobs) == len(over_tier) + 1
 
     workload = scale_load(lanl_cm5_like(n_jobs=300, seed=2), 0.8)
-    scalar_run(workload, paper_cluster(24.0), SuccessiveApproximation(),
-               fault_config=FaultConfig(node_mtbf=2.0e6, node_mttr=3600.0))
-    assert not workload.jobs.materialized()
+    for _ in range(2):
+        with jobs_built() as jobs:
+            result = scalar_run(
+                workload, paper_cluster(24.0), SuccessiveApproximation(),
+                fault_config=FaultConfig(node_mtbf=2.0e6, node_mttr=3600.0),
+            )
+        assert sum(jobs) == len(workload) + len(result.rejected_jobs)
 
 
 def test_run_peaks_below_the_job_list():

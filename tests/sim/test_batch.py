@@ -63,7 +63,7 @@ from repro.workload import (
 )
 from repro.workload.columns import JobColumns
 
-from tests.sim.engine_reference import scalar_run
+from tests.sim.engine_reference import jobs_built, scalar_run
 
 
 @pytest.fixture(scope="module")
@@ -989,35 +989,28 @@ def test_ineligible_config_takes_the_scalar_path(monkeypatch, workload):
     assert result.n_node_failures > 0
 
 
-def test_trace_columns_share_the_jobs_numbers(workload):
-    """Once a workload's jobs exist, the decoded columns reuse their
-    numbers instead of holding copies while the jobs are alive."""
-    jobs = list(workload)
-    trace = _SharedTrace(workload)
-    for column, field in (("submit", "submit_time"), ("run_time", "run_time"),
-                          ("req_mem", "req_mem"), ("used_mem", "used_mem")):
-        values = getattr(trace, column)
-        assert all(v is getattr(job, field) for v, job in zip(values, jobs))
-
-
 def test_unmaterialized_trace_decodes_from_its_columns(workload):
-    """A columnar workload whose jobs do not exist yet decodes from its
-    arrays, to the same numbers its jobs would hold, and stays lazy until
-    a lane asks for the jobs."""
-    fresh = Workload.from_columns(workload.as_columns(), presorted=True)
-    trace = _SharedTrace(fresh)
-    assert not fresh.jobs.materialized()
-    reference = _SharedTrace(workload)
-    for column in ("job_id", "submit", "run_time", "procs", "req_mem",
-                   "used_mem"):
-        got, want = getattr(trace, column), getattr(reference, column)
-        assert list(map(type, got)) == list(map(type, want))
-        assert got == want, column
-    assert trace.group_keys() == reference.group_keys()
-    assert list(fresh.iter_jobs([3, 1])) == [workload.jobs[3], workload.jobs[1]]
-    assert not fresh.jobs.materialized()
-    assert trace.jobs == list(workload)
-    assert fresh.jobs.materialized()
+    """A trace decodes its hot columns from the workload's arrays, to the
+    numbers (and types) its jobs hold, and builds its job list only when
+    a lane asks for it, once per trace."""
+    jobs = list(workload)
+    with jobs_built() as built:
+        trace = _SharedTrace(workload)
+        for column, field in (
+            ("job_id", "job_id"), ("submit", "submit_time"),
+            ("run_time", "run_time"), ("procs", "procs"),
+            ("req_mem", "req_mem"), ("used_mem", "used_mem"),
+        ):
+            got = getattr(trace, column)
+            want = [getattr(job, field) for job in jobs]
+            assert list(map(type, got)) == list(map(type, want))
+            assert got == want, column
+        trace.group_keys()
+        assert built == []
+        assert list(workload.iter_jobs([3, 1])) == [jobs[3], jobs[1]]
+        assert trace.jobs == jobs
+        assert trace.jobs is trace.jobs
+    assert built == [2, len(workload)]
 
 
 def test_int_typed_job_list_runs_on_the_fast_lane(monkeypatch):

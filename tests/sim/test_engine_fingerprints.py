@@ -27,6 +27,7 @@ import pytest
 from repro.obs import CounterObserver
 from repro.sim.batch import fast_lane_eligible, simulate_batch
 
+from tests.numeric_profile import numeric_profile
 from tests.sim.engine_reference import (
     REFERENCE_SLICES,
     run_slice,
@@ -48,7 +49,7 @@ def test_fingerprint_matches_recorded(name):
     assert result.fingerprint() == RECORDED[name], (
         f"slice {name!r} diverged from the recorded seed fingerprint — an "
         f"engine change altered simulation behavior (regenerate the recording "
-        f"only if the change is intended)"
+        f"only if the change is intended)\n{numeric_profile()}"
     )
 
 
@@ -64,6 +65,7 @@ def test_batched_single_lane_matches_recorded(name):
     assert result.fingerprint() == RECORDED[name], (
         f"slice {name!r} diverged through the batched {lane} lane — the "
         f"batched engine is only admissible while bit-identical to scalar"
+        f"\n{numeric_profile()}"
     )
 
 
@@ -88,7 +90,7 @@ def test_batched_merged_lanes_match_recorded(load, names):
     for name, result in zip(names, results):
         assert result.fingerprint() == RECORDED[name], (
             f"slice {name!r} diverged inside a merged K={len(names)} batch "
-            f"(load {load})"
+            f"(load {load})\n{numeric_profile()}"
         )
 
 
@@ -104,6 +106,6 @@ def test_observer_does_not_perturb_fingerprint(name):
     result = run_slice(REFERENCE_SLICES[name], observer=observer)
     assert result.fingerprint() == RECORDED[name], (
         f"slice {name!r} changed digest with an observer attached — "
-        f"observability must be passive"
+        f"observability must be passive\n{numeric_profile()}"
     )
     assert observer.snapshot()  # the observer did actually see events

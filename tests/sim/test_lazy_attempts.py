@@ -86,7 +86,7 @@ def _cluster(strategy: str) -> Cluster:
 
 def _run(mode, policy, strategy, workload=None, **kwargs):
     """``simulate`` (on ``workload``, by default a fresh trace) and its
-    scalar twin on a trace of its own (the scalar run materializes its
+    scalar twin on a trace of its own (so ``==`` compares two traces'
     jobs), each with a fresh estimator (the estimator learns in place)."""
     kwargs.setdefault("seed", 4)
     kwargs.setdefault("spurious_failure_prob", SPURIOUS)
@@ -136,10 +136,7 @@ def test_lazy_attempts_equal_the_scalar_records(mode, policy, strategy, kwargs):
         assert attempts == twin.attempts and twin.attempts == attempts
     assert built == []
 
-    # Protocol lanes hand the estimator Job objects.
-    assert_fingerprint_keeps_nothing(
-        result, twin, workload if mode != "protocol" else None
-    )
+    assert_fingerprint_keeps_nothing(result, twin)
     assert attempts == twin.attempts and twin.attempts == attempts
     assert list(attempts) == twin.attempts
     assert all(type(a) is AttemptRecord for a in attempts)

@@ -5,8 +5,8 @@ Both engines fill a :class:`repro.sim.records.JobTable`, and a result's
 tests pin that a fast-lane result answers exactly what the scalar engine's
 answers — fingerprint, summaries, summary columns, completed and rejected
 jobs, equality, copies — for every estimation mode and fast-lane policy,
-also after the workload's jobs were released; that the readers which need
-no record (fingerprint, summary columns, ``==``, per-tier occupancy) build
+on a workload whose view keeps no job; that the readers which need no
+record (fingerprint, summary columns, ``==``, per-tier occupancy) build
 none on either engine's result; and that a sweep point's run never builds a
 ``Job`` or a ``JobSummary``.  The oracle is an explicit scalar
 ``Simulation`` run (``scalar_run``), never ``simulate``.
@@ -28,7 +28,6 @@ from repro.experiments.specs import (
     RunSpec,
     WorkloadSpec,
     clear_materialization_caches,
-    trim_materialized_workloads,
 )
 from repro.sim import simulate
 from repro.sim.analysis import tier_utilization
@@ -39,7 +38,7 @@ from repro.workload import Workload, lanl_cm5_like, scale_load
 from repro.workload.columns import COLUMN_FIELDS, JobColumns
 
 from tests.sim.engine_reference import (
-    assert_fingerprint_keeps_nothing, records_built, scalar_run,
+    assert_fingerprint_keeps_nothing, jobs_built, records_built, scalar_run,
 )
 
 MODES = {
@@ -57,8 +56,7 @@ OVER_TIER_MEM = 48.0
 
 
 def _columnar_trace() -> Workload:
-    """A fresh columnar workload (jobs not materialized) with over-tier
-    jobs mixed in."""
+    """A fresh workload with over-tier jobs mixed in."""
     base = lanl_cm5_like(n_jobs=400, seed=5)
     cols = base.as_columns()
     fields = {name: getattr(cols, name).copy() for name, _ in COLUMN_FIELDS}
@@ -122,13 +120,15 @@ def test_lazy_result_equals_the_scalar_result(mode, policy, strategy, kwargs):
         )
 
     workload = _columnar_trace()
-    assert not workload.jobs.materialized()
-    result = run(simulate, workload)
+    with jobs_built() as jobs:
+        result = run(simulate, workload)
     summaries = result.summaries
     assert isinstance(summaries, Records)
     assert isinstance(summaries.table, JobTable)
-    if mode != "protocol":  # protocol lanes hand the estimator Job objects
-        assert not workload.jobs.materialized()
+    # Inlined lanes build only the rejected jobs the result lists; a
+    # protocol lane also hands the estimator one job list, built once.
+    rejected = [len(result.rejected_jobs)]
+    assert jobs == ([len(workload)] + rejected if mode == "protocol" else rejected)
     # Counts, columns and truthiness come from the lane's lists.
     with records_built() as built:
         n_jobs, n_completed = result.n_jobs, result.n_completed
@@ -136,7 +136,7 @@ def test_lazy_result_equals_the_scalar_result(mode, policy, strategy, kwargs):
         assert len(summaries) == n_jobs and bool(summaries)
     assert built == []
 
-    # On a trace of its own: the scalar run materializes its jobs.
+    # On a trace of its own, so == compares two traces' jobs.
     twin = run(scalar_run, _columnar_trace())
     assert twin.rejected_jobs, "the trace must hold jobs no machine class holds"
     assert bool(twin.n_fault_kills) == ("fault_config" in kwargs)
@@ -146,10 +146,7 @@ def test_lazy_result_equals_the_scalar_result(mode, policy, strategy, kwargs):
     reference = _loop_columns(twin.summaries)
     for got, eager, want in zip(columns, twin.summary_columns(), reference):
         assert _bits(got) == _bits(want) and _bits(eager) == _bits(want)
-    # Protocol lanes hand the estimator Job objects.
-    assert_fingerprint_keeps_nothing(
-        result, twin, workload if mode != "protocol" else None
-    )
+    assert_fingerprint_keeps_nothing(result, twin)
     assert list(summaries) == twin.summaries
     assert summaries[0] == twin.summaries[0]
     assert summaries[-2:] == twin.summaries[-2:]
@@ -163,11 +160,11 @@ def test_lazy_results_compare_without_building():
         for _ in range(2)
     ]
     other = simulate(workload, paper_cluster(24.0), NoEstimation())
-    with records_built() as built:
+    with records_built() as built, jobs_built() as jobs:
         assert runs[0].summaries == runs[1].summaries
         assert runs[0].summaries != other.summaries
     assert built == []
-    assert not workload.jobs.materialized()
+    assert jobs == []
 
 
 def _collected_run(engine):
@@ -236,24 +233,24 @@ def test_pickle_round_trip_preserves_the_result():
 
 
 def test_summaries_survive_a_released_workload():
-    """A sweep worker's trim releases the memoized base trace's jobs after
-    every run; a result read afterwards rebuilds identical summaries and
-    attempt records, and counting them builds neither."""
+    """The memoized base trace keeps no job after any read: each pass
+    over it builds its jobs again.  A result read after such passes
+    rebuilds identical summaries and attempt records, and counting them
+    builds neither."""
     clear_materialization_caches()
     try:
         workload = WorkloadSpec(n_jobs=400, seed=3).materialize()
         result = simulate(workload, paper_cluster(24.0), SuccessiveApproximation())
         twin = scalar_run(workload, paper_cluster(24.0), SuccessiveApproximation())
-        list(workload)  # materialize the jobs, so the trim has some to drop
-        assert workload.jobs.materialized()
-        trim_materialized_workloads()
-        assert not workload.jobs.materialized()
+        with jobs_built() as jobs:
+            assert list(workload) == list(workload)
+        assert sum(jobs) == 2 * len(workload)
         with records_built() as built:
             assert len(result.summaries) == result.n_jobs
             assert len(result.attempts) == result.n_attempts > 0
             assert result.n_attempts == twin.n_attempts
         assert built == []
-        assert_fingerprint_keeps_nothing(result, twin, workload)
+        assert_fingerprint_keeps_nothing(result, twin)
         assert result.summaries == twin.summaries
         assert result.attempts == twin.attempts
     finally:
@@ -264,7 +261,7 @@ def test_summaries_survive_a_released_workload():
     EstimatorSpec(name="none"),
     EstimatorSpec.make("successive", alpha=2.0, beta=0.0),
 ])
-def test_a_sweep_point_builds_no_job_objects(monkeypatch, estimator):
+def test_a_sweep_point_builds_no_job_objects(estimator):
     spec = RunSpec(
         workload=WorkloadSpec(n_jobs=600, seed=3, load=0.9),
         cluster=ClusterSpec(second_tier_mem=24.0),
@@ -273,29 +270,21 @@ def test_a_sweep_point_builds_no_job_objects(monkeypatch, estimator):
     )
     clear_materialization_caches()
     try:
-        built = []
-        to_jobs = JobColumns.to_jobs
-        monkeypatch.setattr(
-            JobColumns, "to_jobs",
-            lambda self: built.append(len(self)) or to_jobs(self),
-        )
-        outcome = execute_spec(spec)
-        assert outcome.ok, outcome.error
-        assert built == [], "the run materialized Job objects"
-        memoized = list(spec_memo._BASE_WORKLOADS.values())
-        assert memoized
-        assert not any(w.jobs.materialized() for w in memoized)
+        with jobs_built() as built:
+            outcome = execute_spec(spec)
+            assert outcome.ok, outcome.error
+            assert built == [], "the run built Job objects"
+            assert spec_memo._BASE_WORKLOADS
 
-        with records_built() as records:
-            result = simulate(
-                spec.workload.materialize(), spec.cluster.materialize(),
-                spec.estimator.materialize(), seed=spec.seed,
-                collect_attempts=False,
-            )
-            assert len(result.summaries) == result.n_jobs > 0
-        assert records == []
+            with records_built() as records:
+                result = simulate(
+                    spec.workload.materialize(), spec.cluster.materialize(),
+                    spec.estimator.materialize(), seed=spec.seed,
+                    collect_attempts=False,
+                )
+                assert len(result.summaries) == result.n_jobs > 0
+            assert records == []
         assert built == []
-        monkeypatch.undo()
         assert outcome.point == simulate_spec(spec)
     finally:
         clear_materialization_caches()

@@ -43,8 +43,9 @@ class TestGroupSizeDistribution:
         assert dist.fraction_of_jobs_at_least(10) == pytest.approx(12 / 15)
 
     def test_excludes_full_machine_jobs(self):
-        w = grouped_workload()
-        w.jobs.append(make_job(job_id=999, procs=1024, user_id=9))
+        w = make_workload(
+            list(grouped_workload()) + [make_job(job_id=999, procs=1024, user_id=9)]
+        )
         dist = group_size_distribution(w, exclude_full_machine=True)
         assert dist.n_jobs == 15
         dist_all = group_size_distribution(w, exclude_full_machine=False)

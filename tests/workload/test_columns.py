@@ -15,6 +15,8 @@ from repro.workload import (
     scale_load,
 )
 
+from tests.sim.engine_reference import jobs_built
+
 
 def jobs_fixture():
     return [
@@ -139,28 +141,42 @@ class TestLazyWorkloadEquivalence:
             JobColumns.from_jobs(jobs), total_nodes=1024, node_mem=32.0
         )
         assert isinstance(lazy.jobs, LazyJobs)
-        assert not lazy.jobs.materialized()  # construction stays lazy
-        assert list(lazy) == list(eager)
+        assert isinstance(eager.jobs, LazyJobs)
+        assert list(lazy) == list(eager) == sorted(
+            jobs, key=lambda j: (j.submit_time, j.job_id)
+        )
+        assert lazy == eager
         assert lazy.span == eager.span
         assert lazy.total_work == eager.total_work
 
     def test_release_rematerializes_identically(self):
+        # The view keeps nothing: each pass builds new, equal jobs.
         lazy = Workload.from_columns(JobColumns.from_jobs(jobs_fixture()))
-        first = list(lazy)
-        lazy.release_materialized()
-        assert not lazy.jobs.materialized()
-        assert list(lazy) == first
+        first, again = list(lazy), list(lazy)
+        assert first == again
+        assert all(a is not b for a, b in zip(first, again))
+        assert LazyJobs.__slots__ == ("_columns",)
 
-    def test_release_is_a_noop_for_list_backed_workloads(self):
-        eager = Workload(jobs_fixture())
-        eager.release_materialized()
-        assert len(eager) == 3
+    def test_view_indexes_like_a_list(self):
+        workload = lanl_cm5_like(n_jobs=200, seed=3)
+        jobs = list(workload)
+        assert len(jobs) == len(workload.jobs) > 0
+        for i in (0, 1, len(jobs) - 1, -1, -len(jobs)):
+            assert workload[i] == jobs[i]
+        assert workload.jobs[5:9] == jobs[5:9]
+        assert workload.jobs[::-40] == jobs[::-40]
+        assert workload.jobs == jobs and workload.jobs != jobs[1:]
+        for bad in (len(jobs), -len(jobs) - 1):
+            with pytest.raises(IndexError):
+                workload[bad]
+        assert repr(workload.jobs) == f"LazyJobs({len(jobs)} jobs)"
 
     def test_scale_load_on_lazy_workload_stays_lazy(self):
         base = lanl_cm5_like(n_jobs=200, seed=3)
-        scaled = scale_load(base, 1.2)
+        with jobs_built() as built:
+            scaled = scale_load(base, 1.2)
         assert isinstance(scaled.jobs, LazyJobs)
-        assert not scaled.jobs.materialized()
+        assert built == []
         assert len(scaled) == len(base)
 
 

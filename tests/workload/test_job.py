@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 
 from repro.workload.job import Job, Workload, validate_overprovisioning_assumption
+from repro.workload.transforms import drop_full_machine_jobs, shift_to_zero
 from tests.conftest import job_strategy, make_job, make_workload
 
 
@@ -31,6 +32,21 @@ class TestJobValidation:
     def test_non_positive_memory_rejected(self, field):
         with pytest.raises(ValueError):
             make_job(**{field: 0.0})
+
+    @pytest.mark.parametrize(
+        "field", ["job_id", "procs", "user_id", "group_id", "app_id", "status"]
+    )
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(3.0), "4"])
+    def test_non_integer_ids_and_counts_rejected(self, field, value):
+        # A fractional count would reach the int64 columns truncated.
+        fields = make_job()._asdict()
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Job(**{**fields, field: value})
+
+    def test_numpy_integers_stored_as_int(self):
+        job = make_job(job_id=np.int64(7), procs=np.int32(4))
+        assert (job.job_id, job.procs) == (7, 4)
+        assert type(job.job_id) is int and type(job.procs) is int
 
 
 class TestJobProperties:
@@ -101,13 +117,13 @@ class TestWorkload:
 
     def test_filter(self):
         w = make_workload([make_job(job_id=1, procs=4), make_job(job_id=2, procs=1024)])
-        small = w.filter(lambda j: j.procs < 1024)
+        small = drop_full_machine_jobs(w)
         assert len(small) == 1 and small[0].job_id == 1
         assert small.total_nodes == w.total_nodes
 
     def test_map(self):
         w = make_workload([make_job(submit_time=5.0)])
-        shifted = w.map(lambda j: j.with_submit_time(0.0))
+        shifted = shift_to_zero(w)
         assert shifted[0].submit_time == 0.0
 
     def test_overprovisioning_ratios_clip_at_one(self):

@@ -25,6 +25,8 @@ from repro.workload.columns import COLUMN_FIELDS
 from repro.workload.lanl_cm5 import lanl_cm5_like
 from repro.workload.synthetic import SyntheticTraceConfig, generate_trace
 
+from tests.numeric_profile import numeric_profile
+
 
 def trace_digest(workload) -> str:
     """SHA-256 over every column's name, dtype and bytes."""
@@ -116,12 +118,14 @@ def test_trace_matches_recorded_digest(case):
     config, seed = CASES[case]
     workload = generate_trace(config, rng=seed)
     assert len(workload) == config.n_jobs
-    assert trace_digest(workload) == RECORDED[case]
+    assert trace_digest(workload) == RECORDED[case], numeric_profile()
 
 
 def test_lanl_cm5_like_is_the_default_config():
     # The public entry point must hash like the explicit config it wraps.
-    assert trace_digest(lanl_cm5_like(n_jobs=2000, seed=0)) == RECORDED["lanl-2000-s0"]
+    assert (
+        trace_digest(lanl_cm5_like(n_jobs=2000, seed=0)) == RECORDED["lanl-2000-s0"]
+    ), numeric_profile()
 
 
 if __name__ == "__main__":
