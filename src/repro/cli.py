@@ -37,36 +37,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
-
-import repro.core as core
-import repro.sim as sim
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 if TYPE_CHECKING:
-    from repro.core.base import Estimator
-    from repro.sim.policies import Policy
     from repro.workload.job import Workload
-
-#: Estimators constructible from the command line.  Each class resolves
-#: through the lazy :mod:`repro.core` when its factory is called, so
-#: building the parser (``repro --help``) imports no estimator.
-ESTIMATORS: Dict[str, Callable[[int], Estimator]] = {
-    "none": lambda seed: core.NoEstimation(),
-    "successive": lambda seed: core.SuccessiveApproximation(),
-    "last-instance": lambda seed: core.LastInstance(),
-    "rl": lambda seed: core.ReinforcementLearning(rng=seed),
-    "regression": lambda seed: core.RegressionEstimator(),
-    "line-search": lambda seed: core.RobustLineSearch(),
-    "online": lambda seed: core.OnlineSimilarityEstimator(),
-    "hybrid": lambda seed: core.HybridEstimator(),
-    "oracle": lambda seed: core.OracleEstimator(),
-}
-
-POLICIES: Dict[str, Callable[[], Policy]] = {
-    "fcfs": lambda: sim.Fcfs(),
-    "sjf": lambda: sim.ShortestJobFirst(),
-    "easy": lambda: sim.EasyBackfilling(),
-}
 
 EXPERIMENTS = (
     "fig1",
@@ -117,6 +91,24 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _registered(what: str) -> Callable[[str], str]:
+    """An argparse type: a name in the spec registry of ``what``
+    (``"estimator"`` or ``"policy"``), looked up only when a command runs
+    so that ``repro --help`` imports no experiment module."""
+
+    def check(name: str) -> str:
+        from repro.experiments.specs import ESTIMATOR_REGISTRY, POLICY_REGISTRY
+
+        registry = ESTIMATOR_REGISTRY if what == "estimator" else POLICY_REGISTRY
+        if name not in registry:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {name!r}; pick from {', '.join(sorted(registry))}"
+            )
+        return name
+
+    return check
+
+
 def cmd_quickstart(args: argparse.Namespace) -> int:
     from repro import quickstart
 
@@ -161,19 +153,23 @@ def _simulation_inputs(args: argparse.Namespace):
     """Shared ``simulate``/``stats`` setup: workload, cluster, estimator,
     fault config — all from the common CLI flags."""
     from repro.cluster.builder import paper_cluster
+    from repro.experiments.specs import EstimatorSpec, PolicySpec
     from repro.sim.faults import FaultConfig
     from repro.workload.transforms import drop_full_machine_jobs, scale_load
 
     workload = drop_full_machine_jobs(_load_workload(args))
     workload = scale_load(workload, args.load)
     cluster = paper_cluster(args.tier2)
-    estimator = ESTIMATORS[args.estimator](args.seed)
+    # The RL agent's exploration draws from --seed, like every other stream.
+    seeded = {"rng": args.seed} if args.estimator == "rl" else {}
+    estimator = EstimatorSpec.make(args.estimator, **seeded).materialize()
+    policy = PolicySpec(name=args.policy).materialize()
     fault_config = None
     if args.node_mtbf > 0:
         fault_config = FaultConfig(
             node_mtbf=args.node_mtbf, node_mttr=args.node_mttr
         )
-    return workload, cluster, estimator, fault_config
+    return workload, cluster, estimator, policy, fault_config
 
 
 def _write_prometheus(destination: str, text: str) -> None:
@@ -191,7 +187,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.sim.engine import simulate
     from repro.sim.metrics import mean_slowdown, utilization
 
-    workload, cluster, estimator, fault_config = _simulation_inputs(args)
+    workload, cluster, estimator, policy, fault_config = _simulation_inputs(args)
     observer = None
     if args.trace_out:
         observer = JsonlTraceObserver(args.trace_out)
@@ -208,7 +204,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             workload,
             cluster,
             estimator=estimator,
-            policy=POLICIES[args.policy](),
+            policy=policy,
             seed=args.seed,
             spurious_failure_prob=args.spurious,
             fault_config=fault_config,
@@ -244,7 +240,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from repro.sim.engine import simulate
     from repro.sim.metrics import mean_slowdown, utilization
 
-    workload, cluster, estimator, fault_config = _simulation_inputs(args)
+    workload, cluster, estimator, policy, fault_config = _simulation_inputs(args)
     counters = CounterObserver()
     telemetry = EstimatorTelemetryObserver()
     sampler = TimelineSampler()
@@ -252,7 +248,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         workload,
         cluster,
         estimator=estimator,
-        policy=POLICIES[args.policy](),
+        policy=policy,
         seed=args.seed,
         spurious_failure_prob=args.spurious,
         fault_config=fault_config,
@@ -330,19 +326,34 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments.config import ExperimentConfig
 
     module = importlib.import_module(f"repro.experiments.{args.name}")
+    sweeps = "max_workers" in inspect.signature(module.run).parameters
+    executor_flags = {
+        "--workers": args.workers,
+        "--cache-dir": args.cache_dir,
+        "--run-timeout": args.run_timeout,
+        "--max-retries": args.max_retries,
+    }
+    refused = [flag for flag, value in executor_flags.items() if value is not None]
+    if refused and not sweeps:
+        print(
+            f"repro experiment {args.name}: {args.name} does not run on the "
+            f"sweep executor, so it takes no {', '.join(refused)}",
+            file=sys.stderr,
+        )
+        return 2
     config = ExperimentConfig(n_jobs=args.jobs, seed=args.seed)
     kwargs = {}
     sweep_logger = logging.getLogger("repro.sweep")
     saved_level, saved_handlers = sweep_logger.level, list(sweep_logger.handlers)
     try:
-        if "max_workers" in inspect.signature(module.run).parameters:
+        if sweeps:
             # Sweep-capable experiment: wire up the pool, cache and timeout,
             # and surface the executor's runs/s + cache-hit accounting on
             # stderr.  The logger is process-wide, so it is restored for a
             # caller's next sweep.
-            kwargs["max_workers"] = args.workers
+            kwargs["max_workers"] = args.workers or 1
             kwargs["timeout"] = args.run_timeout
-            kwargs["max_retries"] = args.max_retries
+            kwargs["max_retries"] = args.max_retries or 0
             kwargs["cache"] = resolve_cache(
                 enabled=not args.no_cache, directory=args.cache_dir
             )
@@ -439,9 +450,19 @@ def build_parser() -> argparse.ArgumentParser:
             "--tier2", type=float, default=24.0, help="second-tier memory MB"
         )
         p.add_argument(
-            "--estimator", choices=sorted(ESTIMATORS), default="successive"
+            "--estimator",
+            type=_registered("estimator"),
+            default="successive",
+            help="estimator by spec-registry name, e.g. none, successive, "
+            "last-instance, rl, regression, oracle (default: successive)",
         )
-        p.add_argument("--policy", choices=sorted(POLICIES), default="fcfs")
+        p.add_argument(
+            "--policy",
+            type=_registered("policy"),
+            default="fcfs",
+            help="scheduling policy by spec-registry name: fcfs, sjf or "
+            "easy-backfilling (default: fcfs)",
+        )
         p.add_argument(
             "--spurious",
             type=float,
@@ -510,8 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=1,
-        help="process-pool size for sweep experiments (1 = in-process serial)",
+        default=None,
+        help="process-pool size for sweep experiments (default 1: in-process serial)",
     )
     p.add_argument(
         "--no-cache",
@@ -531,8 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-retries",
         type=_non_negative_int,
-        default=0,
-        help="resubmissions per timed-out run (a run that raises is not retried)",
+        default=None,
+        help="resubmissions per timed-out run, default 0 "
+        "(a run that raises is not retried)",
     )
     p.set_defaults(fn=cmd_experiment)
 

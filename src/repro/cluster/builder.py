@@ -105,6 +105,13 @@ def stable_level(
     ``top / alpha <= m``.
     """
     check_positive("alpha", alpha)
+    return _stable_level(req, used, ladder, alpha)
+
+
+def _stable_level(
+    req: float, used: float, ladder: CapacityLadder, alpha: float
+) -> Optional[float]:
+    """:func:`stable_level` for an ``alpha`` the caller has checked."""
     estimate = req
     last_safe_req: Optional[float] = None
     # The descent is geometrically fast; the bound is just a safety net
@@ -129,11 +136,14 @@ def stable_level(
     return ladder.round_up(last_safe_req) if last_safe_req is not None else None
 
 
-def _benefit(job_req: float, job_used: float, m: float, top: float, alpha: float) -> str:
-    """Classify one job for tier size ``m``: 'benefit'/'alpha'/'usage'/'none'."""
+def _benefit(
+    job_req: float, job_used: float, m: float, ladder: CapacityLadder, alpha: float
+) -> str:
+    """Classify one job for tier size ``m`` on ``ladder`` (``[m, top]``):
+    'benefit'/'alpha'/'usage'/'none'."""
     if job_req <= m:
         return "none"  # already eligible for the second tier by request
-    final = stable_level(job_req, job_used, CapacityLadder([m, top]), alpha)
+    final = _stable_level(job_req, job_used, ladder, alpha)
     if final == m:
         return "benefit"
     if job_used > m:
@@ -166,9 +176,10 @@ def design_second_tier(
             raise ValueError(
                 f"candidate second-tier memory {m} exceeds first tier {mem_high}"
             )
+        ladder = CapacityLadder([m, mem_high])  # shared by every row
         jobs = nodes = alpha_blocked = usage_blocked = 0
         for req, used, procs in rows:
-            kind = _benefit(req, used, m, mem_high, alpha)
+            kind = _benefit(req, used, m, ladder, alpha)
             if kind == "benefit":
                 jobs += 1
                 nodes += procs
@@ -236,7 +247,7 @@ def evaluate_ladder(
     works = (cols.run_time * cols.procs).tolist()
     for req, used, work in zip(cols.req_mem.tolist(), cols.used_mem.tolist(), works):
         total_work += work
-        settled = stable_level(req, used, ladder, alpha)
+        settled = _stable_level(req, used, ladder, alpha)
         if settled is None:
             unservable += work
             continue

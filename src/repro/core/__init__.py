@@ -45,7 +45,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "ResourceVector",
     ),
     "online": ("OnlineSimilarityEstimator",),
-    "persistence": ("dump_state", "dumps", "load_state", "loads"),
     "regression": ("RegressionEstimator",),
     "reinforcement": ("ReinforcementLearning",),
     "successive": ("GroupState", "SuccessiveApproximation"),
@@ -67,8 +66,4 @@ __all__ = [
     "ResourceVector",
     "RobustLineSearch",
     "SuccessiveApproximation",
-    "dump_state",
-    "dumps",
-    "load_state",
-    "loads",
 ]

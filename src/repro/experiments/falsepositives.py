@@ -23,18 +23,62 @@ Not a numbered artifact of the paper — it is the quantitative version of a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.base import Estimator
-from repro.core.baselines import NoEstimation
-from repro.core.successive import SuccessiveApproximation
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.render import ascii_chart, format_table
-from repro.sim.engine import Simulation
-from repro.sim.failure import FailureModel
-from repro.sim.metrics import utilization
-from repro.sim.policies import Fcfs
-from repro.workload.transforms import scale_load
+from repro.experiments.specs import (
+    ClusterSpec,
+    EstimatorSpec,
+    FaultSpec,
+    RunSpec,
+    WorkloadSpec,
+)
+
+
+def sweep_specs(
+    cfg: Optional[ExperimentConfig] = None,
+    spurious_probs: Sequence[float] = (0.0, 0.02, 0.05, 0.10),
+    load: float = 0.8,
+) -> List[RunSpec]:
+    """The spurious-rate x variant grid as picklable :class:`RunSpec`s,
+    rate-major: the grid :func:`run` simulates."""
+    return [spec for _, _, spec in _cells(cfg, spurious_probs, load)]
+
+
+def _cells(
+    cfg: Optional[ExperimentConfig],
+    spurious_probs: Sequence[float],
+    load: float,
+) -> List[Tuple[float, str, RunSpec]]:
+    """Each grid cell's ``(spurious probability, variant, spec)``."""
+    cfg = cfg or ExperimentConfig()
+    variants: List[Tuple[str, EstimatorSpec]] = [
+        ("implicit", EstimatorSpec.make("successive", alpha=cfg.alpha, beta=cfg.beta)),
+        (
+            "explicit-guard",
+            EstimatorSpec.make(
+                "successive", alpha=cfg.alpha, beta=cfg.beta, explicit_guard=True
+            ),
+        ),
+        ("no-estimation", EstimatorSpec(name="none")),
+    ]
+    return [
+        (
+            float(prob),
+            name,
+            RunSpec(
+                workload=WorkloadSpec(n_jobs=cfg.n_jobs, seed=cfg.seed, load=load),
+                cluster=ClusterSpec(second_tier_mem=cfg.second_tier_mem),
+                estimator=estimator,
+                seed=cfg.seed,
+                label=f"{name}@spurious={float(prob):g}",
+                faults=FaultSpec(spurious=float(prob)),
+            ),
+        )
+        for prob in spurious_probs
+        for name, estimator in variants
+    ]
 
 
 @dataclass(frozen=True)
@@ -108,41 +152,29 @@ def run(
     spurious_probs: Sequence[float] = (0.0, 0.02, 0.05, 0.10),
     load: float = 0.8,
 ) -> FalsePositiveResult:
-    """Run the sweep over spurious-failure rates and estimator variants."""
-    cfg = config or ExperimentConfig()
-    workload = scale_load(cfg.make_sim_workload(), load)
+    """Run the sweep over spurious-failure rates and estimator variants.
 
-    variants: List[Tuple[str, Callable[[], Estimator]]] = [
-        ("implicit", lambda: SuccessiveApproximation(alpha=cfg.alpha, beta=cfg.beta)),
-        (
-            "explicit-guard",
-            lambda: SuccessiveApproximation(
-                alpha=cfg.alpha, beta=cfg.beta, explicit_guard=True
-            ),
-        ),
-        ("no-estimation", NoEstimation),
-    ]
+    Each cell simulates its :func:`sweep_specs` spec, so the CLI and the
+    service run one grid.  The table needs each run's spurious-failure
+    count, which a sweep point does not carry, so the cells run in this
+    process rather than through the executor.
+    """
+    # Lazy: the service parses a falsepositives request with this module
+    # and imports the executor on its own schedule.
+    from repro.experiments.parallel import _simulate
+    from repro.sim.engine import simulate
+    from repro.sim.metrics import utilization
 
     points: List[FalsePositivePoint] = []
-    for prob in spurious_probs:
-        for name, factory in variants:
-            result = Simulation(
-                workload,
-                cfg.make_cluster(),
-                estimator=factory(),
-                policy=Fcfs(),
-                failure_model=FailureModel(
-                    rng=cfg.seed, spurious_failure_prob=prob
-                ),
-                collect_attempts=False,
-            ).run()
-            points.append(
-                FalsePositivePoint(
-                    spurious_prob=float(prob),
-                    variant=name,
-                    utilization=utilization(result),
-                    frac_reduced=result.frac_reduced_submissions,
-                    n_spurious=result.n_spurious_failures,
-                )
+    for prob, variant, spec in _cells(config, spurious_probs, load):
+        result = _simulate(spec, simulate)
+        points.append(
+            FalsePositivePoint(
+                spurious_prob=prob,
+                variant=variant,
+                utilization=utilization(result),
+                frac_reduced=result.frac_reduced_submissions,
+                n_spurious=result.n_spurious_failures,
             )
+        )
     return FalsePositiveResult(points=points, load=load)

@@ -14,11 +14,10 @@ The estimation run also reports the §3.2 conservativeness statistics
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.experiments.cache import SweepCache
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import run_sweep, sweep_to_load_sweep
 from repro.experiments.render import ascii_chart, format_table
 from repro.experiments.runner import LoadSweep
 from repro.experiments.specs import (
@@ -28,7 +27,9 @@ from repro.experiments.specs import (
     RunSpec,
     WorkloadSpec,
 )
-from repro.sim.metrics import SaturationPoint, saturation_point
+
+if TYPE_CHECKING:
+    from repro.sim.metrics import SaturationPoint
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,20 @@ def sweep_specs(
     ]
 
 
+def grid_specs(cfg: ExperimentConfig, policy: str = "fcfs") -> List[RunSpec]:
+    """The Figure 5/6 grid: every load without estimation, then with it."""
+    if policy not in ("fcfs", "easy-backfilling"):
+        raise ValueError(f"unknown policy {policy!r}")
+    return sweep_specs(
+        cfg, EstimatorSpec(name="none"), policy=policy, label="no estimation"
+    ) + sweep_specs(
+        cfg,
+        EstimatorSpec.make("successive", alpha=cfg.alpha, beta=cfg.beta),
+        policy=policy,
+        label="with estimation",
+    )
+
+
 def run(
     config: Optional[ExperimentConfig] = None,
     policy: str = "fcfs",
@@ -144,27 +159,19 @@ def run(
     :class:`~repro.experiments.cache.SweepCache` to memoize points on disk.
     ``timeout``/``max_retries`` go to :func:`run_sweep` as they are.
     """
-    cfg = config or ExperimentConfig()
-    if policy not in ("fcfs", "easy-backfilling"):
-        raise ValueError(f"unknown policy {policy!r}")
+    # Lazy: the service builds this grid (grid_specs) on its parse path.
+    from repro.experiments.parallel import run_sweep, sweep_to_load_sweep
+    from repro.sim.metrics import saturation_point
 
-    specs_without = sweep_specs(
-        cfg, EstimatorSpec(name="none"), policy=policy, label="no estimation"
-    )
-    specs_with = sweep_specs(
-        cfg,
-        EstimatorSpec.make("successive", alpha=cfg.alpha, beta=cfg.beta),
-        policy=policy,
-        label="with estimation",
-    )
+    specs = grid_specs(config or ExperimentConfig(), policy)
     report = run_sweep(
-        specs_without + specs_with,
+        specs,
         max_workers=max_workers,
         cache=cache,
         timeout=timeout,
         max_retries=max_retries,
     )
-    n = len(specs_without)
+    n = len(specs) // 2
     without = sweep_to_load_sweep("no estimation", report.outcomes[:n])
     with_est = sweep_to_load_sweep("with estimation", report.outcomes[n:])
     return Fig5Result(

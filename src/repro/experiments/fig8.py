@@ -21,14 +21,10 @@ makes at the saturation knee, at 1/10th the compute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.cluster.builder import design_second_tier
 from repro.experiments.cache import SweepCache
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import run_sweep
 from repro.experiments.render import ascii_chart, format_table
 from repro.experiments.specs import (
     ClusterSpec,
@@ -36,7 +32,11 @@ from repro.experiments.specs import (
     RunSpec,
     WorkloadSpec,
 )
-from repro.workload.stats import RegressionFit, linear_fit
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.workload.stats import RegressionFit
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,14 @@ class Fig8Result:
 
     @property
     def mems(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([p.second_tier_mem for p in self.points])
 
     @property
     def ratios(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([p.ratio for p in self.points])
 
     def band_points(self) -> List[Fig8Point]:
@@ -77,11 +81,15 @@ class Fig8Result:
 
     @property
     def improvement_in_band(self) -> float:
+        import numpy as np
+
         band = self.band_points()
         return float(np.mean([p.ratio for p in band])) - 1.0 if band else 0.0
 
     @property
     def improvement_below_band(self) -> float:
+        import numpy as np
+
         below = [p for p in self.points if p.second_tier_mem < self.paper_band[0]]
         return float(np.mean([p.ratio for p in below])) - 1.0 if below else 0.0
 
@@ -210,6 +218,11 @@ def run(
     ``cache`` memoizes the per-configuration points on disk.
     ``timeout``/``max_retries`` go to :func:`run_sweep` as they are.
     """
+    # Lazy: the service builds this grid (sweep_specs) on its parse path.
+    from repro.cluster.builder import design_second_tier
+    from repro.experiments.parallel import run_sweep
+    from repro.workload.stats import linear_fit
+
     cfg = config or ExperimentConfig()
     mems = default_mems(cfg) if mems is None else list(mems)
     scaled = WorkloadSpec(n_jobs=cfg.n_jobs, seed=cfg.seed, load=load).materialize()

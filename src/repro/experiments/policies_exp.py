@@ -12,16 +12,18 @@ and reports the per-policy improvement — the direct test of the conjecture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
-from repro.core.baselines import NoEstimation
-from repro.core.successive import SuccessiveApproximation
+from repro.experiments.cache import SweepCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.render import format_table
-from repro.sim.engine import simulate
-from repro.sim.metrics import mean_slowdown, utilization
-from repro.sim.policies import EasyBackfilling, Fcfs, Policy, ShortestJobFirst
-from repro.workload.transforms import scale_load
+from repro.experiments.specs import (
+    ClusterSpec,
+    EstimatorSpec,
+    PolicySpec,
+    RunSpec,
+    WorkloadSpec,
+)
 
 
 @dataclass(frozen=True)
@@ -92,37 +94,64 @@ class PolicyComparisonResult:
         return table + verdict
 
 
-POLICY_FACTORIES: List[Callable[[], Policy]] = [Fcfs, ShortestJobFirst, EasyBackfilling]
+#: The policies compared, by :data:`~repro.experiments.specs.POLICY_REGISTRY` name.
+POLICIES = ("fcfs", "sjf", "easy-backfilling")
+
+
+def sweep_specs(cfg: Optional[ExperimentConfig] = None, load: float = 0.8) -> List[RunSpec]:
+    """Per policy, a run without and one with estimation, policy-major."""
+    cfg = cfg or ExperimentConfig()
+    estimators = (
+        EstimatorSpec(name="none"),
+        EstimatorSpec.make("successive", alpha=cfg.alpha, beta=cfg.beta),
+    )
+    return [
+        RunSpec(
+            workload=WorkloadSpec(n_jobs=cfg.n_jobs, seed=cfg.seed, load=load),
+            cluster=ClusterSpec(second_tier_mem=cfg.second_tier_mem),
+            estimator=estimator,
+            policy=PolicySpec(name=policy),
+            seed=cfg.seed,
+            label=f"{estimator.name}@{policy}",
+        )
+        for policy in POLICIES
+        for estimator in estimators
+    ]
 
 
 def run(
     config: Optional[ExperimentConfig] = None,
     load: float = 0.8,
+    max_workers: int = 1,
+    cache: Optional[SweepCache] = None,
+    timeout: Optional[float] = None,
+    max_retries: int = 0,
 ) -> PolicyComparisonResult:
+    """Compare each policy with and without estimation on one trace.
+
+    The runs are :func:`sweep_specs`, executed by :func:`run_sweep`:
+    ``max_workers``, ``cache``, ``timeout`` and ``max_retries`` go to it
+    as they are.
+    """
+    from repro.experiments.parallel import run_sweep
+
     cfg = config or ExperimentConfig()
-    workload = scale_load(cfg.make_sim_workload(), load)
-    rows: List[PolicyRow] = []
-    for factory in POLICY_FACTORIES:
-        base = simulate(
-            workload, cfg.make_cluster(), NoEstimation(), policy=factory(),
-            seed=cfg.seed, collect_attempts=False,
+    points = run_sweep(
+        sweep_specs(cfg, load),
+        max_workers=max_workers,
+        cache=cache,
+        timeout=timeout,
+        max_retries=max_retries,
+    ).points()
+    rows = [
+        PolicyRow(
+            policy=policy,
+            util_base=base.utilization,
+            util_est=est.utilization,
+            slowdown_base=base.mean_slowdown,
+            slowdown_est=est.mean_slowdown,
+            frac_failed=est.frac_failed_executions,
         )
-        est = simulate(
-            workload,
-            cfg.make_cluster(),
-            SuccessiveApproximation(alpha=cfg.alpha, beta=cfg.beta),
-            policy=factory(),
-            seed=cfg.seed,
-            collect_attempts=False,
-        )
-        rows.append(
-            PolicyRow(
-                policy=factory.name,
-                util_base=utilization(base),
-                util_est=utilization(est),
-                slowdown_base=mean_slowdown(base),
-                slowdown_est=mean_slowdown(est),
-                frac_failed=est.frac_failed_executions,
-            )
-        )
+        for policy, base, est in zip(POLICIES, points[::2], points[1::2])
+    ]
     return PolicyComparisonResult(rows=rows, load=load)

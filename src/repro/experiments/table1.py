@@ -24,19 +24,12 @@ and explicit feedback should beat implicit within each similarity row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.base import Estimator
-from repro.core.baselines import NoEstimation, OracleEstimator
-from repro.core.last_instance import LastInstance
-from repro.core.regression import RegressionEstimator
-from repro.core.reinforcement import ReinforcementLearning
-from repro.core.successive import SuccessiveApproximation
+from repro.experiments.cache import SweepCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.render import format_table
-from repro.sim.engine import simulate
-from repro.sim.metrics import mean_slowdown, utilization
-from repro.workload.transforms import scale_load
+from repro.experiments.specs import ClusterSpec, EstimatorSpec, RunSpec, WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -101,46 +94,77 @@ class Table1Result:
         )
 
 
-def estimator_factories(cfg: ExperimentConfig) -> Dict[str, Tuple[str, str, Callable[[], Estimator]]]:
-    """The Table 1 contenders: name -> (feedback, similarity, factory)."""
-    return {
-        "no-estimation": ("-", "-", NoEstimation),
-        "successive-approximation": (
+def _contenders(cfg: ExperimentConfig) -> List[Tuple[str, str, str, EstimatorSpec]]:
+    """The Table 1 contenders: ``(row name, feedback, similarity, estimator)``."""
+    return [
+        ("no-estimation", "-", "-", EstimatorSpec(name="none")),
+        (
+            "successive-approximation",
             "implicit",
             "yes",
-            lambda: SuccessiveApproximation(alpha=cfg.alpha, beta=cfg.beta),
+            EstimatorSpec.make("successive", alpha=cfg.alpha, beta=cfg.beta),
         ),
-        "last-instance": ("explicit", "yes", LastInstance),
-        "reinforcement-learning": (
+        ("last-instance", "explicit", "yes", EstimatorSpec(name="last-instance")),
+        (
+            "reinforcement-learning",
             "implicit",
             "no",
-            lambda: ReinforcementLearning(rng=cfg.seed),
+            EstimatorSpec.make("rl", rng=cfg.seed),
         ),
-        "regression": ("explicit", "no", RegressionEstimator),
-        "oracle": ("(perfect)", "-", OracleEstimator),
-    }
+        ("regression", "explicit", "no", EstimatorSpec(name="regression")),
+        ("oracle", "(perfect)", "-", EstimatorSpec(name="oracle")),
+    ]
+
+
+def sweep_specs(cfg: Optional[ExperimentConfig] = None, load: float = 0.8) -> List[RunSpec]:
+    """One spec per Table 1 row, in row order, all on one scaled trace."""
+    cfg = cfg or ExperimentConfig()
+    return [
+        RunSpec(
+            workload=WorkloadSpec(n_jobs=cfg.n_jobs, seed=cfg.seed, load=load),
+            cluster=ClusterSpec(second_tier_mem=cfg.second_tier_mem),
+            estimator=estimator,
+            seed=cfg.seed,
+            label=name,
+        )
+        for name, _, _, estimator in _contenders(cfg)
+    ]
 
 
 def run(
     config: Optional[ExperimentConfig] = None,
     load: float = 0.8,
+    max_workers: int = 1,
+    cache: Optional[SweepCache] = None,
+    timeout: Optional[float] = None,
+    max_retries: int = 0,
 ) -> Table1Result:
-    """Run every Table 1 estimator on the same scaled workload."""
+    """Run every Table 1 estimator on the same scaled workload.
+
+    The rows are :func:`sweep_specs`, executed by :func:`run_sweep`:
+    ``max_workers``, ``cache``, ``timeout`` and ``max_retries`` go to it
+    as they are.
+    """
+    from repro.experiments.parallel import run_sweep
+
     cfg = config or ExperimentConfig()
-    workload = scale_load(cfg.make_sim_workload(), load)
-    rows: List[Table1Row] = []
-    for name, (feedback, similarity, factory) in estimator_factories(cfg).items():
-        result = simulate(workload, cfg.make_cluster(), factory(), seed=cfg.seed,
-                          collect_attempts=False)
-        rows.append(
-            Table1Row(
-                estimator=name,
-                feedback=feedback,
-                similarity=similarity,
-                utilization=utilization(result),
-                mean_slowdown=mean_slowdown(result),
-                frac_failed=result.frac_failed_executions,
-                frac_reduced=result.frac_reduced_submissions,
-            )
+    points = run_sweep(
+        sweep_specs(cfg, load),
+        max_workers=max_workers,
+        cache=cache,
+        timeout=timeout,
+        max_retries=max_retries,
+    ).points()
+    rows = [
+        Table1Row(
+            estimator=name,
+            feedback=feedback,
+            similarity=similarity,
+            utilization=point.utilization,
+            mean_slowdown=point.mean_slowdown,
+            frac_failed=point.frac_failed_executions,
+            frac_reduced=point.frac_reduced_submissions,
         )
+        for (name, feedback, similarity, _), point in zip(_contenders(cfg), points)
+    ]
     return Table1Result(rows=rows, load=load)

@@ -12,8 +12,9 @@ dataclasses:
   a worker traceback.
 * :func:`parse_submission` accepts either an explicit ``{"specs": [...]}``
   list or a named experiment ``{"experiment": "fig5", "config": {...}}``
-  (fig5/fig6/fig8/faults — the grids the paper artifacts run, built by the
-  experiment modules' own ``sweep_specs`` helpers).
+  (fig5/fig6/fig8/table1/policies_exp/faults/falsepositives — the grids
+  the experiments run, built by the experiment modules' own
+  ``sweep_specs`` helpers).
 * :func:`sweep_key` derives the submission's idempotency key: the SHA-256
   of the ordered spec cache keys, so byte-identical sweeps — and only
   those — collapse onto one run.
@@ -30,6 +31,7 @@ maps that to a 400 with the message as the body.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import math
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -229,17 +231,7 @@ def _fig5_specs(params: Mapping[str, Any]) -> List[RunSpec]:
 
     params = dict(params)
     policy = params.pop("policy", "fcfs")
-    if policy not in ("fcfs", "easy-backfilling"):
-        raise SchemaError(f"fig5 policy must be fcfs or easy-backfilling, got {policy!r}")
-    cfg = _config_from(params)
-    return fig5_exp.sweep_specs(
-        cfg, EstimatorSpec(name="none"), policy=policy, label="no estimation"
-    ) + fig5_exp.sweep_specs(
-        cfg,
-        EstimatorSpec.make("successive", alpha=cfg.alpha, beta=cfg.beta),
-        policy=policy,
-        label="with estimation",
-    )
+    return fig5_exp.grid_specs(_config_from(params), policy)
 
 
 def _fig8_specs(params: Mapping[str, Any]) -> List[RunSpec]:
@@ -276,6 +268,31 @@ def _faults_specs(params: Mapping[str, Any]) -> List[RunSpec]:
     return faults_exp.sweep_specs(cfg, mtbfs, node_mttr=node_mttr, load=load)
 
 
+def _load_only_specs(module: str) -> Callable[[Mapping[str, Any]], List[RunSpec]]:
+    """The builder of an experiment whose grid takes a ``load`` and the
+    config alone (Table 1, the policy study)."""
+
+    def build(params: Mapping[str, Any]) -> List[RunSpec]:
+        experiment = importlib.import_module(f"repro.experiments.{module}")
+        params = dict(params)
+        load = float(params.pop("load", 0.8))
+        return experiment.sweep_specs(_config_from(params), load=load)
+
+    return build
+
+
+def _falsepositives_specs(params: Mapping[str, Any]) -> List[RunSpec]:
+    from repro.experiments import falsepositives as falsepositives_exp
+
+    params = dict(params)
+    probs = params.pop("spurious_probs", (0.0, 0.02, 0.05, 0.10))
+    load = float(params.pop("load", 0.8))
+    if not isinstance(probs, Sequence) or isinstance(probs, (str, bytes)):
+        raise SchemaError("spurious_probs must be a list of numbers")
+    probs = [float(p) for p in probs]
+    return falsepositives_exp.sweep_specs(_config_from(params), probs, load=load)
+
+
 #: Named experiments a client may submit without spelling out every spec.
 #: fig6 shares fig5's simulations (the slowdown series reads the same runs).
 EXPERIMENT_BUILDERS: Dict[str, Callable[[Mapping[str, Any]], List[RunSpec]]] = {
@@ -283,6 +300,9 @@ EXPERIMENT_BUILDERS: Dict[str, Callable[[Mapping[str, Any]], List[RunSpec]]] = {
     "fig6": _fig5_specs,
     "fig8": _fig8_specs,
     "faults": _faults_specs,
+    "falsepositives": _falsepositives_specs,
+    "policies_exp": _load_only_specs("policies_exp"),
+    "table1": _load_only_specs("table1"),
 }
 
 
@@ -294,7 +314,13 @@ def experiment_specs(name: str, params: Optional[Mapping[str, Any]]) -> List[Run
         raise SchemaError(
             f"unknown experiment {name!r}; known: {sorted(EXPERIMENT_BUILDERS)}"
         ) from None
-    return builder(_require_mapping(params if params is not None else {}, "config"))
+    params = _require_mapping(params if params is not None else {}, "config")
+    try:
+        return builder(params)
+    except SchemaError:
+        raise
+    except (TypeError, ValueError) as exc:  # a spec refusing a field
+        raise SchemaError(f"invalid {name} config: {exc}") from None
 
 
 def parse_submission(doc: Any) -> Tuple[List[RunSpec], Optional[str]]:

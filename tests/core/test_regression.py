@@ -1,17 +1,15 @@
 """Regression estimator (explicit feedback, no similarity)."""
 
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.ladder import CapacityLadder
 from repro.core.base import Feedback
-from repro.core.persistence import dumps, loads
 from repro.core.regression import RegressionEstimator, default_features
 from repro.workload.job import Job, Workload
 from tests.conftest import make_job
+from tests.learned_state import learned_state
 
 
 def bound(est=None):
@@ -219,13 +217,6 @@ def _reference_estimate(est, job):
     return min(requirement, job.req_mem)
 
 
-def _bits(est):
-    state = est._state
-    return (state.weights.tobytes(), state.p_matrix.tobytes(),
-            struct.pack("<d", state.residual_std), state.n_samples,
-            struct.pack("<d", state.residual_sq_sum))
-
-
 _rls_jobs = st.lists(
     st.tuples(
         st.floats(0.5, 64.0),
@@ -249,9 +240,8 @@ def test_rls_update_is_bit_identical_to_the_reference(
 ):
     """The trimmed RLS step (``ndarray.dot``, ``np.multiply.outer``,
     ``math.sqrt``) gives the reference formulation's weights, P and residual
-    spread to the bit: after an offline ``fit``, across a ``persistence``
-    round-trip, and after further online ``observe`` calls, with estimates
-    equal throughout."""
+    spread to the bit: after an offline ``fit`` and after further online
+    ``observe`` calls, with estimates equal throughout."""
     def make():
         return bound(RegressionEstimator(ridge=ridge, min_samples=1,
                                          log_target=log_target))
@@ -262,18 +252,12 @@ def test_rls_update_is_bit_identical_to_the_reference(
     for job in workload:  # fit's order: (submit_time, job_id)
         _reference_update(reference, default_features(job),
                           reference._target(job.used_mem))
-    assert _bits(trimmed) == _bits(reference)
-
-    restored, restored_ref = make(), make()
-    loads(restored, dumps(trimmed))
-    loads(restored_ref, dumps(reference))
-    assert _bits(restored) == _bits(reference)
-    assert _bits(restored_ref) == _bits(reference)
+    assert learned_state(trimmed) == learned_state(reference)
 
     for job in live:
-        feed(restored, job, used=job.used_mem, granted=job.req_mem)
-        _reference_update(restored_ref, default_features(job),
-                          restored_ref._target(job.used_mem))
-    assert _bits(restored) == _bits(restored_ref)
+        feed(trimmed, job, used=job.used_mem, granted=job.req_mem)
+        _reference_update(reference, default_features(job),
+                          reference._target(job.used_mem))
+    assert learned_state(trimmed) == learned_state(reference)
     for job in history + live:
-        assert restored.estimate(job) == _reference_estimate(restored_ref, job)
+        assert trimmed.estimate(job) == _reference_estimate(reference, job)

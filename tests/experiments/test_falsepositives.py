@@ -52,6 +52,47 @@ class TestFalsePositives:
         assert "spurious" in result.format_chart() or "Utilization" in result.format_chart()
 
 
+def test_points_equal_the_scalar_engine_with_a_failure_model():
+    """Each point, simulated from its spec on the fast lane, equals a
+    scalar ``Simulation`` whose ``FailureModel`` draws the spurious
+    failures from the config's seed."""
+    from repro.core import NoEstimation, SuccessiveApproximation
+    from repro.sim import Simulation
+    from repro.sim.failure import FailureModel
+    from repro.sim.metrics import utilization
+    from repro.sim.policies import Fcfs
+
+    cfg = ExperimentConfig(n_jobs=800, seed=1)
+    probs = (0.0, 0.05, 0.2)
+    variants = {
+        "implicit": lambda: SuccessiveApproximation(alpha=cfg.alpha, beta=cfg.beta),
+        "explicit-guard": lambda: SuccessiveApproximation(
+            alpha=cfg.alpha, beta=cfg.beta, explicit_guard=True
+        ),
+        "no-estimation": NoEstimation,
+    }
+    result = falsepositives.run(cfg, spurious_probs=probs, load=0.8)
+    specs = falsepositives.sweep_specs(cfg, probs, load=0.8)
+    assert len(result.points) == len(specs) == 9
+    for point, spec in zip(result.points, specs):
+        scalar = Simulation(
+            spec.workload.materialize(),
+            cfg.make_cluster(),
+            estimator=variants[point.variant](),
+            policy=Fcfs(),
+            failure_model=FailureModel(
+                rng=cfg.seed, spurious_failure_prob=point.spurious_prob
+            ),
+            collect_attempts=False,
+        ).run()
+        assert (point.utilization, point.frac_reduced, point.n_spurious) == (
+            utilization(scalar),
+            scalar.frac_reduced_submissions,
+            scalar.n_spurious_failures,
+        ), spec.label
+    assert any(p.n_spurious > 0 for p in result.points)
+
+
 class TestCli:
     def test_experiment_subcommand(self, capsys):
         from repro.cli import main

@@ -104,18 +104,19 @@ class TestCli:
         assert "spurious" in out
 
     def test_experiment_resilience_flags(self, monkeypatch, capsys):
-        # The flags reach the experiment's own run_sweep call, per call.
-        import repro.experiments.fig5 as fig5_mod
+        # The flags reach the experiment's own run_sweep call, per call
+        # (fig5.run imports run_sweep from the executor when it runs).
+        import repro.experiments.parallel as parallel
         from repro.cli import main
 
         calls = []
-        real_run_sweep = fig5_mod.run_sweep
+        real_run_sweep = parallel.run_sweep
 
         def recording_run_sweep(specs, **kwargs):
             calls.append(kwargs)
             return real_run_sweep(specs, **kwargs)
 
-        monkeypatch.setattr(fig5_mod, "run_sweep", recording_run_sweep)
+        monkeypatch.setattr(parallel, "run_sweep", recording_run_sweep)
         rc = main(
             [
                 "experiment", "fig5", "--jobs", "800",

@@ -121,6 +121,9 @@ class TestSubmission:
             {"experiment": 7},
             {"experiment": "fig5", "config": {"bogus": 1}},
             {"experiment": "fig5", "config": {"policy": "sjf"}},
+            {"experiment": "faults", "config": {"load": -1}},
+            {"experiment": "table1", "config": {"load": "high"}},
+            {"experiment": "falsepositives", "config": {"spurious_probs": [2.0]}},
         ],
     )
     def test_rejects_bad_submissions(self, doc):

@@ -37,7 +37,6 @@ from repro.core import (
     RobustLineSearch,
     SuccessiveApproximation,
 )
-from repro.core import persistence
 from repro.core.base import Estimator, version_token_fn
 from repro.similarity.keys import by_user_app
 from repro.obs import RecordingObserver, TimelineSampler
@@ -63,6 +62,7 @@ from repro.workload import (
 )
 from repro.workload.columns import JobColumns
 
+from tests.learned_state import learned_state
 from tests.sim.engine_reference import jobs_built, scalar_run
 
 
@@ -803,9 +803,10 @@ def _assert_accounting_invariants(workload, result):
 # ------------------------------- simulate() dispatch and estimator parity
 def _estimator_state(est):
     """Everything a run leaves in a successive estimator, in group order,
-    and its persisted form (which tells an int alpha from a float one)."""
+    and its learned state by ``repr`` (which tells an int alpha from a
+    float one)."""
     return (
-        persistence.dumps(est),
+        learned_state(est),
         est.telemetry(),
         est.n_groups,
         dict(est._failed_at),

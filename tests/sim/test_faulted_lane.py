@@ -22,7 +22,6 @@ from repro.core import (
     ReinforcementLearning,
     SuccessiveApproximation,
 )
-from repro.core import persistence
 from repro.sim import FaultConfig, Simulation, batch, simulate
 from repro.sim.batch import BatchConfig, fast_lane_eligible, simulate_batch
 from repro.sim.failure import FailureModel
@@ -35,6 +34,7 @@ from repro.workload import (
 )
 
 from tests.conftest import make_job
+from tests.learned_state import learned_state
 from tests.obs.test_event_sequence import ScriptedInjector
 from tests.sim.engine_reference import scalar_run
 from tests.sim.test_batch import (
@@ -61,13 +61,13 @@ _ESTIMATORS = {
 
 
 def _state(est):
-    """What a run leaves in the estimator, persisted form included."""
+    """What a run leaves in the estimator, learned state included."""
     if isinstance(est, NoEstimation):
         return None
-    dumped = None
+    learned = None
     if not isinstance(est, ReinforcementLearning):
-        dumped = persistence.dumps(est)
-    return dumped, _protocol_state(est)
+        learned = learned_state(est)
+    return learned, _protocol_state(est)
 
 
 @st.composite

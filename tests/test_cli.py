@@ -1,10 +1,13 @@
 """Command-line interface."""
 
 import logging
+import re
 
 import pytest
 
-from repro.cli import ESTIMATORS, POLICIES, build_parser, main
+from repro.cli import _simulation_inputs, build_parser, main
+from repro.core.reinforcement import ReinforcementLearning
+from tests.experiments.test_spec_registry import BUILT_IN_ESTIMATORS, BUILT_IN_POLICIES
 
 
 class TestParser:
@@ -13,13 +16,34 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_all_estimators_constructible(self):
-        for name, factory in ESTIMATORS.items():
-            est = factory(0)
-            assert hasattr(est, "estimate"), name
+        """Every built-in registry name is an ``--estimator`` value."""
+        for name, cls in BUILT_IN_ESTIMATORS.items():
+            args = build_parser().parse_args(
+                ["simulate", "--jobs", "50", "--estimator", name]
+            )
+            assert type(_simulation_inputs(args)[2]) is cls, name
 
     def test_all_policies_constructible(self):
-        for name, factory in POLICIES.items():
-            assert hasattr(factory(), "select"), name
+        """Every built-in registry name is a ``--policy`` value."""
+        for name, cls in BUILT_IN_POLICIES.items():
+            args = build_parser().parse_args(["stats", "--jobs", "50", "--policy", name])
+            assert type(_simulation_inputs(args)[3]) is cls, name
+
+    def test_rl_explores_from_the_seed(self):
+        args = build_parser().parse_args(
+            ["simulate", "--jobs", "50", "--estimator", "rl", "--seed", "7"]
+        )
+        state = _simulation_inputs(args)[2]._rng.bit_generator.state
+        assert state == ReinforcementLearning(rng=7)._rng.bit_generator.state
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--estimator", "nope"), ("--policy", "easy"),
+    ])
+    def test_unregistered_names_are_usage_errors(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["simulate", flag, value])
+        assert exc.value.code == 2
+        assert "pick from" in capsys.readouterr().err
 
 
 class TestQuickstart:
@@ -122,18 +146,52 @@ class TestExperiment:
             main(["experiment", "fig2"])
 
     def test_sweep_experiment_with_workers_and_cache(self, tmp_path, capsys):
-        cache_dir = tmp_path / "sweepcache"
-        argv = [
-            "experiment", "fig5", "--jobs", "800",
-            "--workers", "2", "--cache-dir", str(cache_dir),
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert "Figure 5" in first
-        assert any(cache_dir.glob("*.json"))
-        # Second run is served from the cache and prints identical tables.
-        assert main(argv) == 0
-        assert capsys.readouterr().out == first
+        for name, title in (
+            ("fig5", "Figure 5"),
+            ("table1", "Table 1"),
+            ("policies_exp", "Policy robustness"),
+        ):
+            cache_dir = tmp_path / name
+            argv = [
+                "experiment", name, "--jobs", "800",
+                "--workers", "2", "--cache-dir", str(cache_dir),
+            ]
+            assert main(argv) == 0
+            first = capsys.readouterr().out
+            assert title in first
+            assert any(cache_dir.glob("*.json")), name
+            # Second run is served from the cache and prints identical tables.
+            assert main(argv) == 0
+            out = capsys.readouterr()
+            assert out.out == first
+            runs, hits = re.search(
+                r"sweep: (\d+) runs .* (\d+) cache hits", out.err
+            ).groups()
+            assert runs == hits, name
+
+    @pytest.mark.parametrize("name, flag, value", [
+        ("faults", "--workers", "2"),
+        ("falsepositives", "--cache-dir", "CACHE"),
+        ("fig1", "--run-timeout", "5"),
+        ("fig3", "--max-retries", "1"),
+        ("fig4", "--workers", "1"),
+        ("fig7", "--cache-dir", "CACHE"),
+    ])
+    def test_executor_flags_refused_where_not_honoured(
+        self, tmp_path, monkeypatch, capsys, name, flag, value
+    ):
+        import importlib
+
+        module = importlib.import_module(f"repro.experiments.{name}")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran despite a refused flag")
+
+        monkeypatch.setattr(module, "run", no_run)
+        value = str(tmp_path / "cache") if value == "CACHE" else value
+        assert main(["experiment", name, "--jobs", "800", flag, value]) == 2
+        assert f"takes no {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
     def test_sweep_settings_are_restored_afterwards(self, capsys):
         """The stderr progress log holds for the experiment's own sweeps

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.service.schemas import EXPERIMENT_BUILDERS
 
 PACKAGES = [
     "repro",
@@ -173,6 +174,18 @@ class TestImportFootprint:
         )
         assert "repro.service.schemas" in modules
         assert "numpy" not in modules
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENT_BUILDERS))
+    def test_named_grid_parses_without_numpy_or_executor(self, name):
+        """The service builds a named experiment's grid on its event loop:
+        that takes the experiment module, not numpy or the executor."""
+        modules = fresh_modules(
+            "from repro.service.schemas import experiment_specs\n"
+            f"assert experiment_specs({name!r}, {{'n_jobs': 2000}})\n"
+        )
+        assert f"repro.experiments.{'fig5' if name == 'fig6' else name}" in modules
+        assert "numpy" not in modules
+        assert "repro.experiments.parallel" not in modules
 
     def test_executor_imports_what_its_workers_run(self):
         """A forked pool worker inherits, compiled, every module behind a
